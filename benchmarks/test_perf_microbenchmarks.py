@@ -281,11 +281,15 @@ def test_perf_full_small_episode(benchmark):
 
 
 def test_perf_snapshot_capture_and_restore():
-    """Warm-state snapshot economics on the paper's mesh100 topology.
+    """Warm-state checkpoint cost on the paper's mesh100 topology, and
+    why sweeps do not use it.
 
-    ``capture`` pays one warm-up plus a pickle; every ``restore`` then
-    replaces a full warm-up with an unpickle. The restore/warm-up ratio
-    is the per-point saving the sweep optimisation banks on.
+    Restoring materialises a warmed scenario faster than building and
+    warming one (``restore_speedup``), but the episode that then runs on
+    the unpickled objects is slower than on freshly built ones
+    (``slowdown_vs_fresh``), by more than the materialise saving. The
+    episode pair alternates restored/fresh and takes min-of-rounds CPU
+    time so host load hits both sides equally.
     """
     config = mesh100_config(seed=DEFAULT_SEED)
 
@@ -295,8 +299,8 @@ def test_perf_snapshot_capture_and_restore():
 
     restore_s = min(_timed(snapshot.restore) for _ in range(3))
 
-    def fresh_warmup():
-        scenario = Scenario(config)
+    def fresh_warmup(cfg=config):
+        scenario = Scenario(cfg)
         scenario.warm_up()
         return scenario
 
@@ -313,13 +317,28 @@ def test_perf_snapshot_capture_and_restore():
     # replaces (generous factor: single-digit-millisecond timings on a
     # shared host are noisy).
     assert restore_s < warmup_s * 1.5
-    # Blob-size ratchet: compact RNG-stream pickling brought the mesh100
-    # blob from ~1.39 MB down to ~260 KB. The bound leaves headroom for
-    # legitimate state growth but catches a regression back to pickling
-    # full Mersenne Twister states (which alone would blow past it).
-    assert snapshot.size_bytes < 600_000, (
-        f"warm-state blob grew to {snapshot.size_bytes} bytes — "
-        "snapshot transport and per-point restore costs scale with this"
+
+    nodamp = mesh100_config(damping=None, seed=DEFAULT_SEED)
+    nodamp_snapshot = WarmStateSnapshot.capture(nodamp)
+    schedule = PulseSchedule.regular(10, 60.0)
+
+    def episode_cpu_s(scenario) -> float:
+        start = time.process_time()
+        scenario.run(schedule)
+        return time.process_time() - start
+
+    restored_s = fresh_s = float("inf")
+    for _ in range(5):
+        restored_s = min(restored_s, episode_cpu_s(nodamp_snapshot.restore()))
+        fresh_s = min(fresh_s, episode_cpu_s(fresh_warmup(nodamp)))
+    _record(
+        "snapshot_restored_episode_mesh100",
+        restored_s,
+        fresh_seconds=round(fresh_s, 6),
+        pulses=10,
+        rounds=5,
+        clock="process_time",
+        slowdown_vs_fresh=round(restored_s / fresh_s, 2),
     )
 
 
@@ -333,7 +352,7 @@ def _timed(fn) -> float:
 _FIG8_PULSES = tuple(range(0, 11))
 
 
-def _fig8_sweep(jobs: int, use_snapshots: bool, rounds: int = 1):
+def _fig8_sweep(jobs: int, rounds: int = 1):
     """The acceptance-criterion workload: full-damping mesh, n = 0..10.
 
     Returns (best-of-``rounds`` wall-clock seconds, outcomes).
@@ -343,60 +362,47 @@ def _fig8_sweep(jobs: int, use_snapshots: bool, rounds: int = 1):
     outcomes = None
     for _ in range(rounds):
         start = time.perf_counter()
-        outcomes = execute_sweep(
-            config, _FIG8_PULSES, jobs=jobs, use_snapshots=use_snapshots
-        )
+        outcomes = execute_sweep(config, _FIG8_PULSES, jobs=jobs)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, outcomes
 
 
 def test_perf_fig8_sweep_sequential_vs_parallel():
-    """Wall-clock for the fig8 full-damping mesh sweep in three modes:
-    the seed's fresh-scenario-per-point loop, sequential with warm-state
-    snapshots, and a warm spawn pool with content-addressed snapshot
-    transport. All three must agree digest-for-digest.
+    """Wall-clock for the fig8 full-damping mesh sweep, sequential
+    against a warm spawn pool. Both build and warm a fresh scenario per
+    point and must agree digest-for-digest.
 
     The parallel round is timed with the pool already warm (persistent
     pools are the executor's steady state — every sweep after a
     process's first reuses workers), and both sides take min-of-rounds
     so host-load noise hits them equally. On a host with >= 2 available
-    CPUs the parallel sweep must be at least as fast as sequential —
-    the acceptance criterion this PR exists for. On a single-core host
-    the requirement is physically unsatisfiable (spawn workers time-slice
-    one core and pay IPC on top), so the gate skips with that reason;
-    the recorded ``cpu_count`` lets compare_perf refuse cross-host
-    comparisons of the number.
+    CPUs the parallel sweep must be at least as fast as sequential. On a
+    single-core host the requirement is physically unsatisfiable (spawn
+    workers time-slice one core and pay IPC on top), so the gate skips
+    with that reason; the recorded ``cpu_count`` lets compare_perf refuse
+    cross-host comparisons of the number.
     """
     par_jobs = 2 if available_cpus() < 4 else 4
     chunk = resolve_chunk_size(None, len(_FIG8_PULSES), par_jobs)
 
-    fresh_s, fresh = _fig8_sweep(jobs=1, use_snapshots=False, rounds=2)
-    snap_s, snap = _fig8_sweep(jobs=1, use_snapshots=True, rounds=2)
-    _fig8_sweep(jobs=par_jobs, use_snapshots=True)  # spawn + warm the pool
-    par_s, par = _fig8_sweep(jobs=par_jobs, use_snapshots=True, rounds=2)
+    seq_s, seq = _fig8_sweep(jobs=1, rounds=2)
+    _fig8_sweep(jobs=par_jobs)  # spawn + warm the pool
+    par_s, par = _fig8_sweep(jobs=par_jobs, rounds=2)
 
-    assert [o.digest for o in fresh] == [o.digest for o in snap] == [o.digest for o in par]
+    assert [o.digest for o in seq] == [o.digest for o in par]
 
-    _record("fig8_sweep_fresh_per_point", fresh_s, points=len(_FIG8_PULSES))
+    _record("fig8_sweep_fresh_per_point", seq_s, points=len(_FIG8_PULSES))
     _record(
-        "fig8_sweep_snapshots_sequential",
-        snap_s,
-        points=len(_FIG8_PULSES),
-        speedup_vs_fresh=round(fresh_s / snap_s, 2),
-    )
-    _record(
-        "fig8_sweep_snapshots_parallel",
+        "fig8_sweep_parallel",
         par_s,
         points=len(_FIG8_PULSES),
         jobs=par_jobs,
         cpu_count=available_cpus(),
         start_method="spawn",
         chunk_size=chunk,
-        speedup_vs_fresh=round(fresh_s / par_s, 2),
-        speedup_vs_sequential=round(snap_s / par_s, 2),
+        speedup_vs_sequential=round(seq_s / par_s, 2),
     )
-    assert snap_s < fresh_s * 1.35
     if available_cpus() < 2:
         pytest.skip(
             f"parallel speedup gate needs >= 2 available CPUs, host has "
@@ -404,8 +410,8 @@ def test_perf_fig8_sweep_sequential_vs_parallel():
             f"one core, so parallel >= sequential cannot hold (numbers "
             f"recorded, not gated)"
         )
-    assert par_s <= snap_s, (
-        f"jobs={par_jobs} sweep took {par_s:.2f}s vs {snap_s:.2f}s "
+    assert par_s <= seq_s, (
+        f"jobs={par_jobs} sweep took {par_s:.2f}s vs {seq_s:.2f}s "
         f"sequential on {available_cpus()} CPUs — the parallel executor "
         f"is losing to its own sequential path"
     )

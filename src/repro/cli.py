@@ -72,28 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "sweep points per task submitted to a worker (default: "
-            "auto-sized to a few chunks per worker); results are "
-            "digest-identical for every value"
-        ),
-    )
-    run.add_argument(
-        "--snapshot-transport",
-        choices=["auto", "shm", "spill", "inline"],
-        default="auto",
-        help=(
-            "how warm-state snapshots reach workers: content-addressed "
-            "shared memory ('shm'), a content-addressed spill file "
-            "('spill'), or pickled with each task ('inline'); 'auto' "
-            "(default) picks shm where available, else spill"
-        ),
-    )
-    run.add_argument(
         "--smoke",
         action="store_true",
         help=(
@@ -277,19 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECS",
         help="wall-clock bound per sweep point when running with --jobs > 1",
-    )
-    frun.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="sweep points per worker task (default: auto-sized)",
-    )
-    frun.add_argument(
-        "--snapshot-transport",
-        choices=["auto", "shm", "spill", "inline"],
-        default="auto",
-        help="how warm-state snapshots reach workers (see 'run --help')",
     )
     frun.add_argument(
         "--digest-out",
@@ -620,8 +585,6 @@ def _cmd_run(
     smoke: bool = False,
     verify_digests: Optional[str] = None,
     write_digests: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    snapshot_transport: str = "auto",
 ) -> int:
     if check_invariants:
         from repro.experiments.base import set_invariant_checking
@@ -639,16 +602,6 @@ def _cmd_run(
 
         resolve_jobs(jobs)
         set_default_jobs(jobs)
-    if chunk_size is not None or snapshot_transport != "auto":
-        from repro.experiments.base import set_sweep_tuning
-        from repro.experiments.parallel import resolve_chunk_size
-        from repro.experiments.snapstore import resolve_transport
-
-        # Same eager validation as --jobs: fail before any sweep starts.
-        if chunk_size is not None:
-            resolve_chunk_size(chunk_size, 1, 1)
-        resolve_transport(snapshot_transport)
-        set_sweep_tuning(chunk_size, snapshot_transport)
     expected: Optional[Dict[str, Dict[str, Dict[str, str]]]] = None
     if verify_digests is not None:
         try:
@@ -1077,8 +1030,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             check_invariants=args.check_invariants,
             audit_timers=args.audit_timers,
             point_timeout=args.point_timeout,
-            chunk_size=args.chunk_size,
-            snapshot_transport=args.snapshot_transport,
         )
     except (ConfigurationError, SimulationError, OSError) as exc:
         print(f"rfd-repro faults run: {exc}", file=sys.stderr)
@@ -1347,8 +1298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             smoke=args.smoke,
             verify_digests=args.verify_digests,
             write_digests=args.write_digests,
-            chunk_size=args.chunk_size,
-            snapshot_transport=args.snapshot_transport,
         )
     if args.command == "intended":
         return _cmd_intended(args)

@@ -214,38 +214,14 @@ def default_jobs() -> int:
     return _DEFAULT_JOBS
 
 
-#: Sweep tuning shared by every :func:`run_sweep` call: points per
-#: submitted chunk (``None`` = auto-size) and how snapshot blobs reach
-#: workers. Toggled by the CLI's ``--chunk-size``/``--snapshot-transport``
-#: flags; module-level switches for the same reason as ``_DEFAULT_JOBS``.
-_CHUNK_SIZE: Optional[int] = None
-_SNAPSHOT_TRANSPORT = "auto"
-
-
-def set_sweep_tuning(
-    chunk_size: Optional[int] = None, snapshot_transport: str = "auto"
-) -> None:
-    """Set the chunking/transport knobs used by every sweep."""
-    global _CHUNK_SIZE, _SNAPSHOT_TRANSPORT
-    _CHUNK_SIZE = chunk_size
-    _SNAPSHOT_TRANSPORT = snapshot_transport
-
-
-def sweep_tuning() -> tuple:
-    """Current ``(chunk_size, snapshot_transport)`` pair."""
-    return (_CHUNK_SIZE, _SNAPSHOT_TRANSPORT)
-
-
-#: Warm-state snapshots shared by every sweep in this process: figure
-#: drivers replaying one config across several series (fig8/fig9 pairs,
-#: ablation grids) warm it up once, and — because the executor publishes
-#: blobs content-addressed — ship it to workers once, across executor
-#: instances.
+#: No sweep consults this cache: every point warms a fresh scenario.
+#: Kept because the frozen ``bench/`` harness calls
+#: ``sweep_cache().clear()`` and reads its ``hits``/``misses``.
 _SWEEP_CACHE = WarmStateCache(max_entries=8)
 
 
 def sweep_cache() -> WarmStateCache:
-    """The process-wide warm-state cache used by :func:`run_sweep`."""
+    """The process-wide warm-state cache (unused by sweeps; see above)."""
     return _SWEEP_CACHE
 
 
@@ -274,28 +250,21 @@ def run_sweep(
     pulse_counts: Sequence[int],
     flap_interval: float = 60.0,
     jobs: Optional[int] = None,
-    use_snapshots: bool = True,
 ) -> SweepSeries:
     """Run one episode per pulse count.
 
-    Episodes are independent: the sweep warms the config up once,
-    snapshots the converged state, and restores it per point (see
-    :class:`repro.workload.scenarios.WarmStateSnapshot`); with
-    ``jobs != 1`` points run in a spawn-context process pool (see
-    :mod:`repro.experiments.parallel`). Both optimisations are
-    digest-identical to the historical fresh-scenario-per-point loop.
-    ``jobs=None`` defers to :func:`default_jobs`.
+    Episodes are independent: every point builds and warms its own
+    fresh scenario; with ``jobs != 1`` points run in a spawn-context
+    process pool (see :mod:`repro.experiments.parallel`), which is
+    digest-identical to the sequential loop. ``jobs=None`` defers to
+    :func:`default_jobs`.
     """
     outcomes = execute_sweep(
         config,
         list(pulse_counts),
         flap_interval=flap_interval,
         jobs=_DEFAULT_JOBS if jobs is None else jobs,
-        use_snapshots=use_snapshots,
         check_invariants=_CHECK_INVARIANTS,
-        chunk_size=_CHUNK_SIZE,
-        snapshot_transport=_SNAPSHOT_TRANSPORT,
-        cache=_SWEEP_CACHE if use_snapshots else None,
     )
     series = SweepSeries(label=label)
     for outcome in outcomes:

@@ -1,40 +1,34 @@
 """Deterministic process-pool sweep executor.
 
 Every figure and ablation is a sweep of *independent* episodes: each
-(config, pulse count) point builds its own scenario from its own seed, so
-points can run in any process, in any order, without sharing state. This
-module is the one place such fan-out is allowed (detlint rule DET010
-flags ``multiprocessing``/``concurrent.futures`` anywhere else), and it
-provides a hard guarantee: results are **digest-identical** to the
-sequential path, whatever ``jobs``, chunking, or snapshot transport is.
+(config, pulse count) point builds and warms its own scenario from its
+own seed, so points can run in any process, in any order, without
+sharing state. This module is the one place such fan-out is allowed
+(detlint rule DET010 flags ``multiprocessing``/``concurrent.futures``
+anywhere else), and it provides a hard guarantee: results are
+**digest-identical** to the sequential path, whatever ``jobs`` or the
+chunk geometry is.
 
 The guarantee holds by construction:
 
 * Each point's scenario derives every random draw from the point's own
   :class:`~repro.sim.rng.RngRegistry` master seed — nothing is drawn
   from shared or process-global randomness.
-* Workers materialise an independent scenario per point from a
-  :class:`~repro.workload.scenarios.WarmStateSnapshot` (or the bare
-  config); snapshot restoration preserves RNG stream states, the engine
-  clock/sequence counter, and all protocol state exactly.
+* Sequential loop and workers alike build a fresh
+  :class:`~repro.workload.scenarios.Scenario` from the bare
+  :class:`~repro.workload.scenarios.ScenarioConfig` and warm it up per
+  point; only the config crosses the process boundary.
 * The pool uses the ``spawn`` start method, so workers import a fresh
   interpreter instead of inheriting forked state, and results are
   collected in submission order regardless of completion order.
 
-Three mechanisms make ``jobs=N`` actually buy ~N cores instead of
-drowning in serialisation overhead:
+Two mechanisms keep ``jobs=N`` from drowning in dispatch overhead:
 
 * **Persistent warm pools** (:class:`_PoolManager`): spawn workers cost
   a full interpreter start + import each, so pools are kept alive and
   reused across ``execute_sweep`` calls instead of being rebuilt per
   sweep. A broken or timed-out pool is discarded; healthy pools return
   to the warm set.
-* **Content-addressed snapshot transport** (:mod:`repro.experiments
-  .snapstore`): the warm-state blob is published once under its SHA-256
-  digest (shared memory or a spill file) and workers attach by key,
-  caching the bytes per digest — the blob crosses the process boundary
-  zero times per point, and multi-sweep runs over the same config reuse
-  the published copy across executor instances.
 * **Chunked scheduling** (:func:`resolve_chunk_size`): points are
   submitted in contiguous chunks so per-task IPC is amortised on
   many-small-point grids; collection stays in submission order, so
@@ -51,34 +45,18 @@ import atexit
 import math
 import multiprocessing
 import os
-import pickle
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.snapstore import (
-    SnapshotHandle,
-    fetch_blob,
-    publish_snapshot,
-    resolve_transport,
-)
 from repro.metrics.digest import run_digest
 from repro.sim.rng import RngRegistry
 from repro.trace.sinks import JsonlSink
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import (
-    Scenario,
-    ScenarioConfig,
-    WarmStateCache,
-    WarmStateSnapshot,
-)
-
-#: What a worker (or the in-process fallback) builds scenarios from: a
-#: warm-state snapshot when warm-up is shared, else the bare config.
-SweepSource = Union[WarmStateSnapshot, ScenarioConfig]
+from repro.workload.scenarios import Scenario, ScenarioConfig
 
 #: Auto-chunking target: enough chunks per worker that completion skew
 #: stays small, few enough that dispatch overhead is amortised.
@@ -213,63 +191,23 @@ def run_point_outcome(
     )
 
 
-def _materialise(source: SweepSource) -> Scenario:
-    """An independent warmed-up scenario from a snapshot or bare config."""
-    if isinstance(source, WarmStateSnapshot):
-        return source.restore()
-    scenario = Scenario(source)
-    scenario.warm_up()
-    return scenario
-
-
-def _sweep_source(
-    config: ScenarioConfig,
-    point_count: int,
-    use_snapshots: bool,
-    cache: Optional[WarmStateCache],
-) -> SweepSource:
-    """Warm up once and snapshot when more than one point will reuse it;
-    a single point is cheaper to warm directly. A cache turns the
-    capture into a digest-keyed lookup shared across sweeps."""
-    if use_snapshots and point_count > 1:
-        if cache is not None:
-            return cache.get(config)
-        return WarmStateSnapshot.capture(config)
-    return config
-
-
 # ----------------------------------------------------------------------
-# worker-process side
+# per-point work (sequential loop and worker processes alike)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _SweepSpec:
-    """Everything a worker needs per chunk, kept deliberately tiny.
+    """Everything needed to run any point of a sweep, kept deliberately
+    tiny. Because the spec rides on every chunk instead of the pool
+    initializer, one persistent pool serves sweeps over different
+    configs back to back."""
 
-    Exactly one of ``handle`` (content-addressed transport) and
-    ``source`` (inline snapshot or bare config) is set. Because the
-    spec rides on every chunk instead of the pool initializer, one
-    persistent pool serves sweeps over different configs back to back.
-    """
-
-    handle: Optional[SnapshotHandle]
-    source: Optional[SweepSource]
+    config: ScenarioConfig
     flap_interval: float
     check_invariants: bool
     trace_dir: Optional[str]
     audit_timers: bool
-
-
-def _init_worker(warm_handle: Optional[SnapshotHandle] = None) -> None:
-    """Pool initializer: prefetch (and digest-verify) the sweep's blob
-    so the first chunk does not pay the transport read. Errors are left
-    for the chunk path, where salvage/retry semantics apply."""
-    if warm_handle is not None:
-        try:
-            fetch_blob(warm_handle)
-        except (SimulationError, OSError):  # pragma: no cover - defensive
-            pass
 
 
 def _point_trace_path(trace_dir: str, index: int, pulses: int) -> str:
@@ -277,29 +215,22 @@ def _point_trace_path(trace_dir: str, index: int, pulses: int) -> str:
     return os.path.join(trace_dir, f"point_{index:03d}_p{pulses}.jsonl")
 
 
-def _materialise_spec(spec: _SweepSpec) -> Scenario:
-    """An independent warmed scenario inside a worker.
-
-    The content-addressed path restores from the per-process cached
-    blob (fetched at most once per digest), so per-point cost is one
-    in-process ``pickle.loads`` of the compact blob — the snapshot
-    never crosses the process boundary again.
-    """
-    if spec.handle is not None:
-        blob = fetch_blob(spec.handle)
-        try:
-            scenario: Scenario = pickle.loads(blob)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"warm-state snapshot failed to restore from "
-                f"{spec.handle.kind} transport: {exc}"
-            ) from exc
-        return scenario
-    if spec.source is None:  # pragma: no cover - spec construction guard
-        raise SimulationError("sweep spec carries neither handle nor source")
-    return _materialise(spec.source)
+def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
+    """Build and warm a fresh scenario, then run the point's episode."""
+    scenario = Scenario(spec.config)
+    scenario.warm_up()
+    return run_point_outcome(
+        scenario,
+        pulses,
+        flap_interval=spec.flap_interval,
+        check_invariants=spec.check_invariants,
+        trace_path=(
+            _point_trace_path(spec.trace_dir, index, pulses)
+            if spec.trace_dir is not None
+            else None
+        ),
+        audit_timers=spec.audit_timers,
+    )
 
 
 #: One chunk of work: contiguous ``(index, pulses)`` tasks.
@@ -310,26 +241,7 @@ def _worker_run_chunk(
     spec: _SweepSpec, tasks: _Chunk
 ) -> List[Tuple[int, PointOutcome]]:
     """Run every point of a chunk and return (index, outcome) pairs."""
-    outcomes: List[Tuple[int, PointOutcome]] = []
-    for index, pulses in tasks:
-        outcomes.append(
-            (
-                index,
-                run_point_outcome(
-                    _materialise_spec(spec),
-                    pulses,
-                    flap_interval=spec.flap_interval,
-                    check_invariants=spec.check_invariants,
-                    trace_path=(
-                        _point_trace_path(spec.trace_dir, index, pulses)
-                        if spec.trace_dir is not None
-                        else None
-                    ),
-                    audit_timers=spec.audit_timers,
-                ),
-            )
-        )
-    return outcomes
+    return [(index, _run_point(spec, index, pulses)) for index, pulses in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -354,22 +266,14 @@ class _PoolManager:
         self._idle: Dict[Tuple[object, int, str], ProcessPoolExecutor] = {}
 
     def acquire(
-        self,
-        worker_count: int,
-        start_method: str,
-        warm_handle: Optional[SnapshotHandle] = None,
+        self, worker_count: int, start_method: str
     ) -> Tuple[Tuple[object, int, str], ProcessPoolExecutor]:
         executor_cls = ProcessPoolExecutor  # module attr: monkeypatch seam
         key = (executor_cls, worker_count, start_method)
         pool = self._idle.pop(key, None)
         if pool is None:
             context = multiprocessing.get_context(start_method)
-            pool = executor_cls(
-                max_workers=worker_count,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(warm_handle,),
-            )
+            pool = executor_cls(max_workers=worker_count, mp_context=context)
         return key, pool
 
     def release(
@@ -441,7 +345,6 @@ def execute_sweep(
     pulse_counts: Sequence[int],
     flap_interval: float = 60.0,
     jobs: Optional[int] = 1,
-    use_snapshots: bool = True,
     check_invariants: bool = False,
     mp_start_method: str = "spawn",
     trace_dir: Optional[str] = None,
@@ -449,26 +352,18 @@ def execute_sweep(
     max_retries: int = 2,
     audit_timers: bool = False,
     chunk_size: Optional[int] = None,
-    snapshot_transport: str = "auto",
-    cache: Optional[WarmStateCache] = None,
 ) -> List[PointOutcome]:
     """Run one episode per pulse count, optionally across processes.
 
     ``jobs`` follows the CLI convention (``1`` sequential in-process,
     ``0`` one worker per available CPU, ``N`` workers otherwise).
-    Outcomes are returned in ``pulse_counts`` order and are
-    digest-identical whatever ``jobs``, ``chunk_size``, or
-    ``snapshot_transport`` resolve to.
+    Every point builds and warms its own fresh scenario from
+    ``config``. Outcomes are returned in ``pulse_counts`` order and are
+    digest-identical whatever ``jobs`` or ``chunk_size`` resolve to.
 
     ``chunk_size`` groups points into contiguous per-task chunks
-    (``None`` auto-sizes — see :func:`resolve_chunk_size`).
-    ``snapshot_transport`` picks how the warm-state blob reaches
-    workers: ``auto``/``shm``/``spill`` publish it once under its
-    content digest and ship only a key; ``inline`` ships the blob with
-    the chunk spec (the degenerate fallback). ``cache`` reuses captured
-    snapshots across sweeps (and heals a snapshot that fails to
-    restore by recapturing it — see
-    :meth:`~repro.workload.scenarios.WarmStateCache.restore`).
+    (``None`` auto-sizes — see :func:`resolve_chunk_size`); it is the
+    seam the chunk-geometry determinism test drives, not a tuning knob.
 
     ``trace_dir`` enables causal tracing: each point writes its canonical
     JSONL trace to ``<trace_dir>/point_<index>_p<pulses>.jsonl`` (the
@@ -492,7 +387,7 @@ def execute_sweep(
     Deterministic failures — an episode raising ``SimulationError``,
     an invariant or timer-audit violation — are *not* retried: rerunning
     the same seed reproduces them, so they propagate immediately.
-    Because every point is a pure function of ``(source, task)``,
+    Because every point is a pure function of ``(config, task)``,
     salvage-and-retry cannot change results, only recover them.
     """
     counts = [int(p) for p in pulse_counts]
@@ -503,52 +398,22 @@ def execute_sweep(
         raise ConfigurationError(
             f"point_timeout must be > 0 seconds, got {point_timeout}"
         )
-    transport = resolve_transport(snapshot_transport)
     if not counts:
         return []
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
 
-    source = _sweep_source(config, len(counts), use_snapshots, cache)
-    if worker_count == 1 or len(counts) == 1:
-        outcomes: List[PointOutcome] = []
-        for index, pulses in enumerate(counts):
-            if cache is not None and isinstance(source, WarmStateSnapshot):
-                scenario = cache.restore(config)
-            else:
-                scenario = _materialise(source)
-            outcomes.append(
-                run_point_outcome(
-                    scenario,
-                    pulses,
-                    flap_interval=flap_interval,
-                    check_invariants=check_invariants,
-                    trace_path=(
-                        _point_trace_path(trace_dir, index, pulses)
-                        if trace_dir is not None
-                        else None
-                    ),
-                    audit_timers=audit_timers,
-                )
-            )
-        return outcomes
-
-    handle: Optional[SnapshotHandle] = None
-    inline_source: Optional[SweepSource] = None
-    if isinstance(source, WarmStateSnapshot) and transport != "inline":
-        handle = publish_snapshot(source.blob, transport)
-    else:
-        inline_source = source
     spec = _SweepSpec(
-        handle=handle,
-        source=inline_source,
+        config=config,
         flap_interval=flap_interval,
         check_invariants=check_invariants,
         trace_dir=trace_dir,
         audit_timers=audit_timers,
     )
-
     tasks = list(enumerate(counts))
+    if worker_count == 1 or len(counts) == 1:
+        return [_run_point(spec, index, pulses) for index, pulses in tasks]
+
     size = resolve_chunk_size(chunk_size, len(tasks), worker_count)
     results: Dict[int, PointOutcome] = {}
     failures: List[str] = []
@@ -556,7 +421,7 @@ def execute_sweep(
         missing = [task for task in tasks if task[0] not in results]
         if not missing:
             break
-        key, pool = _POOLS.acquire(worker_count, mp_start_method, warm_handle=handle)
+        key, pool = _POOLS.acquire(worker_count, mp_start_method)
         submitted: List[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]] = []
         broke = False
         try:
@@ -623,7 +488,6 @@ def execute_sweep(
 
 __all__ = [
     "PointOutcome",
-    "SweepSource",
     "available_cpus",
     "derive_seed",
     "execute_sweep",

@@ -44,13 +44,10 @@ DEFAULT_PARAMS_MODULES: Tuple[str, ...] = ("repro.core.params",)
 DEFAULT_DAMPING_MODULES: Tuple[str, ...] = ("repro.core.damping",)
 
 #: Modules allowed to spawn worker processes (DET010): the deterministic
-#: sweep executor, its content-addressed snapshot transport (which uses
-#: ``multiprocessing.shared_memory``, not process fan-out), and the
-#: parallel lint runner (which analyses static source text, not
-#: simulation state).
+#: sweep executor and the parallel lint runner (which analyses static
+#: source text, not simulation state).
 DEFAULT_EXECUTOR_MODULES: Tuple[str, ...] = (
     "repro.experiments.parallel",
-    "repro.experiments.snapstore",
     "repro.lint.runner",
 )
 

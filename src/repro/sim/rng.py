@@ -6,116 +6,13 @@ jitter, topology construction, ISP placement. If they all shared one
 every other consumer and make results impossible to compare across code
 changes. :class:`RngRegistry` derives an independent stream per name from
 a single master seed, so each consumer's draws are stable in isolation.
-
-Streams are :class:`CompactStateRandom` instances: behaviourally plain
-``random.Random`` (every draw is the same C-implemented method — no
-wrapper on the hot path), but they pickle *compactly*. A Mersenne
-Twister state is 625 machine words (~3.7 KB pickled), and a warmed-up
-scenario holds hundreds of streams that have each consumed only a
-handful of draws; pickling full states made warm-state snapshots
-megabyte-sized. A compact stream instead records "seed plus words
-consumed" when the state is reachable by replaying a few generator
-words from the seed (the overwhelmingly common case), falling back to
-the packed raw state otherwise. Restoration is exact in both paths:
-the unpickled stream's ``getstate()`` equals the original's, so the
-digest-identity contract of snapshot restore holds bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import struct
-from typing import Any, Dict, Optional, Tuple
-
-#: Words in one Mersenne Twister output block (the regeneration unit).
-_MT_BLOCK_WORDS = 624
-
-#: How many regenerated blocks the encoder searches before falling back
-#: to the raw packed state. Warm-up draws consume a few words per
-#: stream, so block 1 matches almost always; the bound keeps encoding
-#: O(blocks) for pathological, heavily-drawn streams.
-_MAX_REPLAY_BLOCKS = 8
-
-#: Encoded stream state: ``("replay", words_consumed, gauss_next)`` or
-#: ``("raw", version, packed_internal_state, gauss_next)``.
-_EncodedState = Tuple[Any, ...]
-
-
-def _encode_stream_state(seed: int, state: Tuple[Any, ...]) -> _EncodedState:
-    """Compress a ``random.Random`` state relative to its seed.
-
-    The Mersenne block after ``k`` regenerations is a pure function of
-    the seed, so a state whose block matches one of the first few
-    regenerations is fully described by the number of 32-bit words
-    consumed since seeding (index semantics make the reconstruction
-    exact — see :func:`_restore_compact_stream`). States beyond the
-    search bound, or from a different generator version, are stored
-    packed instead of as a Python tuple of 625 boxed ints.
-    """
-    version, internal, gauss_next = state[0], state[1], state[2]
-    probe = random.Random(seed)
-    if probe.getstate() == state:
-        return ("replay", 0, None)
-    block = internal[:-1]
-    index = internal[-1]
-    for regen in range(1, _MAX_REPLAY_BLOCKS + 1):
-        # One draw forces the next regeneration; the probe's block is
-        # then the regen-``regen`` block with one word consumed.
-        probe.getrandbits(32)
-        if probe.getstate()[1][:-1] == block:
-            return ("replay", (regen - 1) * _MT_BLOCK_WORDS + index, gauss_next)
-        for _ in range(_MT_BLOCK_WORDS - 1):
-            probe.getrandbits(32)
-    packed = struct.pack("<625I", *internal)
-    return ("raw", version, packed, gauss_next)
-
-
-def _restore_compact_stream(
-    seed: int, encoded: _EncodedState
-) -> "CompactStateRandom":
-    """Rebuild a stream from its seed and encoded state, exactly.
-
-    Replay encoding: every ``getrandbits(32)`` call consumes exactly one
-    generator word, so ``words_consumed`` calls on a freshly-seeded
-    stream land on the same block with the same index as the original —
-    whatever mix of ``random()``/``getrandbits``/``choice`` produced
-    that consumption in the first place.
-    """
-    stream = CompactStateRandom(seed)
-    kind = encoded[0]
-    if kind == "replay":
-        words, gauss_next = encoded[1], encoded[2]
-        for _ in range(words):
-            stream.getrandbits(32)
-        if gauss_next is not None:
-            version, internal, _ = stream.getstate()
-            stream.setstate((version, internal, gauss_next))
-        return stream
-    version, packed, gauss_next = encoded[1], encoded[2], encoded[3]
-    internal = struct.unpack("<625I", packed)
-    stream.setstate((version, internal, gauss_next))
-    return stream
-
-
-class CompactStateRandom(random.Random):
-    """``random.Random`` that pickles as (seed, compact state delta).
-
-    Draws are untouched C methods — the subclass only overrides
-    ``__reduce__`` — so there is no hot-path cost. Pickling and
-    ``copy.deepcopy`` both go through the compact encoding and restore
-    the generator state exactly (verified by the snapshot digest
-    tests); a lightly-used stream serialises to tens of bytes instead
-    of ~3.7 KB.
-    """
-
-    def __init__(self, derived_seed: int) -> None:
-        self._derived_seed = int(derived_seed)
-        super().__init__(self._derived_seed)
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        encoded = _encode_stream_state(self._derived_seed, self.getstate())
-        return (_restore_compact_stream, (self._derived_seed, encoded))
+from typing import Dict
 
 
 class RngRegistry:
@@ -140,9 +37,7 @@ class RngRegistry:
             digest = hashlib.sha256(
                 f"{self._master_seed}:{name}".encode("utf-8")
             ).digest()
-            self._streams[name] = CompactStateRandom(
-                int.from_bytes(digest[:8], "big")
-            )
+            self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
     def uniform(self, name: str, low: float, high: float) -> float:

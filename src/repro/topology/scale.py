@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import pathlib
+import random
 from typing import Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
 from repro.bgp.policy import Relationship
 from repro.errors import TopologyError
-from repro.sim.rng import CompactStateRandom, RngRegistry
+from repro.sim.rng import RngRegistry
 from repro.topology.model import Topology
 from repro.topology.relationships import RelationshipMap, assign_relationships
 
@@ -149,7 +150,7 @@ def powerlaw_topology(
 
 
 def _draw_attachment_target(
-    rng: CompactStateRandom,
+    rng: random.Random,
     urn: List[int],
     degrees: List[int],
     existing: int,

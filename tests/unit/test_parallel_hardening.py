@@ -3,10 +3,11 @@
 Real worker death (OOM kill, segfault) and wedged workers are
 nondeterministic to provoke, so these tests substitute fake pools for
 ``ProcessPoolExecutor`` in the module namespace: the fakes run chunks
-inline (same process, same initializer contract) while simulating the
-pool-level failures the executor must survive — a broken pool with
-salvageable completed futures, a chunk that never finishes, and a
-deterministic episode error that must *not* be retried. The persistent
+inline (same process, handed the same bare-config spec a spawn worker
+would unpickle) while simulating the pool-level failures the executor
+must survive — a broken pool with salvageable completed futures, a
+chunk that never finishes, and a deterministic episode error that must
+*not* be retried. The persistent
 pool manager keys warm pools on the executor class, so each fake class
 gets its own pools and never aliases the real spawn pools.
 """
@@ -30,14 +31,12 @@ from repro.experiments.parallel import (
 
 
 class _InlinePool:
-    """Runs submitted chunks synchronously in-process; honours the
-    initializer contract the real pool manager uses."""
+    """Runs submitted chunks synchronously in-process; takes the
+    constructor arguments the real pool manager passes."""
 
     instances: List["_InlinePool"] = []
 
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        if initializer is not None:
-            initializer(*initargs)
+    def __init__(self, max_workers, mp_context=None):
         self.submitted = 0
         type(self).instances.append(self)
 
@@ -95,8 +94,6 @@ def test_execute_sweep_validates_retry_and_timeout_arguments(fast_config):
         execute_sweep(fast_config, (0, 1), point_timeout=0.0)
     with pytest.raises(ConfigurationError, match="chunk_size"):
         execute_sweep(fast_config, (0, 1), jobs=2, chunk_size=0)
-    with pytest.raises(ConfigurationError, match="snapshot_transport"):
-        execute_sweep(fast_config, (0, 1), jobs=2, snapshot_transport="carrier-pigeon")
 
 
 def test_broken_pool_salvages_completed_points_and_retries(
