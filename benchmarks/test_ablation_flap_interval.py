@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import flap_interval_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_flap_interval(benchmark, record_experiment):
-    result = run_once(benchmark, flap_interval_experiment)
+    result = run_once(benchmark, run_experiment, "X1")
     record_experiment(result)
     # At the same pulse count, the intended ISP-side delay shrinks as the
     # interval grows (more decay between flaps).

@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import heterogeneous_params_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_heterogeneous_params(benchmark, record_experiment):
-    result = run_once(benchmark, heterogeneous_params_experiment)
+    result = run_once(benchmark, run_experiment, "X9")
     record_experiment(result)
     rows = {(row[0], row[1]): row for row in result.rows}
     # Parameter diversity still produces reuse-timer interactions.

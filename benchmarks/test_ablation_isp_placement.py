@@ -2,14 +2,14 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import isp_placement_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_isp_placement(benchmark, record_experiment):
-    result = run_once(benchmark, isp_placement_experiment)
+    result = run_once(benchmark, run_experiment, "X10")
     record_experiment(result)
-    hub = result.data["hub"]
-    stub = result.data["stub"]
+    hub = result.data["sweeps"]["hub"]
+    stub = result.data["sweeps"]["stub"]
     # Both attachments converge at every pulse count with flaps.
     for series in (hub, stub):
         for point in series.points:

@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import mrai_withdrawal_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_mrai_withdrawals(benchmark, record_experiment):
-    result = run_once(benchmark, mrai_withdrawal_experiment)
+    result = run_once(benchmark, run_experiment, "X6")
     record_experiment(result)
     immediate = [row for row in result.rows if row[0] == "immediate"]
     limited = [row for row in result.rows if row[0] == "rate-limited"]

@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import partial_deployment_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_partial_deployment(benchmark, record_experiment):
-    result = run_once(benchmark, partial_deployment_experiment)
+    result = run_once(benchmark, run_experiment, "X2")
     record_experiment(result)
     suppressions_at_1 = {row[0]: row[4] for row in result.rows if row[1] == 1}
     # Fewer damping routers -> fewer (false) suppressions after one pulse.

@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import selective_damping_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_selective_damping(benchmark, record_experiment):
-    result = run_once(benchmark, selective_damping_experiment)
+    result = run_once(benchmark, run_experiment, "X4")
     record_experiment(result)
     row1 = next(row for row in result.rows if row[0] == 1)
     plain_sec, selective_sec, rcn_sec = row1[4], row1[5], row1[6]

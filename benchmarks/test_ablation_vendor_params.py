@@ -2,11 +2,11 @@
 
 from bench_utils import run_once
 
-from repro.experiments.ablations import vendor_params_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_ablation_vendor_params(benchmark, record_experiment):
-    result = run_once(benchmark, vendor_params_experiment)
+    result = run_once(benchmark, run_experiment, "X3")
     record_experiment(result)
     intended = {(row[0], row[1]): row[5] for row in result.rows}
     # Juniper's higher cut-off (3000) and re-announcement penalty shift

@@ -7,11 +7,11 @@ Shape target (paper): the RCN series closely matches the calculated
 import pytest
 from bench_utils import run_once
 
-from repro.experiments.fig13_14 import fig13_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_fig13_rcn_convergence(benchmark, record_experiment):
-    result = run_once(benchmark, fig13_experiment)
+    result = run_once(benchmark, run_experiment, "F13")
     record_experiment(result)
     rcn = result.data["sweeps"]["damping_rcn"]
     plain = result.data["sweeps"]["full_damping_mesh"]

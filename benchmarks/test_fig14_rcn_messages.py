@@ -7,11 +7,11 @@ exactly at the configured pulse count instead of early false suppression).
 
 from bench_utils import run_once
 
-from repro.experiments.fig13_14 import fig14_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_fig14_rcn_messages(benchmark, record_experiment):
-    result = run_once(benchmark, fig14_experiment)
+    result = run_once(benchmark, run_experiment, "F14")
     record_experiment(result)
     sweeps = result.data["sweeps"]
     rcn = sweeps["damping_rcn"]

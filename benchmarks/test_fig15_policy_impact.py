@@ -7,11 +7,11 @@ without policy the convergence for small n stays far above intended.
 
 from bench_utils import run_once
 
-from repro.experiments.fig15 import fig15_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_fig15_policy_impact(benchmark, record_experiment):
-    result = run_once(benchmark, fig15_experiment)
+    result = run_once(benchmark, run_experiment, "F15")
     record_experiment(result)
     with_policy = result.data["sweeps"]["with_policy"]
     no_policy = result.data["sweeps"]["no_policy"]

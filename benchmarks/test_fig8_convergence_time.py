@@ -9,11 +9,12 @@ shows the same trend.
 import pytest
 from bench_utils import run_once
 
-from repro.experiments.fig8_9 import critical_pulse_count, fig8_experiment
+from repro.experiments.fig8_9 import critical_pulse_count
+from repro.experiments.registry import run_experiment
 
 
 def test_fig8_convergence_time(benchmark, record_experiment):
-    result = run_once(benchmark, fig8_experiment)
+    result = run_once(benchmark, run_experiment, "F8")
     record_experiment(result)
     sweeps = result.data["sweeps"]
     calc = result.data["calculation"]

@@ -7,11 +7,11 @@ with damping it flattens once the ISP suppresses the flapping route.
 import pytest
 from bench_utils import run_once
 
-from repro.experiments.fig8_9 import fig9_experiment
+from repro.experiments.registry import run_experiment
 
 
 def test_fig9_message_count(benchmark, record_experiment):
-    result = run_once(benchmark, fig9_experiment)
+    result = run_once(benchmark, run_experiment, "F9")
     record_experiment(result)
     sweeps = result.data["sweeps"]
     no_damping = sweeps["no_damping_mesh"]

@@ -21,12 +21,50 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.core.params import VENDOR_PRESETS
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.registry import describe, list_experiments, run_experiment
 from repro.metrics.report import render_table
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import Scenario, ScenarioConfig
+
+
+#: Flags several subcommands share, declared once; each subcommand adds
+#: them with its own help text (what the flag means there differs).
+_SHARED_FLAGS = {
+    "--jobs": dict(type=int, default=1, metavar="N"),
+    "--check-invariants": dict(action="store_true"),
+    "--audit-timers": dict(action="store_true"),
+    "--graceful-restart": dict(
+        type=float, default=None, metavar="SECS", dest="graceful_restart"
+    ),
+}
+
+
+def _add_shared_flag(parser: argparse.ArgumentParser, flag: str, help: str) -> None:
+    parser.add_argument(flag, help=help, **_SHARED_FLAGS[flag])
+
+
+def _add_scenario_flags(
+    parser: argparse.ArgumentParser,
+    nodes: int,
+    pulses: int,
+    pulses_help: str = "number of flap pulses",
+) -> None:
+    """The ad-hoc scenario flags of ``simulate``, ``faults run`` and
+    ``trace`` (consumed by :func:`_adhoc_config`)."""
+    parser.add_argument("--topology", choices=["mesh", "internet"], default="mesh")
+    parser.add_argument("--nodes", type=int, default=nodes, help="topology size")
+    parser.add_argument("--pulses", type=int, default=pulses, help=pulses_help)
+    parser.add_argument("--interval", type=float, default=60.0, help="flap interval (s)")
+    parser.add_argument(
+        "--damping",
+        choices=["off", *VENDOR_PRESETS],
+        default="cisco",
+        help="damping parameter preset (or off)",
+    )
+    parser.add_argument("--rcn", action="store_true", help="enable RCN-enhanced damping")
+    parser.add_argument("--seed", type=int, default=42)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,24 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also export each experiment's tables/series as CSV into this directory",
     )
-    run.add_argument(
+    _add_shared_flag(
+        run,
         "--check-invariants",
-        action="store_true",
-        help=(
-            "sweep every drained episode with the converged-state "
-            "invariant oracle (fails the run on any violation)"
-        ),
+        "sweep every drained episode with the converged-state "
+        "invariant oracle (fails the run on any violation)",
     )
-    run.add_argument(
+    _add_shared_flag(
+        run,
         "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for sweeps: 1 = sequential (default), "
-            "0 = one per CPU, N = that many; results are digest-identical "
-            "for every value"
-        ),
+        "worker processes for sweeps: 1 = sequential (default), "
+        "0 = one per CPU, N = that many; results are digest-identical "
+        "for every value",
     )
     run.add_argument(
         "--smoke",
@@ -106,45 +138,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sim = sub.add_parser("simulate", help="run a single ad-hoc episode")
-    sim.add_argument("--topology", choices=["mesh", "internet"], default="mesh")
-    sim.add_argument("--nodes", type=int, default=100, help="topology size")
-    sim.add_argument("--pulses", type=int, default=1, help="number of flap pulses")
-    sim.add_argument("--interval", type=float, default=60.0, help="flap interval (s)")
-    sim.add_argument(
-        "--damping",
-        choices=["off", *VENDOR_PRESETS],
-        default="cisco",
-        help="damping parameter preset (or off)",
-    )
-    sim.add_argument("--rcn", action="store_true", help="enable RCN-enhanced damping")
-    sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument(
+    _add_scenario_flags(sim, nodes=100, pulses=1)
+    _add_shared_flag(
+        sim,
         "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "accepted for symmetry with 'run'; a single ad-hoc episode "
-            "always executes in-process (the value is only validated)"
-        ),
+        "accepted for symmetry with 'run'; a single ad-hoc episode "
+        "always executes in-process (the value is only validated)",
     )
-    sim.add_argument(
+    _add_shared_flag(
+        sim,
         "--check-invariants",
-        action="store_true",
-        help=(
-            "after the episode drains, run the converged-state invariant "
-            "oracle (reachability, loop-freedom, decision consistency, "
-            "drain) and fail on any violation"
-        ),
+        "after the episode drains, run the converged-state invariant "
+        "oracle (reachability, loop-freedom, decision consistency, "
+        "drain) and fail on any violation",
     )
-    sim.add_argument(
+    _add_shared_flag(
+        sim,
         "--audit-timers",
-        action="store_true",
-        help=(
-            "attach the runtime timer audit (arm/cancel/fire accounting "
-            "per handle) and fail on any lifecycle violation — leaked "
-            "armed timers, double-arms, unmatched fires"
-        ),
+        "attach the runtime timer audit (arm/cancel/fire accounting "
+        "per handle) and fail on any lifecycle violation — leaked "
+        "armed timers, double-arms, unmatched fires",
     )
     sim.add_argument(
         "--audit-alloc",
@@ -165,17 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "docs/ROBUSTNESS.md and 'rfd-repro faults template'"
         ),
     )
-    sim.add_argument(
+    _add_shared_flag(
+        sim,
         "--graceful-restart",
-        type=float,
-        default=None,
-        metavar="SECS",
-        dest="graceful_restart",
-        help=(
-            "give every router RFC-4724-style graceful restart with this "
-            "restart time: neighbours of a crashed router retain its "
-            "routes as stale instead of withdrawing them"
-        ),
+        "give every router RFC-4724-style graceful restart with this "
+        "restart time: neighbours of a crashed router retain its "
+        "routes as stale instead of withdrawing them",
     )
 
     faults = sub.add_parser(
@@ -209,45 +217,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="sweep pulse counts with a fault plan injected"
     )
     frun.add_argument("plan", help="fault plan JSON file")
-    frun.add_argument("--topology", choices=["mesh", "internet"], default="mesh")
-    frun.add_argument("--nodes", type=int, default=25, help="topology size")
-    frun.add_argument("--pulses", type=int, default=3, help="sweep 0..N pulses")
-    frun.add_argument("--interval", type=float, default=60.0, help="flap interval (s)")
-    frun.add_argument(
-        "--damping",
-        choices=["off", *VENDOR_PRESETS],
-        default="cisco",
-        help="damping parameter preset (or off)",
-    )
-    frun.add_argument("--rcn", action="store_true", help="enable RCN-enhanced damping")
-    frun.add_argument("--seed", type=int, default=42)
-    frun.add_argument(
+    _add_scenario_flags(frun, nodes=25, pulses=3, pulses_help="sweep 0..N pulses")
+    _add_shared_flag(
+        frun,
         "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes: 1 = sequential (default), 0 = one per CPU; "
-            "digests are identical for every value"
-        ),
+        "worker processes: 1 = sequential (default), 0 = one per CPU; "
+        "digests are identical for every value",
     )
-    frun.add_argument(
+    _add_shared_flag(
+        frun,
         "--graceful-restart",
-        type=float,
-        default=None,
-        metavar="SECS",
-        dest="graceful_restart",
-        help="give every router graceful restart with this restart time",
+        "give every router graceful restart with this restart time",
     )
-    frun.add_argument(
+    _add_shared_flag(
+        frun,
         "--check-invariants",
-        action="store_true",
-        help="run the converged-state invariant oracle after each episode",
+        "run the converged-state invariant oracle after each episode",
     )
-    frun.add_argument(
-        "--audit-timers",
-        action="store_true",
-        help="attach the runtime timer audit to each episode",
+    _add_shared_flag(
+        frun, "--audit-timers", "attach the runtime timer audit to each episode"
     )
     frun.add_argument(
         "--point-timeout",
@@ -274,18 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "docs/OBSERVABILITY.md."
         ),
     )
-    trace.add_argument("--topology", choices=["mesh", "internet"], default="mesh")
-    trace.add_argument("--nodes", type=int, default=100, help="topology size")
-    trace.add_argument("--pulses", type=int, default=3, help="number of flap pulses")
-    trace.add_argument("--interval", type=float, default=60.0, help="flap interval (s)")
-    trace.add_argument(
-        "--damping",
-        choices=["off", *VENDOR_PRESETS],
-        default="cisco",
-        help="damping parameter preset (or off)",
-    )
-    trace.add_argument("--rcn", action="store_true", help="enable RCN-enhanced damping")
-    trace.add_argument("--seed", type=int, default=42)
+    _add_scenario_flags(trace, nodes=100, pulses=3)
     trace.add_argument(
         "--out",
         default=None,
@@ -460,12 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "performance), or all (default)"
         ),
     )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyse files with N worker processes (default: 1, sequential)",
+    _add_shared_flag(
+        lint, "--jobs", "analyse files with N worker processes (default: 1, sequential)"
     )
     lint.add_argument(
         "--cache-dir",
@@ -523,31 +496,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for experiment_id in list_experiments():
-        driver = get_experiment(experiment_id)
-        doc = (driver.__doc__ or "").strip().splitlines()
-        summary = doc[0] if doc else ""
-        print(f"{experiment_id:>4}  {summary}")
+        print(f"{experiment_id:>4}  {describe(experiment_id)}")
     return 0
 
 
 def _result_digests(result) -> Dict[str, Dict[str, str]]:
     """``{series_key: {pulses: digest}}`` for every sweep the experiment
     ran (empty for experiments without sweep data)."""
-    sweeps = result.data.get("sweeps")
-    if not isinstance(sweeps, dict):
-        return {}
-    digests: Dict[str, Dict[str, str]] = {}
-    for key, series in sweeps.items():
-        points = {
-            str(point.pulses): point.digest
-            for point in getattr(series, "points", [])
-            if getattr(point, "digest", None)
-        }
-        if points:
-            digests[str(key)] = points
-    return digests
+    return {
+        key: {str(point.pulses): point.digest for point in series.points}
+        for key, series in result.data.get("sweeps", {}).items()
+    }
 
 
 def _verify_digests(
@@ -577,46 +538,34 @@ def _verify_digests(
     return mismatches
 
 
-def _cmd_run(
-    experiment_ids: List[str],
-    csv_dir: Optional[str],
-    check_invariants: bool = False,
-    jobs: int = 1,
-    smoke: bool = False,
-    verify_digests: Optional[str] = None,
-    write_digests: Optional[str] = None,
-) -> int:
-    if check_invariants:
-        from repro.experiments.base import set_invariant_checking
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.base import SMOKE_PULSE_COUNTS, RunOptions, SeriesCache
+    from repro.experiments.parallel import resolve_jobs
 
-        set_invariant_checking(True)
-    if smoke:
-        from repro.experiments.base import set_smoke_mode
-
-        set_smoke_mode(True)
-    if jobs != 1:
-        # Validate eagerly so a bad value fails before any sweep starts;
-        # drivers take no arguments, so the default-jobs switch carries it.
-        from repro.experiments.base import set_default_jobs
-        from repro.experiments.parallel import resolve_jobs
-
-        resolve_jobs(jobs)
-        set_default_jobs(jobs)
+    resolve_jobs(args.jobs)  # a bad value fails before any sweep starts
+    options = RunOptions(
+        pulse_counts=SMOKE_PULSE_COUNTS if args.smoke else None,
+        check_invariants=args.check_invariants,
+        jobs=args.jobs,
+    )
     expected: Optional[Dict[str, Dict[str, Dict[str, str]]]] = None
-    if verify_digests is not None:
+    if args.verify_digests is not None:
         try:
-            with open(verify_digests, "r", encoding="utf-8") as handle:
+            with open(args.verify_digests, "r", encoding="utf-8") as handle:
                 expected = json.load(handle)
         except (OSError, ValueError) as exc:
-            print(f"rfd-repro run: cannot read {verify_digests}: {exc}", file=sys.stderr)
+            print(f"rfd-repro run: cannot read {args.verify_digests}: {exc}", file=sys.stderr)
             return 2
+    experiment_ids = args.experiments
     if any(eid.lower() == "all" for eid in experiment_ids):
         experiment_ids = list_experiments()
     collected: Dict[str, Dict[str, Dict[str, str]]] = {}
     mismatches: List[str] = []
+    # Experiments of one invocation share the series they have in common
+    # (F8/F9/F13/F14 run 154 points of which 44 are distinct).
+    shared_series: SeriesCache = {}
     for experiment_id in experiment_ids:
-        driver = get_experiment(experiment_id)
-        result = driver()
+        result = run_experiment(experiment_id, options, shared_series)
         print(result.render())
         digests = _result_digests(result)
         if digests:
@@ -625,18 +574,18 @@ def _cmd_run(
             mismatches.extend(
                 _verify_digests(result.experiment_id, digests, expected)
             )
-        if csv_dir is not None:
+        if args.csv_dir is not None:
             from repro.experiments.export import export_result
 
-            written = export_result(result, csv_dir)
+            written = export_result(result, args.csv_dir)
             for path in written:
                 print(f"wrote {path}")
         print()
-    if write_digests is not None:
-        with open(write_digests, "w", encoding="utf-8") as handle:
+    if args.write_digests is not None:
+        with open(args.write_digests, "w", encoding="utf-8") as handle:
             json.dump(collected, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote digests for {len(collected)} experiment(s) to {write_digests}")
+        print(f"wrote digests for {len(collected)} experiment(s) to {args.write_digests}")
     if mismatches:
         for mismatch in mismatches:
             print(f"digest mismatch: {mismatch}", file=sys.stderr)
@@ -677,17 +626,23 @@ def _cmd_intended(args: argparse.Namespace) -> int:
     return 0
 
 
+def _adhoc_topology(args: argparse.Namespace):
+    """The ``--topology``/``--nodes`` choice as a topology."""
+    if args.topology == "mesh":
+        side = max(2, round(args.nodes ** 0.5))
+        return mesh_topology(side, side)
+    return internet_topology(args.nodes, seed=7)
+
+
 def _adhoc_config(args: argparse.Namespace) -> ScenarioConfig:
     """The shared --topology/--nodes/--damping/... scenario config used
     by the ``simulate`` and ``trace`` subcommands."""
-    if args.topology == "mesh":
-        side = max(2, round(args.nodes ** 0.5))
-        topology = mesh_topology(side, side)
-    else:
-        topology = internet_topology(args.nodes, seed=7)
     damping = None if args.damping == "off" else VENDOR_PRESETS[args.damping]
     return ScenarioConfig(
-        topology=topology, damping=damping, rcn=args.rcn, seed=args.seed
+        topology=_adhoc_topology(args),
+        damping=damping,
+        rcn=args.rcn,
+        seed=args.seed,
     )
 
 
@@ -947,12 +902,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
 
     if args.faults_command == "template":
-        if args.topology == "mesh":
-            side = max(2, round(args.nodes ** 0.5))
-            topology = mesh_topology(side, side)
-        else:
-            topology = internet_topology(args.nodes, seed=7)
-        plan = _template_plan(topology)
+        plan = _template_plan(_adhoc_topology(args))
         document = plan.dumps()
         if args.out is None:
             print(document, end="")
@@ -1287,31 +1237,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(
-            args.experiments,
-            args.csv_dir,
-            args.check_invariants,
-            args.jobs,
-            smoke=args.smoke,
-            verify_digests=args.verify_digests,
-            write_digests=args.write_digests,
-        )
-    if args.command == "intended":
-        return _cmd_intended(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "topo":
-        return _cmd_topo(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return 1  # pragma: no cover - argparse enforces the choices
+    commands = {
+        "list": _cmd_list,
+        "run": _cmd_run,
+        "intended": _cmd_intended,
+        "simulate": _cmd_simulate,
+        "trace": _cmd_trace,
+        "faults": _cmd_faults,
+        "topo": _cmd_topo,
+        "lint": _cmd_lint,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

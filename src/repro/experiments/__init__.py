@@ -1,13 +1,14 @@
-"""Experiment drivers — one per table/figure of the paper, plus the
-tech-report-style ablations. Each driver returns an
+"""Experiments — one table entry per table/figure of the paper, plus the
+tech-report-style ablations (see :mod:`repro.experiments.registry`).
+Running an entry returns an
 :class:`~repro.experiments.base.ExperimentResult` whose ``render()``
 prints the same rows/series the paper reports; the benchmark harness
-under ``benchmarks/`` simply invokes these drivers.
+under ``benchmarks/`` simply runs the entries.
 """
 
 from repro.experiments.base import (
     ExperimentResult,
-    SweepPoint,
+    RunOptions,
     SweepSeries,
     default_pulse_counts,
     internet100_config,
@@ -16,12 +17,17 @@ from repro.experiments.base import (
     run_sweep,
     small_mesh_config,
 )
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    get_experiment,
+    list_experiments,
+    run_experiment,
+)
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
-    "SweepPoint",
+    "RunOptions",
     "SweepSeries",
     "default_pulse_counts",
     "get_experiment",
@@ -29,6 +35,7 @@ __all__ = [
     "internet208_config",
     "list_experiments",
     "mesh100_config",
+    "run_experiment",
     "run_sweep",
     "small_mesh_config",
 ]

@@ -1,14 +1,13 @@
 """Ablations from the companion technical report (reference [15]) and the
-comparisons DESIGN.md calls out:
+comparisons DESIGN.md calls out.
 
-- X1 flapping-interval sweep — how the spacing of pulses moves the
-  suppression onset and the intended curve,
-- X2 partial damping deployment — damping at a fraction of the nodes,
-- X3 vendor parameters — Cisco vs Juniper defaults (Juniper's
-  re-announcement penalty and higher cut-off shift the onset),
-- X4 selective damping (Mao et al.) vs RCN — the comparator filters
-  path-exploration updates but not reuse-triggered ones, so secondary
-  charging survives.
+The sweep-shaped ones (X1–X4, X6, X9, X10) are table entries in
+:mod:`repro.experiments.registry`; this module holds the scenario
+configurations only they use, and the three that are not sweeps:
+
+- X5 flap patterns — same nominal instability, four temporal shapes,
+- X7 parameter sensitivity — the intended model, no simulation,
+- X8 distance profile — settling time by hop distance from the ISP.
 
 Each ablation uses a reduced pulse grid to keep the full benchmark suite
 fast while preserving the pre/at/post-critical-point structure.
@@ -16,151 +15,83 @@ fast while preserving the pre/at/post-critical-point structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
 import dataclasses
 import random
+from functools import partial
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.intended import IntendedBehaviorModel
-from repro.core.params import CISCO_DEFAULTS, JUNIPER_DEFAULTS
 from repro.bgp.mrai import MraiConfig
+from repro.core.params import CISCO_DEFAULTS, JUNIPER_DEFAULTS
 from repro.experiments.base import (
     DEFAULT_SEED,
     ExperimentResult,
-    SweepSeries,
+    RunOptions,
+    Series,
+    internet100_config,
     mesh100_config,
-    run_sweep,
+    run_scenario,
 )
 from repro.workload.patterns import describe_pattern, pattern_by_name
-from repro.workload.scenarios import Scenario
+from repro.workload.pulses import PulseSchedule
+from repro.workload.scenarios import ScenarioConfig
 
 ABLATION_PULSES = (1, 3, 5, 8)
 
 
-def flap_interval_experiment(
-    intervals: Sequence[float] = (30.0, 60.0, 120.0, 240.0),
-    pulse_counts: Sequence[int] = ABLATION_PULSES,
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X1: sweep the flapping interval on the standard mesh."""
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    for interval in intervals:
-        series = run_sweep(
-            f"interval={interval:.0f}s",
-            mesh100_config(seed=seed),
-            pulse_counts,
-            flap_interval=interval,
-            jobs=jobs,
-        )
-        data[f"interval_{interval:.0f}"] = series
-        model = IntendedBehaviorModel(
-            CISCO_DEFAULTS, flap_interval=interval, tup=series.mean_warmup
-        )
-        for point in series.points:
-            rows.append(
-                [
-                    interval,
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                    round(model.predict(point.pulses).convergence_time, 1),
-                ]
-            )
-    return ExperimentResult(
-        experiment_id="X1",
-        title="Ablation: Flapping Interval",
-        headers=["interval_s", "pulses", "conv_time_s", "messages", "suppressions", "intended_s"],
-        rows=rows,
-        notes=[
-            "longer intervals let the penalty decay between flaps, delaying "
-            "(or preventing) suppression onset at the ISP",
-        ],
-        data=data,
+def wrate_config(apply_to_withdrawals: bool, seed: int = DEFAULT_SEED) -> ScenarioConfig:
+    """X6: the standard mesh with MRAI optionally rate-limiting
+    withdrawals too (WRATE). Cisco-era BGP sent withdrawals immediately;
+    slowing the bad news down changes how much exploration (and hence
+    false suppression) a flap causes."""
+    return dataclasses.replace(
+        mesh100_config(seed=seed),
+        mrai=MraiConfig(base=30.0, apply_to_withdrawals=apply_to_withdrawals),
     )
 
 
-def partial_deployment_experiment(
-    fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    pulse_counts: Sequence[int] = ABLATION_PULSES,
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X2: damping deployed at a fraction of the mesh's routers."""
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    for fraction in fractions:
-        series = run_sweep(
-            f"deployment={fraction:.0%}",
-            mesh100_config(seed=seed, damping_fraction=fraction),
-            pulse_counts,
-            jobs=jobs,
-        )
-        data[f"fraction_{fraction}"] = series
-        for point in series.points:
-            rows.append(
-                [
-                    f"{fraction:.0%}",
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                ]
-            )
-    return ExperimentResult(
-        experiment_id="X2",
-        title="Ablation: Partial Damping Deployment",
-        headers=["deployment", "pulses", "conv_time_s", "messages", "suppressions"],
-        rows=rows,
-        notes=[
-            "the ISP always damps; fewer damping routers means fewer false "
-            "suppressions but less update containment",
-        ],
-        data=data,
-    )
+def mixed_vendor_config(rcn: bool = False, seed: int = DEFAULT_SEED) -> ScenarioConfig:
+    """X9: Cisco defaults on half the mesh (checkerboard), Juniper on
+    the other half. Section 7 of the paper: when a less aggressive
+    neighbour reuses its route first, the resulting announcement
+    re-charges the aggressive router's timer — secondary charging
+    *without* path exploration."""
+    config = mesh100_config(rcn=rcn, seed=seed)
+    overrides = {
+        name: JUNIPER_DEFAULTS
+        for index, name in enumerate(config.topology.nodes)
+        if index % 2
+    }
+    return dataclasses.replace(config, damping_overrides=overrides)
 
 
-def vendor_params_experiment(
-    pulse_counts: Sequence[int] = ABLATION_PULSES,
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X3: Cisco vs Juniper default parameters on the standard mesh."""
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    for label, params in (("cisco", CISCO_DEFAULTS), ("juniper", JUNIPER_DEFAULTS)):
-        series = run_sweep(
-            label, mesh100_config(damping=params, seed=seed), pulse_counts, jobs=jobs
-        )
-        data[label] = series
-        model = IntendedBehaviorModel(params, tup=series.mean_warmup)
-        for point in series.points:
-            rows.append(
-                [
-                    label,
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                    round(model.predict(point.pulses).convergence_time, 1),
-                ]
+def isp_placement_series() -> Tuple[Series, ...]:
+    """X10: the origin pinned to the highest- and a lowest-degree node
+    of the Internet-derived topology. The paper attaches it to a
+    *randomly* selected ISP; on a long-tailed AS graph a hub ISP has many
+    peers (wide blast radius), a stub funnels everything through one
+    upstream."""
+    topology = internet100_config().topology
+    series = []
+    for label, pick in (("hub", max), ("stub", min)):
+        isp = pick(topology.nodes, key=topology.degree)
+        degree = topology.degree(isp)
+        series.append(
+            Series(
+                label,
+                partial(_pinned_isp_config, isp),
+                f"{label} ({isp}, deg {degree})",
+                cells=(label, degree),
             )
-    return ExperimentResult(
-        experiment_id="X3",
-        title="Ablation: Vendor Damping Parameters",
-        headers=["vendor", "pulses", "conv_time_s", "messages", "suppressions", "intended_s"],
-        rows=rows,
-        notes=[
-            "Juniper penalises re-announcements (P_A=1000) but cuts off at "
-            "3000, shifting both the suppression onset and the reuse delay",
-        ],
-        data=data,
-    )
+        )
+    return tuple(series)
+
+
+def _pinned_isp_config(isp: str, seed: int = DEFAULT_SEED) -> ScenarioConfig:
+    return dataclasses.replace(internet100_config(seed=seed), isp=isp)
 
 
 def flap_pattern_experiment(
+    options: RunOptions = RunOptions(),
     patterns: Sequence[str] = ("regular", "poisson", "jittered", "burst"),
     pulses: int = 5,
     flap_interval: float = 60.0,
@@ -178,9 +109,9 @@ def flap_pattern_experiment(
         schedule = pattern_by_name(
             name, pulses, flap_interval, random.Random(seed)
         )
-        scenario = Scenario(mesh100_config(seed=seed))
-        scenario.warm_up()
-        result = scenario.run(schedule)
+        _, result = run_scenario(
+            mesh100_config(seed=seed), schedule, options.check_invariants
+        )
         stats = describe_pattern(schedule)
         rows.append(
             [
@@ -211,46 +142,6 @@ def flap_pattern_experiment(
             "temporal shape matters: bursty flapping concentrates charges "
             "(fast suppression onset), long Poisson gaps let penalties decay",
         ],
-        data=data,
-    )
-
-
-def mrai_withdrawal_experiment(
-    pulse_counts: Sequence[int] = (1, 3),
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X6: rate-limiting withdrawals under MRAI (WRATE) vs not.
-
-    Cisco-era BGP sent withdrawals immediately; applying MRAI to them too
-    slows the bad news down, changing how much exploration (and hence
-    false suppression) a flap causes.
-    """
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    for label, apply_to_withdrawals in (("immediate", False), ("rate-limited", True)):
-        config = dataclasses.replace(
-            mesh100_config(seed=seed),
-            mrai=MraiConfig(base=30.0, apply_to_withdrawals=apply_to_withdrawals),
-        )
-        series = run_sweep(label, config, pulse_counts, jobs=jobs)
-        data[label] = series
-        for point in series.points:
-            rows.append(
-                [
-                    label,
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                ]
-            )
-    return ExperimentResult(
-        experiment_id="X6",
-        title="Ablation: MRAI Applied to Withdrawals (WRATE)",
-        headers=["withdrawals", "pulses", "conv_time_s", "messages", "suppressions"],
-        rows=rows,
-        notes=["both variants must converge; dynamics differ in degree"],
         data=data,
     )
 
@@ -301,6 +192,7 @@ def sensitivity_experiment(
 
 
 def distance_profile_experiment(
+    options: RunOptions = RunOptions(),
     pulses: int = 1,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
@@ -310,11 +202,12 @@ def distance_profile_experiment(
     the most false suppression and the longest settling times.
     """
     from repro.analysis.distance import convergence_by_distance
-    from repro.workload.pulses import PulseSchedule
 
-    scenario = Scenario(mesh100_config(seed=seed))
-    scenario.warm_up()
-    result = scenario.run(PulseSchedule.regular(pulses, 60.0))
+    scenario, result = run_scenario(
+        mesh100_config(seed=seed),
+        PulseSchedule.regular(pulses, 60.0),
+        options.check_invariants,
+    )
     buckets = convergence_by_distance(scenario, result)
     rows = [
         [
@@ -336,166 +229,4 @@ def distance_profile_experiment(
             "origin's final announcement",
         ],
         data={"buckets": buckets, "result": result},
-    )
-
-
-def heterogeneous_params_experiment(
-    pulse_counts: Sequence[int] = (1, 3, 5),
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X9: inconsistent damping parameters across routers.
-
-    Section 7 of the paper: routers with more aggressive parameters
-    suppress longer; when a less aggressive neighbour reuses its route
-    first, the resulting announcement re-charges the aggressive router's
-    timer — secondary charging *without* path exploration. We deploy
-    Cisco defaults on half the mesh (checkerboard) and Juniper defaults
-    on the other half, with and without RCN.
-    """
-    base_config = mesh100_config(seed=seed)
-    nodes = base_config.topology.nodes
-    overrides = {name: JUNIPER_DEFAULTS for index, name in enumerate(nodes) if index % 2}
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    variants = (
-        ("uniform-cisco", None, False),
-        ("mixed", overrides, False),
-        ("mixed+rcn", overrides, True),
-    )
-    for label, override_map, rcn in variants:
-        config = dataclasses.replace(
-            mesh100_config(rcn=rcn, seed=seed), damping_overrides=override_map
-        )
-        series = run_sweep(label, config, pulse_counts, jobs=jobs)
-        data[label] = series
-        for point in series.points:
-            rows.append(
-                [
-                    label,
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                    point.secondary_charges,
-                ]
-            )
-    return ExperimentResult(
-        experiment_id="X9",
-        title="Ablation: Heterogeneous Damping Parameters (Cisco/Juniper mix)",
-        headers=[
-            "deployment",
-            "pulses",
-            "conv_time_s",
-            "messages",
-            "suppressions",
-            "secondary_charges",
-        ],
-        rows=rows,
-        notes=[
-            "parameter diversity is an independent source of reuse-timer "
-            "interaction; RCN filters the reuse-triggered charges either way",
-        ],
-        data=data,
-    )
-
-
-def isp_placement_experiment(
-    pulse_counts: Sequence[int] = (1, 3, 5),
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X10: where the unstable customer attaches matters.
-
-    The paper attaches the origin to a *randomly* selected ISP. On a
-    long-tailed AS graph the choice is consequential: a hub ISP has many
-    peers (wide blast radius, much exploration), a stub ISP funnels
-    everything through one upstream. We pin the ISP to the
-    highest-degree and a lowest-degree node of the Internet-derived
-    topology and compare.
-    """
-    from repro.experiments.base import internet100_config
-
-    base = internet100_config(seed=seed)
-    nodes = base.topology.nodes
-    hub = max(nodes, key=lambda n: base.topology.degree(n))
-    stub = min(nodes, key=lambda n: base.topology.degree(n))
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    for label, isp in (("hub", hub), ("stub", stub)):
-        config = dataclasses.replace(internet100_config(seed=seed), isp=isp)
-        series = run_sweep(f"{label} ({isp}, deg {base.topology.degree(isp)})",
-                           config, pulse_counts, jobs=jobs)
-        data[label] = series
-        for point in series.points:
-            rows.append(
-                [
-                    label,
-                    base.topology.degree(isp),
-                    point.pulses,
-                    round(point.convergence_time, 1),
-                    point.message_count,
-                    point.suppressions,
-                ]
-            )
-    return ExperimentResult(
-        experiment_id="X10",
-        title="Ablation: ISP Placement (hub vs stub attachment)",
-        headers=["placement", "isp_degree", "pulses", "conv_time_s", "messages", "suppressions"],
-        rows=rows,
-        notes=[
-            "a hub attachment floods updates through many peers at once; "
-            "a stub attachment serialises them through one upstream",
-        ],
-        data=data,
-    )
-
-
-def selective_damping_experiment(
-    pulse_counts: Sequence[int] = ABLATION_PULSES,
-    seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> ExperimentResult:
-    """X4: selective damping (Mao et al.) vs plain damping vs RCN."""
-    rows: List[List[object]] = []
-    data: Dict[str, SweepSeries] = {}
-    series_by_label = {
-        "plain": run_sweep("plain", mesh100_config(seed=seed), pulse_counts, jobs=jobs),
-        "selective": run_sweep(
-            "selective", mesh100_config(selective=True, seed=seed), pulse_counts, jobs=jobs
-        ),
-        "rcn": run_sweep("rcn", mesh100_config(rcn=True, seed=seed), pulse_counts, jobs=jobs),
-    }
-    data.update(series_by_label)
-    for n in pulse_counts:
-        rows.append(
-            [
-                n,
-                round(series_by_label["plain"].point(n).convergence_time, 1),
-                round(series_by_label["selective"].point(n).convergence_time, 1),
-                round(series_by_label["rcn"].point(n).convergence_time, 1),
-                series_by_label["plain"].point(n).secondary_charges,
-                series_by_label["selective"].point(n).secondary_charges,
-                series_by_label["rcn"].point(n).secondary_charges,
-            ]
-        )
-    return ExperimentResult(
-        experiment_id="X4",
-        title="Comparator: Selective Damping vs RCN",
-        headers=[
-            "pulses",
-            "plain_conv_s",
-            "selective_conv_s",
-            "rcn_conv_s",
-            "plain_sec_chg",
-            "selective_sec_chg",
-            "rcn_sec_chg",
-        ],
-        rows=rows,
-        notes=[
-            "selective damping filters some path-exploration penalties but "
-            "(as the paper observes) does not address secondary charging; "
-            "RCN removes both",
-        ],
-        data=data,
     )

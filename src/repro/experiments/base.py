@@ -1,18 +1,22 @@
-"""Shared experiment machinery: standard configurations, pulse-count
-sweeps, and the result container the benchmark harness renders."""
+"""Shared experiment machinery: standard configurations, explicit run
+options, the in-process episode helper, pulse-count sweeps, the
+declarative sweep-experiment spec with its generic runner, and the
+result container the benchmark harness renders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import CISCO_DEFAULTS, DampingParams
 from repro.errors import ExperimentError
-from repro.experiments.parallel import execute_sweep
+from repro.experiments.parallel import PointOutcome, execute_sweep
 from repro.metrics.report import render_table
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
 from repro.topology.model import Topology
+from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import (
     FlapRunResult,
@@ -32,27 +36,25 @@ SMOKE_PULSE_COUNTS = (0, 1, 2, 3)
 #: Seed used by the standard experiments (any fixed value reproduces).
 DEFAULT_SEED = 42
 
-#: When True, experiment drivers sweep :data:`SMOKE_PULSE_COUNTS`
-#: instead of the full 0..10 — toggled by the CLI's ``--smoke`` flag; a
-#: module-level switch because experiment drivers take no arguments by
-#: contract (same pattern as ``_CHECK_INVARIANTS`` below).
-_SMOKE_MODE = False
-
-
-def set_smoke_mode(enabled: bool) -> None:
-    """Enable/disable the reduced-pulse-count smoke sweep."""
-    global _SMOKE_MODE
-    _SMOKE_MODE = enabled
-
-
-def smoke_mode_enabled() -> bool:
-    return _SMOKE_MODE
-
 
 def default_pulse_counts() -> List[int]:
-    if _SMOKE_MODE:
-        return list(SMOKE_PULSE_COUNTS)
     return list(DEFAULT_PULSE_COUNTS)
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How an experiment is run, as opposed to what it measures.
+
+    Travels as an argument from the caller (``rfd-repro run``) through
+    the runner to every episode; nothing here is process state.
+    """
+
+    #: Pulse grid replacing each sweep experiment's own; ``None`` keeps it.
+    pulse_counts: Optional[Tuple[int, ...]] = None
+    #: Sweep every drained episode with the converged-state oracle.
+    check_invariants: bool = False
+    #: Sweep worker processes (1 = sequential, 0 = one per CPU).
+    jobs: int = 1
 
 
 # ----------------------------------------------------------------------
@@ -133,25 +135,45 @@ def small_mesh_config(
 
 
 # ----------------------------------------------------------------------
-# sweeps
+# episodes and sweeps
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (pulse count → metrics) data point of a figure series."""
+def run_scenario(
+    config: ScenarioConfig,
+    schedule: PulseSchedule,
+    check_invariants: bool = False,
+    tracer: Optional[Tracer] = None,
+) -> Tuple[Scenario, FlapRunResult]:
+    """Build a fresh scenario, warm it up and run one episode in-process.
 
-    pulses: int
-    convergence_time: float
-    message_count: int
-    suppressions: int
-    peak_damped_links: int
-    secondary_charges: int
-    warmup_convergence: float
-    #: SHA-256 digest of the episode's observable event stream (see
-    #: :mod:`repro.metrics.digest`); the determinism oracle the parallel
-    #: executor is held to.
-    digest: Optional[str] = None
+    The path for drivers that inspect the routers afterwards; sweep
+    points go through :func:`run_sweep` instead. With
+    ``check_invariants`` the drained scenario is swept by
+    :func:`repro.analysis.invariants.check_converged_invariants` and a
+    violation raises ``SimulationError``.
+    """
+    scenario = Scenario(config)
+    scenario.warm_up()
+    result = scenario.run(schedule, tracer=tracer)
+    if check_invariants:
+        # Imported lazily: analysis.invariants imports workload.scenarios,
+        # which sits below this module in the layering.
+        from repro.analysis.invariants import check_converged_invariants
+
+        check_converged_invariants(scenario).raise_on_violation()
+    return scenario, result
+
+
+def run_point(
+    config: ScenarioConfig,
+    pulses: int,
+    flap_interval: float = 60.0,
+    check_invariants: bool = False,
+) -> FlapRunResult:
+    """One regular-pulse episode on a fresh scenario."""
+    schedule = PulseSchedule.regular(pulses, flap_interval)
+    return run_scenario(config, schedule, check_invariants)[1]
 
 
 @dataclass
@@ -159,7 +181,10 @@ class SweepSeries:
     """One labelled series of a figure (e.g. "Full Damping (mesh)")."""
 
     label: str
-    points: List[SweepPoint] = field(default_factory=list)
+    points: List[PointOutcome] = field(default_factory=list)
+    #: What was swept (``None`` on hand-built series).
+    config: Optional[ScenarioConfig] = None
+    flap_interval: float = 60.0
 
     def convergence(self) -> List[tuple]:
         return [(p.pulses, p.convergence_time) for p in self.points]
@@ -167,7 +192,7 @@ class SweepSeries:
     def messages(self) -> List[tuple]:
         return [(p.pulses, p.message_count) for p in self.points]
 
-    def point(self, pulses: int) -> SweepPoint:
+    def point(self, pulses: int) -> PointOutcome:
         for p in self.points:
             if p.pulses == pulses:
                 return p
@@ -178,40 +203,6 @@ class SweepSeries:
         if not self.points:
             return 0.0
         return sum(p.warmup_convergence for p in self.points) / len(self.points)
-
-
-#: When True, every :func:`run_point` episode is followed by a pass of
-#: the converged-state invariant oracle. Toggled by the CLI's
-#: ``--check-invariants`` flag; a module-level switch (rather than a
-#: parameter) because experiment drivers take no arguments by contract.
-_CHECK_INVARIANTS = False
-
-
-def set_invariant_checking(enabled: bool) -> None:
-    """Enable/disable the post-episode invariant oracle for sweeps."""
-    global _CHECK_INVARIANTS
-    _CHECK_INVARIANTS = enabled
-
-
-def invariant_checking_enabled() -> bool:
-    return _CHECK_INVARIANTS
-
-
-#: Worker-process count used by :func:`run_sweep` when the caller does
-#: not pass ``jobs`` explicitly (1 = sequential, 0 = one per CPU).
-#: Toggled by the CLI's ``--jobs`` flag; a module-level switch for the
-#: same reason as ``_CHECK_INVARIANTS``.
-_DEFAULT_JOBS = 1
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the sweep worker count used when ``jobs`` is not given."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = jobs
-
-
-def default_jobs() -> int:
-    return _DEFAULT_JOBS
 
 
 #: No sweep consults this cache: every point warms a fresh scenario.
@@ -225,62 +216,37 @@ def sweep_cache() -> WarmStateCache:
     return _SWEEP_CACHE
 
 
-def run_point(config: ScenarioConfig, pulses: int, flap_interval: float = 60.0) -> FlapRunResult:
-    """Build a fresh scenario and run one episode.
-
-    With :func:`set_invariant_checking` enabled, the drained scenario is
-    swept by :func:`repro.analysis.invariants.check_converged_invariants`
-    and a violation raises ``SimulationError``.
-    """
-    scenario = Scenario(config)
-    scenario.warm_up()
-    result = scenario.run(PulseSchedule.regular(pulses, flap_interval))
-    if _CHECK_INVARIANTS:
-        # Imported lazily: analysis.invariants imports workload.scenarios,
-        # which sits below this module in the layering.
-        from repro.analysis.invariants import check_converged_invariants
-
-        check_converged_invariants(scenario).raise_on_violation()
-    return result
-
-
 def run_sweep(
     label: str,
     config: ScenarioConfig,
     pulse_counts: Sequence[int],
     flap_interval: float = 60.0,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    check_invariants: bool = False,
 ) -> SweepSeries:
     """Run one episode per pulse count.
 
     Episodes are independent: every point builds and warms its own
     fresh scenario; with ``jobs != 1`` points run in a spawn-context
     process pool (see :mod:`repro.experiments.parallel`), which is
-    digest-identical to the sequential loop. ``jobs=None`` defers to
-    :func:`default_jobs`.
+    digest-identical to the sequential loop.
     """
     outcomes = execute_sweep(
         config,
         list(pulse_counts),
         flap_interval=flap_interval,
-        jobs=_DEFAULT_JOBS if jobs is None else jobs,
-        check_invariants=_CHECK_INVARIANTS,
+        jobs=jobs,
+        check_invariants=check_invariants,
     )
-    series = SweepSeries(label=label)
-    for outcome in outcomes:
-        series.points.append(
-            SweepPoint(
-                pulses=outcome.pulses,
-                convergence_time=outcome.convergence_time,
-                message_count=outcome.message_count,
-                suppressions=outcome.suppressions,
-                peak_damped_links=outcome.peak_damped_links,
-                secondary_charges=outcome.secondary_charges,
-                warmup_convergence=outcome.warmup_convergence,
-                digest=outcome.digest,
-            )
-        )
-    return series
+    return SweepSeries(label, outcomes, config, flap_interval)
+
+
+def calculation_series(
+    pulse_counts: Sequence[int], tup: float, flap_interval: float = 60.0
+) -> List[tuple]:
+    """The 'Full Damping (calculation)' series of Figure 8."""
+    model = IntendedBehaviorModel(CISCO_DEFAULTS, flap_interval=flap_interval, tup=tup)
+    return [(n, model.predict(n).convergence_time) for n in pulse_counts]
 
 
 # ----------------------------------------------------------------------
@@ -306,3 +272,194 @@ class ExperimentResult:
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n\n".join(parts)
+
+
+# ----------------------------------------------------------------------
+# sweep experiments as data
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Series:
+    """One labelled series of a sweep experiment."""
+
+    key: str
+    #: Called as ``config(seed=...)``.
+    config: Callable[..., ScenarioConfig]
+    #: Display label (``None`` = the key).
+    label: Optional[str] = None
+    flap_interval: float = 60.0
+    #: Leading cells of this series' rows in the :class:`Long` layout
+    #: (``None`` = the key alone).
+    cells: Optional[Tuple[object, ...]] = None
+
+
+#: ``{(series, pulse counts, seed): swept series}`` — lets one ``run``
+#: invocation execute a series several experiments share only once.
+SeriesCache = Dict[Tuple[Series, Tuple[int, ...], int], SweepSeries]
+
+
+def run_series(
+    specs: Sequence[Series],
+    pulse_counts: Sequence[int],
+    options: RunOptions = RunOptions(),
+    seed: int = DEFAULT_SEED,
+    cache: Optional[SeriesCache] = None,
+) -> Dict[str, SweepSeries]:
+    """Sweep every series over ``pulse_counts``; without a ``cache``
+    every point is always executed."""
+    sweeps: Dict[str, SweepSeries] = {}
+    for spec in specs:
+        cache_key = (spec, tuple(pulse_counts), seed)
+        series = cache.get(cache_key) if cache is not None else None
+        if series is None:
+            series = run_sweep(
+                spec.label or spec.key,
+                spec.config(seed=seed),
+                pulse_counts,
+                spec.flap_interval,
+                jobs=options.jobs,
+                check_invariants=options.check_invariants,
+            )
+            if cache is not None:
+                cache[cache_key] = series
+        sweeps[spec.key] = series
+    return sweeps
+
+
+def _cell(value: object) -> object:
+    return round(value, 1) if isinstance(value, float) else value
+
+
+#: What a layout makes of the swept series: headers, rows, extra data.
+_Table = Tuple[List[str], List[List[object]], Dict[str, object]]
+
+
+@dataclass(frozen=True)
+class Column:
+    """One column of the :class:`Wide` layout: a metric of one series,
+    or (``series=None``) the intended-behaviour calculation."""
+
+    header: str
+    series: Optional[str]
+    metric: str = "convergence_time"
+
+
+@dataclass(frozen=True)
+class Wide:
+    """``pulses × series``: one row per pulse count."""
+
+    columns: Tuple[Column, ...]
+    #: Key of the series whose mean warm-up is the calculation's t_up.
+    calculation: Optional[str] = None
+
+    def table(
+        self,
+        specs: Sequence[Series],
+        sweeps: Dict[str, SweepSeries],
+        pulse_counts: Sequence[int],
+    ) -> _Table:
+        calc: Dict[int, float] = {}
+        if self.calculation is not None:
+            reference = sweeps[self.calculation]
+            calc = dict(
+                calculation_series(
+                    pulse_counts, reference.mean_warmup, reference.flap_interval
+                )
+            )
+        rows = [
+            [n]
+            + [
+                _cell(
+                    calc[n]
+                    if column.series is None
+                    else getattr(sweeps[column.series].point(n), column.metric)
+                )
+                for column in self.columns
+            ]
+            for n in pulse_counts
+        ]
+        headers = ["pulses"] + [column.header for column in self.columns]
+        return headers, rows, {"calculation": calc}
+
+
+#: Column header of each per-point metric in the :class:`Long` layout.
+_METRIC_HEADERS = {
+    "convergence_time": "conv_time_s",
+    "message_count": "messages",
+    "suppressions": "suppressions",
+    "secondary_charges": "secondary_charges",
+}
+
+
+@dataclass(frozen=True)
+class Long:
+    """``variant, pulses, metrics…``: one row per (series, pulse count),
+    led by the series' ``cells``."""
+
+    #: Headers of the series' leading ``cells``.
+    lead: Tuple[str, ...]
+    metrics: Tuple[str, ...] = ("convergence_time", "message_count", "suppressions")
+    #: Append the intended convergence time under each series' own
+    #: damping parameters, flap interval and measured warm-up.
+    intended: bool = False
+
+    def table(
+        self,
+        specs: Sequence[Series],
+        sweeps: Dict[str, SweepSeries],
+        pulse_counts: Sequence[int],
+    ) -> _Table:
+        headers = [*self.lead, "pulses", *(_METRIC_HEADERS[m] for m in self.metrics)]
+        if self.intended:
+            headers.append("intended_s")
+        rows: List[List[object]] = []
+        for spec in specs:
+            series = sweeps[spec.key]
+            if self.intended:
+                assert series.config is not None
+                model = IntendedBehaviorModel(
+                    series.config.damping,
+                    flap_interval=series.flap_interval,
+                    tup=series.mean_warmup,
+                )
+            cells = (spec.key,) if spec.cells is None else spec.cells
+            for point in series.points:
+                row = [*cells, point.pulses]
+                row += [_cell(getattr(point, metric)) for metric in self.metrics]
+                if self.intended:
+                    row.append(_cell(model.predict(point.pulses).convergence_time))
+                rows.append(row)
+        return headers, rows, {}
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep-shaped experiment: series × pulse grid → one table."""
+
+    experiment_id: str
+    title: str
+    #: The series, or a callable building them (when they depend on a
+    #: topology that should not be built at import time).
+    series: Union[Tuple[Series, ...], Callable[[], Tuple[Series, ...]]]
+    layout: Union[Wide, Long]
+    notes: Tuple[str, ...] = ()
+    pulse_counts: Tuple[int, ...] = DEFAULT_PULSE_COUNTS
+
+    def run(
+        self, options: RunOptions = RunOptions(), cache: Optional[SeriesCache] = None
+    ) -> ExperimentResult:
+        counts = list(
+            self.pulse_counts if options.pulse_counts is None else options.pulse_counts
+        )
+        specs = self.series() if callable(self.series) else self.series
+        sweeps = run_series(specs, counts, options, cache=cache)
+        headers, rows, extra = self.layout.table(specs, sweeps, counts)
+        return ExperimentResult(
+            experiment_id=self.experiment_id,
+            title=self.title,
+            headers=headers,
+            rows=rows,
+            notes=list(self.notes),
+            data={"sweeps": sweeps, "pulse_counts": counts, **extra},
+        )

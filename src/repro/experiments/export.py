@@ -12,9 +12,19 @@ import csv
 import pathlib
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from repro.experiments.base import ExperimentResult, SweepSeries
+from repro.experiments.base import ExperimentResult
 
 PathLike = Union[str, pathlib.Path]
+
+#: Per-point columns of a sweep series' CSV: (header, outcome attribute).
+_SERIES_COLUMNS = (
+    ("pulses", "pulses"),
+    ("convergence_time_s", "convergence_time"),
+    ("message_count", "message_count"),
+    ("suppressions", "suppressions"),
+    ("peak_damped_links", "peak_damped_links"),
+    ("secondary_charges", "secondary_charges"),
+)
 
 
 def write_csv(path: PathLike, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -43,35 +53,14 @@ def export_result(result: ExperimentResult, directory: PathLike) -> List[pathlib
     write_csv(main, result.headers, result.rows)
     written.append(main)
 
-    sweeps = result.data.get("sweeps")
-    if isinstance(sweeps, dict):
-        for key, series in sweeps.items():
-            if not isinstance(series, SweepSeries):
-                continue
-            path = directory / f"{result.experiment_id}_{key}.csv"
-            write_csv(
-                path,
-                [
-                    "pulses",
-                    "convergence_time_s",
-                    "message_count",
-                    "suppressions",
-                    "peak_damped_links",
-                    "secondary_charges",
-                ],
-                [
-                    [
-                        p.pulses,
-                        p.convergence_time,
-                        p.message_count,
-                        p.suppressions,
-                        p.peak_damped_links,
-                        p.secondary_charges,
-                    ]
-                    for p in series.points
-                ],
-            )
-            written.append(path)
+    for key, series in result.data.get("sweeps", {}).items():
+        path = directory / f"{result.experiment_id}_{key}.csv"
+        write_csv(
+            path,
+            [header for header, _ in _SERIES_COLUMNS],
+            [[getattr(p, attr) for _, attr in _SERIES_COLUMNS] for p in series.points],
+        )
+        written.append(path)
 
     for key, value in result.data.items():
         if _is_time_series(value):

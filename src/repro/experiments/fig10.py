@@ -23,19 +23,17 @@ from repro.core.states import (
     releasing_fraction,
     suppressed_count_function,
 )
-from repro.experiments.base import DEFAULT_SEED, ExperimentResult, mesh100_config
+from repro.experiments.base import (
+    DEFAULT_SEED,
+    ExperimentResult,
+    RunOptions,
+    mesh100_config,
+    run_point,
+)
 from repro.metrics.report import render_series
-from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import FlapRunResult, Scenario
+from repro.workload.scenarios import FlapRunResult
 
 FIG10_PULSE_COUNTS = (1, 3, 5)
-
-
-def run_fig10_episode(pulses: int, seed: int = DEFAULT_SEED) -> FlapRunResult:
-    """One standard mesh-100 episode at the given pulse count."""
-    scenario = Scenario(mesh100_config(seed=seed))
-    scenario.warm_up()
-    return scenario.run(PulseSchedule.regular(pulses, 60.0))
 
 
 def classify_run(result: FlapRunResult, gap: float = 60.0) -> List[PhaseInterval]:
@@ -51,6 +49,7 @@ def classify_run(result: FlapRunResult, gap: float = 60.0) -> List[PhaseInterval
 
 
 def fig10_experiment(
+    options: RunOptions = RunOptions(),
     pulse_counts: Sequence[int] = FIG10_PULSE_COUNTS,
     seed: int = DEFAULT_SEED,
     bin_width: float = 5.0,
@@ -58,7 +57,12 @@ def fig10_experiment(
 ) -> ExperimentResult:
     """Reproduce all panels of Figure 10."""
     if results is None:
-        results = {n: run_fig10_episode(n, seed) for n in pulse_counts}
+        results = {
+            n: run_point(
+                mesh100_config(seed=seed), n, check_invariants=options.check_invariants
+            )
+            for n in pulse_counts
+        }
 
     rows: List[List[object]] = []
     sections: List[str] = []

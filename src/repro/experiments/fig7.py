@@ -18,7 +18,13 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.damping import SuppressionRecord
-from repro.experiments.base import DEFAULT_SEED, ExperimentResult, mesh100_config
+from repro.experiments.base import (
+    DEFAULT_SEED,
+    ExperimentResult,
+    RunOptions,
+    mesh100_config,
+    run_scenario,
+)
 from repro.metrics.report import render_series
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import Scenario, ScenarioConfig
@@ -49,16 +55,17 @@ def _most_recharged(
 
 
 def fig7_experiment(
-    config: ScenarioConfig = None,  # type: ignore[assignment]
+    options: RunOptions = RunOptions(),
+    config: Optional[ScenarioConfig] = None,
     hops: int = FIG7_HOPS,
     sample_step: float = 100.0,
 ) -> ExperimentResult:
     """Run one pulse through the mesh and trace a far router's penalty."""
     if config is None:
         config = mesh100_config(seed=DEFAULT_SEED)
-    scenario = Scenario(config)
-    scenario.warm_up()
-    result = scenario.run(PulseSchedule.regular(1, 60.0))
+    scenario, result = run_scenario(
+        config, PulseSchedule.regular(1, 60.0), options.check_invariants
+    )
 
     router_name, peer, prefix, record = _most_recharged(scenario, hops)
     if record is None:
@@ -128,14 +135,12 @@ def _count_upward_crossings(
     ``threshold`` (each is one 'pushed over the cutoff again' event)."""
     crossings = 0
     below = True
-    for index, (time, value) in enumerate(history):
-        del time
+    for _time, value in history:
         if below and value > threshold:
             crossings += 1
             below = False
         elif value <= threshold:
             below = True
-        del index
     return crossings
 
 

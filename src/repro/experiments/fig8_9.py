@@ -1,157 +1,34 @@
-"""Figures 8 and 9 — convergence time and message count vs pulse count.
+"""Figures 8 and 9 — the three simulated series behind the paper's
+headline figures, run directly, and the measured critical point ``Nh``.
 
-The paper's headline figures: four series over n = 0..10 pulses,
-
-- *No Damping (simulation, mesh)* — short convergence, message count
-  growing linearly with n,
-- *Full Damping (simulation, mesh)* — convergence far above the intended
-  curve for small n (path exploration + secondary charging), snapping
-  onto the intended curve past the critical point ``Nh``,
-- *Full Damping (simulation, Internet)* — same trend on the
-  Internet-derived topology,
-- *Full Damping (calculation)* — Section 3's intended behaviour.
-
-One sweep produces both figures; :func:`fig8_experiment` renders the
-convergence-time table, :func:`fig9_experiment` the message-count table.
+The figures themselves (and Figures 13/14, which add the RCN series) are
+table entries in :mod:`repro.experiments.registry`; the repo benchmark
+times :func:`run_fig8_9_sweeps`, so it always executes its points.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.core.intended import IntendedBehaviorModel
-from repro.core.params import CISCO_DEFAULTS
 from repro.experiments.base import (
     DEFAULT_SEED,
-    ExperimentResult,
+    RunOptions,
     SweepSeries,
+    calculation_series,
     default_pulse_counts,
-    internet100_config,
-    mesh100_config,
-    run_sweep,
+    run_series,
 )
+from repro.experiments.registry import FIG8_SERIES
 
 
 def run_fig8_9_sweeps(
     pulse_counts: Optional[Sequence[int]] = None,
-    flap_interval: float = 60.0,
     seed: int = DEFAULT_SEED,
-    include_internet: bool = True,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Dict[str, SweepSeries]:
     """Run the three simulated series; the calculation series is free."""
     counts = list(pulse_counts) if pulse_counts is not None else default_pulse_counts()
-    sweeps: Dict[str, SweepSeries] = {}
-    sweeps["no_damping_mesh"] = run_sweep(
-        "No Damping (simulation, mesh)",
-        mesh100_config(damping=None, seed=seed),
-        counts,
-        flap_interval,
-        jobs=jobs,
-    )
-    sweeps["full_damping_mesh"] = run_sweep(
-        "Full Damping (simulation, mesh)",
-        mesh100_config(seed=seed),
-        counts,
-        flap_interval,
-        jobs=jobs,
-    )
-    if include_internet:
-        sweeps["full_damping_internet"] = run_sweep(
-            "Full Damping (simulation, Internet)",
-            internet100_config(seed=seed),
-            counts,
-            flap_interval,
-            jobs=jobs,
-        )
-    return sweeps
-
-
-def calculation_series(
-    pulse_counts: Sequence[int], tup: float, flap_interval: float = 60.0
-) -> List[tuple]:
-    """The 'Full Damping (calculation)' series of Figure 8."""
-    model = IntendedBehaviorModel(CISCO_DEFAULTS, flap_interval=flap_interval, tup=tup)
-    return [(n, model.predict(n).convergence_time) for n in pulse_counts]
-
-
-def _build_result(
-    experiment_id: str,
-    title: str,
-    value_header: str,
-    sweeps: Dict[str, SweepSeries],
-    pulse_counts: Sequence[int],
-    metric: str,
-    include_calculation: bool,
-    flap_interval: float,
-) -> ExperimentResult:
-    headers = ["pulses"] + [series.label for series in sweeps.values()]
-    calc: Dict[int, float] = {}
-    if include_calculation:
-        tup = sweeps["no_damping_mesh"].mean_warmup
-        calc = dict(calculation_series(pulse_counts, tup, flap_interval))
-        headers.append("Full Damping (calculation)")
-    rows: List[List[object]] = []
-    for n in pulse_counts:
-        row: List[object] = [n]
-        for series in sweeps.values():
-            point = series.point(n)
-            row.append(getattr(point, metric))
-        if include_calculation:
-            row.append(round(calc[n], 1))
-        rows.append(row)
-    return ExperimentResult(
-        experiment_id=experiment_id,
-        title=title,
-        headers=headers,
-        rows=rows,
-        notes=[f"values are {value_header}"],
-        data={"sweeps": sweeps, "calculation": calc, "pulse_counts": list(pulse_counts)},
-    )
-
-
-def fig8_experiment(
-    pulse_counts: Optional[Sequence[int]] = None,
-    sweeps: Optional[Dict[str, SweepSeries]] = None,
-    flap_interval: float = 60.0,
-    include_internet: bool = True,
-) -> ExperimentResult:
-    """Figure 8: convergence time vs number of pulses."""
-    counts = list(pulse_counts) if pulse_counts is not None else default_pulse_counts()
-    if sweeps is None:
-        sweeps = run_fig8_9_sweeps(counts, flap_interval, include_internet=include_internet)
-    return _build_result(
-        "F8",
-        "Convergence Time vs Number of Pulses",
-        "seconds from the origin's final announcement to the last update",
-        sweeps,
-        counts,
-        "convergence_time",
-        include_calculation=True,
-        flap_interval=flap_interval,
-    )
-
-
-def fig9_experiment(
-    pulse_counts: Optional[Sequence[int]] = None,
-    sweeps: Optional[Dict[str, SweepSeries]] = None,
-    flap_interval: float = 60.0,
-    include_internet: bool = True,
-) -> ExperimentResult:
-    """Figure 9: message count vs number of pulses."""
-    counts = list(pulse_counts) if pulse_counts is not None else default_pulse_counts()
-    if sweeps is None:
-        sweeps = run_fig8_9_sweeps(counts, flap_interval, include_internet=include_internet)
-    return _build_result(
-        "F9",
-        "Message Count vs Number of Pulses",
-        "total updates observed in the network from the first flap",
-        sweeps,
-        counts,
-        "message_count",
-        include_calculation=False,
-        flap_interval=flap_interval,
-    )
+    return run_series(FIG8_SERIES, counts, RunOptions(jobs=jobs), seed=seed)
 
 
 def critical_pulse_count(sweeps: Dict[str, SweepSeries], tolerance: float = 0.15) -> Optional[int]:

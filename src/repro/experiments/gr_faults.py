@@ -23,11 +23,16 @@ from typing import Dict, List, Optional
 
 from repro.analysis.causality import analyze_trace
 from repro.bgp.graceful_restart import GracefulRestartConfig
-from repro.experiments.base import ExperimentResult, small_mesh_config
+from repro.experiments.base import (
+    ExperimentResult,
+    RunOptions,
+    run_scenario,
+    small_mesh_config,
+)
 from repro.faults.plan import FaultPlan, RouterCrash
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario, ScenarioConfig
+from repro.workload.scenarios import ScenarioConfig
 
 #: The measured episode: a handful of origin pulses plus one crash.
 FX1_PULSES = 3
@@ -72,12 +77,13 @@ def _fx1_config(graceful: bool, crash: bool) -> ScenarioConfig:
     )
 
 
-def _run_mode(config: ScenarioConfig) -> Dict[str, object]:
-    scenario = Scenario(config)
-    scenario.warm_up()
+def _run_mode(config: ScenarioConfig, check_invariants: bool) -> Dict[str, object]:
     tracer = Tracer()
-    result = scenario.run(
-        PulseSchedule.regular(FX1_PULSES, FX1_FLAP_INTERVAL), tracer=tracer
+    scenario, result = run_scenario(
+        config,
+        PulseSchedule.regular(FX1_PULSES, FX1_FLAP_INTERVAL),
+        check_invariants,
+        tracer=tracer,
     )
     tracer.close()
     causal = analyze_trace(tracer.records)
@@ -97,7 +103,7 @@ def _run_mode(config: ScenarioConfig) -> Dict[str, object]:
     }
 
 
-def gr_faults_experiment() -> ExperimentResult:
+def gr_faults_experiment(options: RunOptions = RunOptions()) -> ExperimentResult:
     """FX1: charge attribution under a router crash, GR on vs off."""
     modes = [
         ("no crash (baseline)", _fx1_config(graceful=False, crash=False)),
@@ -107,7 +113,7 @@ def gr_faults_experiment() -> ExperimentResult:
     rows: List[List[object]] = []
     data: Dict[str, object] = {}
     for label, config in modes:
-        outcome = _run_mode(config)
+        outcome = _run_mode(config, options.check_invariants)
         data[label] = outcome
         rows.append(
             [

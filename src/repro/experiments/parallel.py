@@ -67,8 +67,8 @@ _CHUNKS_PER_WORKER = 4
 class PointOutcome:
     """One sweep point's metrics, compact and picklable.
 
-    Mirrors :class:`repro.experiments.base.SweepPoint` plus the run
-    digest, which is what the determinism tests compare byte-for-byte
+    The points of a :class:`repro.experiments.base.SweepSeries`; the run
+    digest is what the determinism tests compare byte-for-byte
     between sequential and parallel execution.
     """
 

@@ -42,3 +42,19 @@ def fast_config(small_mesh) -> ScenarioConfig:
         seed=7,
         link=LinkConfig(base_delay=0.01, jitter=0.02),
     )
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts converged-state invariant-oracle passes: the list grows by
+    one entry per call (the oracle still runs)."""
+    import repro.analysis.invariants as invariants
+
+    calls = []
+    oracle = invariants.check_converged_invariants
+    monkeypatch.setattr(
+        invariants,
+        "check_converged_invariants",
+        lambda scenario: calls.append(scenario) or oracle(scenario),
+    )
+    return calls

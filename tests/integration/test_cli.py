@@ -460,14 +460,23 @@ def test_simulate_check_invariants(capsys):
 
 
 def test_run_check_invariants(capsys):
-    from repro.experiments.base import invariant_checking_enabled, set_invariant_checking
-
-    try:
-        assert main(["run", "F3", "--check-invariants"]) == 0
-    finally:
-        set_invariant_checking(False)
-    assert not invariant_checking_enabled()
+    assert main(["run", "F3", "--check-invariants"]) == 0
     assert "F3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("experiment_id, episodes", [("FX1", 3), ("X8", 1)])
+def test_run_check_invariants_reaches_bespoke_experiments(
+    capsys, oracle_calls, experiment_id, episodes
+):
+    assert main(["run", experiment_id, "--check-invariants"]) == 0
+    assert len(oracle_calls) == episodes
+
+
+def test_run_options_do_not_outlive_the_call(capsys, oracle_calls):
+    assert main(["run", "X6", "--check-invariants"]) == 0
+    assert len(oracle_calls) == 4  # 2 series x 2 points
+    assert main(["run", "X6"]) == 0
+    assert len(oracle_calls) == 4
 
 
 # ----------------------------------------------------------------------
@@ -532,35 +541,40 @@ def test_trace_rejects_unknown_kind(capsys):
 
 
 def test_run_smoke_digest_round_trip(capsys, tmp_path):
-    from repro.experiments.base import set_smoke_mode, smoke_mode_enabled
+    digests = tmp_path / "digests.json"
+    assert main(["run", "F8", "--smoke", "--write-digests", str(digests)]) == 0
+    capsys.readouterr()
+    assert main(["run", "F8", "--smoke", "--verify-digests", str(digests)]) == 0
+    assert "all sweep digests match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_ablation_digest_round_trip(capsys, tmp_path, jobs):
+    """Ablation series sit under ``data["sweeps"]`` like the figures', so
+    the digest (and CSV) machinery sees them."""
+    import json as _json
 
     digests = tmp_path / "digests.json"
-    try:
-        assert main(["run", "F8", "--smoke", "--write-digests", str(digests)]) == 0
-        capsys.readouterr()
-        assert main(["run", "F8", "--smoke", "--verify-digests", str(digests)]) == 0
-    finally:
-        set_smoke_mode(False)
-    assert not smoke_mode_enabled()
-    assert "all sweep digests match" in capsys.readouterr().out
+    assert main(["run", "X6", "--write-digests", str(digests)]) == 0
+    recorded = _json.loads(digests.read_text(encoding="utf-8"))["X6"]
+    assert {key: sorted(points) for key, points in recorded.items()} == {
+        "immediate": ["1", "3"],
+        "rate-limited": ["1", "3"],
+    }
+    assert main(["run", "X6", "--jobs", jobs, "--verify-digests", str(digests)]) == 0
 
 
 def test_run_smoke_digest_mismatch_fails(capsys, tmp_path):
     import json as _json
 
-    from repro.experiments.base import set_smoke_mode
-
     digests = tmp_path / "digests.json"
-    try:
-        assert main(["run", "F8", "--smoke", "--write-digests", str(digests)]) == 0
-        payload = _json.loads(digests.read_text(encoding="utf-8"))
-        series = next(iter(payload["F8"]))
-        payload["F8"][series]["1"] = "0" * 64
-        digests.write_text(_json.dumps(payload), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["run", "F8", "--smoke", "--verify-digests", str(digests)]) == 1
-    finally:
-        set_smoke_mode(False)
+    assert main(["run", "F8", "--smoke", "--write-digests", str(digests)]) == 0
+    payload = _json.loads(digests.read_text(encoding="utf-8"))
+    series = next(iter(payload["F8"]))
+    payload["F8"][series]["1"] = "0" * 64
+    digests.write_text(_json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "F8", "--smoke", "--verify-digests", str(digests)]) == 1
     assert "digest mismatch" in capsys.readouterr().err
 
 
@@ -570,16 +584,11 @@ def test_committed_smoke_digests_match_current_code(capsys):
     ``rfd-repro run F8 --smoke --write-digests benchmarks/results/f8_smoke_digests.json``."""
     import pathlib
 
-    from repro.experiments.base import set_smoke_mode
-
     committed = (
         pathlib.Path(__file__).resolve().parents[2]
         / "benchmarks" / "results" / "f8_smoke_digests.json"
     )
-    try:
-        assert main(["run", "F8", "--smoke", "--verify-digests", str(committed)]) == 0
-    finally:
-        set_smoke_mode(False)
+    assert main(["run", "F8", "--smoke", "--verify-digests", str(committed)]) == 0
     assert "all sweep digests match" in capsys.readouterr().out
 
 
@@ -588,24 +597,18 @@ def test_run_smoke_with_jobs_matches_committed_digests(capsys):
     matches the committed F8 expectation file."""
     import pathlib
 
-    from repro.experiments.base import set_default_jobs, set_smoke_mode
-
     committed = (
         pathlib.Path(__file__).resolve().parents[2]
         / "benchmarks" / "results" / "f8_smoke_digests.json"
     )
-    try:
-        assert (
-            main(
-                [
-                    "run", "F8", "--smoke",
-                    "--jobs", "2",
-                    "--verify-digests", str(committed),
-                ]
-            )
-            == 0
+    assert (
+        main(
+            [
+                "run", "F8", "--smoke",
+                "--jobs", "2",
+                "--verify-digests", str(committed),
+            ]
         )
-    finally:
-        set_smoke_mode(False)
-        set_default_jobs(1)
+        == 0
+    )
     assert "all sweep digests match" in capsys.readouterr().out

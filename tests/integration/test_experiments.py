@@ -6,37 +6,26 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.ablations import (
-    flap_interval_experiment,
-    partial_deployment_experiment,
-    selective_damping_experiment,
-    vendor_params_experiment,
-)
-from repro.experiments.base import SweepSeries, mesh100_config, run_sweep
+from repro.experiments.base import RunOptions, SweepSeries, mesh100_config, run_sweep
 from repro.experiments.fig3 import fig3_experiment
 from repro.experiments.fig7 import fig7_experiment
-from repro.experiments.fig8_9 import (
-    critical_pulse_count,
-    fig8_experiment,
-    fig9_experiment,
-    run_fig8_9_sweeps,
-)
+from repro.experiments.fig8_9 import critical_pulse_count
 from repro.experiments.fig10 import fig10_experiment
-from repro.experiments.fig13_14 import (
-    fig13_experiment,
-    fig14_experiment,
-    run_fig13_14_sweeps,
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    get_experiment,
+    list_experiments,
+    run_experiment,
 )
-from repro.experiments.fig15 import fig15_experiment, run_fig15_sweeps
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments.table1 import table1_experiment
 
-REDUCED = [1, 3, 5]
+REDUCED = RunOptions(pulse_counts=(1, 3, 5))
 
 
 @pytest.fixture(scope="module")
-def fig8_sweeps():
-    return run_fig8_9_sweeps(REDUCED, include_internet=False)
+def shared_series():
+    """F8, F9, F13 and F14 share their series, as in one ``run`` call."""
+    return {}
 
 
 def test_table1_rows_match_paper():
@@ -69,8 +58,8 @@ def test_fig7_secondary_charging_trace():
     assert "F7" in result.render()
 
 
-def test_fig8_shape(fig8_sweeps):
-    result = fig8_experiment(REDUCED, sweeps=fig8_sweeps, include_internet=False)
+def test_fig8_shape(shared_series):
+    result = run_experiment("F8", REDUCED, shared_series)
     data = result.data
     mesh = data["sweeps"]["full_damping_mesh"]
     calc = data["calculation"]
@@ -81,11 +70,11 @@ def test_fig8_shape(fig8_sweeps):
     # No-damping convergence stays small everywhere.
     for point in data["sweeps"]["no_damping_mesh"].points:
         assert point.convergence_time < 300.0
-    assert len(result.rows) == len(REDUCED)
+    assert len(result.rows) == len(REDUCED.pulse_counts)
 
 
-def test_fig9_shape(fig8_sweeps):
-    result = fig9_experiment(REDUCED, sweeps=fig8_sweeps, include_internet=False)
+def test_fig9_shape(shared_series):
+    result = run_experiment("F9", REDUCED, shared_series)
     no_damping = result.data["sweeps"]["no_damping_mesh"]
     damping = result.data["sweeps"]["full_damping_mesh"]
     assert no_damping.point(5).message_count > no_damping.point(1).message_count
@@ -93,8 +82,8 @@ def test_fig9_shape(fig8_sweeps):
     assert damping.point(5).message_count < no_damping.point(5).message_count
 
 
-def test_critical_pulse_count_is_five(fig8_sweeps):
-    sweeps = dict(fig8_sweeps)
+def test_critical_pulse_count_is_five(shared_series):
+    sweeps = run_experiment("F8", REDUCED, shared_series).data["sweeps"]
     assert critical_pulse_count(sweeps) == 5
 
 
@@ -108,9 +97,8 @@ def test_fig10_structure():
     assert n1["phases"]
 
 
-def test_fig13_rcn_tracks_calculation():
-    sweeps = run_fig13_14_sweeps(REDUCED, include_internet=False)
-    result = fig13_experiment(REDUCED, sweeps=sweeps, include_internet=False)
+def test_fig13_rcn_tracks_calculation(shared_series):
+    result = run_experiment("F13", REDUCED, shared_series)
     rcn = result.data["sweeps"]["damping_rcn"]
     calc = result.data["calculation"]
     assert rcn.point(3).convergence_time == pytest.approx(calc[3], rel=0.10)
@@ -118,15 +106,16 @@ def test_fig13_rcn_tracks_calculation():
     # n=1 with RCN: no suppression, fast convergence.
     assert rcn.point(1).convergence_time < 300.0
 
-    result14 = fig14_experiment(REDUCED, sweeps=sweeps, include_internet=False)
+    executed = len(shared_series)
+    result14 = run_experiment("F14", REDUCED, shared_series)
+    assert len(shared_series) == executed  # F14 re-ran nothing
     plain = result14.data["sweeps"]["full_damping_mesh"]
     rcn14 = result14.data["sweeps"]["damping_rcn"]
     assert rcn14.point(5).message_count > plain.point(5).message_count
 
 
 def test_fig15_policy_reduces_suppression():
-    sweeps = run_fig15_sweeps([1, 3])
-    result = fig15_experiment([1, 3], sweeps=sweeps)
+    result = run_experiment("F15", RunOptions(pulse_counts=(1, 3)))
     with_policy = result.data["sweeps"]["with_policy"]
     no_policy = result.data["sweeps"]["no_policy"]
     for n in (1, 3):
@@ -135,8 +124,8 @@ def test_fig15_policy_reduces_suppression():
 
 
 def test_ablation_flap_interval():
-    result = flap_interval_experiment(intervals=(60.0, 240.0), pulse_counts=(3,))
-    assert len(result.rows) == 2
+    result = run_experiment("X1", RunOptions(pulse_counts=(3,)))
+    assert len(result.rows) == 4
     by_interval = {row[0]: row for row in result.rows}
     # Longer intervals decay the penalty more between flaps: the intended
     # (ISP-side) convergence delay at the same pulse count shrinks.
@@ -144,25 +133,40 @@ def test_ablation_flap_interval():
 
 
 def test_ablation_partial_deployment():
-    result = partial_deployment_experiment(fractions=(0.25, 1.0), pulse_counts=(1,))
+    result = run_experiment("X2", RunOptions(pulse_counts=(1,)))
     by_fraction = {row[0]: row for row in result.rows}
     assert by_fraction["25%"][4] < by_fraction["100%"][4]  # fewer suppressions
 
 
 def test_ablation_vendor_params():
-    result = vendor_params_experiment(pulse_counts=(1, 3))
+    result = run_experiment("X3", RunOptions(pulse_counts=(1, 3)))
     vendors = {row[0] for row in result.rows}
     assert vendors == {"cisco", "juniper"}
 
 
 def test_ablation_selective_damping():
-    result = selective_damping_experiment(pulse_counts=(1,))
+    result = run_experiment("X4", RunOptions(pulse_counts=(1,)))
     row = result.rows[0]
     plain_sec, selective_sec, rcn_sec = row[4], row[5], row[6]
     # RCN eliminates secondary charging; selective does not.
     assert rcn_sec == 0
     assert selective_sec > 0
     assert plain_sec > 0
+
+
+@pytest.mark.parametrize("experiment_id", ["T1", "F3", "F7", "F10", "X5", "X7", "X8", "FX1"])
+def test_rendering_matches_committed_result(experiment_id):
+    """The fast experiments render byte-identically to the committed
+    ``benchmarks/results/<id>.txt`` (CI checks the sweeps the same way)."""
+    import pathlib
+
+    committed = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "results" / f"{experiment_id}.txt"
+    )
+    assert run_experiment(experiment_id).render() + "\n" == committed.read_text(
+        encoding="utf-8"
+    )
 
 
 def test_registry_contains_all_artefacts():

@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 import repro
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, Bespoke
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 BENCH_DIR = REPO_ROOT / "benchmarks"
@@ -28,21 +28,25 @@ def _bench_sources() -> str:
 
 
 def test_every_registered_experiment_has_a_benchmark():
+    """Each table entry is run by a benchmark — sweeps by id, bespoke
+    drivers by name — and has its rendering committed."""
     sources = _bench_sources()
-    import repro.experiments.registry as registry_module
-
-    source_of_registry = pathlib.Path(registry_module.__file__).read_text()
-    del source_of_registry
-    for experiment_id, driver in EXPERIMENTS.items():
-        assert driver.__name__ in sources, (
-            f"experiment {experiment_id} ({driver.__name__}) has no benchmark"
+    for experiment_id, entry in EXPERIMENTS.items():
+        wanted = (
+            entry.driver.__name__
+            if isinstance(entry, Bespoke)
+            else f'run_experiment, "{experiment_id}"'
         )
+        assert wanted in sources, f"experiment {experiment_id} has no benchmark"
+        assert (BENCH_DIR / "results" / f"{experiment_id}.txt").exists()
 
 
 def test_every_experiment_driver_is_callable_without_arguments():
     import inspect
 
-    for experiment_id, driver in EXPERIMENTS.items():
+    bespoke = {k: e.driver for k, e in EXPERIMENTS.items() if isinstance(e, Bespoke)}
+    assert len(bespoke) == 8
+    for experiment_id, driver in bespoke.items():
         signature = inspect.signature(driver)
         required = [
             name

@@ -200,24 +200,15 @@ def test_hand_rolled_past_expiry_rejected_by_engine(healthy):
         engine.schedule(-1.0, lambda: None)
 
 
-def test_run_point_invariant_toggle():
-    """Satellite wiring: set_invariant_checking() makes every sweep point
-    pay for an oracle pass (and a clean run passes it)."""
-    from repro.experiments.base import (
-        invariant_checking_enabled,
-        run_point,
-        set_invariant_checking,
-    )
+def test_run_point_invariant_toggle(oracle_calls):
+    """Satellite wiring: ``check_invariants=True`` makes a point pay for
+    an oracle pass (and a clean run passes it); the default does not."""
+    from repro.experiments.base import run_point
 
     config = ScenarioConfig(
         topology=mesh_topology(3, 3), damping=CISCO_DEFAULTS, seed=11
     )
-    assert not invariant_checking_enabled()
-    set_invariant_checking(True)
-    try:
-        assert invariant_checking_enabled()
-        result = run_point(config, pulses=1)
-        assert result.message_count > 0
-    finally:
-        set_invariant_checking(False)
-    assert not invariant_checking_enabled()
+    assert run_point(config, pulses=1).message_count > 0
+    assert not oracle_calls
+    assert run_point(config, pulses=1, check_invariants=True).message_count > 0
+    assert len(oracle_calls) == 1

@@ -58,10 +58,10 @@ class TestExport:
         assert len(rows) == 8  # header + 7 parameter rows
 
     def test_export_sweep_result(self, tmp_path):
-        from repro.experiments.fig8_9 import fig8_experiment, run_fig8_9_sweeps
+        from repro.experiments.base import RunOptions
+        from repro.experiments.registry import run_experiment
 
-        sweeps = run_fig8_9_sweeps([1], include_internet=False)
-        result = fig8_experiment([1], sweeps=sweeps, include_internet=False)
+        result = run_experiment("F8", RunOptions(pulse_counts=(1,)))
         written = export_result(result, tmp_path)
         names = {path.name for path in written}
         assert "F8.csv" in names
