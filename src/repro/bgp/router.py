@@ -494,6 +494,7 @@ class BgpRouter(Node):
             self.mrai.reset_peer(peer)
         if self.damping is not None:
             self.damping.cancel_all_timers()
+            self.damping.end_suppressions()
         self.gr_helper.cancel_all_timers()
         self._rib_in.clear()
         self._rib_out.clear()
@@ -506,8 +507,8 @@ class BgpRouter(Node):
         """Come back up with fresh control state and re-originate local
         prefixes. Damping penalties did not survive the crash: a fresh
         :class:`~repro.core.damping.DampingManager` replaces the dead one
-        (observers and tracer wiring carry over so metrics keep seeing
-        this router)."""
+        (observers, tracer wiring and the recorded suppression/reuse
+        history carry over so metrics keep seeing this router)."""
         super().restart()
         self.stats.restarts += 1
         if self.config.damping is not None and self.damping is not None:
@@ -515,7 +516,7 @@ class BgpRouter(Node):
             self.damping = DampingManager(
                 self.engine, self.config.damping, self.name, self._on_reuse
             )
-            self.damping.adopt_observers(predecessor)
+            self.damping.continue_from(predecessor)
         for prefix in sorted(self._originated):
             self._reselect(prefix, None)
 

@@ -193,18 +193,44 @@ class DampingManager:
         this router's footprint of the paper's secondary charging."""
         return sum(len(record.recharges) for record in self.suppressions)
 
-    def adopt_observers(self, predecessor: "DampingManager") -> None:
-        """Carry observer/tracer wiring over from the manager this one
-        replaces mid-episode.
+    def continue_from(self, predecessor: "DampingManager") -> None:
+        """Take over the record of the manager this one replaces
+        mid-episode.
 
         A router crash destroys its damping *state* (penalties,
-        suppressions, reuse timers die with the control plane), but the
-        metrics collector and causal tracer attached to the predecessor
-        must keep observing the fresh instance — otherwise a restarted
-        router's suppressions would silently vanish from digests.
+        suppressions, reuse timers die with the control plane), but not
+        what was observed of it: the metrics collector and causal tracer
+        attached to the predecessor keep observing the fresh instance,
+        and its ``suppressions`` and ``reuse_events`` histories continue
+        here — the collector pulls both from whichever manager is current,
+        so a restarted router's pre-crash history would otherwise vanish
+        from summaries and digests.
         """
         self.suppression_observers.extend(predecessor.suppression_observers)
         self.trace = predecessor.trace
+        self.suppressions = predecessor.suppressions
+        self.reuse_events = predecessor.reuse_events
+
+    def end_suppressions(self) -> None:
+        """End every ongoing suppression without a reuse (owner crash).
+
+        The control plane holding the entries is gone, so nothing is
+        suppressed any more even though no reuse timer fired: observers
+        see ``suppressed=False`` and each open :class:`SuppressionRecord`
+        closes now with ``noisy_reuse`` left ``None`` and no
+        :class:`ReuseEvent`. Without this the damped-link count keeps
+        counting entries of a router that suppresses nothing.
+        """
+        now = self._engine.now
+        for (peer, prefix), entry in self._entries.items():
+            if not entry.suppressed:
+                continue
+            entry.suppressed = False
+            for observer in self.suppression_observers:
+                observer(now, peer, prefix, False)
+            if entry.current_record is not None:
+                entry.current_record.ended = now
+                entry.current_record = None
 
     def cancel_all_timers(self) -> int:
         """Disarm every pending reuse timer; returns how many were pending.

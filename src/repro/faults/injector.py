@@ -24,7 +24,6 @@ from repro.faults.plan import FaultPlan, FlapStorm
 
 if TYPE_CHECKING:
     from repro.net.network import Network
-    from repro.sim.events import EventTrace
     from repro.sim.rng import RngRegistry
     from repro.trace.tracer import Tracer
 
@@ -41,14 +40,12 @@ class FaultInjector:
         network: "Network",
         rng: "RngRegistry",
         tracer: Optional["Tracer"] = None,
-        event_trace: Optional["EventTrace"] = None,
     ) -> None:
         self.plan = plan
         self.network = network
         self.engine = network.engine
         self._rng = rng
         self._tracer = tracer
-        self._event_trace = event_trace
         self.actions_scheduled = 0
         self.actions_fired = 0
         #: ``(time, action, detail)`` for every fired action, in order.
@@ -192,8 +189,6 @@ class FaultInjector:
         now = self.engine.now
         self.actions_fired += 1
         self.fired.append((now, action, detail))
-        if self._event_trace is not None:
-            self._event_trace.record(now, "fault", action=action, detail=detail)
         if self._tracer is not None:
             # Faults are DAG roots, like flaps: everything the network
             # does in response descends from this record.

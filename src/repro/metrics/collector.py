@@ -20,7 +20,7 @@ from repro.bgp.router import BgpRouter
 from repro.core.damping import ReuseEvent
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.metrics.series import bin_counts, step_series_at, to_step_series
+from repro.metrics.series import bin_counts, to_step_series
 from repro.sim.events import ScheduleTie
 
 
@@ -166,9 +166,6 @@ class MetricsCollector:
             return 0.0
         return last - reference_time
 
-    def updates_after(self, time: float) -> int:
-        return sum(1 for u in self.updates if u.time >= time)
-
     # ------------------------------------------------------------------
     # figure series
     # ------------------------------------------------------------------
@@ -185,9 +182,6 @@ class MetricsCollector:
         """Number of suppressed (router, peer) entries over time
         (Figure 10 bottom row)."""
         return to_step_series(self.damped_link_deltas())
-
-    def damped_links_at(self, time: float) -> int:
-        return step_series_at(self.damped_link_series(), time)
 
     def peak_damped_links(self) -> int:
         series = self.damped_link_series()

@@ -54,7 +54,6 @@ class Network:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._delivery_hooks: List[DeliveryHook] = []
-        self._send_hooks: List[DeliveryHook] = []
         self._drop_hooks: List[DropHook] = []
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -111,10 +110,6 @@ class Network:
         return _link_key(a, b) in self._links
 
     @property
-    def node_names(self) -> List[str]:
-        return list(self._nodes)
-
-    @property
     def nodes(self) -> Iterable[Node]:
         return self._nodes.values()
 
@@ -146,8 +141,6 @@ class Network:
         # its own send record so the drop could name its cause.
         if self.trace is not None and message.trace_id is None:
             self.trace.note_send(message, self.engine.now)
-        for hook in self._send_hooks:
-            hook(message)
         return message
 
     def deliver(self, message: Message) -> None:
@@ -186,10 +179,6 @@ class Network:
     def add_delivery_hook(self, hook: DeliveryHook) -> None:
         """Observe every delivered message (metrics, tracing)."""
         self._delivery_hooks.append(hook)
-
-    def add_send_hook(self, hook: DeliveryHook) -> None:
-        """Observe every sent message (including ones dropped by down links)."""
-        self._send_hooks.append(hook)
 
     def add_drop_hook(self, hook: DropHook) -> None:
         """Observe every dropped message with its drop reason."""

@@ -12,7 +12,7 @@ reproducible.
 """
 
 from repro.sim.engine import Engine, ScheduledEvent
-from repro.sim.events import EventRecord, EventTrace, ScheduleTie
+from repro.sim.events import ScheduleTie
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import Timer, TimerAudit, TimerAuditViolation, TimerState
 
@@ -20,8 +20,6 @@ __all__ = [
     "Engine",
     "ScheduledEvent",
     "ScheduleTie",
-    "EventRecord",
-    "EventTrace",
     "RngRegistry",
     "Timer",
     "TimerAudit",

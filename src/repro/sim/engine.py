@@ -201,10 +201,12 @@ class Engine:
         #: Opt-in per-event phase sampler (profiler sub-phases or the
         #: allocation audit); forces the instrumented dispatch path.
         self._phase_probe: Optional[PhaseProbe] = None
-        #: True when the run loops must route through :meth:`_execute`
-        #: (tie detection or an event hook); kept as one precomputed flag
-        #: so the hot path stays a single attribute test.
-        self._instrumented = self._detect_ties
+        #: True when the run loops must route through :meth:`_execute`;
+        #: derived from the observer slots by :meth:`_refresh_instrumented`
+        #: and kept as one precomputed flag so the hot path stays a single
+        #: attribute test.
+        self._instrumented = False
+        self._refresh_instrumented()
 
     @property
     def now(self) -> float:
@@ -330,7 +332,17 @@ class Engine:
     def enable_tie_detection(self) -> None:
         """Turn on the schedule-race detector for subsequent events."""
         self._detect_ties = True
-        self._instrumented = True
+        self._refresh_instrumented()
+
+    def _refresh_instrumented(self) -> None:
+        """Recompute the dispatch flag from the slots :meth:`_execute`
+        serves; every method that fills or clears one calls this."""
+        self._instrumented = (
+            self._detect_ties
+            or self._event_hook is not None
+            or self._watchdog is not None
+            or self._phase_probe is not None
+        )
 
     def set_event_hook(self, hook: Optional[EventHook]) -> None:
         """Install (or clear) an observer invoked with every executed
@@ -338,12 +350,7 @@ class Engine:
         no hook and no tie detection the run loops keep the
         uninstrumented fast dispatch path."""
         self._event_hook = hook
-        self._instrumented = (
-            self._detect_ties
-            or hook is not None
-            or self._watchdog is not None
-            or self._phase_probe is not None
-        )
+        self._refresh_instrumented()
 
     def set_phase_probe(self, probe: Optional[PhaseProbe]) -> None:
         """Install (or clear) a per-event phase sampler.
@@ -354,17 +361,7 @@ class Engine:
         loops keep the uninstrumented fast dispatch path.
         """
         self._phase_probe = probe
-        self._instrumented = (
-            self._detect_ties
-            or self._event_hook is not None
-            or self._watchdog is not None
-            or probe is not None
-        )
-
-    @property
-    def phase_probe(self) -> Optional[PhaseProbe]:
-        """The attached phase sampler, or ``None`` when disabled."""
-        return self._phase_probe
+        self._refresh_instrumented()
 
     @property
     def timer_audit(self) -> Optional["TimerAudit"]:
@@ -415,7 +412,7 @@ class Engine:
                 self._watchdog = Watchdog(self, max_events_per_instant)
             else:
                 self._watchdog = Watchdog(self)
-            self._instrumented = True
+            self._refresh_instrumented()
         elif max_events_per_instant is not None:
             self._watchdog.max_events_per_instant = max_events_per_instant
         return self._watchdog

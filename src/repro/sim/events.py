@@ -1,16 +1,15 @@
-"""Structured trace of interesting simulation events.
+"""The schedule-tie record of the engine's opt-in race detector.
 
-The metrics layer and the four-state classifier both need a replayable
-record of what happened: message deliveries, suppression starts and ends,
-reuse-timer expiries and whether they were noisy. :class:`EventTrace`
-collects :class:`EventRecord` rows in time order; it is append-only during
-a run and queried afterwards.
+What happened during an episode is recorded elsewhere: the always-on
+:class:`~repro.metrics.collector.MetricsCollector` holds the update and
+suppression timelines, and the opt-in :class:`~repro.trace.tracer.Tracer`
+the causal one (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -38,75 +37,3 @@ class ScheduleTie:
     def tags(self) -> Tuple[str, str]:
         """The (anchor, tied) tag pair, with ``?`` for unlabelled events."""
         return (self.first_tag or "?", self.second_tag or "?")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One row of the simulation trace.
-
-    ``kind`` is a short string tag (``"update"``, ``"suppress"``,
-    ``"reuse"``, ``"flap"`` ...); ``data`` carries kind-specific fields.
-    """
-
-    time: float
-    kind: str
-    node: Optional[str] = None
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
-class EventTrace:
-    """Append-only, time-ordered container of :class:`EventRecord` rows."""
-
-    def __init__(self) -> None:
-        self._records: List[EventRecord] = []
-
-    def record(
-        self,
-        time: float,
-        kind: str,
-        node: Optional[str] = None,
-        **data: Any,
-    ) -> EventRecord:
-        """Append one record. Times must be non-decreasing."""
-        if self._records and time < self._records[-1].time - 1e-9:
-            raise ValueError(
-                f"trace records must be appended in time order "
-                f"({time} < {self._records[-1].time})"
-            )
-        rec = EventRecord(time=time, kind=kind, node=node, data=dict(data))
-        self._records.append(rec)
-        return rec
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[EventRecord]:
-        return iter(self._records)
-
-    def of_kind(self, *kinds: str) -> List[EventRecord]:
-        """All records whose kind is one of ``kinds``, in time order."""
-        wanted = set(kinds)
-        return [r for r in self._records if r.kind in wanted]
-
-    def times_of_kind(self, *kinds: str) -> List[float]:
-        """Just the timestamps of records matching ``kinds``."""
-        wanted = set(kinds)
-        return [r.time for r in self._records if r.kind in wanted]
-
-    def last_time_of_kind(self, *kinds: str) -> Optional[float]:
-        """Timestamp of the most recent matching record, or ``None``."""
-        wanted = set(kinds)
-        for rec in reversed(self._records):
-            if rec.kind in wanted:
-                return rec.time
-        return None
-
-    def window(self, start: float, end: float) -> List[EventRecord]:
-        """Records with ``start <= time < end``."""
-        return [r for r in self._records if start <= r.time < end]
-
-    def span(self) -> Tuple[float, float]:
-        """(first, last) record times; (0.0, 0.0) when empty."""
-        if not self._records:
-            return (0.0, 0.0)
-        return (self._records[0].time, self._records[-1].time)

@@ -62,10 +62,6 @@ class Tracer:
     # ------------------------------------------------------------------
 
     @property
-    def record_count(self) -> int:
-        return len(self._records)
-
-    @property
     def records(self) -> List[TraceRecord]:
         """The records emitted so far (live list view, id order)."""
         return self._records

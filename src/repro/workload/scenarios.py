@@ -47,7 +47,6 @@ from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.sim.engine import Engine
-from repro.sim.events import EventTrace
 from repro.sim.rng import RngRegistry
 from repro.topology.model import Topology
 from repro.workload.pulses import PulseSchedule
@@ -176,9 +175,6 @@ class FlapRunResult:
     warmup_convergence: float
     #: Engine clock when the run drained.
     end_time: float
-    #: Time-ordered structured trace of the measured episode: ``flap``,
-    #: ``update``, ``suppress``, and ``reuse`` records.
-    trace: EventTrace = field(default_factory=EventTrace)
 
     @property
     def convergence_time(self) -> float:
@@ -361,9 +357,6 @@ class Scenario:
             if not tracer.enabled:
                 tracer = None
 
-        trace = EventTrace()
-        self._wire_trace(trace)
-
         start = self.engine.now
         if self.config.faults is not None and not self.config.faults.is_empty:
             # Fault episodes can wedge (retractions chasing re-announcements
@@ -374,13 +367,12 @@ class Scenario:
                 self.network,
                 self.rng,
                 tracer=tracer,
-                event_trace=trace,
             )
             self.fault_injector.install(start)
         for offset, status in schedule.events:
             self.engine.schedule_at(
                 start + offset,
-                self._make_flap_action(status, trace, tracer),
+                self._make_flap_action(status, tracer),
                 actor=ORIGIN_NAME,
                 tag="flap",
             )
@@ -408,14 +400,10 @@ class Scenario:
             flap_times=[start + offset for offset, _ in schedule.events],
             warmup_convergence=self.warmup_convergence,
             end_time=self.engine.now,
-            trace=trace,
         )
 
-    def _make_flap_action(
-        self, status: str, trace: EventTrace, tracer: Optional["Tracer"] = None
-    ):
+    def _make_flap_action(self, status: str, tracer: Optional["Tracer"] = None):
         def action() -> None:
-            trace.record(self.engine.now, "flap", node=ORIGIN_NAME, status=status)
             if tracer is not None:
                 # Flaps are the roots of the causal DAG: no cause, and
                 # everything the origin emits next descends from them.
@@ -429,40 +417,6 @@ class Scenario:
                 self.origin.bring_up()
 
         return action
-
-    def _wire_trace(self, trace: EventTrace) -> None:
-        """Feed update deliveries and suppression changes into ``trace``."""
-
-        def on_delivery(message) -> None:  # noqa: ANN001 - hook signature
-            trace.record(
-                self.engine.now,
-                "update",
-                node=message.dst,
-                src=message.src,
-                withdrawal=message.payload.is_withdrawal,
-            )
-
-        self.network.add_delivery_hook(on_delivery)
-        for router in self.routers.values():
-            if router.damping is None:
-                continue
-
-            def observer(
-                time: float,
-                peer: str,
-                prefix: str,
-                suppressed: bool,
-                router_name: str = router.name,
-            ) -> None:
-                trace.record(
-                    time,
-                    "suppress" if suppressed else "reuse",
-                    node=router_name,
-                    peer=peer,
-                    prefix=prefix,
-                )
-
-            router.damping.suppression_observers.append(observer)
 
     # ------------------------------------------------------------------
     # helpers for figure drivers
@@ -507,7 +461,7 @@ class WarmStateSnapshot:
 
     The snapshot is taken after :meth:`Scenario.warm_up` and before
     :meth:`Scenario.run` — the one point in a scenario's life where no
-    metrics hooks, trace closures, or suppression observers are attached,
+    metrics hooks, tracer wiring, or suppression observers are attached,
     so the whole object graph (engine, network, routers, damping
     managers, RNG streams) pickles cleanly. Each :meth:`restore` yields
     an independent scenario whose episode is **digest-identical** to one

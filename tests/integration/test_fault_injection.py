@@ -242,6 +242,34 @@ def test_crashed_router_loses_damping_state_but_observers_survive():
     assert r2.has_route("p0")
 
 
+def _centre_crash_episode(at):
+    """5x5 mesh, three pulses; the centre router is down for 30 s from
+    ``at`` (``None``: no fault at all)."""
+    config = ScenarioConfig(topology=mesh_topology(5, 5), damping=CISCO_DEFAULTS, seed=1)
+    if at is not None:
+        crash = RouterCrash(router="m02x02", at=at, down_for=30.0)
+        config = replace(config, faults=FaultPlan(crashes=(crash,)))
+    return Scenario(config).run(PulseSchedule.regular(3, 60.0))
+
+
+def test_crash_ends_the_routers_suppressions_in_the_record():
+    # At 400 s the episode is in full swing: the victim dies suppressing.
+    collector = _centre_crash_episode(at=400.0).collector
+    deltas = [delta for _, delta in collector.damped_link_deltas()]
+    assert deltas.count(-1) == deltas.count(1) > 0
+    assert collector.damped_link_series()[-1][1] == 0
+    records = [r for per_router in collector.suppression_records().values() for r in per_router]
+    assert len(records) == deltas.count(1)
+    assert all(record.ended is not None for record in records)
+
+
+def test_suppression_history_survives_restart():
+    # By 4000 s all secondary charging is over, so the crash cannot add
+    # or prevent a recharge; it must not lose the ones already recorded.
+    crashed = _centre_crash_episode(at=4000.0).summary
+    assert crashed.secondary_charges == _centre_crash_episode(None).summary.secondary_charges > 0
+
+
 def test_gr_helper_retains_stale_and_duplicate_refresh_avoids_charge():
     gr = GracefulRestartConfig(restart_time=60.0)
     engine, network, routers = _build_line(

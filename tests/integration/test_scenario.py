@@ -50,6 +50,18 @@ def test_run_without_explicit_warmup_warms_up(fast_config):
     assert result.warmup_convergence > 0
 
 
+def test_untraced_run_attaches_one_recorder(fast_config):
+    """The collector is the only always-on recorder of an episode: one
+    delivery hook, one drop hook, one observer per damping router (the
+    warm-up's own delivery hook is gone by then)."""
+    scenario = Scenario(fast_config)
+    scenario.run(PulseSchedule.regular(1))
+    assert len(scenario.network._delivery_hooks) == 1
+    assert len(scenario.network._drop_hooks) == 1
+    for router in scenario.routers.values():
+        assert len(router.damping.suppression_observers) == 1
+
+
 def test_origin_attached_to_isp(fast_config):
     scenario = Scenario(fast_config)
     assert scenario.network.has_link(ORIGIN_NAME, scenario.isp)

@@ -77,3 +77,49 @@ def test_run_until_executes_exactly_events_within_horizon(delays, horizon):
     expected = sum(1 for d in delays if d <= horizon)
     assert executed == expected
     del engine_count
+
+
+class _NoopProbe:
+    def before(self) -> None:
+        pass
+
+    def after(self, tag) -> None:
+        pass
+
+
+_ATTACH_CLEAR = {
+    "ties": lambda engine: engine.enable_tie_detection(),
+    "hook": lambda engine: engine.set_event_hook(lambda event: None),
+    "unhook": lambda engine: engine.set_event_hook(None),
+    "probe": lambda engine: engine.set_phase_probe(_NoopProbe()),
+    "unprobe": lambda engine: engine.set_phase_probe(None),
+    "watchdog": lambda engine: engine.enable_watchdog(),
+}
+
+
+@given(
+    delays=delays,
+    calls=st.lists(st.sampled_from(sorted(_ATTACH_CLEAR)), max_size=12),
+)
+def test_instrumented_flag_tracks_the_observer_slots(delays, calls):
+    def executed_order(engine):
+        fired = []
+        for i, delay in enumerate(delays):
+            engine.schedule(delay, lambda i=i: fired.append(i))
+        engine.run()
+        return fired
+
+    engine = Engine()
+    for call in calls:
+        _ATTACH_CLEAR[call](engine)
+        assert engine._instrumented == any(
+            (
+                engine.tie_detection_enabled,
+                engine._event_hook is not None,
+                engine.watchdog is not None,
+                engine._phase_probe is not None,
+            )
+        )
+    # Observers are passive: whatever is attached, dispatch order is the
+    # bare engine's.
+    assert executed_order(engine) == executed_order(Engine())

@@ -106,19 +106,6 @@ def test_delivery_hook_sees_messages(network):
     assert network.messages_delivered == 1
 
 
-def test_send_hook_sees_dropped_messages(network):
-    a = network.add_node(Sink("a"))
-    network.add_node(Sink("b"))
-    network.add_link("a", "b")
-    network.link("a", "b").set_up(False)
-    sent = []
-    network.add_send_hook(lambda m: sent.append(m.payload))
-    a.send("b", "dropped")
-    network.engine.run()
-    assert sent == ["dropped"]
-    assert network.messages_delivered == 0
-
-
 def test_start_invokes_every_node(network):
     a = network.add_node(Sink("a"))
     b = network.add_node(Sink("b"))
