@@ -452,8 +452,7 @@ def _small_episode(tracer=None, profiler=None):
     scenario = Scenario(small_mesh_config(seed=11))
     if profiler is not None:
         # Sample per-event sub-phases (decision_process, penalty_decay,
-        # mrai_flush, ...) into the exported profile — the breakdown the
-        # perflint hot-set resolver reads.
+        # mrai_flush, ...) into the exported profile.
         profiler.attach_probe(scenario.engine)
     scenario.warm_up()
     return scenario.run(PulseSchedule.regular(2, 60.0), tracer=tracer)

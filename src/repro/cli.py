@@ -405,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "protocol-semantics (SEM001..SEM007), timer-lifecycle "
             "(TIM001..TIM010), and hot-path performance (PERF001..PERF010) "
             "rule catalogues — see docs/STATIC_ANALYSIS.md. PERF findings "
-            "keep warning severity only inside the profile-derived hot set; "
+            "keep warning severity only inside the call-graph hot set; "
             "elsewhere they downgrade to advisory info and never block. "
             "Exit-code contract (stable): 0 clean (no blocking findings per "
             "--fail-on), 1 blocking findings or parse errors remain, 2 on "
@@ -437,9 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "performance), or all (default)"
         ),
     )
-    _add_shared_flag(
-        lint, "--jobs", "analyse files with N worker processes (default: 1, sequential)"
-    )
     lint.add_argument(
         "--cache-dir",
         default=None,
@@ -448,16 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "enable the incremental cache in DIR (e.g. .lint_cache); "
             "unchanged files are served from the cache, findings are "
             "digest-identical to an uncached run"
-        ),
-    )
-    lint.add_argument(
-        "--hot-profile",
-        default=None,
-        metavar="FILE",
-        help=(
-            "profile.json consulted by the perf pass's hot-set resolver "
-            "(default: benchmarks/results/profile.json; missing profile "
-            "treats every phase as hot)"
         ),
     )
     lint.add_argument(
@@ -784,8 +771,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer(JsonlSink(args.out) if args.out is not None else MemorySink())
     profiler.bind(engine=scenario.engine, tracer=tracer)
     # The probe splits engine dispatch into labelled sub-phases
-    # (decision_process, penalty_decay, mrai_flush, ...) — the breakdown
-    # the perflint hot-set resolver consumes (profile schema v2).
+    # (decision_process, penalty_decay, mrai_flush, ...; profile schema
+    # v2), the labels perflint's PHASE_ROOTS are grouped by.
     probe = profiler.attach_probe(scenario.engine)
     with profiler.phase("warm_up"):
         scenario.warm_up()
@@ -1185,15 +1172,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         select=tuple(args.select),
         ignore=tuple(args.ignore),
         passes=(args.lint_pass,),
-        hot_profile=args.hot_profile,
     )
-    if args.jobs < 1:
-        print("rfd-repro lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
-        report = lint_paths(
-            args.paths, config, cache_dir=args.cache_dir, jobs=args.jobs
-        )
+        report = lint_paths(args.paths, config, cache_dir=args.cache_dir)
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"rfd-repro lint: {exc}", file=sys.stderr)
         return 2

@@ -20,21 +20,21 @@ conventions into machine-checked invariants:
   handles (leaks, double-arm, re-arm-after-cancel) plus discipline at
   arming/construction sites (charge-API bypass in callbacks, raw delay
   literals, engine-boundary bypass, race labels, unclamped delays).
-* **perflint** (``PERF0xx``, :mod:`repro.lint.perf`) — profile-guided
-  hot-path performance hazards: per-event allocation (closures,
-  containers, f-strings, unslotted instances), repeated attribute
-  chains, list-concat growth, materialized membership tests, eager
-  logging, constant rebuilding. Findings keep warning severity only
-  inside the hot set derived from the committed phase profile
-  (:mod:`repro.lint.callgraph` + ``benchmarks/results/profile.json``);
-  elsewhere they downgrade to advisory ``info``.
+* **perflint** (``PERF0xx``, :mod:`repro.lint.perf`) — hot-path
+  performance hazards: per-event allocation (closures, containers,
+  f-strings, unslotted instances), repeated attribute chains,
+  list-concat growth, materialized membership tests, eager logging,
+  constant rebuilding. Findings keep warning severity only inside the
+  hot set — the cross-file call-graph closure
+  (:mod:`repro.lint.callgraph`) of the protocol phase roots and every
+  scheduled callback; elsewhere they downgrade to advisory ``info``.
 
-All passes share one rule framework (:mod:`repro.lint.framework`), a
-driver with construct-scoped pass-prefixed ``# <pass>lint:
-disable=...`` / generic ``# lint: disable=...`` suppressions,
-``--baseline`` support, an incremental content-digest cache
-(:mod:`repro.lint.cache`), and parallel file analysis
-(:mod:`repro.lint.runner`); text/JSON reporters live in
+All passes share one rule framework and one per-file analysis product
+(:mod:`repro.lint.framework`: each file is parsed and indexed once), a
+driver (:mod:`repro.lint.runner`) with construct-scoped pass-prefixed
+``# <pass>lint: disable=...`` / generic ``# lint: disable=...``
+suppressions, ``--baseline`` support, and an incremental content-digest
+cache (:mod:`repro.lint.cache`); text/JSON reporters live in
 :mod:`repro.lint.reporters`.
 
 Run it as ``rfd-repro lint --pass all src/``; the tier-1 suite gates the
@@ -52,7 +52,7 @@ from repro.lint.baseline import (
     parse_baseline,
     render_baseline,
 )
-from repro.lint.cache import RULE_SET_VERSION, LintCache
+from repro.lint.cache import LintCache
 from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
 from repro.lint.config import (
     DEFAULT_PROTECTED_PACKAGES,
@@ -63,7 +63,7 @@ from repro.lint.config import (
 from repro.lint.effects import EffectAnalysis, FunctionEffects, analyze_effects
 from repro.lint.findings import Finding, LintReport
 from repro.lint.framework import FileContext, Rule, all_rule_ids, iter_rules
-from repro.lint.perf import HotSetResolver, PerfAnalysis, resolve_hot_functions
+from repro.lint.perf import PerfAnalysis, hot_functions
 from repro.lint.reporters import render_json, render_rule_list, render_text
 from repro.lint.rules import RULE_IDS
 from repro.lint.runner import lint_paths, lint_source, parse_suppressions
@@ -76,14 +76,12 @@ __all__ = [
     "FileSummary",
     "Finding",
     "FunctionEffects",
-    "HotSetResolver",
     "LintCache",
     "LintConfig",
     "LintReport",
     "PerfAnalysis",
     "ProjectGraph",
     "RULE_IDS",
-    "RULE_SET_VERSION",
     "Rule",
     "TimerAnalysis",
     "all_rule_ids",
@@ -91,6 +89,7 @@ __all__ = [
     "analyze_timers",
     "apply_baseline",
     "baseline_counts",
+    "hot_functions",
     "iter_rules",
     "lint_paths",
     "lint_source",
@@ -102,6 +101,5 @@ __all__ = [
     "render_json",
     "render_rule_list",
     "render_text",
-    "resolve_hot_functions",
     "summarize_file",
 ]

@@ -4,19 +4,20 @@ One JSON file under ``.lint_cache/`` records, per source file, the
 SHA-256 of the source it was computed from, the findings of the *local*
 passes (det/sem/tim — pure functions of one file), the file's call-graph
 summary, and the findings of the cross-file perf pass keyed additionally
-by a *hot-slice digest* (the sorted hot functions of that file plus the
-profile identity). The split makes invalidation exactly as transitive as
+by a *hot-slice digest* (the sorted hot functions of that file). The
+split makes invalidation exactly as transitive as
 the analysis: editing one file re-lints that file's local passes, and
 re-runs the perf pass only for files whose hot slice actually changed —
 an edit that rewires the call graph in ``a.py`` re-analyses ``b.py``
 if and only if ``b``'s hot functions differ, while a comment-only edit
 elsewhere re-analyses nothing.
 
-The whole cache is invalidated by a rule-set signature (rule ids +
-:data:`RULE_SET_VERSION`, bumped whenever rule *logic* changes without
-an id changing) and a config digest, so `--select`/`--ignore`/threshold
-variations never alias each other's entries. A corrupt or
-wrong-schema cache file is treated as empty, never trusted.
+The whole cache is invalidated by a rule-set signature (rule ids + a
+digest of this package's own source, so a change to rule *logic* never
+serves findings computed by the previous logic) and a config digest, so
+`--select`/`--ignore`/`--pass` variations never alias each other's
+entries. A corrupt or wrong-schema cache file is treated as empty,
+never trusted.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 
-#: Bump when any rule's logic changes in a way that alters findings
-#: without changing the rule-id catalogue.
-RULE_SET_VERSION = 1
-
 #: On-disk schema of the cache file itself.
 CACHE_SCHEMA = 1
 
@@ -44,9 +41,21 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+def lint_source_digest() -> str:
+    """SHA-256 over the bytes of every ``repro/lint/*.py``, by name."""
+    directory = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            digest.update(name.encode("utf-8"))
+            with open(os.path.join(directory, name), "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def rules_signature(rule_ids: Tuple[str, ...]) -> str:
-    """Identity of the rule catalogue (ids + logic version)."""
-    payload = f"v{RULE_SET_VERSION}:" + ",".join(sorted(rule_ids))
+    """Identity of the rule catalogue (ids + the code behind them)."""
+    payload = lint_source_digest() + ":" + ",".join(sorted(rule_ids))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -64,8 +73,6 @@ def config_digest(config: LintConfig) -> str:
             "params_modules": list(config.params_modules),
             "damping_modules": list(config.damping_modules),
             "executor_modules": list(config.executor_modules),
-            "hot_profile": config.hot_profile,
-            "hot_threshold": config.hot_threshold,
         },
         sort_keys=True,
     )
@@ -271,11 +278,11 @@ class LintCache:
 __all__ = [
     "CACHE_FILENAME",
     "CACHE_SCHEMA",
-    "RULE_SET_VERSION",
     "LintCache",
     "config_digest",
     "finding_from_dict",
     "hot_slice_digest",
+    "lint_source_digest",
     "rules_signature",
     "source_digest",
 ]

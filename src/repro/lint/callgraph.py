@@ -1,13 +1,13 @@
-"""Cross-file call graph for the perflint hot-set resolver and the
-incremental cache's transitive invalidation.
+"""Cross-file call graph for the perflint hot set and the incremental
+cache's transitive invalidation.
 
 The intra-file effect inference in :mod:`repro.lint.effects` stops at
 file boundaries; perflint needs to know whether a function is reachable
-from a *profiled phase root* or an *engine callback registration*
-anywhere in the project. :func:`summarize_file` distils one parsed file
-into a JSON-round-trippable :class:`FileSummary` (functions, call
-tokens, callback registrations); :class:`ProjectGraph` stitches the
-summaries together, resolving edges through
+from a *phase root* or an *engine callback registration* anywhere in
+the project. :func:`summarize` distils one file's context into a
+JSON-round-trippable :class:`FileSummary` (functions, call tokens,
+callback registrations); :class:`ProjectGraph` stitches the summaries
+together, resolving edges through
 
 - ``self.x()`` calls to methods of the enclosing class,
 - bare-name calls to module-level functions, then through the file's
@@ -33,6 +33,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+
+from repro.lint.config import LintConfig
+from repro.lint.framework import FileContext
 
 #: Receiver spellings that conventionally denote instances of a class in
 #: this codebase, letting ``receiver.method()`` calls resolve to that
@@ -207,18 +210,6 @@ def _callback_token(
     return _call_token(expr, aliases)
 
 
-def _collect_aliases(tree: ast.AST) -> Dict[str, str]:
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return aliases
-
-
 def _is_callback_sink(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Name):
@@ -228,65 +219,64 @@ def _is_callback_sink(call: ast.Call) -> bool:
     return False
 
 
+def _callback_tokens(
+    call: ast.Call, aliases: Mapping[str, str]
+) -> Iterable[Tuple[str, str]]:
+    """Tokens for every callable ``call`` hands to a scheduling sink."""
+    if _is_callback_sink(call):
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            token = _callback_token(arg, aliases)
+            if token is not None:
+                yield token
+
+
 def summarize_file(
     tree: ast.AST, path: str, module: Optional[str] = None
 ) -> FileSummary:
-    """Distil one parsed file into its :class:`FileSummary`."""
-    aliases = _collect_aliases(tree)
+    """Distil one parsed file into its :class:`FileSummary` (the
+    bare-tree entry point; the runner summarizes the context it already
+    holds with :func:`summarize`)."""
+    return summarize(
+        FileContext(path=path, tree=tree, config=LintConfig(), module=module)
+    )
+
+
+def summarize(context: FileContext) -> FileSummary:
+    """Distil one file's context into its :class:`FileSummary`."""
+    aliases = context.aliases
     functions: List[FunctionInfo] = []
     callbacks: List[Tuple[str, str, str]] = []
-
-    def scan_function(
-        node: ast.AST, qualname: str, owner: Optional[str]
-    ) -> None:
+    for entry in context.functions:
         callees: Set[Tuple[str, str]] = set()
-        for sub in ast.walk(node):
+        for sub in entry.nodes:
             if not isinstance(sub, ast.Call):
                 continue
             token = _call_token(sub.func, aliases)
             if token is not None:
                 callees.add(token)
-            if _is_callback_sink(sub):
-                for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-                    cb = _callback_token(arg, aliases)
-                    if cb is not None:
-                        callbacks.append((qualname, cb[0], cb[1]))
+            for kind, payload in _callback_tokens(sub, aliases):
+                callbacks.append((entry.qualname, kind, payload))
         functions.append(
             FunctionInfo(
-                qualname=qualname,
-                line=getattr(node, "lineno", 1),
-                owner_class=owner,
+                qualname=entry.qualname,
+                line=entry.node.lineno,
+                owner_class=entry.owner_class,
                 callees=tuple(sorted(callees)),
             )
         )
-
-    def visit(node: ast.AST, scope: Tuple[str, ...], owner: Optional[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, scope + (child.name,), child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = ".".join(scope + (child.name,))
-                scan_function(child, qualname, owner)
-                visit(child, scope + (child.name,), None)
-            else:
-                visit(child, scope, owner)
-
-    visit(tree, (), None)
     # Module-level callback registrations (scripts, fixtures).
-    for stmt in getattr(tree, "body", []):
+    for stmt in getattr(context.tree, "body", []):
         for sub in ast.walk(stmt):
             if isinstance(
                 sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 break
-            if isinstance(sub, ast.Call) and _is_callback_sink(sub):
-                for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-                    cb = _callback_token(arg, aliases)
-                    if cb is not None:
-                        callbacks.append(("<module>", cb[0], cb[1]))
+            if isinstance(sub, ast.Call):
+                for kind, payload in _callback_tokens(sub, aliases):
+                    callbacks.append(("<module>", kind, payload))
     return FileSummary(
-        path=path,
-        module=module,
+        path=context.path,
+        module=context.module,
         functions=tuple(sorted(functions, key=lambda f: f.qualname)),
         callback_targets=tuple(sorted(set(callbacks))),
     )
@@ -436,5 +426,6 @@ __all__ = [
     "FileSummary",
     "FunctionInfo",
     "ProjectGraph",
+    "summarize",
     "summarize_file",
 ]

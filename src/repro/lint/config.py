@@ -44,23 +44,11 @@ DEFAULT_PARAMS_MODULES: Tuple[str, ...] = ("repro.core.params",)
 DEFAULT_DAMPING_MODULES: Tuple[str, ...] = ("repro.core.damping",)
 
 #: Modules allowed to spawn worker processes (DET010): the deterministic
-#: sweep executor and the parallel lint runner (which analyses static
-#: source text, not simulation state).
-DEFAULT_EXECUTOR_MODULES: Tuple[str, ...] = (
-    "repro.experiments.parallel",
-    "repro.lint.runner",
-)
+#: sweep executor, and nothing else.
+DEFAULT_EXECUTOR_MODULES: Tuple[str, ...] = ("repro.experiments.parallel",)
 
 #: Analysis passes by rule-id prefix; ``--pass all`` selects every one.
 KNOWN_PASSES: FrozenSet[str] = frozenset({"det", "sem", "tim", "perf"})
-
-#: Default committed profile consulted by the perflint hot-set resolver.
-DEFAULT_HOT_PROFILE: str = "benchmarks/results/profile.json"
-
-#: Phases whose wall-clock share is at or above this fraction of the
-#: profiled total are "hot"; perflint findings inside their transitive
-#: call closure keep warning severity, everything else downgrades to info.
-DEFAULT_HOT_THRESHOLD: float = 0.05
 
 _PASS_PREFIX = re.compile(r"^[A-Z]+")
 
@@ -92,7 +80,7 @@ class LintConfig:
     passes:
         Which analysis passes run: ``det`` (determinism), ``sem``
         (protocol semantics), ``tim`` (timer lifecycle/interaction),
-        ``perf`` (profile-guided hot-path performance), or any
+        ``perf`` (hot-path performance), or any
         combination. A rule belongs to the pass its id prefix spells
         (``DET005`` -> ``det``, ``SEM003`` -> ``sem``, ``TIM001`` ->
         ``tim``, ``PERF004`` -> ``perf``).
@@ -111,13 +99,7 @@ class LintConfig:
         Modules allowed to mutate suppression state directly (SEM007).
     executor_modules:
         Modules allowed to use ``multiprocessing``/``concurrent.futures``
-        (DET010) — the deterministic sweep executor and the lint runner.
-    hot_profile:
-        Path to a :mod:`repro.trace.profile` export consulted by the
-        perflint hot-set resolver; None falls back to the committed
-        default when it exists.
-    hot_threshold:
-        Minimum wall-clock fraction for a profiled phase to count as hot.
+        (DET010) — the deterministic sweep executor.
     """
 
     select: FrozenSet[str] = frozenset()
@@ -130,8 +112,6 @@ class LintConfig:
     params_modules: Tuple[str, ...] = DEFAULT_PARAMS_MODULES
     damping_modules: Tuple[str, ...] = DEFAULT_DAMPING_MODULES
     executor_modules: Tuple[str, ...] = DEFAULT_EXECUTOR_MODULES
-    hot_profile: Optional[str] = None
-    hot_threshold: float = DEFAULT_HOT_THRESHOLD
 
     def validate(self, known_rule_ids: FrozenSet[str]) -> None:
         """Reject rule ids or pass names nothing provides."""
@@ -182,8 +162,6 @@ def make_config(
     ignore: Tuple[str, ...] = (),
     passes: Tuple[str, ...] = ("det", "sem", "tim", "perf"),
     protected_packages: Tuple[str, ...] = DEFAULT_PROTECTED_PACKAGES,
-    hot_profile: Optional[str] = None,
-    hot_threshold: float = DEFAULT_HOT_THRESHOLD,
 ) -> LintConfig:
     """Convenience constructor used by the CLI (tuples in, frozensets out).
 
@@ -201,6 +179,4 @@ def make_config(
         ignore=frozenset(ignore),
         passes=frozenset(expanded),
         protected_packages=protected_packages,
-        hot_profile=hot_profile,
-        hot_threshold=hot_threshold,
     )

@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.lint.framework import FunctionEntry, enumerate_defs
 
 #: Effect labels (the vocabulary of the classification).
 READS_CLOCK = "reads-clock"
@@ -198,111 +200,61 @@ def _direct_effects_of_call(call: ast.Call) -> Set[str]:
     return effects
 
 
-def _scan_direct_effects(node: ast.AST) -> Set[str]:
-    """Effects evident in one function's subtree (closures included)."""
-    effects: Set[str] = set()
-    for sub in ast.walk(node):
+def _scan(entry: FunctionEntry) -> Tuple[Set[str], Set[Tuple[str, bool]]]:
+    """One def's subtree (closures included): the effects evident in it,
+    and a ``(name, is_self_call)`` token for every call it makes."""
+    direct: Set[str] = set()
+    callees: Set[Tuple[str, bool]] = set()
+    for sub in entry.nodes:
         if isinstance(sub, ast.Attribute):
             if sub.attr == "now" and _receiver_name(sub.value) in ENGINE_RECEIVERS:
-                effects.add(READS_CLOCK)
+                direct.add(READS_CLOCK)
         elif isinstance(sub, ast.Call):
-            effects.update(_direct_effects_of_call(sub))
-    return effects
-
-
-def _collect_callees(node: ast.AST) -> Set[Tuple[str, bool]]:
-    """``(name, is_self_call)`` tokens for every call in the subtree."""
-    callees: Set[Tuple[str, bool]] = set()
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Call):
-            continue
-        method = _is_self_call(sub.func)
-        if method is not None:
-            callees.add((method, True))
-        elif isinstance(sub.func, ast.Name):
-            callees.add((sub.func.id, False))
-    return callees
-
-
-class _FunctionRecord:
-    __slots__ = ("qualname", "name", "line", "owner_class", "direct", "callees")
-
-    def __init__(
-        self,
-        qualname: str,
-        name: str,
-        line: int,
-        owner_class: Optional[str],
-        direct: Set[str],
-        callees: Set[Tuple[str, bool]],
-    ) -> None:
-        self.qualname = qualname
-        self.name = name
-        self.line = line
-        self.owner_class = owner_class
-        self.direct = direct
-        self.callees = callees
-
-
-def _collect_functions(tree: ast.AST) -> List[_FunctionRecord]:
-    records: List[_FunctionRecord] = []
-
-    def visit(node: ast.AST, scope: Tuple[str, ...], owner: Optional[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, scope + (child.name,), child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = ".".join(scope + (child.name,))
-                records.append(
-                    _FunctionRecord(
-                        qualname=qualname,
-                        name=child.name,
-                        line=child.lineno,
-                        owner_class=owner,
-                        direct=_scan_direct_effects(child),
-                        callees=_collect_callees(child),
-                    )
-                )
-                # Nested defs are also recorded individually; the owner
-                # class no longer applies inside them.
-                visit(child, scope + (child.name,), None)
-            else:
-                visit(child, scope, owner)
-
-    visit(tree, (), None)
-    return records
+            direct.update(_direct_effects_of_call(sub))
+            method = _is_self_call(sub.func)
+            if method is not None:
+                callees.add((method, True))
+            elif isinstance(sub.func, ast.Name):
+                callees.add((sub.func.id, False))
+    return direct, callees
 
 
 def analyze_effects(tree: ast.AST) -> EffectAnalysis:
-    """Classify every function of one parsed file.
+    """Classify every function of one parsed file (the bare-tree entry
+    point; a :class:`~repro.lint.framework.FileContext` hands its own
+    function table to :func:`infer_effects`)."""
+    return infer_effects(enumerate_defs(tree)[0])
+
+
+def infer_effects(table: Sequence[FunctionEntry]) -> EffectAnalysis:
+    """Classify every function of one file's function table.
 
     Effects are first detected per function body, then propagated over
     the intra-file call graph (bare names -> module-level functions,
     ``self.x()`` -> same-class methods) to a fixed point.
     """
-    records = _collect_functions(tree)
-    by_qualname = {record.qualname: record for record in records}
+    scanned = [(entry, *_scan(entry)) for entry in table]
     module_level = {
-        record.name: record.qualname for record in records if "." not in record.qualname
+        entry.node.name: entry.qualname for entry in table if "." not in entry.qualname
     }
     by_class: Dict[str, Dict[str, str]] = {}
-    for record in records:
-        if record.owner_class is not None:
-            by_class.setdefault(record.owner_class, {})[record.name] = record.qualname
+    for entry in table:
+        if entry.owner_class is not None:
+            by_class.setdefault(entry.owner_class, {})[entry.node.name] = entry.qualname
 
-    edges: Dict[str, Set[str]] = {record.qualname: set() for record in records}
-    for record in records:
-        for callee_name, is_self in record.callees:
+    edges: Dict[str, Set[str]] = {entry.qualname: set() for entry in table}
+    for entry, _direct, tokens in scanned:
+        for callee_name, is_self in tokens:
             target: Optional[str] = None
-            if is_self and record.owner_class is not None:
-                target = by_class.get(record.owner_class, {}).get(callee_name)
+            if is_self and entry.owner_class is not None:
+                target = by_class.get(entry.owner_class, {}).get(callee_name)
             elif not is_self:
                 target = module_level.get(callee_name)
-            if target is not None and target != record.qualname:
-                edges[record.qualname].add(target)
+            if target is not None and target != entry.qualname:
+                edges[entry.qualname].add(target)
 
     transitive: Dict[str, Set[str]] = {
-        record.qualname: set(record.direct) for record in records
+        entry.qualname: set(direct) for entry, direct, _tokens in scanned
     }
     changed = True
     while changed:
@@ -315,14 +267,14 @@ def analyze_effects(tree: ast.AST) -> EffectAnalysis:
                     changed = True
 
     functions: Dict[str, FunctionEffects] = {}
-    for record in records:
-        functions[record.qualname] = FunctionEffects(
-            qualname=record.qualname,
-            name=record.name,
-            line=record.line,
-            direct=frozenset(record.direct),
-            transitive=frozenset(transitive[record.qualname]),
-            calls=tuple(sorted(edges[record.qualname])),
+    for entry, direct, _tokens in scanned:
+        functions[entry.qualname] = FunctionEffects(
+            qualname=entry.qualname,
+            name=entry.node.name,
+            line=entry.node.lineno,
+            direct=frozenset(direct),
+            transitive=frozenset(transitive[entry.qualname]),
+            calls=tuple(sorted(edges[entry.qualname])),
         )
     return EffectAnalysis(functions)
 
@@ -340,4 +292,5 @@ __all__ = [
     "SCHEDULES_TIMER",
     "TIME_NAMES",
     "analyze_effects",
+    "infer_effects",
 ]

@@ -1,17 +1,16 @@
-"""The perflint (profile-guided hot-path performance) rule catalogue.
+"""The perflint (hot-path performance) rule catalogue.
 
 The paper's regime — small per-event costs compounding across timer
 interactions at scale — makes allocation and lookup churn on the engine
 hot path a first-order correctness-of-scale concern. These rules flag
 the hazard *patterns* everywhere but scope their *severity* by a
-computed hot set: a :class:`HotSetResolver` loads the committed
-``benchmarks/results/profile.json`` (schema v2 with labelled sub-phases),
-selects the phases at or above ``hot_threshold`` of total wall time,
-maps each to its root functions (:data:`PHASE_ROOTS`), adds every
-function registered as an engine/timer callback anywhere in the project,
-and closes the set transitively over the cross-file call graph
-(:mod:`repro.lint.callgraph`). Findings inside the hot set are
-``warning`` (blocking in CI); outside it they downgrade to ``info``.
+computed hot set: :func:`hot_functions` takes the root functions of the
+five protocol phases (:data:`PHASE_ROOTS`), adds every function
+registered as an engine/timer callback anywhere in the project, and
+closes the set transitively over the cross-file call graph
+(:mod:`repro.lint.callgraph`) — a pure function of the source tree.
+Findings inside the hot set are ``warning`` (blocking in CI); outside it
+they downgrade to ``info``.
 
 The catalogue (see ``docs/STATIC_ANALYSIS.md`` for examples):
 
@@ -32,16 +31,17 @@ PERF010   constant tuple/set rebuilt per call (hoist to module level)
 from __future__ import annotations
 
 import ast
-import os
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
-from repro.lint.config import DEFAULT_HOT_PROFILE, LintConfig
+from repro.lint.callgraph import ProjectGraph, summarize
 from repro.lint.findings import Finding
 from repro.lint.framework import FileContext, Rule, register
 
-#: Root functions of each profiled sub-phase (schema v2 labels). The hot
-#: set is the transitive callee closure of the roots of every hot phase.
+#: Root functions of each protocol phase, keyed by the sub-phase labels
+#: of :mod:`repro.trace.profile`. The hot set is the transitive callee
+#: closure of all of them: every phase has roots in a layer the
+#: ``bench/`` split puts at or above 5 % of an episode, so no measured
+#: profile would drop one.
 PHASE_ROOTS: Dict[str, Tuple[str, ...]] = {
     "decision_process": (
         "repro.bgp.decision.preference_key",
@@ -97,80 +97,15 @@ PHASE_ROOTS: Dict[str, Tuple[str, ...]] = {
     ),
 }
 
-#: Profile labels that do not map to protocol hot paths (setup/teardown).
-_COLD_PHASE_LABELS: FrozenSet[str] = frozenset(
-    {"build", "analysis", "workload"}
-)
 
-#: Schema-v1 profiles label everything ``episode``; the shim treats that
-#: as "all sub-phases hot".
-_V1_EPISODE_LABELS: FrozenSet[str] = frozenset({"episode", "warm_up"})
-
-
-class HotSetResolver:
-    """Computes the hot function set from a profile and a project graph."""
-
-    def __init__(
-        self,
-        project: ProjectGraph,
-        phase_fractions: Optional[Mapping[str, float]] = None,
-        threshold: float = 0.05,
-    ) -> None:
-        self._project = project
-        self._fractions = dict(phase_fractions) if phase_fractions else None
-        self._threshold = threshold
-        self._hot: Optional[FrozenSet[str]] = None
-
-    @staticmethod
-    def from_config(config: LintConfig, project: ProjectGraph) -> "HotSetResolver":
-        """Load the profile named by the config (or the committed
-        default); with no profile available every phase counts as hot,
-        which errs toward stricter linting rather than silent downgrades."""
-        path = config.hot_profile or DEFAULT_HOT_PROFILE
-        fractions: Optional[Mapping[str, float]] = None
-        if os.path.isfile(path):
-            try:
-                from repro.trace.profile import load_profile, phase_fractions
-
-                fractions = phase_fractions(load_profile(path))
-            except (OSError, ValueError):
-                fractions = None
-        return HotSetResolver(project, fractions, config.hot_threshold)
-
-    def hot_phases(self) -> List[str]:
-        """Profiled sub-phase labels at or above the threshold."""
-        if self._fractions is None:
-            return sorted(PHASE_ROOTS)
-        hot: Set[str] = set()
-        for label, fraction in self._fractions.items():
-            if fraction < self._threshold:
-                continue
-            if label in _V1_EPISODE_LABELS:
-                hot.update(PHASE_ROOTS)
-            elif label in PHASE_ROOTS:
-                hot.add(label)
-        return sorted(hot)
-
-    def roots(self) -> FrozenSet[str]:
-        """Hot phase roots present in the graph plus callback roots."""
-        roots: Set[str] = set(self._project.callback_roots)
-        for label in self.hot_phases():
-            for name in PHASE_ROOTS[label]:
-                if self._project.has_function(name):
-                    roots.add(name)
-        return frozenset(roots)
-
-    def hot_set(self) -> FrozenSet[str]:
-        if self._hot is None:
-            self._hot = self._project.closure(self.roots())
-        return self._hot
-
-
-def resolve_hot_functions(
-    config: LintConfig, project: ProjectGraph
-) -> FrozenSet[str]:
-    """Convenience wrapper used by the runner: profile -> hot closure."""
-    return HotSetResolver.from_config(config, project).hot_set()
+def hot_functions(project: ProjectGraph) -> FrozenSet[str]:
+    """The hot set of ``project``: the call-graph closure of every
+    :data:`PHASE_ROOTS` function it defines plus every function it
+    registers as an engine/timer callback."""
+    roots: Set[str] = set(project.callback_roots)
+    for names in PHASE_ROOTS.values():
+        roots.update(names)
+    return project.closure(roots)
 
 
 # ----------------------------------------------------------------------
@@ -213,43 +148,30 @@ class PerfAnalysis:
     def __init__(self, context: FileContext) -> None:
         project = context.project
         if project is None:
-            summary = summarize_file(context.tree, context.path, context.module)
-            project = ProjectGraph([summary])
-        hot = getattr(project, "hot_functions", None)
-        if hot is None:
-            hot = resolve_hot_functions(context.config, project)
+            project = ProjectGraph([summarize(context)])
+        hot = hot_functions(project)
         namespace = context.module if context.module is not None else context.path
-        self.functions: List[_FunctionScope] = []
-        self._class_slots: Dict[str, bool] = {}
+        self.functions: List[_FunctionScope] = [
+            _FunctionScope(
+                qualname=entry.qualname,
+                node=entry.node,
+                hot=f"{namespace}.{entry.qualname}" in hot,
+                nodes=_own_nodes(entry.node),
+            )
+            for entry in context.functions
+        ]
+        self._class_slots: Dict[str, bool] = {
+            node.name: any(
+                isinstance(stmt, ast.Assign)
+                and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in stmt.targets
+                )
+                for stmt in node.body
+            )
+            for node in context.classes
+        }
         self._module_names: Set[str] = set()
-
-        def visit(node: ast.AST, scope: Tuple[str, ...]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    self._class_slots[child.name] = any(
-                        isinstance(stmt, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Name) and t.id == "__slots__"
-                            for t in stmt.targets
-                        )
-                        for stmt in child.body
-                    )
-                    visit(child, scope + (child.name,))
-                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = ".".join(scope + (child.name,))
-                    self.functions.append(
-                        _FunctionScope(
-                            qualname=qualname,
-                            node=child,
-                            hot=f"{namespace}.{qualname}" in hot,
-                            nodes=_own_nodes(child),
-                        )
-                    )
-                    visit(child, scope + (child.name,))
-                else:
-                    visit(child, scope)
-
-        visit(context.tree, ())
         for stmt in getattr(context.tree, "body", []):
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -833,8 +755,7 @@ PERF_RULE_IDS: Tuple[str, ...] = tuple(
 __all__ = [
     "PERF_RULE_IDS",
     "PHASE_ROOTS",
-    "HotSetResolver",
     "PerfAnalysis",
+    "hot_functions",
     "perf_analysis",
-    "resolve_hot_functions",
 ]

@@ -183,7 +183,7 @@ class SetIterationRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             iters: List[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
@@ -226,7 +226,7 @@ class HashOrderingRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_sort_key(context, node)
             elif isinstance(node, ast.Dict):
@@ -289,7 +289,7 @@ class TimeEqualityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -418,7 +418,7 @@ class AmbientEnvironmentRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if not context.config.is_protected_module(context.module):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Attribute):
                 if context.qualified_name(node) == "os.environ":
                     yield context.finding(
@@ -465,7 +465,7 @@ class MutableDefaultRule(Rule):
     _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name.startswith("_"):
@@ -596,7 +596,7 @@ class AdHocParallelismRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if context.config.is_executor_module(context.module):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     package = alias.name.split(".")[0]

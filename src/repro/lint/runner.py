@@ -1,19 +1,21 @@
-"""The lint driver: file discovery, parsing, suppression handling, the
-incremental cache, and parallel file analysis.
+"""The lint driver: file discovery, parsing, suppression handling and
+the incremental cache.
 
 :func:`lint_paths` is the entry point the CLI and the tier-1 hygiene gate
 share; it runs whichever passes (detlint / semlint / timerlint /
-perflint) the config enables. The det/sem/tim passes are *local* (pure
-functions of one file) and are analysed per file — in worker processes
-when ``jobs > 1``, over the same spawn-context conventions as the sweep
-executor. The perf pass is *cross-file*: after the local phase, the
-per-file call-graph summaries are stitched into a
-:class:`~repro.lint.callgraph.ProjectGraph`, the hot set is resolved
-from the committed profile, and the PERF rules run with that project
-context. With ``cache_dir`` set, both phases consult a content-digest
-cache (:mod:`repro.lint.cache`); the findings of a warm run are
-digest-identical to a cold sequential run by construction, because
-cached entries are keyed on exactly the inputs the analysis reads.
+perflint) the config enables. Every file goes through one sequence —
+parse once into a :class:`~repro.lint.framework.FileContext`, run rules
+over it, split the findings by suppression — and :func:`lint_source` is
+that sequence over one string. The det/sem/tim passes are *local* (pure
+functions of one file). The perf pass is *cross-file*: after the local
+rules have run, the per-file call-graph summaries are stitched into a
+:class:`~repro.lint.callgraph.ProjectGraph`, the hot set is computed
+from it, and the PERF rules run on the contexts the local phase already
+built, each dropped as soon as it is done. With ``cache_dir`` set, both
+phases consult a content-digest cache (:mod:`repro.lint.cache`); the
+findings of a warm run are digest-identical to a cold run by
+construction, because cached entries are keyed on exactly the inputs the
+analysis reads, and a file whose entries all hit is never parsed.
 
 Suppression comments are construct-scoped and pass-prefixed::
 
@@ -39,8 +41,8 @@ import ast
 import io
 import os
 import tokenize
-from dataclasses import replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.cache import (
     LintCache,
@@ -49,9 +51,10 @@ from repro.lint.cache import (
     rules_signature,
     source_digest,
 )
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
+from repro.lint.callgraph import FileSummary, ProjectGraph, summarize
 from repro.lint.config import LintConfig, pass_for_rule
 from repro.lint.findings import Finding, LintReport
+from repro.lint.perf import hot_functions
 from repro.lint.rules import FileContext, Rule, all_rule_ids, iter_rules
 
 #: Pass-scoped directive prefixes: ids listed after ``# semlint:`` only
@@ -126,37 +129,13 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     return suppressions
 
 
-def _decorator_lines(tree: ast.AST) -> Dict[int, List[int]]:
-    """Map a decorated def/class's ``lineno`` to its decorator lines, so a
-    directive on ``@decorator`` also covers findings anchored at the
-    ``def`` line below it."""
-    mapping: Dict[int, List[int]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.decorator_list:
-                mapping[node.lineno] = [
-                    line
-                    for decorator in node.decorator_list
-                    for line in range(
-                        decorator.lineno,
-                        (getattr(decorator, "end_lineno", None) or decorator.lineno)
-                        + 1,
-                    )
-                ]
-    return mapping
-
-
-def _disabled_rules(
-    finding: Finding,
-    suppressions: Dict[int, Set[str]],
-    decorators: Dict[int, List[int]],
-) -> Set[str]:
+def _disabled_rules(finding: Finding, context: FileContext) -> Set[str]:
     """Union of directives covering any line of the flagged construct."""
     lines = list(range(finding.line, finding.end_line + 1))
-    lines.extend(decorators.get(finding.line, []))
+    lines.extend(context.decorator_lines.get(finding.line, []))
     disabled: Set[str] = set()
     for line in lines:
-        disabled |= suppressions.get(line, set())
+        disabled |= context.suppressions.get(line, set())
     return disabled
 
 
@@ -174,7 +153,9 @@ def module_name_for(path: str) -> Optional[str]:
     parts = normalized.split("/")
     if "repro" not in parts:
         return None
-    start = parts.index("repro")
+    # Rightmost segment: a checkout directory that is itself named
+    # ``repro`` (``/home/u/repro/src/repro/...``) must not win.
+    start = len(parts) - 1 - parts[::-1].index("repro")
     module_parts = parts[start:]
     module_parts[-1] = module_parts[-1][: -len(".py")] if module_parts[-1].endswith(
         ".py"
@@ -184,19 +165,51 @@ def module_name_for(path: str) -> Optional[str]:
     return ".".join(module_parts)
 
 
-def _apply_suppressions(
-    findings: List[Finding],
-    report: LintReport,
-    suppressions: Dict[int, Set[str]],
-    decorators: Dict[int, List[int]],
-) -> None:
-    findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
+def _finding_order(finding: Finding) -> Tuple[int, int, str]:
+    return (finding.line, finding.col, finding.rule_id)
+
+
+def _parse(
+    source: str,
+    path: str,
+    config: LintConfig,
+    module: Optional[str] = None,
+    project: Optional[ProjectGraph] = None,
+) -> Union[FileContext, str]:
+    """The run's one parse of a file: its context, or the parse-error
+    text a report shows instead."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return f"syntax error: {exc.msg} (line {exc.lineno})"
+    context = FileContext(
+        path=path,
+        tree=tree,
+        config=config,
+        module=module if module is not None else module_name_for(path),
+        project=project,
+    )
+    context.suppressions = parse_suppressions(source)
+    return context
+
+
+def _check(
+    context: FileContext, rules: Sequence[Rule]
+) -> Tuple[List[Finding], List[Finding]]:
+    """Run ``rules`` over one context; returns the sorted findings split
+    into ``(active, suppressed)``."""
+    findings: List[Finding] = []
+    for rule in rules:
+        findings.extend(rule.check(context))
+    findings.sort(key=_finding_order)
+    active: List[Finding] = []
+    suppressed: List[Finding] = []
     for finding in findings:
-        disabled = _disabled_rules(finding, suppressions, decorators)
-        if _is_suppressed(finding, disabled):
-            report.suppressed.append(replace(finding, suppressed=True))
+        if _is_suppressed(finding, _disabled_rules(finding, context)):
+            suppressed.append(replace(finding, suppressed=True))
         else:
-            report.findings.append(finding)
+            active.append(finding)
+    return active, suppressed
 
 
 def lint_source(
@@ -215,23 +228,15 @@ def lint_source(
     """
     config = config if config is not None else LintConfig()
     report = LintReport(files_checked=1)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        report.parse_errors.append((path, f"syntax error: {exc.msg} (line {exc.lineno})"))
+    context = _parse(source, path, config, module, project)
+    if isinstance(context, str):
+        report.parse_errors.append((path, context))
         return report
-    if module is None:
-        module = module_name_for(path)
-    context = FileContext(
-        path=path, tree=tree, config=config, module=module, project=project
+    findings, suppressed = _check(
+        context, rules if rules is not None else iter_rules(config)
     )
-    suppressions = parse_suppressions(source)
-    decorators = _decorator_lines(tree)
-    active_rules = rules if rules is not None else iter_rules(config)
-    findings: List[Finding] = []
-    for rule in active_rules:
-        findings.extend(rule.check(context))
-    _apply_suppressions(findings, report, suppressions, decorators)
+    report.findings.extend(findings)
+    report.suppressed.extend(suppressed)
     return report
 
 
@@ -250,169 +255,21 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(dirpath, filename)
 
 
-# ----------------------------------------------------------------------
-# per-file local analysis (det/sem/tim) + call-graph summary
-# ----------------------------------------------------------------------
+@dataclass
+class _FileState:
+    """What :func:`lint_paths` knows about one file between its phases."""
 
-#: Picklable result of one file's local phase: ``(path, sha, findings,
-#: suppressed, parse_error, summary_dict)`` with findings as dicts.
-_LocalResult = Tuple[
-    str,
-    str,
-    List[Dict[str, object]],
-    List[Dict[str, object]],
-    Optional[str],
-    Optional[Dict[str, object]],
-]
-
-
-def _local_rules(config: LintConfig) -> List[Rule]:
-    return [
-        rule for rule in iter_rules(config) if pass_for_rule(rule.id) != "perf"
-    ]
-
-
-def _perf_rules(config: LintConfig) -> List[Rule]:
-    return [
-        rule for rule in iter_rules(config) if pass_for_rule(rule.id) == "perf"
-    ]
-
-
-def _analyze_local(
-    path: str, config: LintConfig, rules: Sequence[Rule], want_summary: bool
-) -> _LocalResult:
-    """Read + parse one file, run the local rules, summarize for the
-    call graph. Never raises for per-file problems; they come back as
-    ``parse_error`` rows exactly as the sequential runner reports them."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        return (path, "", [], [], f"unreadable: {exc}", None)
-    sha = source_digest(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return (
-            path,
-            sha,
-            [],
-            [],
-            f"syntax error: {exc.msg} (line {exc.lineno})",
-            None,
-        )
-    module = module_name_for(path)
-    context = FileContext(path=path, tree=tree, config=config, module=module)
-    suppressions = parse_suppressions(source)
-    decorators = _decorator_lines(tree)
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(context))
-    file_report = LintReport()
-    _apply_suppressions(findings, file_report, suppressions, decorators)
-    summary = (
-        summarize_file(tree, path, module).as_dict() if want_summary else None
-    )
-    return (
-        path,
-        sha,
-        [f.as_dict() for f in file_report.findings],
-        [f.as_dict() for f in file_report.suppressed],
-        None,
-        summary,
-    )
-
-
-# Worker-process state for the parallel local phase, following the
-# spawn-context conventions of repro.experiments.parallel: the config is
-# shipped once through the initializer, rules are instantiated once per
-# worker, and tasks carry only file paths.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _init_worker(config: LintConfig, want_summary: bool) -> None:
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["rules"] = _local_rules(config)
-    _WORKER_STATE["want_summary"] = want_summary
-
-
-def _worker_analyze(paths: List[str]) -> List[_LocalResult]:
-    config = _WORKER_STATE["config"]
-    rules = _WORKER_STATE["rules"]
-    want_summary = _WORKER_STATE["want_summary"]
-    assert isinstance(config, LintConfig) and isinstance(rules, list)
-    return [
-        _analyze_local(path, config, rules, bool(want_summary))
-        for path in paths
-    ]
-
-
-def _run_local_phase(
-    pending: List[str],
-    config: LintConfig,
-    want_summary: bool,
-    jobs: int,
-) -> List[_LocalResult]:
-    """Analyse ``pending`` files, in-process or over a spawn pool."""
-    if jobs <= 1 or len(pending) < 2:
-        rules = _local_rules(config)
-        return [
-            _analyze_local(path, config, rules, want_summary)
-            for path in pending
-        ]
-    import concurrent.futures
-    import multiprocessing
-
-    workers = min(jobs, len(pending))
-    context = multiprocessing.get_context("spawn")
-    chunks = [pending[i::workers] for i in range(workers)]
-    results: List[_LocalResult] = []
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(config, want_summary),
-    ) as pool:
-        for batch in pool.map(_worker_analyze, chunks):
-            results.extend(batch)
-    # Deterministic merge regardless of chunking/completion order.
-    results.sort(key=lambda item: item[0])
-    return results
-
-
-# ----------------------------------------------------------------------
-# the cross-file perf phase
-# ----------------------------------------------------------------------
-
-
-def _run_perf_file(
-    path: str,
-    config: LintConfig,
-    rules: Sequence[Rule],
-    project: ProjectGraph,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Run the perf rules for one file with full project context."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        tree = ast.parse(source, filename=path)
-    except (OSError, SyntaxError):
-        return [], []  # already reported by the local phase
-    context = FileContext(
-        path=path,
-        tree=tree,
-        config=config,
-        module=module_name_for(path),
-        project=project,
-    )
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(context))
-    file_report = LintReport()
-    _apply_suppressions(
-        findings, file_report, parse_suppressions(source), _decorator_lines(tree)
-    )
-    return file_report.findings, file_report.suppressed
+    source: str = ""
+    #: Content digest; empty for an unreadable file (never cached).
+    sha: str = ""
+    parse_error: Optional[str] = None
+    findings: List[Finding] = field(default_factory=list)
+    #: Findings a suppression directive covers.
+    silenced: List[Finding] = field(default_factory=list)
+    summary: Optional[FileSummary] = None
+    #: Held from the local phase to the perf phase when both ran fresh,
+    #: so the file is parsed once.
+    context: Optional[FileContext] = None
 
 
 def lint_paths(
@@ -420,21 +277,20 @@ def lint_paths(
     config: Optional[LintConfig] = None,
     *,
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and merge the reports.
 
     ``cache_dir`` enables the incremental cache (typically
-    ``.lint_cache``); ``jobs > 1`` parallelises the per-file local phase
-    over a spawn-context process pool. Both are pure accelerators: the
-    merged report is digest-identical to a cold sequential run.
+    ``.lint_cache``), a pure accelerator: the merged report is
+    digest-identical to an uncached run. A file is parsed at most once
+    per run, and not at all when every cache entry it needs hits.
     """
     config = config if config is not None else LintConfig()
     config.validate(all_rule_ids())
     files = list(iter_python_files(paths))
-    want_perf = "perf" in config.passes
-    perf_rules = _perf_rules(config) if want_perf else []
-    want_perf = bool(perf_rules)
+    rules = iter_rules(config)
+    local_rules = [rule for rule in rules if pass_for_rule(rule.id) != "perf"]
+    perf_rules = [rule for rule in rules if pass_for_rule(rule.id) == "perf"]
 
     cache: Optional[LintCache] = None
     if cache_dir is not None:
@@ -444,112 +300,93 @@ def lint_paths(
             config_digest(config),
         )
 
-    # Phase A — local passes + summaries, cache-aware, parallelisable.
-    shas: Dict[str, str] = {}
-    local_findings: Dict[str, List[Finding]] = {}
-    local_suppressed: Dict[str, List[Finding]] = {}
-    parse_errors: Dict[str, Optional[str]] = {}
-    summaries: Dict[str, Optional[Dict[str, object]]] = {}
-    pending: List[str] = []
+    # Phase A — local passes + call-graph summaries.
+    states: Dict[str, _FileState] = {}
     for path in files:
-        cached = None
-        if cache is not None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                shas[path] = ""
-                local_findings[path] = []
-                local_suppressed[path] = []
-                parse_errors[path] = f"unreadable: {exc}"
-                summaries[path] = None
-                continue
-            sha = source_digest(source)
-            shas[path] = sha
-            cached = cache.local_result(path, sha)
+        if path in states:
+            continue  # named twice on the command line
+        state = states[path] = _FileState()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                state.source = handle.read()
+        except OSError as exc:
+            state.parse_error = f"unreadable: {exc}"
+            continue
+        state.sha = source_digest(state.source)
+        cached = cache.local_result(path, state.sha) if cache is not None else None
         if cached is not None:
-            findings, suppressed, parse_error, summary = cached
-            local_findings[path] = findings
-            local_suppressed[path] = suppressed
-            parse_errors[path] = parse_error
-            summaries[path] = summary
+            state.findings, state.silenced, state.parse_error, summary = cached
+            if summary is not None:
+                state.summary = FileSummary.from_dict(summary)
+            continue
+        parsed = _parse(state.source, path, config)
+        if isinstance(parsed, str):
+            state.parse_error = parsed
         else:
-            pending.append(path)
-
-    from repro.lint.cache import finding_from_dict
-
-    for result in _run_local_phase(pending, config, want_perf, jobs):
-        path, sha, findings_out, suppressed_out, parse_error, summary = result
-        shas[path] = sha
-        local_findings[path] = [finding_from_dict(f) for f in findings_out]
-        local_suppressed[path] = [finding_from_dict(f) for f in suppressed_out]
-        parse_errors[path] = parse_error
-        summaries[path] = summary
-        if cache is not None and sha:
+            state.findings, state.silenced = _check(parsed, local_rules)
+            if perf_rules:
+                state.summary = summarize(parsed)
+                state.context = parsed
+        if cache is not None:
             cache.store_local(
                 path,
-                sha,
-                local_findings[path],
-                local_suppressed[path],
-                parse_error,
-                summary,
+                state.sha,
+                state.findings,
+                state.silenced,
+                state.parse_error,
+                state.summary.as_dict() if state.summary is not None else None,
             )
 
     # Phase B — the cross-file perf pass over the project graph.
-    perf_findings: Dict[str, List[Finding]] = {}
-    perf_suppressed: Dict[str, List[Finding]] = {}
-    if want_perf:
+    if perf_rules:
         project = ProjectGraph(
-            FileSummary.from_dict(summary)
-            for summary in summaries.values()
-            if summary is not None
+            state.summary for state in states.values() if state.summary is not None
         )
-        from repro.lint.perf import resolve_hot_functions
-
-        hot = resolve_hot_functions(config, project)
-        # The runner resolved the hot set once for the whole run; the
-        # per-file analyses read it from here instead of recomputing.
-        project.hot_functions = hot  # type: ignore[attr-defined]
-        for path in files:
-            if parse_errors.get(path):
-                perf_findings[path] = []
-                perf_suppressed[path] = []
+        hot = hot_functions(project)
+        for path, state in states.items():
+            if state.parse_error is not None:
                 continue
             slice_digest = hot_slice_digest(
                 [name for name in hot if project.path_of(name) == path]
             )
-            cached_perf = None
-            if cache is not None:
-                cached_perf = cache.perf_result(path, shas[path], slice_digest)
+            cached_perf = (
+                cache.perf_result(path, state.sha, slice_digest)
+                if cache is not None
+                else None
+            )
             if cached_perf is not None:
-                perf_findings[path], perf_suppressed[path] = cached_perf
+                found, suppressed = cached_perf
             else:
-                found, suppressed = _run_perf_file(
-                    path, config, perf_rules, project
-                )
-                perf_findings[path] = found
-                perf_suppressed[path] = suppressed
-                if cache is not None and shas.get(path):
+                context, state.context = state.context, None
+                if context is None:
+                    # The local phase was a cache hit: this is the
+                    # file's one parse of the run.
+                    parsed = _parse(state.source, path, config)
+                    if isinstance(parsed, str):
+                        # Cached by an interpreter that could parse it.
+                        state.parse_error = parsed
+                        continue
+                    context = parsed
+                context.project = project
+                found, suppressed = _check(context, perf_rules)
+                if cache is not None:
                     cache.store_perf(
-                        path, shas[path], slice_digest, found, suppressed
+                        path, state.sha, slice_digest, found, suppressed
                     )
+            state.findings = sorted(state.findings + found, key=_finding_order)
+            state.silenced = sorted(
+                state.silenced + suppressed, key=_finding_order
+            )
 
-    # Merge, in file order, findings re-sorted per file.
     report = LintReport()
     for path in files:
+        state = states[path]
         report.files_checked += 1
-        error = parse_errors.get(path)
-        if error is not None:
-            report.parse_errors.append((path, error))
+        if state.parse_error is not None:
+            report.parse_errors.append((path, state.parse_error))
             continue
-        merged = list(local_findings.get(path, ()))
-        merged.extend(perf_findings.get(path, ()))
-        merged.sort(key=lambda f: (f.line, f.col, f.rule_id))
-        report.findings.extend(merged)
-        merged_suppressed = list(local_suppressed.get(path, ()))
-        merged_suppressed.extend(perf_suppressed.get(path, ()))
-        merged_suppressed.sort(key=lambda f: (f.line, f.col, f.rule_id))
-        report.suppressed.extend(merged_suppressed)
+        report.findings.extend(state.findings)
+        report.suppressed.extend(state.silenced)
 
     if cache is not None:
         cache.save(keep_paths=files)

@@ -24,7 +24,7 @@ syntactic checks scoped by the module knobs on
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional
 
 from repro.lint.effects import TIME_NAMES
 from repro.lint.findings import Finding
@@ -39,25 +39,6 @@ __all__ = [
     "SequenceEqualityRule",
     "ForeignSuppressionWriteRule",
 ]
-
-
-def _collect_defs(tree: ast.AST) -> Dict[str, ast.AST]:
-    """Qualname -> def node, mirroring the effect engine's naming."""
-    defs: Dict[str, ast.AST] = {}
-
-    def visit(node: ast.AST, scope: Tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, scope + (child.name,))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = ".".join(scope + (child.name,))
-                defs[qualname] = child
-                visit(child, scope + (child.name,))
-            else:
-                visit(child, scope)
-
-    visit(tree, ())
-    return defs
 
 
 # ----------------------------------------------------------------------
@@ -82,17 +63,12 @@ class DecisionPurityRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if not context.config.is_decision_module(context.module):
             return
-        analysis = context.effect_analysis()
-        defs = _collect_defs(context.tree)
-        for effects in analysis.iter_functions():
+        for effects in context.effect_analysis().iter_functions():
             if effects.is_pure:
-                continue
-            node = defs.get(effects.qualname)
-            if node is None:
                 continue
             yield context.finding(
                 self,
-                node,
+                context.function_named[effects.qualname].node,
                 f"decision-process function {effects.qualname}() must be "
                 f"effect-free, but is classified {effects.classification}",
             )
@@ -126,7 +102,7 @@ class HandRolledTimerRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if context.config.is_timer_module(context.module):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Call):
                 name = context.qualified_name(node.func)
                 if name is not None and name.startswith("heapq."):
@@ -220,7 +196,7 @@ class MagicPenaltyConstantRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if not context.config.is_penalty_module(context.module):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.BinOp):
                 pairs = [(node.left, node.right), (node.right, node.left)]
                 for operand, other in pairs:
@@ -303,7 +279,7 @@ class TimeExpressionEqualityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -349,9 +325,10 @@ class UnobservedRibMutationRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for qualname, node in sorted(_collect_defs(context.tree).items()):
-            del qualname
-            yield from self._check_function(context, node)
+        for qualname in sorted(context.function_named):
+            yield from self._check_function(
+                context, context.function_named[qualname].node
+            )
 
     def _check_function(
         self, context: FileContext, func: ast.AST
@@ -425,7 +402,7 @@ class SequenceEqualityRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -477,7 +454,7 @@ class ForeignSuppressionWriteRule(Rule):
     def check(self, context: FileContext) -> Iterator[Finding]:
         if context.config.is_damping_module(context.module):
             return
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Store)

@@ -48,7 +48,7 @@ from repro.lint.effects import (
     EffectAnalysis,
 )
 from repro.lint.findings import Finding
-from repro.lint.framework import FileContext, Rule, iter_calls, register
+from repro.lint.framework import FileContext, Rule, iter_calls, register, walk_list
 
 #: Timer methods that (re)arm the underlying event.
 ARMING_METHODS: FrozenSet[str] = frozenset(
@@ -87,7 +87,7 @@ def _timer_local_names(context: FileContext) -> FrozenSet[str]:
     """Every local name the file ever binds to a ``Timer(...)`` result —
     the receiver vocabulary for the syntactic arming-site rules."""
     names: Set[str] = set()
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             if _is_timer_ctor(context, node.value):
                 for target in node.targets:
@@ -486,44 +486,29 @@ class _FunctionInterpreter:
 
 
 class TimerAnalysis:
-    """Lifecycle hazards of every function in one file."""
+    """Lifecycle hazards of every function in one file, plus the file's
+    timer-handle vocabulary."""
 
-    def __init__(self, violations: List[TimerViolation]) -> None:
+    def __init__(
+        self, violations: List[TimerViolation], timer_names: FrozenSet[str]
+    ) -> None:
         self.violations = violations
+        #: Local names the file binds to ``Timer(...)`` results.
+        self.timer_names = timer_names
 
     def by_kind(self, kind: str) -> List[TimerViolation]:
         return [v for v in self.violations if v.kind == kind]
-
-
-def _iter_function_defs(
-    tree: ast.AST,
-) -> Iterator[Tuple[str, Optional[str], ast.AST]]:
-    """``(qualname, owner_class, def_node)`` for every function, matching
-    the effect inference's qualname scheme."""
-
-    def visit(
-        node: ast.AST, scope: Tuple[str, ...], owner: Optional[str]
-    ) -> Iterator[Tuple[str, Optional[str], ast.AST]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, scope + (child.name,), child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield ".".join(scope + (child.name,)), owner, child
-                yield from visit(child, scope + (child.name,), None)
-            else:
-                yield from visit(child, scope, owner)
-
-    yield from visit(tree, (), None)
 
 
 def analyze_timers(context: FileContext) -> TimerAnalysis:
     """Run the abstract interpreter over every function of the file."""
     effects = context.effect_analysis()
     violations: List[TimerViolation] = []
-    for qualname, owner, def_node in _iter_function_defs(context.tree):
-        assert isinstance(def_node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        interpreter = _FunctionInterpreter(context, qualname, owner, effects)
-        interpreter.run(def_node.body)
+    for entry in context.functions:
+        interpreter = _FunctionInterpreter(
+            context, entry.qualname, entry.owner_class, effects
+        )
+        interpreter.run(entry.node.body)
         violations.extend(interpreter.violations)
     violations.sort(
         key=lambda v: (
@@ -532,7 +517,7 @@ def analyze_timers(context: FileContext) -> TimerAnalysis:
             v.kind,
         )
     )
-    return TimerAnalysis(violations)
+    return TimerAnalysis(violations, _timer_local_names(context))
 
 
 # ----------------------------------------------------------------------
@@ -613,14 +598,8 @@ class TimerRearmAfterCancelRule(Rule):
 # ----------------------------------------------------------------------
 
 
-def _function_nodes_by_qualname(tree: ast.AST) -> Dict[str, ast.AST]:
-    return {
-        qualname: node for qualname, _owner, node in _iter_function_defs(tree)
-    }
-
-
-def _mutates_damping_directly(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
+def _mutates_damping_directly(nodes: Sequence[ast.AST]) -> bool:
+    for sub in nodes:
         if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (
                 sub.targets if isinstance(sub, ast.Assign) else [sub.target]
@@ -645,11 +624,10 @@ def _mutates_damping_directly(node: ast.AST) -> bool:
 def _damping_mutators(context: FileContext) -> FrozenSet[str]:
     """Qualnames of functions that (transitively) mutate damping state."""
     effects = context.effect_analysis()
-    nodes = _function_nodes_by_qualname(context.tree)
     mutators: Set[str] = {
         qualname
-        for qualname, node in nodes.items()
-        if _mutates_damping_directly(node)
+        for qualname, entry in context.function_named.items()
+        if _mutates_damping_directly(entry.nodes)
     }
     changed = True
     while changed:
@@ -725,9 +703,10 @@ class CallbackDampingMutationRule(Rule):
                         return resolves_to_mutator(expr.args[0], site)
                 return None
             if isinstance(expr, ast.Lambda):
-                if _mutates_damping_directly(expr.body):
+                body = walk_list(expr.body)
+                if _mutates_damping_directly(body):
                     return "<lambda>"
-                for sub in ast.walk(expr.body):
+                for sub in body:
                     if isinstance(sub, ast.Call):
                         inner = resolves_to_mutator(sub.func, site)
                         if inner is not None:
@@ -778,7 +757,7 @@ class RawDelayLiteralRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = _timer_local_names(context)
+        timer_names = context.timer_analysis().timer_names
         for call in iter_calls(context):
             delay = _arming_delay_site(context, call, timer_names)
             if delay is None:
@@ -860,7 +839,7 @@ class UnclampedDelaySubtractionRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = _timer_local_names(context)
+        timer_names = context.timer_analysis().timer_names
         for call in iter_calls(context):
             delay = _arming_delay_site(context, call, timer_names)
             if (
@@ -888,8 +867,8 @@ class TimerStateStringCompareRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = _timer_local_names(context)
-        for node in ast.walk(context.tree):
+        timer_names = context.timer_analysis().timer_names
+        for node in context.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -926,11 +905,12 @@ class ArmInConstructorRule(Rule):
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = _timer_local_names(context)
-        for node in ast.walk(context.tree):
+        timer_names = context.timer_analysis().timer_names
+        for entry in context.functions:
+            node = entry.node
             if not isinstance(node, ast.FunctionDef) or node.name != "__init__":
                 continue
-            for sub in ast.walk(node):
+            for sub in entry.nodes:
                 if not isinstance(sub, ast.Call):
                     continue
                 func = sub.func

@@ -11,9 +11,7 @@ attached to the engine: update delivery and best-path selection
 (``workload``), and everything else the dispatcher executes
 (``timer_dispatch``); RIB-walking analysis phases are labelled
 ``rib_scan``. The report is exported as JSON next to ``perf.json`` so
-the perf trajectory ships with a breakdown of *where* the time went —
-and the perflint hot-set resolver consumes exactly this breakdown
-(:func:`load_profile` / :func:`phase_fractions`).
+the perf trajectory ships with a breakdown of *where* the time went.
 
 Profiling reads the host clock, which is inherently non-deterministic;
 that is acceptable here because the profile is an observability artifact,
@@ -27,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -244,59 +242,6 @@ def _aggregate_phases(
     return [merged[name] for name in order]
 
 
-def load_profile(path: str) -> Dict[str, object]:
-    """Load a ``profile.json`` export, upgrading schema v1 in memory.
-
-    v1 files carried one opaque ``episode`` phase; the shim keeps them
-    loadable (phases aggregate by name, ``upgraded_from`` records the
-    original schema). Consumers that need sub-phase labels — the
-    perflint hot-set resolver — treat ``episode`` as "all sub-phases".
-
-    Raises :class:`ValueError` for unknown schemas or malformed files.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"profile {path!r} is not a JSON object")
-    schema = data.get("schema")
-    phases = data.get("phases")
-    if not isinstance(phases, list):
-        raise ValueError(f"profile {path!r} has no phase list")
-    if schema == PROFILE_SCHEMA_VERSION:
-        return data
-    if schema == 1:
-        upgraded: Dict[str, object] = dict(data)
-        upgraded["schema"] = PROFILE_SCHEMA_VERSION
-        upgraded["upgraded_from"] = 1
-        upgraded["phases"] = _aggregate_phases(
-            [entry for entry in phases if isinstance(entry, dict)]
-        )
-        return upgraded
-    raise ValueError(
-        f"profile {path!r} has unsupported schema {schema!r} "
-        f"(this build reads v1..v{PROFILE_SCHEMA_VERSION})"
-    )
-
-
-def phase_fractions(report: Mapping[str, object]) -> Dict[str, float]:
-    """Wall-clock fraction per phase name, from a loaded profile report."""
-    phases = report.get("phases")
-    if not isinstance(phases, list):
-        return {}
-    walls: Dict[str, float] = {}
-    for entry in phases:
-        if not isinstance(entry, dict):
-            continue
-        name = entry.get("phase")
-        wall = entry.get("wall_seconds")
-        if isinstance(name, str) and isinstance(wall, (int, float)):
-            walls[name] = walls.get(name, 0.0) + float(wall)
-    total = sum(walls.values())
-    if total <= 0.0:
-        return {name: 0.0 for name in walls}
-    return {name: wall / total for name, wall in walls.items()}
-
-
 __all__ = [
     "HOT_PHASE_LABELS",
     "PHASE_DECISION_PROCESS",
@@ -309,6 +254,4 @@ __all__ = [
     "TAG_PHASE_MAP",
     "EnginePhaseProbe",
     "PhaseProfiler",
-    "load_profile",
-    "phase_fractions",
 ]

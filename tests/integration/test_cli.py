@@ -199,22 +199,6 @@ def test_lint_cache_dir_reports_stats_and_identical_json(capsys, tmp_path):
     assert "1/1 local hits" in warm.err
 
 
-def test_lint_jobs_matches_sequential_output(capsys, tmp_path):
-    for name in ("a", "b", "c"):
-        (tmp_path / f"{name}.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
-        )
-    assert main(["lint", "--format", "json", str(tmp_path)]) == 1
-    sequential = capsys.readouterr().out
-    assert main(["lint", "--format", "json", "--jobs", "2", str(tmp_path)]) == 1
-    parallel = capsys.readouterr().out
-    assert parallel == sequential
-
-
-def test_lint_rejects_bad_jobs(capsys):
-    assert main(["lint", "--jobs", "0", "src"]) == 2
-
-
 def test_lint_pass_perf_lists_info_with_show_info(capsys, tmp_path):
     fixture = tmp_path / "hot.py"
     fixture.write_text(
@@ -400,9 +384,11 @@ def test_lint_fail_on_exit_codes(capsys, tmp_path):
 
 
 def test_lint_fail_on_bad_value_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["lint", "--fail-on", "bogus", "src"])
-    assert excinfo.value.code == 2
+    # ``--jobs`` belongs to the sweep executor; lint has one run path.
+    for argv in (["--fail-on", "bogus"], ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", *argv, "src"])
+        assert excinfo.value.code == 2
     capsys.readouterr()
 
 

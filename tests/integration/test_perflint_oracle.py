@@ -32,10 +32,6 @@ from repro.topology.mesh import mesh_topology
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import Scenario, ScenarioConfig
 
-#: Nonexistent profile: the resolver treats every phase as hot, keeping
-#: the static side independent of the committed benchmark profile.
-NO_PROFILE = "/nonexistent/profile.json"
-
 # ----------------------------------------------------------------------
 # static side: one seeded violation per PERF rule
 # ----------------------------------------------------------------------
@@ -130,7 +126,7 @@ SEEDED_VIOLATIONS = {
 
 
 def _perf_report(source: str, module: str):
-    config = make_config(passes=("perf",), hot_profile=NO_PROFILE)
+    config = make_config(passes=("perf",))
     return lint_source(
         textwrap.dedent(source), path="seeded.py", config=config, module=module
     )

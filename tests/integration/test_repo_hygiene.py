@@ -126,6 +126,44 @@ def test_detlint_full_tree_is_clean():
     assert not report.blocking_findings("warning"), "\n" + render_text(report)
 
 
+def test_path_scoped_rules_survive_a_checkout_directory_named_repro():
+    """The gate above lints an absolute path; a clone into ``repro/``
+    must not rename every module and switch the path-scoped rules off."""
+    from repro.lint import lint_source, make_config
+    from repro.lint.runner import module_name_for
+
+    source = "import os\n\ndef f():\n    return os.environ['X']\n"
+    for path in ("src/repro/sim/x.py", "/home/u/repro/src/repro/sim/x.py"):
+        assert module_name_for(path) == "repro.sim.x"
+        report = lint_source(source, path, make_config(passes=("det",)))
+        assert [f.rule_id for f in report.findings] == ["DET007"]
+    assert module_name_for("repro/sim/__init__.py") == "repro.sim"
+
+
+def test_every_phase_root_names_a_function_in_src():
+    """A renamed root otherwise drops out of the hot set without a word
+    and its PERF warnings cool to advisory info."""
+    from repro.lint import ProjectGraph, summarize_file
+    from repro.lint.perf import PHASE_ROOTS
+    from repro.lint.runner import module_name_for
+
+    project = ProjectGraph(
+        summarize_file(
+            ast.parse(path.read_text(encoding="utf-8")),
+            str(path),
+            module_name_for(str(path)),
+        )
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+    )
+    missing = [
+        name
+        for names in PHASE_ROOTS.values()
+        for name in names
+        if not project.has_function(name)
+    ]
+    assert not missing, f"PHASE_ROOTS names no function in src/: {missing}"
+
+
 def test_detlint_rule_catalogue_is_documented():
     """Every rule id appears in docs/STATIC_ANALYSIS.md with its rationale."""
     from repro.lint import RULE_IDS

@@ -3,13 +3,14 @@
 The contract under test: the cache is a *pure accelerator*. Whatever
 combination of warm entries, edits, rule-set bumps, call-graph rewires,
 or corrupted cache files the engine encounters, the merged report must
-be byte-identical (as rendered JSON) to a cold sequential run of the
+be byte-identical (as rendered JSON) to a cold uncached run of the
 same tree — the cache may only change *how much work* that takes, which
 the hit/miss counters make observable.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 
@@ -17,11 +18,6 @@ import pytest
 
 import repro.lint.cache as cache_module
 from repro.lint import lint_paths, make_config, render_json
-
-#: Nonexistent profile -> every phase hot; heat then depends only on the
-#: fixture tree's own call graph (callback registrations), so the tests
-#: are independent of the committed benchmark profile.
-NO_PROFILE = "/nonexistent/profile.json"
 
 ALPHA_COLD = '''
 """Alpha fixture: plain cross-file caller."""
@@ -76,13 +72,12 @@ def tree(tmp_path):
 
 
 def config():
-    return make_config(passes=("all",), hot_profile=NO_PROFILE)
+    return make_config(passes=("all",))
 
 
-def run(tree, cache_dir=None, jobs=1):
+def run(tree, cache_dir=None):
     report = lint_paths(
-        [str(tree)], config(), cache_dir=str(cache_dir) if cache_dir else None,
-        jobs=jobs,
+        [str(tree)], config(), cache_dir=str(cache_dir) if cache_dir else None
     )
     return report
 
@@ -114,12 +109,6 @@ class TestWarmRuns:
     def test_cache_stats_absent_without_cache_dir(self, tree):
         report = run(tree)
         assert report.cache_stats is None
-
-    def test_parallel_warm_run_matches_sequential(self, tree, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = run(tree, cache_dir)
-        warm = run(tree, cache_dir, jobs=4)
-        assert render_json(warm) == render_json(cold)
 
 
 class TestEditOneFile:
@@ -187,11 +176,54 @@ class TestCallGraphInvalidation:
         }
 
 
+class TestParseOnce:
+    """A file is parsed at most once per run, and not at all when every
+    cache entry it needs hits."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        names = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            names.append(str(filename).rsplit("/", 1)[-1])
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        return names
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_cold_run_parses_each_file_exactly_once(
+        self, tree, tmp_path, parsed, cached
+    ):
+        run(tree, tmp_path / "cache" if cached else None)
+        assert sorted(parsed) == ["alpha.py", "beta.py"]
+
+    def test_warm_run_parses_nothing(self, tree, tmp_path, parsed):
+        run(tree, tmp_path / "cache")
+        del parsed[:]
+        run(tree, tmp_path / "cache")
+        assert parsed == []
+
+    def test_hot_slice_change_parses_the_edited_and_the_affected_file(
+        self, tree, tmp_path, parsed
+    ):
+        run(tree, tmp_path / "cache")
+        del parsed[:]
+        # Alpha's new call edge heats beta.helper: alpha is re-linted,
+        # and beta — a local cache hit — is parsed for its perf pass only.
+        (tree / "repro" / "alpha.py").write_text(textwrap.dedent(ALPHA_HOT))
+        run(tree, tmp_path / "cache")
+        assert sorted(parsed) == ["alpha.py", "beta.py"]
+
+
 class TestRuleSetVersion:
     def test_version_bump_invalidates_everything(self, tree, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
         cold = run(tree, cache_dir)
-        monkeypatch.setattr(cache_module, "RULE_SET_VERSION", 999)
+        # The rule-set signature covers the lint package's own source: a
+        # different source digest must make every entry invisible.
+        monkeypatch.setattr(cache_module, "lint_source_digest", lambda: "0" * 64)
         bumped = run(tree, cache_dir)
         assert stats(bumped) == {
             "local_hits": 0,
@@ -204,7 +236,7 @@ class TestRuleSetVersion:
     def test_config_change_never_aliases_entries(self, tree, tmp_path):
         cache_dir = tmp_path / "cache"
         run(tree, cache_dir)
-        narrowed = make_config(passes=("perf",), hot_profile=NO_PROFILE)
+        narrowed = make_config(passes=("perf",))
         report = lint_paths([str(tree)], narrowed, cache_dir=str(cache_dir))
         # Different config digest -> the previous entries are invisible.
         assert stats(report)["local_misses"] == 2

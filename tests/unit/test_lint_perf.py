@@ -4,44 +4,37 @@ Every rule gets a seeded fixture that must fire and compliant code that
 must stay silent. Severity scoping is exercised both ways: the same
 hazard is a ``warning`` inside the computed hot set (phase roots,
 callback registrations, their transitive callees) and an advisory
-``info`` outside it. The :class:`~repro.lint.perf.HotSetResolver` is
-tested directly against synthetic profiles (v2 sub-phases, the v1
-``episode`` shim, missing/corrupt profiles), and the suppression parser
-is exercised for all four comment prefixes.
+``info`` outside it. :func:`~repro.lint.perf.hot_functions` is tested
+directly as a pure function of the source tree, and the suppression
+parser is exercised for all four comment prefixes.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import textwrap
 
 import pytest
 
 from repro.lint import (
-    HotSetResolver,
     ProjectGraph,
+    hot_functions,
     lint_source,
     make_config,
     summarize_file,
 )
-from repro.lint.perf import PERF_RULE_IDS, PHASE_ROOTS
-
-#: A profile path that never exists: the resolver then treats every
-#: profiled phase as hot, so heat depends only on the call graph.
-NO_PROFILE = "/nonexistent/profile.json"
+from repro.lint.perf import PERF_RULE_IDS
 
 
-def perf_config(**kwargs):
-    kwargs.setdefault("hot_profile", NO_PROFILE)
-    return make_config(passes=("perf",), **kwargs)
+def perf_config():
+    return make_config(passes=("perf",))
 
 
-def perf_findings(source: str, module: str = "repro.sample.fixture", **kwargs):
+def perf_findings(source: str, module: str = "repro.sample.fixture"):
     report = lint_source(
         textwrap.dedent(source),
         path="fixture.py",
-        config=perf_config(**kwargs),
+        config=perf_config(),
         module=module,
     )
     assert not report.parse_errors
@@ -499,7 +492,7 @@ class TestHotSetSeverity:
 
 
 # ----------------------------------------------------------------------
-# HotSetResolver against synthetic profiles
+# the hot set as a pure function of the source tree
 # ----------------------------------------------------------------------
 
 _GRAPH_SOURCE = """
@@ -514,91 +507,20 @@ def unrelated(candidates):
 """
 
 
-class TestHotSetResolver:
-    def graph(self) -> ProjectGraph:
-        return graph_of(_GRAPH_SOURCE, "repro.bgp.decision")
-
-    def test_threshold_filters_phases(self):
-        resolver = HotSetResolver(
-            self.graph(),
-            {"decision_process": 0.60, "penalty_decay": 0.01},
-            threshold=0.05,
-        )
-        assert resolver.hot_phases() == ["decision_process"]
-
-    def test_setup_phases_never_count_as_hot(self):
-        resolver = HotSetResolver(
-            self.graph(), {"build": 0.90, "workload": 0.10}, threshold=0.05
-        )
-        assert resolver.hot_phases() == []
-
-    def test_v1_episode_label_means_all_phases(self):
-        resolver = HotSetResolver(self.graph(), {"episode": 1.0}, threshold=0.05)
-        assert resolver.hot_phases() == sorted(PHASE_ROOTS)
-
-    def test_missing_profile_means_all_phases(self):
-        resolver = HotSetResolver(self.graph(), None, threshold=0.05)
-        assert resolver.hot_phases() == sorted(PHASE_ROOTS)
-
+class TestHotFunctions:
     def test_hot_set_closes_over_call_graph(self):
-        resolver = HotSetResolver(
-            self.graph(), {"decision_process": 1.0}, threshold=0.05
-        )
-        hot = resolver.hot_set()
+        hot = hot_functions(graph_of(_GRAPH_SOURCE, "repro.bgp.decision"))
         assert "repro.bgp.decision.select_best" in hot
         assert "repro.bgp.decision.shared_helper" in hot
         assert "repro.bgp.decision.unrelated" not in hot
 
-    def test_from_config_reads_profile_file(self, tmp_path):
-        profile = tmp_path / "profile.json"
-        profile.write_text(
-            json.dumps(
-                {
-                    "schema": 2,
-                    "phases": [
-                        {"phase": "decision_process", "wall_seconds": 9.0},
-                        {"phase": "penalty_decay", "wall_seconds": 1.0},
-                        {"phase": "mrai_flush", "wall_seconds": 0.01},
-                    ],
-                }
-            )
-        )
-        config = make_config(
-            passes=("perf",), hot_profile=str(profile), hot_threshold=0.05
-        )
-        resolver = HotSetResolver.from_config(config, self.graph())
-        assert resolver.hot_phases() == ["decision_process", "penalty_decay"]
-
-    def test_from_config_corrupt_profile_falls_back_to_all_hot(self, tmp_path):
-        profile = tmp_path / "profile.json"
-        profile.write_text("{not json")
-        config = make_config(passes=("perf",), hot_profile=str(profile))
-        resolver = HotSetResolver.from_config(config, self.graph())
-        assert resolver.hot_phases() == sorted(PHASE_ROOTS)
-
-    def test_cold_profile_downgrades_phase_root_to_info(self, tmp_path):
-        # A profile that spends everything in mrai_flush leaves the
-        # decision-process roots cold -> info severity.
-        profile = tmp_path / "profile.json"
-        profile.write_text(
-            json.dumps(
-                {
-                    "schema": 2,
-                    "phases": [{"phase": "mrai_flush", "wall_seconds": 1.0}],
-                }
-            )
-        )
-        findings = perf_findings(
-            """
-            def select_best(candidates, local_pref):
-                return f"best of {candidates}"
-            """,
-            module="repro.bgp.decision",
-            hot_profile=str(profile),
-        )
-        perf004 = [f for f in findings if f.rule_id == "PERF004"]
-        assert len(perf004) == 1
-        assert perf004[0].severity == "info"
+    def test_hot_set_is_the_same_from_any_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        here = hot_functions(graph_of(_GRAPH_SOURCE, "repro.bgp.decision"))
+        # No benchmarks/results/profile.json below this directory.
+        monkeypatch.chdir(tmp_path)
+        assert hot_functions(graph_of(_GRAPH_SOURCE, "repro.bgp.decision")) == here
 
 
 # ----------------------------------------------------------------------
@@ -665,7 +587,7 @@ class TestSuppressionPrefixes:
         report = lint_source(
             textwrap.dedent(source),
             path="fixture.py",
-            config=make_config(passes=("all",), hot_profile=NO_PROFILE),
+            config=make_config(passes=("all",)),
             module="repro.sim.engine",
         )
         found = {f.rule_id for f in report.findings}
