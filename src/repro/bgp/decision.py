@@ -40,11 +40,13 @@ def select_best(
     """
     best: Optional[Tuple[str, Route]] = None
     best_key: Optional[Tuple[int, int, str]] = None
-    for peer, route in candidates:
-        key = preference_key(peer, route, local_pref)
+    for candidate in candidates:
+        peer, route = candidate
+        # preference_key, inlined: one frame less per candidate.
+        key = (-local_pref(peer, route), len(route.as_path), peer)
         if best_key is None or key < best_key:
             best_key = key
-            best = (peer, route)
+            best = candidate
     return best
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 from repro.errors import ConfigurationError, TimerError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import Timer
+from repro.sim.timers import Timer, TimerState
 
 if TYPE_CHECKING:
     from repro.trace.tracer import Tracer
@@ -88,17 +88,11 @@ class MraiLimiter:
         #: prefix — the causal parent of the eventual ``mrai_flush``.
         self._defer_cause: Dict[str, Optional[int]] = {}
 
-    def _interval(self) -> float:
-        return self.config.base * self._rng.uniform(
-            self.config.jitter_low, self.config.jitter_high
-        )
-
     def may_send_now(self, peer: str) -> bool:
         """True when an announcement to ``peer`` may go out immediately."""
-        if not self.config.enabled:
-            return True
+        # A disabled limiter never creates a timer, so this covers it too.
         timer = self._timers.get(peer)
-        return timer is None or not timer.is_pending
+        return timer is None or timer.state is not TimerState.PENDING
 
     def note_sent(self, peer: str) -> None:
         """Record that an announcement was just sent to ``peer`` and start
@@ -118,7 +112,10 @@ class MraiLimiter:
                 tag="mrai",
             )
             self._timers[peer] = timer
-        timer.reschedule(self._interval())
+        config = self.config
+        timer.reschedule(
+            config.base * self._rng.uniform(config.jitter_low, config.jitter_high)
+        )
 
     def defer(self, peer: str, prefix: str) -> None:
         """Mark ``prefix`` dirty for ``peer``; it will be re-evaluated when
@@ -128,7 +125,8 @@ class MraiLimiter:
         deferring with no pending timer would strand the prefix, since
         nothing would ever flush it.
         """
-        if self.may_send_now(peer):
+        timer = self._timers.get(peer)
+        if timer is None or timer.state is not TimerState.PENDING:
             raise TimerError(
                 f"{self.owner}: defer({peer!r}, {prefix!r}) while the peer "
                 f"may send — send immediately instead"
@@ -178,7 +176,7 @@ class MraiLimiter:
         self._defer_cause.pop(peer, None)
 
     def _expired(self, peer: str) -> None:
-        dirty = self._dirty.pop(peer, set())
+        dirty = self._dirty.pop(peer, None)
         if not dirty:
             return
         trace = self.trace

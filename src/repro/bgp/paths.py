@@ -99,4 +99,10 @@ def global_path_table() -> PathTable:
 
 def intern_path(path: Path) -> Path:
     """Canonicalize ``path`` through the process-wide table."""
-    return _GLOBAL_TABLE.canonical(path)
+    # PathTable.canonical, flattened: a hit (the common case by far) is
+    # this one frame and a dict lookup.
+    table = _GLOBAL_TABLE
+    path_id = table._ids.get(path)
+    if path_id is None:
+        path_id = table.intern(path)
+    return table._paths[path_id]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.bgp.attrs import Route
-from repro.bgp.decision import select_best
+from repro.bgp.decision import preference_key, select_best
 from repro.bgp.graceful_restart import GracefulRestartConfig, GracefulRestartHelper
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig, MraiLimiter
@@ -127,6 +127,10 @@ class BgpRouter(Node):
         self._rib_in: Dict[str, AdjRibIn] = {}
         self._rib_out: Dict[str, AdjRibOut] = {}
         self._originated: Set[str] = set()
+        #: Per prefix, ``(Loc-RIB route, that route as this router announces
+        #: it)``. Valid only while the first element *is* the Loc-RIB
+        #: route, so nothing ever has to invalidate it.
+        self._exported: Dict[str, Tuple[Route, Route]] = {}
         #: Root cause of the most recent event that changed the Loc-RIB,
         #: per prefix — copied into outgoing updates.
         self._current_cause: Dict[str, Optional[RootCause]] = {}
@@ -207,8 +211,10 @@ class BgpRouter(Node):
 
     def process_update(self, peer: str, update: UpdateMessage) -> None:
         """Run the full receive pipeline for one update from ``peer``."""
+        prefix = update.prefix
+        as_path = update.as_path
         self.stats.updates_received += 1
-        if update.is_withdrawal:
+        if as_path is None:
             self.stats.withdrawals_received += 1
         else:
             self.stats.announcements_received += 1
@@ -218,31 +224,29 @@ class BgpRouter(Node):
         # falls through to the DUPLICATE early-return below — no penalty
         # charge, which is exactly graceful restart's damping benefit.
         if self.gr_helper.helping(peer):
-            self.gr_helper.note_update(peer, update.prefix)
+            self.gr_helper.note_update(peer, prefix)
 
         # Receiver-side loop protection (sender-side split horizon should
         # already prevent this; drop defensively).
-        if update.as_path is not None and self.name in update.as_path:
+        if as_path is not None and self.name in as_path:
             return
 
         table = self.rib_in(peer)
-        kind = table.classify(update.prefix, update.as_path)
+        kind = table.classify(prefix, as_path)
         if kind is UpdateKind.DUPLICATE:
             self.stats.duplicates_ignored += 1
             return
-        if kind is None and update.is_withdrawal:
+        if kind is None and as_path is None:
             return  # withdrawal for a route the peer never announced
 
-        table.apply(update.prefix, update.as_path, update.root_cause)
+        table.apply(prefix, as_path, update.root_cause)
 
         if self.damping is not None and kind is not None:
             charge = self._should_charge(peer, kind, update)
             kind_for_penalty = self._penalty_kind(kind, update)
-            self.damping.record_update(
-                peer, update.prefix, kind_for_penalty, charge=charge
-            )
+            self.damping.record_update(peer, prefix, kind_for_penalty, charge=charge)
 
-        self._reselect(update.prefix, update.root_cause)
+        self._reselect(prefix, update.root_cause, peer)
 
     def _should_charge(self, peer: str, kind: UpdateKind, update: UpdateMessage) -> bool:
         if self.config.rcn_enabled:
@@ -294,11 +298,39 @@ class BgpRouter(Node):
             return _SELF_ORIGINATED_PREF
         return self.policy.local_pref(self.name, peer, route)
 
-    def _reselect(self, prefix: str, cause: Optional[RootCause]) -> bool:
+    def _reselect(
+        self, prefix: str, cause: Optional[RootCause], moved: Optional[str] = None
+    ) -> bool:
         """Re-run path selection; on change, record the cause and export.
 
         Returns ``True`` when the Loc-RIB changed.
+
+        Invariant: between events, ``Loc-RIB[prefix]`` is the full-scan
+        winner (``select_best`` over ``_candidates``) for ``prefix``.
+        Every mutation of a candidate re-establishes it by ending here:
+        ``process_update``, ``_on_reuse``, ``_withdraw_peer_routes``,
+        ``originate`` / ``withdraw_origination``, ``restart`` and
+        ``reset_damping``. A caller that moved exactly one peer's
+        candidate names it in ``moved``; the scan is then skipped when
+        that cannot change the winner — the peer does not hold the
+        Loc-RIB route and its candidate is absent, suppressed, or loses
+        to the Loc-RIB route under the decision process's order (a looped
+        one never reaches the Adj-RIB-In; the scan would drop it).
         """
+        if moved is not None:
+            held = self.loc_rib.route(prefix)
+            if held is None or held.learned_from != moved:
+                route = self._rib_in[moved].route(prefix)
+                if route is None or (
+                    self.damping is not None
+                    and self.damping.is_suppressed(moved, prefix)
+                ):
+                    return False
+                pref = self._local_pref
+                if held is not None and preference_key(
+                    moved, route, pref
+                ) > preference_key(held.learned_from, held, pref):
+                    return False
         best = select_best(self._candidates(prefix), self._local_pref)
         changed = self.loc_rib.set_route(prefix, best[1] if best else None)
         if changed:
@@ -322,7 +354,7 @@ class BgpRouter(Node):
         """Damping reuse-timer callback; returns True when noisy."""
         entry = self.rib_in(peer).entry(prefix)
         cause = entry.root_cause if entry is not None else None
-        return self._reselect(prefix, cause)
+        return self._reselect(prefix, cause, peer)
 
     # ------------------------------------------------------------------
     # export path
@@ -334,18 +366,27 @@ class BgpRouter(Node):
         best = self.loc_rib.route(prefix)
         if best is None:
             return None
-        if best.learned_from == self.name:
-            announced_path = best.as_path  # self-originated, already starts with us
-        else:
-            announced_path = (self.name,) + best.as_path
-        if peer in announced_path:
-            return None  # sender-side loop prevention (covers learned-from peer)
+        # Sender-side loop prevention (covers the learned-from peer). Our
+        # own AS is never ``peer``, so the path as received decides.
+        if peer in best.as_path:
+            return None
         if not self.policy.permits_export(self.name, best, peer):
             return None
-        return Route(prefix=prefix, as_path=announced_path, learned_from=self.name)
+        cached = self._exported.get(prefix)
+        if cached is not None and cached[0] is best:
+            return cached[1]
+        exported = best  # self-originated: already starts with us
+        if best.learned_from != self.name:
+            exported = Route(
+                prefix=prefix,
+                as_path=(self.name,) + best.as_path,
+                learned_from=self.name,
+            )
+        self._exported[prefix] = (best, exported)
+        return exported
 
     def _export(self, prefix: str) -> None:
-        for peer in self.neighbors:
+        for peer in self._links:
             self._sync_peer(peer, prefix)
 
     def _sync_peer(self, peer: str, prefix: str) -> None:
@@ -398,17 +439,14 @@ class BgpRouter(Node):
         return sent
 
     def _send_announcement(self, peer: str, route: Route) -> None:
+        prefix = route.prefix
         table = self.rib_out(peer)
-        entry = table.entry(route.prefix)
-        preference = compare_paths(entry.last_announced_length, route.path_length)
-        cause = self._current_cause.get(route.prefix) if self.config.attach_root_cause else None
-        update = UpdateMessage(
-            prefix=route.prefix,
-            as_path=route.as_path,
-            root_cause=cause,
-            preference=preference,
+        preference = compare_paths(
+            table.entry(prefix).last_announced_length, route.path_length
         )
-        table.record_announcement(route.prefix, route)
+        cause = self._current_cause.get(prefix) if self.config.attach_root_cause else None
+        update = UpdateMessage(prefix, route.as_path, cause, preference)
+        table.record_announcement(prefix, route)
         self.stats.updates_sent += 1
         self.stats.announcements_sent += 1
         self.send(peer, update)
@@ -469,7 +507,7 @@ class BgpRouter(Node):
                 and self.config.charge_on_session_reset
             ):
                 self.damping.record_update(peer, prefix, kind)
-            self._reselect(prefix, entry.root_cause)
+            self._reselect(prefix, entry.root_cause, peer)
 
     # ------------------------------------------------------------------
     # crash / restart life cycle (fault injection)
@@ -490,7 +528,7 @@ class BgpRouter(Node):
         # Quiesce every timer this router owns before discarding the
         # state behind it (armed timers surviving their owner are the
         # runtime shape of timerlint TIM001).
-        for peer in self.neighbors:
+        for peer in self._links:
             self.mrai.reset_peer(peer)
         if self.damping is not None:
             self.damping.cancel_all_timers()
@@ -600,9 +638,13 @@ class BgpRouter(Node):
             # runtime shape; scenarios call this post-drain, but the reset
             # must be safe mid-flight too).
             self.damping.cancel_all_timers()
+            released = {prefix for _, prefix in self.damping.suppressed_entries()}
             self.damping = DampingManager(
                 self.engine, self.config.damping, self.name, self._on_reuse
             )
+            # Entries that were suppressed are candidates again.
+            for prefix in sorted(released):
+                self._reselect(prefix, None)
         self.selective_filter.clear()
 
     def dump_state(self, prefix: Optional[str] = None) -> Dict[str, object]:

@@ -13,7 +13,7 @@ warm-up — so warm-up traffic never pollutes the metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.router import BgpRouter
@@ -24,9 +24,8 @@ from repro.metrics.series import bin_counts, to_step_series
 from repro.sim.events import ScheduleTie
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One observed update delivery."""
+class UpdateRecord(NamedTuple):
+    """One observed update delivery (a tuple: one is kept per update)."""
 
     time: float
     src: str
@@ -103,11 +102,11 @@ class MetricsCollector:
         assert message.delivered_at is not None
         self.updates.append(
             UpdateRecord(
-                time=message.delivered_at,
-                src=message.src,
-                dst=message.dst,
-                is_withdrawal=payload.is_withdrawal,
-                prefix=payload.prefix,
+                message.delivered_at,
+                message.src,
+                message.dst,
+                payload.is_withdrawal,
+                payload.prefix,
             )
         )
 

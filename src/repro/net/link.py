@@ -18,6 +18,7 @@ drop path instead of silently vanishing.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
@@ -86,25 +87,18 @@ class Link:
         self.loss_rate = 0.0
         self.duplicate_rate = 0.0
         self.extra_jitter = 0.0
-        # Earliest time the next message in each direction may be
+        #: True while any impairment (loss/duplication/jitter) is active.
+        self.impaired = False
+        # Earliest time the next message towards each endpoint may be
         # delivered, to preserve per-direction FIFO order.
-        self._next_free: Dict[Tuple[str, str], float] = {}
-        # Per-direction delivery batches, created on first use when the
+        self._next_free: Dict[str, float] = {}
+        # Per-destination delivery batches, created on first use when the
         # network coalesces deliveries (see _DeliveryBatch).
-        self._batches: Dict[Tuple[str, str], "_DeliveryBatch"] = {}
+        self._batches: Dict[str, "_DeliveryBatch"] = {}
 
     @property
     def endpoints(self) -> Tuple[str, str]:
         return (self.a, self.b)
-
-    @property
-    def impaired(self) -> bool:
-        """True while any impairment (loss/duplication/jitter) is active."""
-        return (
-            self.loss_rate > 0.0
-            or self.duplicate_rate > 0.0
-            or self.extra_jitter > 0.0
-        )
 
     def other_end(self, node: str) -> str:
         """The endpoint opposite ``node``."""
@@ -144,6 +138,7 @@ class Link:
         self.loss_rate = loss
         self.duplicate_rate = duplicate
         self.extra_jitter = extra_jitter
+        self.impaired = loss > 0.0 or duplicate > 0.0 or extra_jitter > 0.0
         if self.impaired and self._fault_rng is None:
             key = f"fault:link:{min(self.a, self.b)}-{max(self.a, self.b)}"
             self._fault_rng = self._rng_registry.stream(key)
@@ -153,6 +148,7 @@ class Link:
         self.loss_rate = 0.0
         self.duplicate_rate = 0.0
         self.extra_jitter = 0.0
+        self.impaired = False
 
     # ------------------------------------------------------------------
     # traffic
@@ -167,60 +163,68 @@ class Link:
         drop is reported through the network's drop path.
         """
         dst = self.other_end(src)
-        message = Message(src=src, dst=dst, payload=payload)
-        message.sent_at = self._engine.now
+        now = self._engine.now
+        message = Message(src, dst, payload, sent_at=now)
+        trace = self._network.trace
+        if trace is not None:
+            # The one place a send is recorded — before any drop or
+            # duplication, so both can name it as their cause.
+            trace.note_send(message, now)
         if not self.up:
             self._drop(message, "link-down")
-            return message
-        if self.impaired and self._apply_impairment(message):
-            return message
-        self._schedule_delivery(message, self._base_delay())
+        elif self.impaired:
+            self._send_impaired(message)
+        else:
+            self._schedule_delivery(message, self._base_delay())
         return message
 
     def _base_delay(self) -> float:
         return self.config.base_delay + self._rng.uniform(0.0, self.config.jitter)
 
-    def _apply_impairment(self, message: Message) -> bool:
-        """Run the impairment draws for one send. Returns ``True`` when
-        the message was consumed (lost); duplication schedules the extra
-        copy itself and returns ``False`` so the original still ships."""
+    def _send_impaired(self, message: Message) -> None:
+        """Ship ``message`` through the active impairment: it is lost, or
+        scheduled exactly once plus once more per duplication."""
         rng = self._fault_rng
         assert rng is not None  # set_impairment created it
         if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
             self._drop(message, "loss")
-            return True
+            return
+        self._schedule_delivery(message, self._impaired_delay())
+        if self.duplicate_rate > 0.0 and rng.random() < self.duplicate_rate:
+            copy = Message(
+                message.src,
+                message.dst,
+                message.payload,
+                sent_at=message.sent_at,
+                trace_id=message.trace_id,
+            )
+            self._schedule_delivery(copy, self._impaired_delay())
+
+    def _impaired_delay(self) -> float:
         delay = self._base_delay()
         if self.extra_jitter > 0.0:
-            delay += rng.uniform(0.0, self.extra_jitter)
-        self._schedule_delivery(message, delay)
-        if self.duplicate_rate > 0.0 and rng.random() < self.duplicate_rate:
-            copy = Message(src=message.src, dst=message.dst, payload=message.payload)
-            copy.sent_at = self._engine.now
-            copy.trace_id = message.trace_id
-            dup_delay = self._base_delay()
-            if self.extra_jitter > 0.0:
-                dup_delay += rng.uniform(0.0, self.extra_jitter)
-            self._schedule_delivery(copy, dup_delay)
-        return False
+            delay += self._fault_rng.uniform(0.0, self.extra_jitter)
+        return delay
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
-        deliver_at = self._engine.now + delay
-        key = (message.src, message.dst)
-        floor = self._next_free.get(key, 0.0)
+        dst = message.dst
+        deliver_at = message.sent_at + delay
+        floor = self._next_free.get(dst, 0.0)
         if deliver_at < floor:
             deliver_at = floor
-        self._next_free[key] = deliver_at
+        self._next_free[dst] = deliver_at
         if self._network.coalesce_delivery:
-            batch = self._batches.get(key)
+            batch = self._batches.get(dst)
             if batch is None:
-                batch = _DeliveryBatch(self, message.dst)
-                self._batches[key] = batch
+                batch = _DeliveryBatch(self, dst)
+                self._batches[dst] = batch
             batch.enqueue(message, deliver_at)
             return
+        # A partial, not a lambda: in-flight messages stay picklable.
         self._engine.schedule_at(
             deliver_at,
-            lambda: self._deliver(message),
-            actor=message.dst,
+            functools.partial(self._deliver, message),
+            actor=dst,
             tag="deliver",
         )
 

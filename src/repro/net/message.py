@@ -9,25 +9,40 @@ reaching into the transport.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 _message_ids = itertools.count(1)
 
 
-@dataclass
 class Message:
-    """An in-flight unit of communication between two adjacent nodes."""
+    """An in-flight unit of communication between two adjacent nodes.
 
-    src: str
-    dst: str
-    payload: Any
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    sent_at: Optional[float] = None
-    delivered_at: Optional[float] = None
-    #: Id of this message's ``send`` trace record, stamped by the causal
-    #: tracer so the delivery can name its cause (None when not tracing).
-    trace_id: Optional[int] = None
+    Slotted, with a hand-written ``__init__``: one is allocated per send.
+    """
+
+    __slots__ = (
+        "src", "dst", "payload", "msg_id", "sent_at", "delivered_at", "trace_id"
+    )
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        payload: Any,
+        msg_id: Optional[int] = None,
+        sent_at: Optional[float] = None,
+        delivered_at: Optional[float] = None,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        #: Id of this message's ``send`` trace record, stamped by the causal
+        #: tracer so the delivery can name its cause (None when not tracing).
+        self.trace_id = trace_id
 
     @property
     def latency(self) -> Optional[float]:

@@ -83,8 +83,8 @@ class Network:
             raise ConfigurationError(f"link {a}-{b} already exists")
         link = Link(self, a, b, config or LinkConfig(), self.engine, self.rng)
         self._links[key] = link
-        self._nodes[a].on_link_added(b)
-        self._nodes[b].on_link_added(a)
+        self._nodes[a].on_link_added(b, link)
+        self._nodes[b].on_link_added(a, link)
         return link
 
     # ------------------------------------------------------------------
@@ -135,13 +135,7 @@ class Network:
 
     def send(self, src: str, dst: str, payload: object) -> Message:
         """Send ``payload`` over the direct link from ``src`` to ``dst``."""
-        link = self.link(src, dst)
-        message = link.send(src, payload)
-        # A send dropped inside the link (down / lossy) already recorded
-        # its own send record so the drop could name its cause.
-        if self.trace is not None and message.trace_id is None:
-            self.trace.note_send(message, self.engine.now)
-        return message
+        return self.link(src, dst).send(src, payload)
 
     def deliver(self, message: Message) -> None:
         """Called by links when a message arrives; dispatches to the node."""
@@ -167,11 +161,6 @@ class Network:
         """
         self.messages_dropped += 1
         if self.trace is not None:
-            if message.trace_id is None:
-                # Dropped before Network.send could record it (down or
-                # lossy link at send time): emit the send record first so
-                # the drop has a cause edge in the DAG.
-                self.trace.note_send(message, self.engine.now)
             self.trace.note_drop(message, self.engine.now, reason)
         for hook in self._drop_hooks:
             hook(message, reason)

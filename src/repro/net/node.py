@@ -8,11 +8,12 @@ see :class:`repro.bgp.router.BgpRouter`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.link import Link
     from repro.net.network import Network
 
 
@@ -22,7 +23,9 @@ class Node:
     def __init__(self, name: str) -> None:
         self.name = name
         self._network: "Network" = None  # type: ignore[assignment]
-        self._neighbors: List[str] = []
+        #: Neighbour name -> the link to it, in attachment order (filled
+        #: by :meth:`Network.add_link`); the keys are the neighbour list.
+        self._links: Dict[str, "Link"] = {}
         #: False while the node is crashed: the network drops messages
         #: addressed to it instead of dispatching (see
         #: :meth:`repro.net.network.Network.crash_router`).
@@ -37,20 +40,23 @@ class Node:
     @property
     def neighbors(self) -> List[str]:
         """Names of directly connected nodes, in attachment order."""
-        return list(self._neighbors)
+        return list(self._links)
 
     def attach(self, network: "Network") -> None:
         """Called by :class:`Network` when the node is added."""
         self._network = network
 
-    def on_link_added(self, neighbor: str) -> None:
-        """Called by :class:`Network` when a link to ``neighbor`` is wired."""
-        if neighbor not in self._neighbors:
-            self._neighbors.append(neighbor)
+    def on_link_added(self, neighbor: str, link: "Link") -> None:
+        """Called by :class:`Network` when ``link`` to ``neighbor`` is wired."""
+        self._links[neighbor] = link
 
     def send(self, neighbor: str, payload: object) -> Message:
         """Send ``payload`` over the direct link to ``neighbor``."""
-        return self.network.send(self.name, neighbor, payload)
+        link = self._links.get(neighbor)
+        if link is None:
+            # Not adjacent (or not attached): the network raises for both.
+            return self.network.send(self.name, neighbor, payload)
+        return link.send(self.name, payload)
 
     def handle_message(self, message: Message) -> None:
         """Process a delivered message. Subclasses override."""
@@ -100,4 +106,4 @@ class Node:
         """Hook invoked once when the simulation begins. Optional."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name!r}, degree={len(self._neighbors)})"
+        return f"{type(self).__name__}({self.name!r}, degree={len(self._links)})"

@@ -66,17 +66,14 @@ class Timer:
         self._name = name
         self._actor = actor
         self._tag = tag
-        self._state = TimerState.IDLE
+        #: Current life-cycle state; read-only for everyone but the timer.
+        self.state = TimerState.IDLE
         self._event: Optional[ScheduledEvent] = None
         self._expiry: Optional[float] = None
 
     @property
-    def state(self) -> TimerState:
-        return self._state
-
-    @property
     def is_pending(self) -> bool:
-        return self._state is TimerState.PENDING
+        return self.state is TimerState.PENDING
 
     @property
     def expiry(self) -> Optional[float]:
@@ -98,14 +95,14 @@ class Timer:
         TimerError
             If the timer is already pending (use :meth:`reschedule`).
         """
-        if self._state is TimerState.PENDING:
+        if self.state is TimerState.PENDING:
             raise TimerError(f"timer {self._name!r} already pending; use reschedule()")
         self._arm(delay)
 
     def reschedule(self, delay: float) -> None:
         """Move a pending timer's expiry to ``delay`` seconds from now,
         or arm an idle one."""
-        if self._state is TimerState.PENDING and self._event is not None:
+        if self.state is TimerState.PENDING and self._event is not None:
             self._event.cancel()
             audit = self._engine.timer_audit
             if audit is not None:
@@ -117,17 +114,17 @@ class Timer:
 
         Returns ``True`` if the timer was armed by this call.
         """
-        if self._state is TimerState.PENDING:
+        if self.state is TimerState.PENDING:
             return False
         self._arm(delay)
         return True
 
     def cancel(self) -> None:
         """Disarm a pending timer; a no-op in any other state."""
-        if self._state is TimerState.PENDING and self._event is not None:
+        if self.state is TimerState.PENDING and self._event is not None:
             self._event.cancel()
             self._event = None
-            self._state = TimerState.CANCELLED
+            self.state = TimerState.CANCELLED
             self._expiry = None
             audit = self._engine.timer_audit
             if audit is not None:
@@ -136,11 +133,12 @@ class Timer:
     def _arm(self, delay: float) -> None:
         if delay < 0:
             raise TimerError(f"timer {self._name!r} delay must be >= 0, got {delay}")
-        self._expiry = self._engine.now + delay
-        self._event = self._engine.schedule(
-            delay, self._fire, actor=self._actor, tag=self._tag
+        engine = self._engine
+        self._expiry = expiry = engine.now + delay
+        self._event = engine.schedule_at(
+            expiry, self._fire, actor=self._actor, tag=self._tag
         )
-        self._state = TimerState.PENDING
+        self.state = TimerState.PENDING
         audit = self._engine.timer_audit
         if audit is not None:
             audit.record_arm(self)
@@ -155,14 +153,14 @@ class Timer:
             audit.record_fire(self)
         # The engine only calls this for non-cancelled events, but a
         # reschedule may have replaced self._event; guard on state anyway.
-        if self._state is not TimerState.PENDING:
+        if self.state is not TimerState.PENDING:
             return
-        self._state = TimerState.FIRED
+        self.state = TimerState.FIRED
         self._event = None
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer({self._name!r}, state={self._state.value}, expiry={self._expiry})"
+        return f"Timer({self._name!r}, state={self.state.value}, expiry={self._expiry})"
 
 
 @dataclass(frozen=True)

@@ -171,3 +171,22 @@ def test_detlint_rule_catalogue_is_documented():
     doc = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(encoding="utf-8")
     for rule_id in RULE_IDS:
         assert rule_id in doc, f"{rule_id} missing from docs/STATIC_ANALYSIS.md"
+
+
+def test_every_bench_shim_site_resolves(monkeypatch):
+    """The frozen benchmark (``bench/``, run by the merge gate) shims
+    ~30 ``src/`` callables by owner and name and restores them from
+    ``vars(owner)``; a rename or a move to a base class must fail here,
+    not only in the CI-only ``pytest bench`` step."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from bench.trace import Recorder, _shim_plan, shims_installed
+
+    plan = _shim_plan(Recorder())
+    assert len(plan) >= 30
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attribute}"
+        for owner, attribute, _replacement in plan
+        if attribute not in vars(owner)
+    ]
+    assert not missing, f"bench/trace.py shims names src/ no longer defines: {missing}"
+    assert shims_installed() == []

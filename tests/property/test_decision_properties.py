@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attrs import Route
 from repro.bgp.decision import rank_candidates, select_best
+from repro.bgp.messages import UpdateMessage
+from repro.bgp.policy import NoValleyPolicy, Relationship
+from repro.bgp.router import BgpRouter, RouterConfig
+from repro.core.params import CISCO_DEFAULTS
+from repro.net.link import LinkConfig
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.net.node import Node
+from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
 
 as_names = st.text(alphabet="abcdefgh", min_size=1, max_size=3)
 
@@ -81,3 +91,124 @@ def test_higher_pref_always_wins(candidates, boost_index):
     best = select_best(candidates, pref)
     assert best is not None
     assert best[0] == boosted_peer
+
+
+# ----------------------------------------------------------------------
+# incremental decision: differential against the full scan
+# ----------------------------------------------------------------------
+
+ROUTER = "R"
+PREFIXES = ("p0", "p1")
+_RELATIONSHIPS = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
+
+#: One step: the kind picks which of the other fields it reads. Kinds
+#: repeat to weight them — updates (and whole flaps, which is what gets an
+#: entry suppressed) dominate; quiet spells, bounces and resets punctuate.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["announce"] * 4
+            + ["withdraw"] * 3
+            + ["flap"] * 3
+            + ["advance"] * 2
+            + ["duplicate", "bounce", "reset_damping"]
+        ),
+        st.integers(min_value=0, max_value=5),  # peer
+        st.sampled_from(["p0", "p0", "p0", "p1"]),
+        st.lists(st.sampled_from(["x", "y", "z", ROUTER]), max_size=3, unique=True),
+        # Seconds of quiet: short ones keep MRAI and reuse timers armed,
+        # long ones let suppressed entries come back.
+        st.sampled_from([5.0, 40.0, 900.0, 4000.0]),
+        st.integers(min_value=1, max_value=4),  # withdraw/announce rounds of a flap
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+class _Peer(Node):
+    def handle_message(self, message: Message) -> None:
+        del message
+
+
+def _expected_export(router: BgpRouter, peer: str, prefix: str):
+    """What ``router`` owes ``peer``, rebuilt from the Loc-RIB alone (the
+    router's own ``_desired_announcement`` serves a cached route). The
+    router under test originates nothing, so every route is prepended."""
+    best = router.best_route(prefix)
+    if best is None:
+        return None
+    path = (router.name,) + best.as_path
+    if peer in path or not router.policy.permits_export(router.name, best, peer):
+        return None
+    return Route(prefix, path, router.name)
+
+
+def _check_decision(router: BgpRouter) -> None:
+    """Loc-RIB == full-scan winner; Adj-RIB-Out == the route owed,
+    wherever MRAI holds nothing back."""
+    for prefix in PREFIXES:
+        winner = select_best(router._candidates(prefix), router._local_pref)
+        assert router.best_route(prefix) == (winner[1] if winner else None)
+        for peer in router.neighbors:
+            owed = _expected_export(router, peer, prefix)
+            assert router._desired_announcement(peer, prefix) == owed, (peer, prefix)
+            if prefix not in router.mrai.pending_prefixes(peer):
+                assert router.rib_out(peer).announced_route(prefix) == owed, (peer, prefix)
+
+
+@given(
+    peer_count=st.integers(min_value=3, max_value=6),
+    no_valley=st.booleans(),
+    steps=steps,
+)
+@settings(max_examples=150, deadline=None)
+def test_incremental_decision_matches_full_scan(peer_count, no_valley, steps):
+    engine = Engine()
+    rng = RngRegistry(11)
+    network = Network(engine, rng)
+    peers = [f"n{i}" for i in range(peer_count)]
+    policy = None
+    if no_valley:
+        policy = NoValleyPolicy(
+            lambda router, peer: _RELATIONSHIPS[peers.index(peer) % 3]
+        )
+    router = BgpRouter(
+        ROUTER, engine, rng, policy=policy, config=RouterConfig(damping=CISCO_DEFAULTS)
+    )
+    network.add_node(router)
+    nodes = {}
+    for name in peers:
+        nodes[name] = network.add_node(_Peer(name))
+        network.add_link(ROUTER, name, LinkConfig(base_delay=0.001, jitter=0.0))
+    last_sent = {}
+
+    def send(name, prefix, path):
+        last_sent[name] = (prefix, path)
+        nodes[name].send(ROUTER, UpdateMessage(prefix, path))
+        engine.run(until=engine.now + 0.01)  # delivered, MRAI still armed
+
+    for kind, peer_index, prefix, tail, quiet, rounds in steps:
+        name = peers[peer_index % peer_count]
+        path = (name,) + tuple(tail) + ("o",)
+        if kind == "announce":
+            send(name, prefix, path)
+        elif kind == "withdraw":
+            send(name, prefix, None)
+        elif kind == "flap":
+            for _ in range(rounds):
+                send(name, prefix, None)
+                send(name, prefix, path)
+        elif kind == "duplicate" and name in last_sent:
+            send(name, *last_sent[name])
+        elif kind == "bounce":
+            network.reset_session(ROUTER, name)
+        elif kind == "advance":
+            engine.run(until=engine.now + quiet)
+        elif kind == "reset_damping":
+            router.reset_damping()
+        _check_decision(router)
+
+    engine.run()  # every MRAI and reuse timer has fired
+    assert not router.mrai.has_pending()
+    _check_decision(router)

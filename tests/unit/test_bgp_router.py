@@ -6,6 +6,8 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.bgp.attrs import Route
+from repro.bgp.decision import select_best
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig
 from repro.bgp.router import BgpRouter, RouterConfig
@@ -276,6 +278,111 @@ def test_reset_damping_clears_penalties():
     harness.router.reset_damping()
     assert harness.router.damping.penalty_value("A", "p0") == 0.0
     assert harness.router.suppressed_entry_count() == 0
+
+
+def test_reset_damping_reselects_released_entries():
+    """Forgetting suppressions makes the released routes candidates
+    again, so the Loc-RIB must follow them (the invariant the
+    incremental decision rests on)."""
+    harness = damped_harness()
+    router = harness.router
+    harness.peers["B"].announce("p0", ("B", "x", "y", "origin"))
+    harness.run()
+    peer = harness.peers["A"]
+    for _ in range(3):
+        peer.announce("p0", ("A", "origin"))
+        harness.run()
+        peer.withdraw("p0")
+        harness.run()
+    peer.announce("p0", ("A", "origin"))
+    harness.run()
+    assert router.best_route("p0").as_path == ("B", "x", "y", "origin")
+    router.reset_damping()
+    winner = select_best(router._candidates("p0"), router._local_pref)
+    assert winner[1].as_path == ("A", "origin")
+    assert router.best_route("p0") == winner[1]
+    harness.run()
+    assert harness.peers["C"].updates[-1].as_path == ("R", "A", "origin")
+
+
+# ----------------------------------------------------------------------
+# one exported route per best-path change
+# ----------------------------------------------------------------------
+
+
+def announced(harness, prefix="p0"):
+    """The router's Adj-RIB-Out routes for ``prefix``, by peer."""
+    return {
+        name: harness.router.rib_out(name).announced_route(prefix)
+        for name in harness.peers
+    }
+
+
+def assert_one_shared_export(harness, learned_from, path):
+    routes = announced(harness)
+    assert routes.pop(learned_from) is None
+    exported = list(routes.values())
+    assert all(route is exported[0] for route in exported)
+    assert exported[0] == Route("p0", ("R",) + path, "R")
+    return exported[0]
+
+
+def test_best_path_change_builds_one_exported_route(monkeypatch):
+    harness = Harness(peers=("A", "B", "C", "D"))
+    built = []
+    post_init = Route.__post_init__
+
+    def counting(route):
+        built.append(route)
+        post_init(route)
+
+    monkeypatch.setattr(Route, "__post_init__", counting)
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.run()
+    # One route into the Adj-RIB-In, one out for all three neighbours.
+    assert [r.as_path for r in built] == [("A", "origin"), ("R", "A", "origin")]
+    assert_one_shared_export(harness, "A", ("A", "origin"))
+
+
+def test_exported_route_is_rebuilt_after_crash_and_restart():
+    harness = Harness(peers=("A", "B", "C", "D"))
+    harness.peers["A"].announce("p0", ("A", "origin"))
+    harness.run()
+    before = assert_one_shared_export(harness, "A", ("A", "origin"))
+    harness.network.crash_router("R")
+    harness.network.restart_router("R")
+    assert set(announced(harness).values()) == {None}
+    harness.peers["B"].announce("p0", ("B", "origin"))
+    harness.run()
+    after = assert_one_shared_export(harness, "B", ("B", "origin"))
+    assert after is not before
+
+
+def test_exported_route_survives_a_snapshot_round_trip():
+    from repro.experiments.base import small_mesh_config
+    from repro.workload.pulses import PulseSchedule
+    from repro.workload.scenarios import WarmStateSnapshot
+
+    scenario = WarmStateSnapshot.capture(small_mesh_config()).restore()
+    prefix = scenario.config.prefix
+
+    def exports():
+        """Every announced Adj-RIB-Out route, checked against the oracle."""
+        sent = {}
+        for router in scenario.routers.values():
+            for peer in router.neighbors:
+                route = router.rib_out(peer).announced_route(prefix)
+                assert route == router._desired_announcement(peer, prefix)
+                if route is not None:
+                    assert route.as_path[0] == route.learned_from == router.name
+                    sent[router.name, peer] = route
+        return sent
+
+    restored = exports()  # what the warm-up built, as unpickled
+    scenario.run(PulseSchedule.regular(1, 60.0))
+    rebuilt = exports()  # what the restored routers built since
+    assert rebuilt.keys() == restored.keys()
+    assert all(rebuilt[key] is not restored[key] for key in rebuilt)
 
 
 # ----------------------------------------------------------------------

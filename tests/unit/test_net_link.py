@@ -152,3 +152,48 @@ def test_message_ids_unique():
     first = Message(src="a", dst="b", payload=None)
     second = Message(src="a", dst="b", payload=None)
     assert first.msg_id != second.msg_id
+
+
+# ----------------------------------------------------------------------
+# impaired links: one scheduling per surviving message
+# ----------------------------------------------------------------------
+
+
+def test_extra_jitter_delivers_once(net):
+    engine, network, a, b = net
+    network.link("a", "b").set_impairment(extra_jitter=0.5)
+    sent = a.send("b", "x")
+    engine.run()
+    assert [m.msg_id for m in b.received] == [sent.msg_id]
+    assert network.link("a", "b").messages_carried == 1
+
+
+def test_duplication_delivers_twice_with_the_send_as_cause(net):
+    from repro.trace.sinks import MemorySink
+    from repro.trace.tracer import Tracer
+
+    engine, network, a, b = net
+    tracer = Tracer(MemorySink())
+    tracer.attach(engine, network, [])
+    network.link("a", "b").set_impairment(duplicate=1.0)
+    a.send("b", "x")
+    engine.run()
+    assert len(b.received) == 2
+    first, second = b.received
+    assert first.msg_id != second.msg_id
+    assert first.trace_id is not None and first.trace_id == second.trace_id
+    kinds = [record.kind for record in tracer.records]
+    assert kinds == ["send", "recv", "recv"]
+
+
+def test_loss_accounts_for_every_send(net):
+    engine, network, a, b = net
+    link = network.link("a", "b")
+    link.set_impairment(loss=0.5)
+    sends = 200
+    for i in range(sends):
+        a.send("b", i)
+    engine.run()
+    assert link.messages_carried + link.messages_dropped == sends
+    assert len(b.received) == link.messages_carried
+    assert 0 < link.messages_dropped < sends

@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.invariants import check_converged_invariants
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.base import small_mesh_config
 from repro.metrics.digest import run_digest
@@ -40,6 +41,9 @@ class TestWarmStateSnapshot:
             restored = snapshot.restore()
             result = restored.run(PulseSchedule.regular(pulses, 60.0))
             assert run_digest(result.collector) == fresh_digest(config, pulses)
+            # The restored Loc-RIBs still satisfy the full-scan oracle the
+            # incremental decision is checked against.
+            assert check_converged_invariants(restored).ok
 
     def test_restored_scenarios_are_independent(self):
         snapshot = WarmStateSnapshot.capture(small_mesh_config())
