@@ -8,11 +8,9 @@ cuts resident memory roughly in half on large graphs and makes
 path-equality checks (duplicate detection, Adj-RIB-Out deltas, Loc-RIB
 no-op updates) pointer comparisons in the common case.
 
-:class:`PathTable` maps path tuples to dense small integers. Interning
-is append-only: the id of a path never changes for the lifetime of the
-table, and pickling preserves the id assignment exactly (the table
-pickles as its ordered path list and rebuilds the same mapping), which
-is what lets warm-state snapshots round-trip without perturbing ids.
+:class:`PathTable` is one canonicalising dict: each distinct path maps
+to the first tuple object seen with that value. It pickles like any
+dict, so a warm-state snapshot restores a table holding the same paths.
 
 The canonical-object contract is deliberately *observation-free*:
 ``canonical(p) == p`` always, so code that compares, hashes, slices or
@@ -23,31 +21,18 @@ test for that contract (see docs/SCALING.md).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 Path = Tuple[str, ...]
 
 
 class PathTable:
-    """Append-only intern table mapping AS-path tuples to dense ids."""
+    """Intern table holding one shared tuple per distinct AS path."""
 
-    __slots__ = ("_ids", "_paths")
+    __slots__ = ("_paths",)
 
     def __init__(self, paths: Iterable[Path] = ()) -> None:
-        self._ids: Dict[Path, int] = {}
-        self._paths: List[Path] = []
-        for path in paths:
-            self.intern(path)
-
-    def intern(self, path: Path) -> int:
-        """The id for ``path``, assigning the next dense id if new."""
-        path_id = self._ids.get(path)
-        if path_id is None:
-            path = tuple(path)
-            path_id = len(self._paths)
-            self._paths.append(path)
-            self._ids[path] = path_id
-        return path_id
+        self._paths: Dict[Path, Path] = {path: path for path in paths}
 
     def canonical(self, path: Path) -> Path:
         """The one shared tuple object equal to ``path``.
@@ -56,21 +41,13 @@ class PathTable:
         tuple return the same object, so ``==`` can short-circuit to
         ``is`` for interned paths.
         """
-        return self._paths[self.intern(path)]
-
-    def resolve(self, path_id: int) -> Path:
-        """The path tuple registered under ``path_id``."""
-        return self._paths[path_id]
-
-    def id_of(self, path: Path) -> int:
-        """The id of an already-interned path (KeyError if unknown)."""
-        return self._ids[path]
+        return self._paths.setdefault(path, path)
 
     def __len__(self) -> int:
         return len(self._paths)
 
     def __contains__(self, path: object) -> bool:
-        return path in self._ids
+        return path in self._paths
 
     def stats(self) -> Dict[str, int]:
         """Occupancy counters for diagnostics (``topo stats``/SCALING.md)."""
@@ -78,12 +55,6 @@ class PathTable:
             "paths": len(self._paths),
             "hops": sum(len(p) for p in self._paths),
         }
-
-    def __reduce__(self) -> Tuple[type, Tuple[Tuple[Path, ...]]]:
-        # Pickle as the ordered path list: rebuilding in order reassigns
-        # identical ids, so snapshots restored in a worker resolve the
-        # same id -> path mapping they were captured with.
-        return (PathTable, (tuple(self._paths),))
 
 
 # One process-wide table: the flyweight pool is only useful if every
@@ -99,10 +70,5 @@ def global_path_table() -> PathTable:
 
 def intern_path(path: Path) -> Path:
     """Canonicalize ``path`` through the process-wide table."""
-    # PathTable.canonical, flattened: a hit (the common case by far) is
-    # this one frame and a dict lookup.
-    table = _GLOBAL_TABLE
-    path_id = table._ids.get(path)
-    if path_id is None:
-        path_id = table.intern(path)
-    return table._paths[path_id]
+    # PathTable.canonical, flattened: this one frame and a dict lookup.
+    return _GLOBAL_TABLE._paths.setdefault(path, path)

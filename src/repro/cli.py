@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "attach the runtime allocation probe (tracemalloc net bytes "
-            "per profiled sub-phase) and print the per-phase allocation "
+            "per sub-phase) and print the per-phase allocation "
             "report — the dynamic counterpart of the perflint pass"
         ),
     )
@@ -288,12 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K1,K2",
         help="comma-separated record kinds for --show (e.g. charge,reuse_expired)",
-    )
-    trace.add_argument(
-        "--profile",
-        default=None,
-        metavar="FILE",
-        help="export per-phase wall/event counters as JSON to FILE",
     )
 
     topo = sub.add_parser(
@@ -749,7 +743,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.attribution import analyze_run
     from repro.analysis.causality import analyze_trace, compare_with_attribution
-    from repro.trace import JsonlSink, MemorySink, PhaseProfiler, Tracer, canonical_line
+    from repro.trace import JsonlSink, MemorySink, Tracer, canonical_line
     from repro.trace.records import KNOWN_KINDS
 
     kinds: Optional[List[str]] = None
@@ -764,30 +758,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             return 2
 
-    profiler = PhaseProfiler()
-    config = _adhoc_config(args)
-    with profiler.phase("build"):
-        scenario = Scenario(config)
+    scenario = Scenario(_adhoc_config(args))
     tracer = Tracer(JsonlSink(args.out) if args.out is not None else MemorySink())
-    profiler.bind(engine=scenario.engine, tracer=tracer)
-    # The probe splits engine dispatch into labelled sub-phases
-    # (decision_process, penalty_decay, mrai_flush, ...; profile schema
-    # v2), the labels perflint's PHASE_ROOTS are grouped by.
-    probe = profiler.attach_probe(scenario.engine)
-    with profiler.phase("warm_up"):
-        scenario.warm_up()
-    probe.reset()  # profile the measured episode, not the warm-up
-    with profiler.phase("episode"):
-        result = scenario.run(
-            PulseSchedule.regular(args.pulses, args.interval), tracer=tracer
-        )
-    # The trace/attribution analyses below walk every router's RIBs and
-    # the recorded trace — the profile's rib_scan phase.
-    with profiler.phase("rib_scan"):
-        digest = tracer.close()
-        causal = analyze_trace(tracer.records)
-        windowed = analyze_run(result)
-        comparison = compare_with_attribution(causal, windowed.secondary_fraction)
+    scenario.warm_up()
+    result = scenario.run(
+        PulseSchedule.regular(args.pulses, args.interval), tracer=tracer
+    )
+    digest = tracer.close()
+    causal = analyze_trace(tracer.records)
+    windowed = analyze_run(result)
+    comparison = compare_with_attribution(causal, windowed.secondary_fraction)
 
     summary = causal.to_json_dict()
     summary["digest"] = digest
@@ -829,9 +809,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote summary to {args.summary_json}")
-    if args.profile is not None:
-        profiler.export(args.profile)
-        print(f"wrote profile to {args.profile}")
     return 0
 
 

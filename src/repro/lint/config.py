@@ -22,8 +22,8 @@ DEFAULT_PROTECTED_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
     "repro.bgp",
     # Trace records/tracer sit on the hot path and must stay as
-    # deterministic as the protocol code they observe; the sinks and
-    # profiler are deliberately excluded (file I/O, wall clock).
+    # deterministic as the protocol code they observe; the sinks are
+    # deliberately excluded (file I/O).
     "repro.trace.records",
     "repro.trace.tracer",
 )

@@ -38,7 +38,7 @@ from repro.lint.findings import Finding
 from repro.lint.framework import FileContext, Rule, register
 
 #: Root functions of each protocol phase, keyed by the sub-phase labels
-#: of :mod:`repro.trace.profile`. The hot set is the transitive callee
+#: of :mod:`repro.sim.allocprobe`. The hot set is the transitive callee
 #: closure of all of them: every phase has roots in a layer the
 #: ``bench/`` split puts at or above 5 % of an episode, so no measured
 #: profile would drop one.
@@ -84,7 +84,7 @@ PHASE_ROOTS: Dict[str, Tuple[str, ...]] = {
         "repro.sim.engine.Engine.step",
         "repro.sim.engine.Engine.run",
         "repro.sim.engine.Engine.run_until_idle",
-        "repro.sim.engine.Engine._execute",
+        "repro.sim.engine.Engine._drain",
         "repro.sim.engine.Engine.schedule",
         "repro.sim.engine.Engine.schedule_at",
         "repro.sim.engine.call_soon",

@@ -57,8 +57,9 @@ class MetricsCollector:
         #: Time-ordered ``(time, delta, router, peer)`` suppression changes
         #: (+1 on suppress, -1 on reuse).
         self.suppression_changes: List[Tuple[float, int, str, str]] = []
-        #: Same-instant same-router event ties recorded by the engine's
-        #: opt-in schedule-race detector (empty unless enabled).
+        #: Same-instant same-router event ties of the episode: the
+        #: scenario's opt-in :class:`~repro.sim.events.TieDetector` list
+        #: (empty unless ``ScenarioConfig.detect_schedule_ties`` is set).
         self.schedule_ties: List[ScheduleTie] = []
         self._routers: List[BgpRouter] = []
         self._network: Optional[Network] = None
@@ -78,8 +79,6 @@ class MetricsCollector:
         self.attach_time = network.engine.now
         network.add_delivery_hook(self._on_delivery)
         network.add_drop_hook(self._on_drop)
-        if network.engine.tie_detection_enabled:
-            network.engine.add_tie_observer(self.schedule_ties.append)
         for router in routers:
             self._routers.append(router)
             if router.damping is not None:
@@ -225,7 +224,7 @@ class MetricsCollector:
         return total
 
     # ------------------------------------------------------------------
-    # schedule-race observations (engine tie detector, opt-in)
+    # schedule-race observations (tie detector, opt-in)
     # ------------------------------------------------------------------
 
     @property
@@ -239,13 +238,6 @@ class MetricsCollector:
         counts: Dict[Tuple[str, str], int] = {}
         for tie in self.schedule_ties:
             counts[tie.tags] = counts.get(tie.tags, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def ties_by_actor(self) -> Dict[str, int]:
-        """Tie counts per router, for locating ordering hot spots."""
-        counts: Dict[str, int] = {}
-        for tie in self.schedule_ties:
-            counts[tie.actor] = counts.get(tie.actor, 0) + 1
         return dict(sorted(counts.items()))
 
     def suppression_records(self) -> Dict[str, list]:

@@ -4,9 +4,9 @@
 PERF001..PERF010 rules, the same pairing the timer audit provides for
 timerlint: attach it to an engine (``simulate --audit-alloc``) and every
 executed event is bracketed with tracemalloc samples, accumulating *net
-traced bytes* and allocation-size peaks per profiled sub-phase (the
-event-tag mapping is shared with
-:class:`~repro.trace.profile.EnginePhaseProbe`). A hot path that keeps
+traced bytes* and allocation-size peaks per sub-phase (the labels
+perflint's ``PHASE_ROOTS`` are grouped by, picked from the event's tag
+through :data:`TAG_PHASE_MAP`). A hot path that keeps
 allocating per event — closures, outcome objects without ``__slots__``,
 per-call dict displays — shows up as a per-event byte rate the
 integration oracle (``tests/integration/test_perflint_oracle.py``)
@@ -18,8 +18,7 @@ retained allocations (hazard fixtures append their per-event garbage to
 a results list) and per-event peaks rather than raw totals.
 
 The probe reads tracemalloc, never the simulated clock, and is strictly
-opt-in: with no probe attached the engine keeps its uninstrumented fast
-dispatch path.
+opt-in (``Engine.set_phase_probe``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,22 @@ from __future__ import annotations
 import tracemalloc
 from typing import Dict, List, Optional
 
-from repro.trace.profile import PHASE_TIMER_DISPATCH, TAG_PHASE_MAP
+#: Engine event tag -> sub-phase label. Tags come from the scheduling
+#: sites (``deliver`` on link delivery, ``reuse`` on damping reuse
+#: timers, ``mrai`` on flush timers, ``flap``/``fault``/``gr-stale`` on
+#: workload and fault machinery).
+TAG_PHASE_MAP: Dict[str, str] = {
+    "deliver": "decision_process",
+    "reuse": "penalty_decay",
+    "mrai": "mrai_flush",
+    "flap": "workload",
+    "fault": "workload",
+    "gr-stale": "workload",
+}
+
+#: Label for everything else the dispatcher executes (untagged events
+#: and tags the map does not name).
+PHASE_TIMER_DISPATCH = "timer_dispatch"
 
 
 class AllocationProbe:
@@ -141,4 +155,4 @@ class AllocationProbe:
         return "\n".join(lines)
 
 
-__all__ = ["AllocationProbe"]
+__all__ = ["TAG_PHASE_MAP", "AllocationProbe"]

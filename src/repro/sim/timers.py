@@ -139,7 +139,7 @@ class Timer:
             expiry, self._fire, actor=self._actor, tag=self._tag
         )
         self.state = TimerState.PENDING
-        audit = self._engine.timer_audit
+        audit = engine.timer_audit
         if audit is not None:
             audit.record_arm(self)
 

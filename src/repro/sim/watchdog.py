@@ -15,9 +15,9 @@ counters, a sample of the next pending events, and (when a
 :class:`~repro.sim.timers.TimerAudit` is attached) the pending-timer
 inventory, so the failure names the timers that kept the queue alive.
 
-The watchdog is opt-in (:meth:`~repro.sim.engine.Engine.enable_watchdog`)
-because it routes dispatch through the instrumented path; fault-injection
-scenarios enable it automatically.
+The watchdog is opt-in (:meth:`~repro.sim.engine.Engine.enable_watchdog`
+subscribes :meth:`Watchdog.observe` as an engine observer);
+fault-injection scenarios enable it automatically.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.errors import SimulationStalled
+from repro.errors import ConfigurationError, SimulationStalled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine, ScheduledEvent
@@ -125,7 +125,7 @@ class Watchdog:
         max_events_per_instant: int = DEFAULT_MAX_EVENTS_PER_INSTANT,
     ) -> None:
         if max_events_per_instant < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 f"max_events_per_instant must be >= 1, got {max_events_per_instant}"
             )
         self._engine = engine
@@ -139,7 +139,7 @@ class Watchdog:
         return self._count
 
     def observe(self, event: "ScheduledEvent") -> None:
-        """Engine dispatch hook: called once per executed event.
+        """Engine observer: called once per executed event.
 
         Raises
         ------

@@ -12,7 +12,6 @@ semantics, and worked examples. Quick start::
     digest = tracer.close()
 """
 
-from repro.trace.profile import PhaseProfiler
 from repro.trace.records import (
     KNOWN_KINDS,
     TRACE_SCHEMA_VERSION,
@@ -30,7 +29,6 @@ __all__ = [
     "KNOWN_KINDS",
     "MemorySink",
     "NullSink",
-    "PhaseProfiler",
     "TRACE_SCHEMA_VERSION",
     "TraceRecord",
     "TraceSink",

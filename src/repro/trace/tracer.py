@@ -19,17 +19,17 @@ Causal threading works in two ways:
   reuse timer, flushing an MRAI timer, and executing a flap action each
   set the context to their own record id, and anything emitted while that
   handler runs (charges, selections, sends) inherits it as ``cause_id``.
-  The engine hook clears the context at every event boundary so causes
-  can never leak across unrelated events.
+  The engine observer clears the context at every event boundary so
+  causes can never leak across unrelated events.
 
 When the sink is a :class:`~repro.trace.sinks.NullSink` the tracer is
-*disabled*: :meth:`attach` installs nothing, so the simulator's fast
-dispatch path runs exactly as it would with no tracer at all.
+*disabled*: :meth:`attach` installs nothing, so the simulator runs
+exactly as it would with no tracer at all.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from .records import TraceRecord
 from .sinks import MemorySink, TraceSink
@@ -52,8 +52,6 @@ class Tracer:
         #: Ambient causal context: id of the record whose handling is
         #: currently executing (None between causally-tracked events).
         self.context: Optional[int] = None
-        #: Events executed per engine tag while attached (profiling aid).
-        self.events_by_tag: Dict[str, int] = {}
         self._closed = False
         self.digest: Optional[str] = None
 
@@ -150,16 +148,14 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    # engine hook
+    # engine observer
     # ------------------------------------------------------------------
 
     def on_engine_event(self, event: "ScheduledEvent") -> None:
-        """Engine dispatch hook: event boundaries reset the ambient
-        context (handlers re-establish it) and tag counts accumulate."""
+        """Engine observer: event boundaries reset the ambient context
+        (handlers re-establish it)."""
+        del event
         self.context = None
-        tag = event.tag if event.tag is not None else "untagged"
-        count = self.events_by_tag.get(tag)
-        self.events_by_tag[tag] = 1 if count is None else count + 1
 
     # ------------------------------------------------------------------
     # wiring
@@ -171,11 +167,10 @@ class Tracer:
         network: "Network",
         routers: Iterable["BgpRouter"],
     ) -> None:
-        """Instrument a built simulation. A no-op when disabled, so the
-        engine keeps its uninstrumented fast dispatch path."""
+        """Instrument a built simulation. A no-op when disabled."""
         if not self.enabled:
             return
-        engine.set_event_hook(self.on_engine_event)
+        engine.add_observer(self.on_engine_event)
         network.trace = self
         for router in routers:
             router.trace = self

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.bgp.graceful_restart import GracefulRestartConfig
@@ -47,6 +47,7 @@ from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.sim.engine import Engine
+from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
 from repro.topology.model import Topology
 from repro.workload.pulses import PulseSchedule
@@ -144,9 +145,6 @@ class ScenarioConfig:
                     f"{unknown_routers[:5]}"
                 )
 
-    def with_damping(self, damping: Optional[DampingParams]) -> "ScenarioConfig":
-        return replace(self, damping=damping)
-
     def label(self) -> str:
         parts = [self.topology.name]
         parts.append("damping" if self.damping is not None else "no-damping")
@@ -196,7 +194,11 @@ class Scenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.rng = RngRegistry(config.seed)
-        self.engine = Engine(detect_ties=config.detect_schedule_ties)
+        self.engine = Engine()
+        #: The opt-in schedule-race detector (``detect_schedule_ties``).
+        self.tie_detector: Optional[TieDetector] = (
+            TieDetector(self.engine) if config.detect_schedule_ties else None
+        )
         self.network = Network(
             self.engine, self.rng, coalesce_delivery=config.coalesce_delivery
         )
@@ -324,8 +326,9 @@ class Scenario:
         self.warmup_convergence = last_delivery[0] - start
         for router in self.routers.values():
             router.reset_damping()
-        # Warm-up ties are not part of the measured episode.
-        self.engine.clear_ties()
+        if self.tie_detector is not None:
+            # Warm-up ties are not part of the measured episode.
+            self.tie_detector.clear()
         return self.warmup_convergence
 
     def run(
@@ -337,7 +340,7 @@ class Scenario:
         :class:`~repro.trace.tracer.Tracer` for the episode (warm-up is
         deliberately not traced — the measured episode starts clean). A
         tracer over a :class:`~repro.trace.sinks.NullSink` attaches
-        nothing, keeping the engine's fast dispatch path.
+        nothing.
         """
         if not self._warmed_up:
             self.warm_up()
@@ -347,6 +350,8 @@ class Scenario:
 
         collector = MetricsCollector()
         collector.attach(self.network, list(self.routers.values()))
+        if self.tie_detector is not None:
+            collector.schedule_ties = self.tie_detector.ties
 
         if tracer is not None:
             tracer.attach(
@@ -520,8 +525,6 @@ class WarmStateSnapshot:
             raise SimulationError(
                 "cannot snapshot a scenario that already ran its episode"
             )
-        # Cancelled stragglers would pickle (and restore) dead weight.
-        scenario.engine.purge_cancelled()
         blob = pickle.dumps(scenario, protocol=pickle.HIGHEST_PROTOCOL)
         return cls(scenario.config, blob, scenario.warmup_convergence)
 

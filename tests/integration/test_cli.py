@@ -473,7 +473,6 @@ def test_run_options_do_not_outlive_the_call(capsys, oracle_calls):
 def test_trace_small_mesh(capsys, tmp_path):
     out_path = tmp_path / "trace.jsonl"
     summary_path = tmp_path / "summary.json"
-    profile_path = tmp_path / "profile.json"
     code = main(
         [
             "trace",
@@ -483,7 +482,6 @@ def test_trace_small_mesh(capsys, tmp_path):
             "--seed", "5",
             "--out", str(out_path),
             "--json", str(summary_path),
-            "--profile", str(profile_path),
         ]
     )
     assert code == 0
@@ -501,15 +499,6 @@ def test_trace_small_mesh(capsys, tmp_path):
 
     summary = _json.loads(summary_path.read_text(encoding="utf-8"))
     assert summary["records_total"] == len(records)
-    profile = _json.loads(profile_path.read_text(encoding="utf-8"))
-    assert profile["schema"] == 2
-    names = [p["phase"] for p in profile["phases"]]
-    # Explicit phases first (in execution order), then the engine
-    # probe's labelled sub-phases.
-    assert names[:4] == ["build", "warm_up", "episode", "rib_scan"]
-    assert "decision_process" in names
-    probe_rows = [p for p in profile["phases"] if p.get("source") == "engine_probe"]
-    assert probe_rows and all(r["events"] > 0 for r in probe_rows)
 
 
 def test_trace_show_filters_by_kind(capsys):

@@ -164,6 +164,30 @@ def test_every_phase_root_names_a_function_in_src():
     assert not missing, f"PHASE_ROOTS names no function in src/: {missing}"
 
 
+def test_engine_fires_events_in_one_place():
+    """One dispatch loop: exactly one function of ``repro.sim.engine``
+    calls an event's ``callback`` and exactly one pops the heap."""
+    tree = ast.parse(
+        (REPO_ROOT / "src" / "repro" / "sim" / "engine.py").read_text(encoding="utf-8")
+    )
+    firing, popping = [], []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        called = {
+            call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            for call in ast.walk(func)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Attribute, ast.Name))
+        }
+        if "callback" in called:
+            firing.append(func.name)
+        if "heappop" in called:
+            popping.append(func.name)
+    assert firing == ["_drain"]
+    assert popping == ["_drain"]
+
+
 def test_detlint_rule_catalogue_is_documented():
     """Every rule id appears in docs/STATIC_ANALYSIS.md with its rationale."""
     from repro.lint import RULE_IDS

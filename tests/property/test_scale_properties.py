@@ -17,18 +17,6 @@ paths = st.lists(as_names, min_size=1, max_size=6).map(tuple)
 
 
 @given(st.lists(paths, min_size=1, max_size=40))
-def test_intern_resolve_round_trip(path_list):
-    table = PathTable()
-    ids = [table.intern(p) for p in path_list]
-    for path, pid in zip(path_list, ids):
-        assert table.resolve(pid) == path
-        assert table.id_of(path) == pid
-    # Dense ids: exactly one per distinct path, in first-seen order.
-    assert len(table) == len(set(path_list))
-    assert sorted(set(ids)) == list(range(len(table)))
-
-
-@given(st.lists(paths, min_size=1, max_size=40))
 def test_equal_paths_become_identical_objects(path_list):
     table = PathTable()
     canon = [table.canonical(p) for p in path_list]
@@ -38,17 +26,22 @@ def test_equal_paths_become_identical_objects(path_list):
                 assert a is b
             else:
                 assert a != b
+    # Exactly one entry per distinct path.
+    assert len(table) == len(set(path_list))
+    assert all(path in table for path in path_list)
 
 
 @given(st.lists(paths, min_size=1, max_size=40))
 def test_ids_are_stable_across_pickling(path_list):
-    """Warm-state snapshots depend on interned ids surviving a pickle
-    round-trip unchanged."""
-    table = PathTable()
-    ids = [table.intern(p) for p in path_list]
+    """Warm-state snapshots carry the table through a pickle round-trip:
+    the clone holds the same paths and still canonicalises."""
+    table = PathTable(path_list)
     clone = pickle.loads(pickle.dumps(table))
-    assert [clone.intern(p) for p in path_list] == ids
-    assert len(clone) == len(table)
+    assert len(clone) == len(table) == len(set(path_list))
+    assert clone.stats() == table.stats()
+    for path in path_list:
+        assert path in clone
+        assert clone.canonical(tuple(path)) is clone.canonical(path)
 
 
 @given(

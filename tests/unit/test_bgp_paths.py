@@ -4,28 +4,8 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
-
 from repro.bgp.attrs import Route
 from repro.bgp.paths import PathTable, global_path_table, intern_path
-
-
-def test_intern_assigns_dense_ids():
-    table = PathTable()
-    a = table.intern(("as1", "as2"))
-    b = table.intern(("as1", "as2", "as3"))
-    c = table.intern(("as1", "as2"))
-    assert a == 0
-    assert b == 1
-    assert c == a
-    assert len(table) == 2
-
-
-def test_intern_resolve_round_trip():
-    table = PathTable()
-    paths = [("as1",), ("as1", "as2"), (), ("as9", "as8", "as7")]
-    ids = [table.intern(p) for p in paths]
-    assert [table.resolve(i) for i in ids] == paths
 
 
 def test_canonical_returns_one_shared_tuple_per_value():
@@ -33,44 +13,38 @@ def test_canonical_returns_one_shared_tuple_per_value():
     first = table.canonical(tuple(["as1", "as2"]))
     second = table.canonical(tuple(["as1", "as2"]))
     assert first is second
+    assert table.canonical(("as1", "as2", "as3")) is not first
+    assert len(table) == 2
 
 
 def test_id_of_and_contains():
     table = PathTable()
     path = ("as1", "as2")
     assert path not in table
-    with pytest.raises(KeyError):
-        table.id_of(path)
-    pid = table.intern(path)
+    table.canonical(path)
     assert path in table
-    assert table.id_of(path) == pid
-
-
-def test_resolve_unknown_id_raises():
-    table = PathTable()
-    with pytest.raises(IndexError):
-        table.resolve(0)
+    assert ("as2", "as1") not in table
 
 
 def test_stats_counts_paths_and_hops():
-    table = PathTable()
-    table.intern(("as1",))
-    table.intern(("as1", "as2", "as3"))
+    table = PathTable([("as1",)])
+    table.canonical(("as1", "as2", "as3"))
     stats = table.stats()
     assert stats["paths"] == 2
     assert stats["hops"] == 4
 
 
 def test_pickle_preserves_ids_and_contents():
-    table = PathTable()
-    ids = {p: table.intern(p) for p in [("as1",), ("as1", "as2"), ("as3",)]}
+    paths = [("as1",), ("as1", "as2"), ("as3",)]
+    table = PathTable(paths)
     clone = pickle.loads(pickle.dumps(table))
     assert len(clone) == len(table)
-    for path, pid in ids.items():
-        assert clone.id_of(path) == pid
-        assert clone.resolve(pid) == path
-    # A clone keeps accepting new paths with the next dense id.
-    assert clone.intern(("as4",)) == len(ids)
+    assert clone.stats() == table.stats()
+    for path in paths:
+        assert path in clone
+        assert clone.canonical(path) is clone.canonical(tuple(path))
+    clone.canonical(("as4",))
+    assert len(clone) == len(paths) + 1
 
 
 def test_global_intern_path_deduplicates():

@@ -412,12 +412,12 @@ class TestPERF010:
 
 class TestHotSetSeverity:
     def test_phase_root_fixture_is_warning(self):
-        # ``repro.sim.engine.Engine._execute`` is a timer_dispatch phase
-        # root; with no profile on disk every phase is hot.
+        # ``repro.sim.engine.Engine._drain`` is a timer_dispatch phase
+        # root, and every phase root is hot.
         findings = perf_findings(
             """
             class Engine:
-                def _execute(self, event):
+                def _drain(self, event):
                     return f"event {event}"
             """,
             module="repro.sim.engine",
@@ -518,7 +518,7 @@ class TestHotFunctions:
         self, tmp_path, monkeypatch
     ):
         here = hot_functions(graph_of(_GRAPH_SOURCE, "repro.bgp.decision"))
-        # No benchmarks/results/profile.json below this directory.
+        # The hot set depends on the call graph only, not on the directory.
         monkeypatch.chdir(tmp_path)
         assert hot_functions(graph_of(_GRAPH_SOURCE, "repro.bgp.decision")) == here
 
@@ -545,7 +545,7 @@ def test_every_perf_rule_is_registered(rule_id):
 
 _HOT_FSTRING = """
 class Engine:
-    def _execute(self, event):
+    def _drain(self, event):
         return f"event {event}"  # {directive}
 """
 
@@ -580,7 +580,7 @@ class TestSuppressionPrefixes:
         import time
 
         class Engine:
-            def _execute(self, event):
+            def _drain(self, event):
                 stamp = time.time()
                 return f"event {event} at {stamp}"  # perflint: disable=all
         """

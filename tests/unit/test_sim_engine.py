@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+from functools import partial
+
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import Engine, call_soon, format_time
+from repro.errors import SimulationError, SimulationStalled
+from repro.sim.engine import Engine, call_soon
+from repro.sim.events import TieDetector
 
 
 def test_clock_starts_at_zero():
@@ -138,6 +142,28 @@ def test_run_until_idle_event_budget_exceeded_raises():
         engine.run_until_idle(max_time=1e9, max_events=100)
 
 
+def test_run_until_idle_draining_on_the_last_budgeted_event_is_not_a_stall():
+    engine = Engine()
+    for i in range(5):
+        engine.schedule(i + 1.0, lambda: None)
+    assert engine.run_until_idle(max_time=100.0, max_events=5) == 5
+    assert engine.pending_count == 0
+
+
+def test_run_until_idle_budget_spent_with_work_left_reports_it():
+    engine = Engine()
+    for i in range(6):
+        engine.schedule(i + 1.0, lambda: None)
+    with pytest.raises(SimulationStalled) as excinfo:
+        engine.run_until_idle(max_time=100.0, max_events=5)
+    assert excinfo.value.diagnostics.pending_count == 1
+    # Work left beyond max_time is not a stall either.
+    later = Engine()
+    for i in range(6):
+        later.schedule(i + 1.0, lambda: None)
+    assert later.run_until_idle(max_time=5.0, max_events=5) == 5
+
+
 def test_max_events_limits_run():
     engine = Engine()
     for i in range(10):
@@ -221,10 +247,25 @@ def test_call_soon_runs_at_current_time():
     assert fired == [5.0]
 
 
-def test_format_time():
-    assert format_time(0.0) == "0:00:00.000"
-    assert format_time(3723.5) == "1:02:03.500"
-    assert format_time(59.999) == "0:00:59.999"
+def test_engine_with_live_and_cancelled_entries_survives_pickle():
+    """Cancelled entries travel inside a snapshot's pickle."""
+    engine = Engine()
+    fired = []
+    events = [
+        engine.schedule(float(i % 4 + 1), partial(fired.append, i), tag="t")
+        for i in range(12)
+    ]
+    for event in events[::3]:
+        event.cancel()
+    clone = pickle.loads(pickle.dumps((engine, fired)))
+    engine.run()
+    clone_engine, clone_fired = clone
+    assert clone_engine.pending_count == 8
+    clone_engine.run()
+    assert clone_fired == fired
+    assert not set(fired) & set(range(0, 12, 3))
+    assert clone_engine.now == engine.now
+    assert clone_engine.events_executed == engine.events_executed == 8
 
 
 # ----------------------------------------------------------------------
@@ -234,20 +275,20 @@ def test_format_time():
 
 def test_tie_detection_off_by_default():
     engine = Engine()
-    assert not engine.tie_detection_enabled
+    assert engine.observers == ()
     engine.schedule_at(1.0, lambda: None, actor="r1", tag="deliver")
     engine.schedule_at(1.0, lambda: None, actor="r1", tag="deliver")
-    engine.run()
-    assert engine.ties == []
+    assert engine.run() == 2
 
 
 def test_same_instant_same_actor_records_tie():
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     engine.schedule_at(5.0, lambda: None, actor="r1", tag="deliver")
     engine.schedule_at(5.0, lambda: None, actor="r1", tag="mrai")
     engine.run()
-    assert len(engine.ties) == 1
-    tie = engine.ties[0]
+    assert len(detector.ties) == 1
+    tie = detector.ties[0]
     assert tie.time == 5.0
     assert tie.actor == "r1"
     assert tie.first_seq < tie.second_seq
@@ -255,48 +296,57 @@ def test_same_instant_same_actor_records_tie():
 
 
 def test_same_instant_different_actors_is_not_a_tie():
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     engine.schedule_at(5.0, lambda: None, actor="r1")
     engine.schedule_at(5.0, lambda: None, actor="r2")
     engine.run()
-    assert engine.ties == []
+    assert detector.ties == []
 
 
 def test_same_actor_different_instants_is_not_a_tie():
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     engine.schedule_at(1.0, lambda: None, actor="r1")
     engine.schedule_at(2.0, lambda: None, actor="r1")
     engine.run()
-    assert engine.ties == []
+    assert detector.ties == []
 
 
 def test_unlabelled_events_never_tie():
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     engine.schedule_at(1.0, lambda: None)
     engine.schedule_at(1.0, lambda: None)
     engine.run()
-    assert engine.ties == []
+    assert detector.ties == []
 
 
 def test_three_way_tie_records_one_tie_per_follower():
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     for tag in ("a", "b", "c"):
         engine.schedule_at(1.0, lambda: None, actor="r1", tag=tag)
     engine.run()
-    assert len(engine.ties) == 2
-    assert [t.tags for t in engine.ties] == [("a", "b"), ("a", "c")]
+    assert len(detector.ties) == 2
+    assert [t.tags for t in detector.ties] == [("a", "b"), ("a", "c")]
 
 
 def test_tie_observer_and_clear():
-    engine = Engine(detect_ties=True)
-    seen = []
-    engine.add_tie_observer(seen.append)
+    engine = Engine()
+    detector = TieDetector(engine)
+    assert engine.observers == (detector.observe,)
+    seen = detector.ties
     engine.schedule_at(1.0, lambda: None, actor="r1")
+    engine.schedule_at(1.0, lambda: None, actor="r1")
+    engine.run(until=1.0)
+    assert len(seen) == 1
+    detector.clear()
+    assert seen == [] and detector.ties is seen
+    # The anchor of the cleared instant is forgotten too.
     engine.schedule_at(1.0, lambda: None, actor="r1")
     engine.run()
-    assert len(seen) == 1 and seen == engine.ties
-    engine.clear_ties()
-    assert engine.ties == []
+    assert detector.ties == []
 
 
 def test_enable_tie_detection_mid_run():
@@ -304,18 +354,20 @@ def test_enable_tie_detection_mid_run():
     engine.schedule_at(1.0, lambda: None, actor="r1")
     engine.schedule_at(1.0, lambda: None, actor="r1")
     engine.run()
-    assert engine.ties == []
-    engine.enable_tie_detection()
+    detector = TieDetector(engine)
+    assert detector.ties == []
     engine.schedule_at(engine.now + 1.0, lambda: None, actor="r1")
     engine.schedule_at(engine.now + 1.0, lambda: None, actor="r1")
     engine.run()
-    assert len(engine.ties) == 1
+    assert len(detector.ties) == 1
 
 
 def test_detection_is_passive_identical_execution_order():
     def trace_run(detect: bool):
         order = []
-        engine = Engine(detect_ties=detect)
+        engine = Engine()
+        if detect:
+            TieDetector(engine)
         for i in range(5):
             engine.schedule_at(1.0, lambda i=i: order.append(i), actor="r1")
         engine.run()
@@ -327,37 +379,36 @@ def test_detection_is_passive_identical_execution_order():
 def test_timer_forwards_actor_and_tag():
     from repro.sim.timers import Timer
 
-    engine = Engine(detect_ties=True)
+    engine = Engine()
+    detector = TieDetector(engine)
     t1 = Timer(engine, lambda: None, name="a", actor="r1", tag="mrai")
     t2 = Timer(engine, lambda: None, name="b", actor="r1", tag="reuse")
     t1.start(3.0)
     t2.start(3.0)
     engine.run()
-    assert len(engine.ties) == 1
-    assert engine.ties[0].tags == ("mrai", "reuse")
+    assert len(detector.ties) == 1
+    assert detector.ties[0].tags == ("mrai", "reuse")
 
 
 # ----------------------------------------------------------------------
-# lazy-cancellation heap compaction
+# lazy cancellation
 # ----------------------------------------------------------------------
 
 
 def test_cancelling_10k_mrai_style_timers_keeps_heap_bounded():
-    """Regression: cancelled entries used to stay in the heap forever, so
-    timer churn (an MRAI re-arm cancels the previous event every time)
-    grew the queue without bound. Compaction must keep the heap
-    proportional to the live event count."""
+    """Timer churn (an MRAI re-arm cancels the previous event every time)
+    leaves cancelled entries in the heap until they surface; they are
+    never counted as pending, never fire, and are gone once the queue
+    has drained."""
     engine = Engine()
     live = [engine.schedule(1_000.0, lambda: None) for _ in range(100)]
     for i in range(10_000):
         event = engine.schedule(30.0 + (i % 7), lambda: None, tag="mrai")
         event.cancel()
     assert engine.pending_count == 100
-    # Cancelled entries may linger only below the compaction threshold:
-    # at most half the queue plus the small-queue floor.
-    assert engine.queue_size <= 2 * 100 + 64
     assert engine.run() == 100
-    assert engine.queue_size == 0
+    assert engine.pending_count == 0
+    assert engine.peek_next_time() is None
     assert all(not e.cancelled for e in live)
 
 
@@ -368,11 +419,9 @@ def test_pending_count_is_consistent_through_cancel_and_purge():
     events[7].cancel()
     events[7].cancel()  # double-cancel must not double-count
     assert engine.pending_count == 8
-    removed = engine.purge_cancelled()
-    assert removed == 2
-    assert engine.pending_count == 8
-    assert engine.queue_size == 8
-    assert engine.purge_cancelled() == 0
+    assert engine.run(until=4.0) == 3
+    assert engine.pending_count == 5
+    assert engine.run() == 5
 
 
 def test_cancel_after_firing_does_not_corrupt_bookkeeping():
@@ -388,9 +437,9 @@ def test_cancel_after_firing_does_not_corrupt_bookkeeping():
 
 
 def test_cancel_inside_running_callback_compacts_safely():
-    """Compaction rebuilds the queue list in place, so a cancellation
-    storm triggered from inside a callback must not confuse the run loop
-    holding a reference to the queue."""
+    """A cancellation storm triggered from inside a callback must not
+    confuse the run loop: the dead entries are skipped, the survivor
+    fires."""
     engine = Engine()
     doomed = [engine.schedule(50.0, lambda: None) for _ in range(200)]
     survivor_fired = []
@@ -404,7 +453,7 @@ def test_cancel_inside_running_callback_compacts_safely():
     engine.run()
     assert survivor_fired == [60.0]
     assert engine.pending_count == 0
-    assert engine.queue_size == 0
+    assert engine.events_executed == 2
 
 
 def test_clear_resets_cancellation_bookkeeping():
@@ -413,7 +462,7 @@ def test_clear_resets_cancellation_bookkeeping():
     events[0].cancel()
     engine.clear()
     assert engine.pending_count == 0
-    assert engine.queue_size == 0
     # Cancelling a cleared event is a no-op, not a counter underflow.
     events[1].cancel()
     assert engine.pending_count == 0
+    assert engine.run() == 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationStalled
+from repro.errors import ConfigurationError, SimulationStalled
 from repro.sim.engine import Engine
 from repro.sim.watchdog import Watchdog, stall_diagnostics
 
@@ -19,8 +19,10 @@ def _wedge(engine: Engine) -> None:
 
 
 def test_watchdog_rejects_nonpositive_threshold(engine):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         Watchdog(engine, max_events_per_instant=0)
+    with pytest.raises(ConfigurationError):
+        engine.enable_watchdog(0)
 
 
 def test_watchdog_trips_on_frozen_clock():

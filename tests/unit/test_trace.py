@@ -175,8 +175,8 @@ def test_disabled_tracer_attach_is_noop():
     assert tracer.enabled is False
     engine = Engine()
     tracer.attach(engine, network=None, routers=[])
-    # The engine must keep its uninstrumented fast path.
-    assert engine._instrumented is False
+    # A disabled tracer subscribes nothing.
+    assert engine.observers == ()
 
 
 def test_event_hook_instruments_engine():
@@ -184,10 +184,8 @@ def test_event_hook_instruments_engine():
 
     engine = Engine()
     seen = []
-    engine.set_event_hook(seen.append)
-    assert engine._instrumented is True
-    engine.schedule(1.0, lambda: None)
+    engine.add_observer(seen.append)
+    assert engine.observers == (seen.append,)
+    event = engine.schedule(1.0, lambda: None)
     engine.run()
-    assert len(seen) == 1
-    engine.set_event_hook(None)
-    assert engine._instrumented is False
+    assert seen == [event]
