@@ -11,21 +11,21 @@ Run:  python examples/policy_impact.py
 """
 
 from repro import CISCO_DEFAULTS, IntendedBehaviorModel, ScenarioConfig, internet_topology
-from repro.experiments.base import run_point
 from repro.metrics.report import render_table
+from repro.workload.scenarios import run_episode
 
 
 def main() -> None:
     topology = internet_topology(120, seed=7, with_relationships=True)
     rows = []
     for pulses in (1, 3, 5):
-        with_policy = run_point(
+        with_policy = run_episode(
             ScenarioConfig(
                 topology=topology, damping=CISCO_DEFAULTS, use_no_valley=True, seed=42
             ),
             pulses,
         )
-        no_policy = run_point(
+        no_policy = run_episode(
             ScenarioConfig(topology=topology, damping=CISCO_DEFAULTS, seed=42),
             pulses,
         )

@@ -12,17 +12,18 @@ Run:  python examples/rcn_comparison.py  (takes ~20 seconds)
 """
 
 from repro import CISCO_DEFAULTS, IntendedBehaviorModel
-from repro.experiments.base import mesh100_config, run_point
+from repro.experiments.base import mesh100_config
 from repro.metrics.report import render_table
+from repro.workload.scenarios import run_episode
 
 
 def main() -> None:
     pulse_counts = [1, 2, 3, 5, 8]
     rows = []
     for pulses in pulse_counts:
-        none = run_point(mesh100_config(damping=None), pulses)
-        plain = run_point(mesh100_config(), pulses)
-        rcn = run_point(mesh100_config(rcn=True), pulses)
+        none = run_episode(mesh100_config(damping=None), pulses)
+        plain = run_episode(mesh100_config(), pulses)
+        rcn = run_episode(mesh100_config(rcn=True), pulses)
         model = IntendedBehaviorModel(
             CISCO_DEFAULTS, flap_interval=60.0, tup=none.warmup_convergence
         )

@@ -12,12 +12,13 @@ Run:  python examples/timer_attribution.py
 """
 
 from repro.analysis.attribution import analyze_run, suppression_extension_seconds
-from repro.experiments.base import mesh100_config, run_point
+from repro.experiments.base import mesh100_config
 from repro.metrics.report import render_table
+from repro.workload.scenarios import run_episode
 
 
 def main() -> None:
-    result = run_point(mesh100_config(seed=42), pulses=1)
+    result = run_episode(mesh100_config(seed=42), pulses=1)
     report = analyze_run(result)
 
     print("=== single pulse, 100-node mesh, damping everywhere ===")

@@ -67,7 +67,6 @@ from repro.analysis.attribution import analyze_run
 from repro.metrics.digest import run_digest
 from repro.topology.io import load_topology, save_topology
 from repro.workload import FlapRunResult, PulseSchedule, Scenario, ScenarioConfig
-from repro.workload.multi import MultiOriginScenario
 from repro.workload.patterns import (
     burst_pattern,
     jittered_pattern,
@@ -97,7 +96,6 @@ __all__ = [
     "Message",
     "MetricsCollector",
     "MraiConfig",
-    "MultiOriginScenario",
     "Network",
     "Node",
     "NoValleyPolicy",

@@ -46,7 +46,7 @@ class InvariantReport:
         if self.violations:
             summary = "; ".join(str(v) for v in self.violations[:5])
             raise SimulationError(
-                f"{len(self.violations)} protocol invariant violations: {summary}"
+                f"{len(self.violations)} protocol invariant violation(s): {summary}"
             )
 
 

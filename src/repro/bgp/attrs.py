@@ -46,42 +46,9 @@ class Route:
         """Number of ASes in the path (the decision-process metric)."""
         return len(self.as_path)
 
-    @property
-    def origin_as(self) -> str:
-        """The AS that originated the prefix."""
-        return self.as_path[-1]
-
-    @property
-    def next_hop_as(self) -> str:
-        """The neighbouring AS the path goes through."""
-        return self.as_path[0]
-
     def contains(self, asn: str) -> bool:
         """True when ``asn`` appears in the AS path (loop detection)."""
         return asn in self.as_path
-
-    def prepended_by(self, asn: str) -> "Route":
-        """The route as this router would announce it: ``asn`` prepended.
-
-        Raises :class:`ProtocolError` if prepending would create a loop,
-        which would indicate a bug in the caller's loop prevention.
-        """
-        if asn in self.as_path:
-            raise ProtocolError(
-                f"prepending {asn!r} to {self.as_path!r} would create a loop"
-            )
-        return Route(
-            prefix=self.prefix,
-            as_path=(asn,) + self.as_path,
-            learned_from=asn,
-        )
-
-    def same_attributes(self, other: "Route") -> bool:
-        """Attribute-level equality (ignores which peer it came from)."""
-        # Interned paths make the identity check the common success case.
-        return self.prefix == other.prefix and (
-            self.as_path is other.as_path or self.as_path == other.as_path
-        )
 
     def __str__(self) -> str:
         return f"{self.prefix} via [{' '.join(self.as_path)}]"

@@ -108,12 +108,6 @@ class GracefulRestartHelper:
         state = self._peers.get(peer)
         return state is not None and prefix in state.stale
 
-    def stale_prefixes(self, peer: str) -> List[str]:
-        state = self._peers.get(peer)
-        if state is None:
-            return []
-        return sorted(state.stale)
-
     def stale_count(self) -> int:
         """Total stale (peer, prefix) entries currently retained."""
         return sum(len(state.stale) for state in self._peers.values())

@@ -78,13 +78,5 @@ class OriginRouter(BgpRouter):
     flap_down = take_down
 
     @property
-    def last_announcement_time(self) -> Optional[float]:
-        """Time of the most recent 'up' event (the convergence clock's zero)."""
-        for time, status in reversed(self.flap_log):
-            if status == "up":
-                return time
-        return None
-
-    @property
     def flap_times(self) -> List[float]:
         return [time for time, _ in self.flap_log]

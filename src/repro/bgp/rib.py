@@ -175,9 +175,6 @@ class AdjRibOut:
         existing = self._entries.get(prefix)
         return existing.route if existing is not None else None
 
-    def has_announced(self, prefix: str) -> bool:
-        return self.announced_route(prefix) is not None
-
     def record_announcement(self, prefix: str, route: Route) -> None:
         entry = self.entry(prefix)
         entry.route = route

@@ -11,22 +11,31 @@ an ad-hoc simulation runner::
     rfd-repro simulate --topology mesh --nodes 100 --pulses 3 --damping cisco
     rfd-repro trace --topology mesh --nodes 100 --pulses 3 --out run.jsonl
     rfd-repro lint --pass all src/   # detlint + semlint static analysis
+
+Commands raise on failure; :func:`main` alone turns an exception into an
+exit code. 0 is success; 1 means the run broke its own rules
+(``SimulationError``: stall, lost sweep points, timer-audit or invariant
+violation) or a command's own check failed (digest mismatch, lint
+findings); 2 is bad input (any other ``ReproError`` or ``OSError``, and
+argparse usage errors). See docs/ROBUSTNESS.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.params import VENDOR_PRESETS
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.experiments.registry import describe, list_experiments, run_experiment
 from repro.metrics.report import render_table
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario, ScenarioConfig
+from repro.workload.scenarios import ScenarioConfig, run_scenario
 
 
 #: Flags several subcommands share, declared once; each subcommand adds
@@ -139,12 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a single ad-hoc episode")
     _add_scenario_flags(sim, nodes=100, pulses=1)
-    _add_shared_flag(
-        sim,
-        "--jobs",
-        "accepted for symmetry with 'run'; a single ad-hoc episode "
-        "always executes in-process (the value is only validated)",
-    )
     _add_shared_flag(
         sim,
         "--check-invariants",
@@ -483,6 +486,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_json(path: str) -> Dict[str, Any]:
+    """A JSON expectation file the user named; unreadable or malformed
+    is bad input, not a crash."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_json(path: str, payload: object) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _result_digests(result) -> Dict[str, Dict[str, str]]:
     """``{series_key: {pulses: digest}}`` for every sweep the experiment
     ran (empty for experiments without sweep data)."""
@@ -529,14 +548,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         check_invariants=args.check_invariants,
         jobs=args.jobs,
     )
-    expected: Optional[Dict[str, Dict[str, Dict[str, str]]]] = None
+    expected = None
     if args.verify_digests is not None:
-        try:
-            with open(args.verify_digests, "r", encoding="utf-8") as handle:
-                expected = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"rfd-repro run: cannot read {args.verify_digests}: {exc}", file=sys.stderr)
-            return 2
+        expected = _read_json(args.verify_digests)
     experiment_ids = args.experiments
     if any(eid.lower() == "all" for eid in experiment_ids):
         experiment_ids = list_experiments()
@@ -563,9 +577,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"wrote {path}")
         print()
     if args.write_digests is not None:
-        with open(args.write_digests, "w", encoding="utf-8") as handle:
-            json.dump(collected, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.write_digests, collected)
         print(f"wrote digests for {len(collected)} experiment(s) to {args.write_digests}")
     if mismatches:
         for mismatch in mismatches:
@@ -650,66 +662,25 @@ def _with_fault_options(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.experiments.parallel import resolve_jobs
-
-    resolve_jobs(args.jobs)
-    try:
-        config = _with_fault_options(
-            _adhoc_config(args), args.faults, args.graceful_restart
-        )
-    except (ConfigurationError, OSError) as exc:
-        print(f"rfd-repro simulate: {exc}", file=sys.stderr)
-        return 2
-    topology = config.topology
-    scenario = Scenario(config)
-    audit = scenario.engine.enable_timer_audit() if args.audit_timers else None
+    config = _with_fault_options(
+        _adhoc_config(args), args.faults, args.graceful_restart
+    )
     alloc_probe = None
     if args.audit_alloc:
         from repro.sim.allocprobe import AllocationProbe
 
         alloc_probe = AllocationProbe()
-        alloc_probe.start()
-        scenario.engine.set_phase_probe(alloc_probe)
-    scenario.warm_up()
-    result = scenario.run(PulseSchedule.regular(args.pulses, args.interval))
-    if alloc_probe is not None:
-        alloc_probe.stop()
-    invariant_rows: List[List[object]] = []
-    invariant_failures: List[str] = []
-    audit_failures: List[str] = []
-    if audit is not None:
-        violations = audit.verify()
-        invariant_rows.append(
-            [
-                "timer audit",
-                f"ok ({audit.timers_seen} timers, {audit.transitions} transitions)"
-                if not violations
-                else f"{len(violations)} violation(s)",
-            ]
+    with alloc_probe if alloc_probe is not None else contextlib.nullcontext():
+        scenario, result = run_scenario(
+            config,
+            PulseSchedule.regular(args.pulses, args.interval),
+            check_invariants=args.check_invariants,
+            audit_timers=args.audit_timers,
+            phase_probe=alloc_probe,
         )
-        audit_failures = [
-            f"{v.kind} @ {v.time:.1f}s timer {v.timer}: {v.detail}"
-            for v in violations
-        ]
-    if args.check_invariants:
-        from repro.analysis.invariants import check_converged_invariants
-
-        # Every PulseSchedule ends with the origin up, so the converged
-        # network must be fully reachable and fully drained.
-        inv = check_converged_invariants(scenario)
-        invariant_rows.append(
-            [
-                "invariants",
-                f"ok ({inv.routers_checked} routers)"
-                if inv.ok
-                else f"{len(inv.violations)} violation(s)",
-            ]
-        )
-        invariant_failures = [str(v) for v in inv.violations]
     headers = ["metric", "value"]
     rows = [
-        ["topology", topology.name],
+        ["topology", config.topology.name],
         ["pulses", args.pulses],
         ["flap interval (s)", args.interval],
         ["damping", args.damping + (" + RCN" if args.rcn else "")],
@@ -727,16 +698,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rows.append(["messages dropped", result.collector.drop_count])
         for reason, count in result.collector.drops_by_reason().items():
             rows.append([f"  dropped: {reason}", count])
-    rows.extend(invariant_rows)
+    # A violation of either check raised inside run_scenario.
+    audit = scenario.engine.timer_audit
+    if audit is not None:
+        rows.append(
+            [
+                "timer audit",
+                f"ok ({audit.timers_seen} timers, {audit.transitions} transitions)",
+            ]
+        )
+    if args.check_invariants:
+        rows.append(["invariants", f"ok ({len(scenario.routers)} routers)"])
     print(render_table(headers, rows, title="simulation result"))
     if alloc_probe is not None:
         print(alloc_probe.describe())
-    for failure in invariant_failures:
-        print(f"invariant violation: {failure}", file=sys.stderr)
-    for failure in audit_failures:
-        print(f"timer-audit violation: {failure}", file=sys.stderr)
-    if invariant_failures or audit_failures:
-        return 1
     return 0
 
 
@@ -751,18 +726,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         kinds = [kind.strip() for kind in args.kinds.split(",") if kind.strip()]
         unknown = sorted(set(kinds) - KNOWN_KINDS)
         if unknown:
-            print(
-                f"rfd-repro trace: unknown kind(s) {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(KNOWN_KINDS))})",
-                file=sys.stderr,
+            raise ConfigurationError(
+                f"unknown kind(s) {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(KNOWN_KINDS))})"
             )
-            return 2
 
-    scenario = Scenario(_adhoc_config(args))
     tracer = Tracer(JsonlSink(args.out) if args.out is not None else MemorySink())
-    scenario.warm_up()
-    result = scenario.run(
-        PulseSchedule.regular(args.pulses, args.interval), tracer=tracer
+    _scenario, result = run_scenario(
+        _adhoc_config(args),
+        PulseSchedule.regular(args.pulses, args.interval),
+        tracer=tracer,
     )
     digest = tracer.close()
     causal = analyze_trace(tracer.records)
@@ -805,9 +778,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.out is not None:
         print(f"wrote trace to {args.out}")
     if args.summary_json is not None:
-        with open(args.summary_json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.summary_json, summary)
         print(f"wrote summary to {args.summary_json}")
     return 0
 
@@ -862,7 +833,6 @@ def _template_plan(topology) -> "object":
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.faults import FaultPlan
 
     if args.faults_command == "template":
@@ -877,11 +847,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     if args.faults_command == "describe":
-        try:
-            plan = FaultPlan.load(args.plan)
-        except (ConfigurationError, OSError) as exc:
-            print(f"rfd-repro faults: {exc}", file=sys.stderr)
-            return 2
+        plan = FaultPlan.load(args.plan)
         rows: List[List[object]] = []
         for fault in plan.link_faults:
             window = f"down {fault.down_at:.0f}s" + (
@@ -928,26 +894,20 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     # faults run
-    from repro.errors import SimulationError
     from repro.experiments.parallel import execute_sweep
 
-    try:
-        config = _with_fault_options(
-            _adhoc_config(args), args.plan, args.graceful_restart
-        )
-        counts = list(range(0, args.pulses + 1))
-        outcomes = execute_sweep(
-            config,
-            counts,
-            flap_interval=args.interval,
-            jobs=args.jobs,
-            check_invariants=args.check_invariants,
-            audit_timers=args.audit_timers,
-            point_timeout=args.point_timeout,
-        )
-    except (ConfigurationError, SimulationError, OSError) as exc:
-        print(f"rfd-repro faults run: {exc}", file=sys.stderr)
-        return 1
+    config = _with_fault_options(
+        _adhoc_config(args), args.plan, args.graceful_restart
+    )
+    outcomes = execute_sweep(
+        config,
+        list(range(0, args.pulses + 1)),
+        flap_interval=args.interval,
+        jobs=args.jobs,
+        check_invariants=args.check_invariants,
+        audit_timers=args.audit_timers,
+        point_timeout=args.point_timeout,
+    )
     rows = [
         [
             outcome.pulses,
@@ -968,9 +928,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
     if args.digest_out is not None:
         digests = {str(outcome.pulses): outcome.digest for outcome in outcomes}
-        with open(args.digest_out, "w", encoding="utf-8") as handle:
-            json.dump(digests, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.digest_out, digests)
         print(f"wrote digests to {args.digest_out}")
     return 0
 
@@ -996,8 +954,7 @@ def _scale_digest_key(result) -> str:
 
 
 def _cmd_topo(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.topology.io import load_topology, save_topology
+    from repro.topology.io import save_topology
     from repro.topology.scale import (
         ingest_as_relationships,
         powerlaw_topology,
@@ -1005,57 +962,43 @@ def _cmd_topo(args: argparse.Namespace) -> int:
         write_as_relationships,
     )
 
-    try:
-        if args.topo_command == "gen":
-            if args.caida_out and not args.relationships:
-                print(
-                    "rfd-repro topo gen: --caida-out requires --relationships",
-                    file=sys.stderr,
-                )
-                return 2
-            topology = powerlaw_topology(
-                args.nodes,
-                attachment=args.attachment,
-                exponent=args.exponent,
-                core=args.core,
-                seed=args.seed,
-                with_relationships=args.relationships,
-            )
-            _print_stats_table(topology_stats(topology))
-            if args.out:
-                save_topology(topology, args.out)
-                print(f"wrote topology to {args.out}")
-            if args.caida_out:
-                write_as_relationships(topology, args.caida_out)
-                print(f"wrote AS relationships to {args.caida_out}")
-            return 0
+    if args.topo_command == "bench":
+        return _cmd_topo_bench(args)
+    if args.topo_command == "stats":
+        stats = topology_stats(_load_any_topology(args.path))
+        if args.json:
+            print(json.dumps(stats, indent=2, sort_keys=True))
+        else:
+            _print_stats_table(stats)
+        return 0
 
-        if args.topo_command == "ingest":
-            topology = ingest_as_relationships(
-                args.path,
-                largest_component=not args.strict_connectivity,
-                with_relationships=not args.no_relationships,
-            )
-            _print_stats_table(topology_stats(topology))
-            if args.out:
-                save_topology(topology, args.out)
-                print(f"wrote topology to {args.out}")
-            return 0
-
-        if args.topo_command == "stats":
-            stats = topology_stats(_load_any_topology(args.path))
-            if args.json:
-                print(json.dumps(stats, indent=2, sort_keys=True))
-            else:
-                _print_stats_table(stats)
-            return 0
-
-        if args.topo_command == "bench":
-            return _cmd_topo_bench(args)
-    except (ReproError, OSError) as exc:
-        print(f"rfd-repro topo: {exc}", file=sys.stderr)
-        return 2
-    return 1  # pragma: no cover - argparse enforces the choices
+    # gen / ingest: make a topology, print its stats, save it.
+    generated = args.topo_command == "gen"
+    if generated:
+        if args.caida_out and not args.relationships:
+            raise ConfigurationError("--caida-out requires --relationships")
+        topology = powerlaw_topology(
+            args.nodes,
+            attachment=args.attachment,
+            exponent=args.exponent,
+            core=args.core,
+            seed=args.seed,
+            with_relationships=args.relationships,
+        )
+    else:
+        topology = ingest_as_relationships(
+            args.path,
+            largest_component=not args.strict_connectivity,
+            with_relationships=not args.no_relationships,
+        )
+    _print_stats_table(topology_stats(topology))
+    if args.out:
+        save_topology(topology, args.out)
+        print(f"wrote topology to {args.out}")
+    if generated and args.caida_out:
+        write_as_relationships(topology, args.caida_out)
+        print(f"wrote AS relationships to {args.caida_out}")
+    return 0
 
 
 def _print_stats_table(stats: Dict[str, object]) -> None:
@@ -1085,26 +1028,20 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
     if args.json == "-":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, payload)
         print(f"wrote measurements to {args.json}")
 
     key = _scale_digest_key(result)
     if args.write_digests:
         try:
-            with open(args.write_digests, "r", encoding="utf-8") as handle:
-                digests = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            digests = {}
+            digests = _read_json(args.write_digests)
+        except ConfigurationError:
+            digests = {}  # first recording: start a new ledger
         digests[key] = result.digest
-        with open(args.write_digests, "w", encoding="utf-8") as handle:
-            json.dump(digests, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.write_digests, digests)
         print(f"recorded digest for {key} in {args.write_digests}")
     if args.verify_digests:
-        with open(args.verify_digests, "r", encoding="utf-8") as handle:
-            expected = json.load(handle)
+        expected = _read_json(args.verify_digests)
         if key not in expected:
             print(
                 f"rfd-repro topo bench: no committed digest for {key} in "
@@ -1124,7 +1061,6 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.lint import (
         apply_baseline,
         lint_paths,
@@ -1140,21 +1076,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(render_rule_list())
         return 0
     if args.update_baseline and args.baseline is None:
-        print(
-            "rfd-repro lint: --update-baseline requires --baseline FILE",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigurationError("--update-baseline requires --baseline FILE")
     config = make_config(
         select=tuple(args.select),
         ignore=tuple(args.ignore),
         passes=(args.lint_pass,),
     )
-    try:
-        report = lint_paths(args.paths, config, cache_dir=args.cache_dir)
-    except (ConfigurationError, FileNotFoundError) as exc:
-        print(f"rfd-repro lint: {exc}", file=sys.stderr)
-        return 2
+    report = lint_paths(args.paths, config, cache_dir=args.cache_dir)
     if report.cache_stats is not None:
         stats = report.cache_stats
         print(
@@ -1175,13 +1103,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"to {args.baseline}"
             )
             return 0
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                counts = parse_baseline(handle.read())
-        except (ConfigurationError, OSError) as exc:
-            print(f"rfd-repro lint: {exc}", file=sys.stderr)
-            return 2
-        report = apply_baseline(report, counts)
+        with open(args.baseline, "r", encoding="utf-8") as handle:
+            report = apply_baseline(report, parse_baseline(handle.read()))
     if args.output_format == "json":
         print(render_json(report))
     else:
@@ -1205,7 +1128,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "topo": _cmd_topo,
         "lint": _cmd_lint,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"rfd-repro {args.command}: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, SimulationError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -179,15 +179,6 @@ class DampingManager:
             return None
         return entry.timer.expiry
 
-    def pending_reuse_timers(self) -> List[Tuple[EntryKey, float]]:
-        """All pending reuse timers as ((peer, prefix), expiry) pairs."""
-        result: List[Tuple[EntryKey, float]] = []
-        for key, entry in self._entries.items():
-            if entry.timer is not None and entry.timer.is_pending:
-                assert entry.timer.expiry is not None
-                result.append((key, entry.timer.expiry))
-        return result
-
     def recharge_count(self) -> int:
         """Total reuse-timer postponements recorded while suppressed —
         this router's footprint of the paper's secondary charging."""

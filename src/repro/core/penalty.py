@@ -89,14 +89,6 @@ class PenaltyState:
         self._value = 0.0
         self._stamp = now
 
-    def exceeds_cutoff(self, now: float) -> bool:
-        """True when the decayed penalty is above the cut-off threshold."""
-        return self.value_at(now) > self.params.cutoff_threshold
-
-    def below_reuse(self, now: float) -> bool:
-        """True when the decayed penalty is below the reuse threshold."""
-        return self.value_at(now) < self.params.reuse_threshold
-
     def reuse_delay(self, now: float) -> float:
         """Seconds from ``now`` until the penalty decays to the reuse
         threshold (0.0 if already below)."""

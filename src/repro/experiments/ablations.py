@@ -29,11 +29,10 @@ from repro.experiments.base import (
     Series,
     internet100_config,
     mesh100_config,
-    run_scenario,
 )
 from repro.workload.patterns import describe_pattern, pattern_by_name
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import ScenarioConfig
+from repro.workload.scenarios import ScenarioConfig, run_scenario
 
 ABLATION_PULSES = (1, 3, 5, 8)
 
@@ -110,7 +109,9 @@ def flap_pattern_experiment(
             name, pulses, flap_interval, random.Random(seed)
         )
         _, result = run_scenario(
-            mesh100_config(seed=seed), schedule, options.check_invariants
+            mesh100_config(seed=seed),
+            schedule,
+            check_invariants=options.check_invariants,
         )
         stats = describe_pattern(schedule)
         rows.append(
@@ -206,7 +207,7 @@ def distance_profile_experiment(
     scenario, result = run_scenario(
         mesh100_config(seed=seed),
         PulseSchedule.regular(pulses, 60.0),
-        options.check_invariants,
+        check_invariants=options.check_invariants,
     )
     buckets = convergence_by_distance(scenario, result)
     rows = [

@@ -1,7 +1,8 @@
 """Shared experiment machinery: standard configurations, explicit run
-options, the in-process episode helper, pulse-count sweeps, the
-declarative sweep-experiment spec with its generic runner, and the
-result container the benchmark harness renders."""
+options, pulse-count sweeps, the declarative sweep-experiment spec with
+its generic runner, and the result container the benchmark harness
+renders. Episodes themselves are run by
+:func:`repro.workload.scenarios.run_scenario`."""
 
 from __future__ import annotations
 
@@ -16,14 +17,7 @@ from repro.metrics.report import render_table
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
 from repro.topology.model import Topology
-from repro.trace.tracer import Tracer
-from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import (
-    FlapRunResult,
-    Scenario,
-    ScenarioConfig,
-    WarmStateCache,
-)
+from repro.workload.scenarios import ScenarioConfig, WarmStateCache
 
 #: The paper sweeps 0..10 pulses on its figures' x-axes.
 DEFAULT_PULSE_COUNTS = tuple(range(0, 11))
@@ -135,45 +129,8 @@ def small_mesh_config(
 
 
 # ----------------------------------------------------------------------
-# episodes and sweeps
+# sweeps
 # ----------------------------------------------------------------------
-
-
-def run_scenario(
-    config: ScenarioConfig,
-    schedule: PulseSchedule,
-    check_invariants: bool = False,
-    tracer: Optional[Tracer] = None,
-) -> Tuple[Scenario, FlapRunResult]:
-    """Build a fresh scenario, warm it up and run one episode in-process.
-
-    The path for drivers that inspect the routers afterwards; sweep
-    points go through :func:`run_sweep` instead. With
-    ``check_invariants`` the drained scenario is swept by
-    :func:`repro.analysis.invariants.check_converged_invariants` and a
-    violation raises ``SimulationError``.
-    """
-    scenario = Scenario(config)
-    scenario.warm_up()
-    result = scenario.run(schedule, tracer=tracer)
-    if check_invariants:
-        # Imported lazily: analysis.invariants imports workload.scenarios,
-        # which sits below this module in the layering.
-        from repro.analysis.invariants import check_converged_invariants
-
-        check_converged_invariants(scenario).raise_on_violation()
-    return scenario, result
-
-
-def run_point(
-    config: ScenarioConfig,
-    pulses: int,
-    flap_interval: float = 60.0,
-    check_invariants: bool = False,
-) -> FlapRunResult:
-    """One regular-pulse episode on a fresh scenario."""
-    schedule = PulseSchedule.regular(pulses, flap_interval)
-    return run_scenario(config, schedule, check_invariants)[1]
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import pathlib
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.experiments.base import ExperimentResult
 
@@ -80,10 +80,3 @@ def _is_time_series(value: object) -> bool:
         and isinstance(first[0], (int, float))
         and isinstance(first[1], (int, float))
     )
-
-
-def export_series_csv(
-    path: PathLike, series: Sequence[Tuple[float, float]], value_name: str = "value"
-) -> None:
-    """Write a single (time, value) series to CSV."""
-    write_csv(path, ["time_s", value_name], series)

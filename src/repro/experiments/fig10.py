@@ -28,10 +28,10 @@ from repro.experiments.base import (
     ExperimentResult,
     RunOptions,
     mesh100_config,
-    run_point,
 )
 from repro.metrics.report import render_series
-from repro.workload.scenarios import FlapRunResult
+from repro.workload.pulses import PulseSchedule
+from repro.workload.scenarios import FlapRunResult, run_scenario
 
 FIG10_PULSE_COUNTS = (1, 3, 5)
 
@@ -58,9 +58,11 @@ def fig10_experiment(
     """Reproduce all panels of Figure 10."""
     if results is None:
         results = {
-            n: run_point(
-                mesh100_config(seed=seed), n, check_invariants=options.check_invariants
-            )
+            n: run_scenario(
+                mesh100_config(seed=seed),
+                PulseSchedule.regular(n, 60.0),
+                check_invariants=options.check_invariants,
+            )[1]
             for n in pulse_counts
         }
 

@@ -12,7 +12,7 @@ This driver reproduces the curve analytically from :class:`PenaltyState`
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.intended import IntendedBehaviorModel, pulse_events
 from repro.core.params import CISCO_DEFAULTS, DampingParams
@@ -75,26 +75,3 @@ def fig3_experiment(
             "reuse_at": reuse_at,
         },
     )
-
-
-def penalty_samples(
-    params: DampingParams,
-    events: List[Tuple[float, str]],
-    end: float,
-    step: float,
-) -> List[Tuple[float, float]]:
-    """Sample the penalty curve for an explicit (time, 'down'/'up') train —
-    exposed for tests and the example scripts."""
-    from repro.core.params import UpdateKind
-
-    state = PenaltyState(params)
-    withdrawn = False
-    for time, status in events:
-        if status == "down":
-            state.charge(time, UpdateKind.WITHDRAWAL)
-            withdrawn = True
-        else:
-            kind = UpdateKind.REANNOUNCEMENT if withdrawn else UpdateKind.ATTRIBUTE_CHANGE
-            state.charge(time, kind)
-            withdrawn = False
-    return state.sample_curve(0.0, end, step)

@@ -23,11 +23,10 @@ from repro.experiments.base import (
     ExperimentResult,
     RunOptions,
     mesh100_config,
-    run_scenario,
 )
 from repro.metrics.report import render_series
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario, ScenarioConfig
+from repro.workload.scenarios import Scenario, ScenarioConfig, run_scenario
 
 FIG7_HOPS = 7
 
@@ -64,7 +63,9 @@ def fig7_experiment(
     if config is None:
         config = mesh100_config(seed=DEFAULT_SEED)
     scenario, result = run_scenario(
-        config, PulseSchedule.regular(1, 60.0), options.check_invariants
+        config,
+        PulseSchedule.regular(1, 60.0),
+        check_invariants=options.check_invariants,
     )
 
     router_name, peer, prefix, record = _most_recharged(scenario, hops)

@@ -26,13 +26,12 @@ from repro.bgp.graceful_restart import GracefulRestartConfig
 from repro.experiments.base import (
     ExperimentResult,
     RunOptions,
-    run_scenario,
     small_mesh_config,
 )
 from repro.faults.plan import FaultPlan, RouterCrash
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import ScenarioConfig
+from repro.workload.scenarios import ScenarioConfig, run_scenario
 
 #: The measured episode: a handful of origin pulses plus one crash.
 FX1_PULSES = 3
@@ -82,7 +81,7 @@ def _run_mode(config: ScenarioConfig, check_invariants: bool) -> Dict[str, objec
     scenario, result = run_scenario(
         config,
         PulseSchedule.regular(FX1_PULSES, FX1_FLAP_INTERVAL),
-        check_invariants,
+        check_invariants=check_invariants,
         tracer=tracer,
     )
     tracer.close()

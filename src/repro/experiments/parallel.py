@@ -56,7 +56,7 @@ from repro.sim.rng import RngRegistry
 from repro.trace.sinks import JsonlSink
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario, ScenarioConfig
+from repro.workload.scenarios import ScenarioConfig, run_scenario
 
 #: Auto-chunking target: enough chunks per worker that completion skew
 #: stays small, few enough that dispatch overhead is amortised.
@@ -139,58 +139,6 @@ def derive_seed(master_seed: int, label: str) -> int:
     return RngRegistry(master_seed).fork(label).master_seed
 
 
-def run_point_outcome(
-    scenario: Scenario,
-    pulses: int,
-    flap_interval: float = 60.0,
-    check_invariants: bool = False,
-    trace_path: Optional[str] = None,
-    audit_timers: bool = False,
-) -> PointOutcome:
-    """Run one regular-pulse episode on a warmed scenario and reduce it
-    to a :class:`PointOutcome`.
-
-    ``trace_path`` writes the episode's causal trace there as canonical
-    JSONL and records its digest on the outcome. ``audit_timers``
-    attaches the runtime timer audit for the episode and fails the point
-    on any lifecycle violation.
-    """
-    tracer: Optional[Tracer] = None
-    if trace_path is not None:
-        tracer = Tracer(JsonlSink(trace_path))
-    audit = scenario.engine.enable_timer_audit() if audit_timers else None
-    result = scenario.run(PulseSchedule.regular(pulses, flap_interval), tracer=tracer)
-    trace_digest = tracer.close() if tracer is not None else None
-    if audit is not None:
-        violations = audit.verify()
-        if violations:
-            details = "; ".join(
-                f"{v.kind} @ {v.time:.1f}s timer {v.timer}" for v in violations[:5]
-            )
-            raise SimulationError(
-                f"timer audit found {len(violations)} violation(s) at "
-                f"pulses={pulses}: {details}"
-            )
-    if check_invariants:
-        # Imported lazily: analysis.invariants imports workload.scenarios,
-        # which sits below this module in the layering.
-        from repro.analysis.invariants import check_converged_invariants
-
-        check_converged_invariants(scenario).raise_on_violation()
-    summary = result.summary
-    return PointOutcome(
-        pulses=pulses,
-        convergence_time=result.convergence_time,
-        message_count=result.message_count,
-        suppressions=summary.total_suppressions,
-        peak_damped_links=summary.peak_damped_links,
-        secondary_charges=summary.secondary_charges,
-        warmup_convergence=result.warmup_convergence,
-        digest=run_digest(result.collector),
-        trace_digest=trace_digest,
-    )
-
-
 # ----------------------------------------------------------------------
 # per-point work (sequential loop and worker processes alike)
 # ----------------------------------------------------------------------
@@ -210,26 +158,38 @@ class _SweepSpec:
     audit_timers: bool
 
 
-def _point_trace_path(trace_dir: str, index: int, pulses: int) -> str:
-    """Per-point trace file name: stable, index-ordered, pulse-labelled."""
-    return os.path.join(trace_dir, f"point_{index:03d}_p{pulses}.jsonl")
-
-
 def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
-    """Build and warm a fresh scenario, then run the point's episode."""
-    scenario = Scenario(spec.config)
-    scenario.warm_up()
-    return run_point_outcome(
-        scenario,
-        pulses,
-        flap_interval=spec.flap_interval,
-        check_invariants=spec.check_invariants,
-        trace_path=(
-            _point_trace_path(spec.trace_dir, index, pulses)
-            if spec.trace_dir is not None
-            else None
-        ),
-        audit_timers=spec.audit_timers,
+    """Run the point's episode on a fresh scenario and reduce it to a
+    :class:`PointOutcome`; with a ``trace_dir`` the episode's causal
+    trace is written as canonical JSONL and its digest recorded."""
+    tracer: Optional[Tracer] = None
+    if spec.trace_dir is not None:
+        # Stable, index-ordered, pulse-labelled.
+        name = f"point_{index:03d}_p{pulses}.jsonl"
+        tracer = Tracer(JsonlSink(os.path.join(spec.trace_dir, name)))
+    trace_digest: Optional[str] = None
+    try:
+        _scenario, result = run_scenario(
+            spec.config,
+            PulseSchedule.regular(pulses, spec.flap_interval),
+            check_invariants=spec.check_invariants,
+            audit_timers=spec.audit_timers,
+            tracer=tracer,
+        )
+    finally:
+        if tracer is not None:
+            trace_digest = tracer.close()
+    summary = result.summary
+    return PointOutcome(
+        pulses=pulses,
+        convergence_time=result.convergence_time,
+        message_count=result.message_count,
+        suppressions=summary.total_suppressions,
+        peak_damped_links=summary.peak_damped_links,
+        secondary_charges=summary.secondary_charges,
+        warmup_convergence=result.warmup_convergence,
+        digest=run_digest(result.collector),
+        trace_digest=trace_digest,
     )
 
 
@@ -295,9 +255,6 @@ class _PoolManager:
         for pool in self._idle.values():
             pool.shutdown(wait=False, cancel_futures=True)
         self._idle.clear()
-
-    def idle_count(self) -> int:
-        return len(self._idle)
 
 
 _POOLS = _PoolManager()
@@ -493,6 +450,5 @@ __all__ = [
     "execute_sweep",
     "resolve_chunk_size",
     "resolve_jobs",
-    "run_point_outcome",
     "shutdown_worker_pools",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.metrics.collector import MetricsCollector
 
@@ -20,32 +20,6 @@ class ConvergenceSummary:
     noisy_reuses: int
     silent_reuses: int
     secondary_charges: int
-
-    def as_row(self) -> List[object]:
-        """Row form used by the report tables."""
-        return [
-            self.pulses,
-            round(self.convergence_time, 1),
-            self.message_count,
-            self.peak_damped_links,
-            self.total_suppressions,
-            self.noisy_reuses,
-            self.silent_reuses,
-            self.secondary_charges,
-        ]
-
-    @staticmethod
-    def headers() -> List[str]:
-        return [
-            "pulses",
-            "conv_time_s",
-            "messages",
-            "peak_damped",
-            "suppressions",
-            "noisy_reuse",
-            "silent_reuse",
-            "secondary_charges",
-        ]
 
 
 def summarize_convergence(

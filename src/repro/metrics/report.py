@@ -75,21 +75,3 @@ def _downsample(
         value = max(v for _, v in window)
         result.append((time, value))
     return result
-
-
-def render_comparison(
-    label_a: str,
-    series_a: Sequence[Tuple[int, float]],
-    label_b: str,
-    series_b: Sequence[Tuple[int, float]],
-    x_label: str = "pulses",
-    title: Optional[str] = None,
-) -> str:
-    """Two series over the same integer x-axis, side by side."""
-    xs = sorted({x for x, _ in series_a} | {x for x, _ in series_b})
-    map_a = dict(series_a)
-    map_b = dict(series_b)
-    rows = [
-        [x, map_a.get(x, float("nan")), map_b.get(x, float("nan"))] for x in xs
-    ]
-    return render_table([x_label, label_a, label_b], rows, title=title)

@@ -61,32 +61,3 @@ def step_series_at(series: Sequence[Tuple[float, int]], time: float, initial: in
     if idx < 0:
         return initial
     return series[idx][1]
-
-
-def sample_step_series(
-    series: Sequence[Tuple[float, int]],
-    start: float,
-    end: float,
-    step: float,
-    initial: int = 0,
-) -> List[Tuple[float, int]]:
-    """Sample a step series on a regular grid (for plotting/reporting)."""
-    if step <= 0:
-        raise ConfigurationError(f"step must be > 0, got {step}")
-    samples: List[Tuple[float, int]] = []
-    t = start
-    while t <= end + 1e-9:
-        samples.append((t, step_series_at(series, t, initial)))
-        t += step
-    return samples
-
-
-def series_peak(series: Sequence[Tuple[float, int]]) -> Tuple[float, int]:
-    """The (time, value) of the maximum of a series (first peak wins)."""
-    if not series:
-        return (0.0, 0)
-    best = series[0]
-    for point in series[1:]:
-        if point[1] > best[1]:
-            best = point
-    return best

@@ -96,10 +96,6 @@ class Link:
         # network coalesces deliveries (see _DeliveryBatch).
         self._batches: Dict[str, "_DeliveryBatch"] = {}
 
-    @property
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
     def other_end(self, node: str) -> str:
         """The endpoint opposite ``node``."""
         if node == self.a:

@@ -89,10 +89,3 @@ class Topology:
         """Greatest hop distance from ``source`` to any node."""
         lengths = nx.single_source_shortest_path_length(self.graph, source)
         return max(lengths.values())
-
-    def degree_histogram(self) -> dict:
-        """``{degree: node count}`` — used to sanity-check long tails."""
-        histogram: dict = {}
-        for _, degree in self.graph.degree:
-            histogram[degree] = histogram.get(degree, 0) + 1
-        return histogram

@@ -102,18 +102,6 @@ class RelationshipMap:
     def providers_of(self, router: str) -> List[str]:
         return sorted(p for (p, c) in self._provider_of if c == router)
 
-    def customers_of(self, router: str) -> List[str]:
-        return sorted(c for (p, c) in self._provider_of if p == router)
-
-    def peers_of(self, router: str) -> List[str]:
-        result = []
-        for a, b in self._peers:
-            if a == router:
-                result.append(b)
-            elif b == router:
-                result.append(a)
-        return sorted(result)
-
     @property
     def provider_edge_count(self) -> int:
         return len(self._provider_of)

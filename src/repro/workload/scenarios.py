@@ -46,7 +46,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
 from repro.net.link import LinkConfig
 from repro.net.network import Network
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, PhaseProbe
 from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
 from repro.topology.model import Topology
@@ -427,16 +427,6 @@ class Scenario:
     # helpers for figure drivers
     # ------------------------------------------------------------------
 
-    def router_at_distance(self, hops: int) -> BgpRouter:
-        """A router exactly ``hops`` from the origin's attachment point
-        (falling back to the farthest available distance)."""
-        topology = self.config.topology
-        wanted = min(hops, topology.eccentricity(self.isp))
-        names = topology.nodes_at_distance(self.isp, wanted)
-        if not names:
-            raise SimulationError(f"no router at distance {wanted} from {self.isp}")
-        return self.routers[names[0]]
-
     def intended_model(self, flap_interval: float = 60.0) -> IntendedBehaviorModel:
         """Section 3 model parameterised with this scenario's measured
         ``t_up`` (requires a completed warm-up and damping enabled)."""
@@ -449,11 +439,57 @@ class Scenario:
         )
 
 
-def run_episode(config: ScenarioConfig, pulses: int, flap_interval: float = 60.0) -> FlapRunResult:
-    """Convenience: build, warm up, and run one regular-pulse episode."""
+def run_scenario(
+    config: ScenarioConfig,
+    schedule: PulseSchedule,
+    *,
+    check_invariants: bool = False,
+    audit_timers: bool = False,
+    tracer: Optional["Tracer"] = None,
+    phase_probe: Optional[PhaseProbe] = None,
+) -> Tuple[Scenario, FlapRunResult]:
+    """Build a fresh scenario, warm it up and run one measured episode.
+
+    The one place a measured episode is put together: sweep points,
+    bespoke drivers and the ad-hoc CLI commands all come through here.
+    ``audit_timers`` attaches the runtime timer audit for the scenario's
+    whole life (warm-up included) and ``phase_probe`` brackets every
+    engine callback; ``tracer`` covers the measured episode only. A
+    timer-audit violation raises ``SimulationError``; with
+    ``check_invariants`` so does any violation
+    :func:`repro.analysis.invariants.check_converged_invariants` finds
+    in the drained scenario.
+    """
     scenario = Scenario(config)
+    audit = scenario.engine.enable_timer_audit() if audit_timers else None
+    if phase_probe is not None:
+        scenario.engine.set_phase_probe(phase_probe)
     scenario.warm_up()
-    return scenario.run(PulseSchedule.regular(pulses, flap_interval))
+    result = scenario.run(schedule, tracer=tracer)
+    if audit is not None:
+        violations = audit.verify()
+        if violations:
+            details = "; ".join(
+                f"{v.kind} @ {v.time:.1f}s timer {v.timer}" for v in violations[:5]
+            )
+            raise SimulationError(
+                f"timer audit found {len(violations)} violation(s): {details}"
+            )
+    if check_invariants:
+        # Imported lazily: analysis.invariants imports this module.
+        from repro.analysis.invariants import check_converged_invariants
+
+        # Every PulseSchedule ends with the origin up, so the converged
+        # network must be fully reachable and fully drained.
+        check_converged_invariants(scenario).raise_on_violation()
+    return scenario, result
+
+
+def run_episode(
+    config: ScenarioConfig, pulses: int, flap_interval: float = 60.0
+) -> FlapRunResult:
+    """Convenience: one regular-pulse episode on a fresh scenario."""
+    return run_scenario(config, PulseSchedule.regular(pulses, flap_interval))[1]
 
 
 # ----------------------------------------------------------------------

@@ -34,11 +34,83 @@ def test_run_multiple(capsys):
     assert "T1" in out and "F3" in out
 
 
-def test_run_unknown_experiment():
-    from repro.errors import ExperimentError
+def test_run_unknown_experiment(capsys):
+    assert main(["run", "F99"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfd-repro run: unknown experiment 'F99'")
+    assert "available: T1, F3, " in err
 
-    with pytest.raises(ExperimentError):
-        main(["run", "F99"])
+
+#: Unknown ids, bad values, unwritable outputs, unreadable inputs, a stray plan.
+BAD_INVOCATIONS = [
+    "run NOPE",
+    "run F8 --smoke --jobs -2",
+    "simulate --jobs -1",  # the flag is gone: an argparse usage error
+    "simulate --nodes 9 --interval -5",
+    "simulate --nodes 9 --pulses -1",
+    "intended --interval 0",
+    "trace --nodes 9 --pulses 1 --out /nonexistent/x.jsonl",
+    "trace --nodes 9 --pulses 1 --json /nonexistent/x.json",
+    "faults template --out /nonexistent/x.json",
+    "run T1 --write-digests /nonexistent/x.json",
+    "run T1 --csv-dir /proc/nope",
+    "run T1 --verify-digests README.md",
+    "lint --update-baseline src",
+    "topo gen --nodes 100 --caida-out x",
+    "topo bench --topology-file /nonexistent.json",
+    "faults run examples/faults_demo.json --nodes 9",
+]
+
+
+@pytest.fixture
+def in_repo_root(monkeypatch):
+    import pathlib
+
+    monkeypatch.chdir(pathlib.Path(__file__).resolve().parents[2])
+
+
+@pytest.mark.parametrize("invocation", BAD_INVOCATIONS)
+def test_bad_input_exits_2_with_one_line_and_no_traceback(
+    capsys, in_repo_root, invocation
+):
+    argv = invocation.split()
+    try:
+        code = main(argv)
+    except SystemExit as usage_error:  # argparse's own exit, also 2
+        code = usage_error.code
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    if "--jobs -1" in invocation:
+        assert lines[-1].startswith("rfd-repro: error: ")
+    else:
+        assert len(lines) == 1 and lines[0].startswith(f"rfd-repro {argv[0]}: ")
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        "simulate --nodes 9 --pulses 1 --check-invariants",
+        "simulate --nodes 9 --pulses 1 --audit-timers",
+        "faults run examples/faults_demo.json --nodes 25 --pulses 0 --check-invariants",
+    ],
+)
+def test_seeded_violation_exits_1(capsys, monkeypatch, in_repo_root, invocation):
+    """A run that breaks its own rules is exit 1 from every command."""
+    import repro.analysis.invariants as invariants
+    from repro.sim.timers import TimerAudit, TimerAuditViolation
+
+    broken = invariants.InvariantViolation("m00x00", "loop", "seeded")
+    monkeypatch.setattr(
+        invariants,
+        "check_converged_invariants",
+        lambda scenario: invariants.InvariantReport(violations=[broken]),
+    )
+    leak = TimerAuditViolation(kind="leak", timer="x", time=1.0, detail="seeded")
+    monkeypatch.setattr(TimerAudit, "verify", lambda self: [leak])
+    assert main(invocation.split()) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"rfd-repro {invocation.split()[0]}: ")
+    assert "violation(s): " in lines[0]
 
 
 def test_simulate_small_mesh(capsys):

@@ -14,28 +14,28 @@ import pytest
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import CISCO_DEFAULTS
 from repro.core.states import DampingPhase
-from repro.experiments.base import mesh100_config, run_point
+from repro.experiments.base import mesh100_config
 from repro.experiments.fig10 import classify_run
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import Scenario, run_episode
 
 SEED = 42
 
 
 @pytest.fixture(scope="module")
 def one_pulse_damping():
-    return run_point(mesh100_config(seed=SEED), pulses=1)
+    return run_episode(mesh100_config(seed=SEED), pulses=1)
 
 
 @pytest.fixture(scope="module")
 def five_pulse_damping():
-    return run_point(mesh100_config(seed=SEED), pulses=5)
+    return run_episode(mesh100_config(seed=SEED), pulses=5)
 
 
 @pytest.fixture(scope="module")
 def no_damping_results():
     config = mesh100_config(damping=None, seed=SEED)
-    return {n: run_point(config, pulses=n) for n in (1, 3, 5)}
+    return {n: run_episode(config, pulses=n) for n in (1, 3, 5)}
 
 
 def test_single_pulse_triggers_false_suppression(one_pulse_damping):
@@ -101,7 +101,7 @@ def test_beyond_critical_point_reuse_is_silent(five_pulse_damping):
 def test_small_pulse_counts_deviate_from_intended():
     """Paper Fig 8: below the critical point the measured convergence is a
     large multiple of the intended value."""
-    result = run_point(mesh100_config(seed=SEED), pulses=1)
+    result = run_episode(mesh100_config(seed=SEED), pulses=1)
     model = IntendedBehaviorModel(
         CISCO_DEFAULTS, flap_interval=60.0, tup=result.warmup_convergence
     )
@@ -128,8 +128,8 @@ def test_no_damping_convergence_short(no_damping_results):
 def test_damping_caps_message_count():
     """Paper Fig 9: with damping the message count flattens once the ISP
     suppresses the flapping route."""
-    m5 = run_point(mesh100_config(seed=SEED), pulses=5).message_count
-    m8 = run_point(mesh100_config(seed=SEED), pulses=8).message_count
+    m5 = run_episode(mesh100_config(seed=SEED), pulses=5).message_count
+    m8 = run_episode(mesh100_config(seed=SEED), pulses=8).message_count
     assert m8 < m5 * 1.15
 
 
@@ -138,11 +138,11 @@ def test_rcn_matches_intended_for_small_n():
     every pulse count, including below the critical point."""
     # n=1: no suppression is intended — convergence is plain BGP
     # convergence (seconds-to-minutes), no damping delay.
-    result1 = run_point(mesh100_config(rcn=True, seed=SEED), pulses=1)
+    result1 = run_episode(mesh100_config(rcn=True, seed=SEED), pulses=1)
     assert result1.summary.total_suppressions == 0
     assert result1.convergence_time < 300.0
     # n=3: suppression is intended — convergence tracks r + t_up closely.
-    result3 = run_point(mesh100_config(rcn=True, seed=SEED), pulses=3)
+    result3 = run_episode(mesh100_config(rcn=True, seed=SEED), pulses=3)
     model = IntendedBehaviorModel(
         CISCO_DEFAULTS, flap_interval=60.0, tup=result3.warmup_convergence
     )
@@ -151,7 +151,7 @@ def test_rcn_matches_intended_for_small_n():
 
 
 def test_rcn_eliminates_secondary_charging():
-    result = run_point(mesh100_config(rcn=True, seed=SEED), pulses=1)
+    result = run_episode(mesh100_config(rcn=True, seed=SEED), pulses=1)
     assert result.summary.secondary_charges == 0
     assert result.summary.total_suppressions == 0
 
@@ -159,8 +159,8 @@ def test_rcn_eliminates_secondary_charging():
 def test_rcn_produces_more_messages_at_large_n():
     """Paper Fig 14: RCN damping sends somewhat more messages than plain
     damping at large n (no early false suppression to cut exploration)."""
-    plain = run_point(mesh100_config(seed=SEED), pulses=8).message_count
-    rcn = run_point(mesh100_config(rcn=True, seed=SEED), pulses=8).message_count
+    plain = run_episode(mesh100_config(seed=SEED), pulses=8).message_count
+    rcn = run_episode(mesh100_config(rcn=True, seed=SEED), pulses=8).message_count
     assert rcn > plain
 
 

@@ -214,3 +214,112 @@ def test_every_bench_shim_site_resolves(monkeypatch):
     ]
     assert not missing, f"bench/trace.py shims names src/ no longer defines: {missing}"
     assert shims_installed() == []
+
+
+SRC_ROOT = REPO_ROOT / "src" / "repro"
+
+
+def _callers(*callees: str) -> dict:
+    """``{callee: {"path::function", ...}}`` for every call to one of
+    ``callees`` (bare name or attribute) under ``src/repro``."""
+    sites = {callee: set() for callee in callees}
+    for path in SRC_ROOT.rglob("*.py"):
+        module = str(path.relative_to(SRC_ROOT))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in sites:
+                        sites[name].add(f"{module}::{func.name}")
+    return sites
+
+
+def test_one_function_builds_and_warms_a_measured_scenario():
+    """Build → warm-up → run is spelt out once, but for two that own a
+    stage boundary: ``run_scale_episode`` times each stage and ``capture``
+    stops after the warm-up (and is a frozen ``bench/`` shim site)."""
+    runner = "workload/scenarios.py::run_scenario"
+    sites = _callers("Scenario", "check_converged_invariants", "enable_timer_audit")
+    assert sites["Scenario"] == {
+        runner,
+        "workload/scenarios.py::capture",
+        "experiments/scale.py::run_scale_episode",
+    }
+    oracle = sites["check_converged_invariants"]
+    assert {s for s in oracle if not s.startswith("analysis/")} == {runner}
+    audit = sites["enable_timer_audit"]
+    assert {s for s in audit if not s.startswith("sim/")} == {runner}
+
+
+def test_cli_errors_are_handled_in_main():
+    """No function of ``cli.py`` but ``main`` has an ``except`` handler
+    that returns an integer or prints to a ``file=``."""
+    tree = ast.parse((SRC_ROOT / "cli.py").read_text(encoding="utf-8"))
+    offenders = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name != "main"
+        for handler in ast.walk(func)
+        if isinstance(handler, ast.ExceptHandler)
+        for node in ast.walk(handler)
+        if (
+            isinstance(node, ast.Return)
+            and isinstance(getattr(node.value, "value", None), int)
+        )
+        or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "print"
+            and any(keyword.arg == "file" for keyword in node.keywords)
+        )
+    ]
+    assert not offenders, f"cli.py handles errors outside main(): {offenders}"
+
+
+#: Functions nothing under src/, bench/, benchmarks/ or examples/ names,
+#: kept for the reason given. This list may only shrink.
+KEPT_WITHOUT_A_CALLER = {
+    "pending_prefixes": "MRAI property tests observe the limiter's dirty set",
+    "has_pending": "MRAI property tests observe the limiter's dirty set",
+    "has_seen": "RCN property tests observe the root-cause history",
+    "peer_history_size": "RCN property tests observe the root-cause history",
+    "penalty_after_pulses": "closed-form oracle the simulator is checked against",
+    "tie_count": "the schedule-race detector's result (detect_schedule_ties)",
+    "ties_by_tag_pair": "the schedule-race detector's result",
+    "events_sampled": "allocation-audit tests check the probe saw every event",
+    "providers_of": "relationship-assignment tests read the provider hierarchy",
+    "is_announcement": "how protocol tests read an UpdateMessage",
+    "dump_state": "router state dump; ROADMAP item 3 decides its fate",
+    "canonical": "PathTable's API; property tests intern through private tables",
+    "from_mapping": "NoValleyPolicy from a plain dict, the policy tests' constructor",
+    "originates": "router tests observe local origination",
+    "latency": "link tests observe per-message delay",
+    "remaining": "timer tests observe time to expiry",
+    "pick_isp": "documented topology helper (docs/SCALING.md)",
+    "invalidate_caches": "documented escape hatch after in-place topology surgery",
+}
+
+
+def test_no_function_is_kept_only_for_its_own_test():
+    """Every function under ``src/repro`` (``repro.lint``'s registered
+    rules aside) is named in ``src/``, ``bench/``, ``benchmarks/`` or
+    ``examples/``, or listed above. Name-level: a string counts by its
+    last dotted component (``getattr`` metrics, ``PHASE_ROOTS``)."""
+    used, defined = set(), set()
+    for base in ("src", "bench", "benchmarks", "examples"):
+        for path in (REPO_ROOT / base).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    if base == "src" and "lint" not in path.parts:
+                        defined.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.add(node.value.rpartition(".")[2])
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+                elif not isinstance(node, ast.arg):  # a parameter is no use
+                    for field in ("id", "attr", "arg"):
+                        used.add(getattr(node, field, None))
+    unreferenced = {n for n in defined - used if not n.startswith("__")}
+    # Equality, so the list shrinks with every function that gains a caller.
+    assert unreferenced == set(KEPT_WITHOUT_A_CALLER)

@@ -149,15 +149,6 @@ def test_partial_deployment_isp_always_damps(small_mesh):
     assert 0 < damping_count < len(scenario.routers)
 
 
-def test_router_at_distance(fast_config):
-    scenario = Scenario(fast_config)
-    router = scenario.router_at_distance(2)
-    assert fast_config.topology.hop_distance(scenario.isp, router.name) == 2
-    # Requesting beyond the eccentricity falls back to the farthest ring.
-    far = scenario.router_at_distance(99)
-    assert far.name in fast_config.topology.nodes
-
-
 def test_intended_model_uses_measured_tup(fast_config):
     scenario = Scenario(fast_config)
     scenario.warm_up()

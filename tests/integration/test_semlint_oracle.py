@@ -203,12 +203,14 @@ def test_hand_rolled_past_expiry_rejected_by_engine(healthy):
 def test_run_point_invariant_toggle(oracle_calls):
     """Satellite wiring: ``check_invariants=True`` makes a point pay for
     an oracle pass (and a clean run passes it); the default does not."""
-    from repro.experiments.base import run_point
+    from repro.workload.scenarios import run_scenario
 
     config = ScenarioConfig(
         topology=mesh_topology(3, 3), damping=CISCO_DEFAULTS, seed=11
     )
-    assert run_point(config, pulses=1).message_count > 0
+    schedule = PulseSchedule.regular(1, 60.0)
+    assert run_scenario(config, schedule)[1].message_count > 0
     assert not oracle_calls
-    assert run_point(config, pulses=1, check_invariants=True).message_count > 0
+    _, checked = run_scenario(config, schedule, check_invariants=True)
+    assert checked.message_count > 0
     assert len(oracle_calls) == 1

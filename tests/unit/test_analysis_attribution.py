@@ -165,9 +165,10 @@ def test_end_to_end_attribution_on_real_run():
     to reuse waves — the paper's secondary-charging claim, verified
     causally rather than by timing alone."""
     from repro.analysis.attribution import analyze_run
-    from repro.experiments.base import run_point, small_mesh_config
+    from repro.experiments.base import small_mesh_config
+    from repro.workload.scenarios import run_episode
 
-    result = run_point(small_mesh_config(seed=3), pulses=1)
+    result = run_episode(small_mesh_config(seed=3), pulses=1)
     report = analyze_run(result)
     assert report.total == result.summary.secondary_charges
     # After the origin's final announcement (+window), flaps can no longer

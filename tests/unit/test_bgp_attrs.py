@@ -17,8 +17,8 @@ def route(*path: str) -> Route:
 def test_route_fields():
     r = route("b", "c", "origin")
     assert r.path_length == 3
-    assert r.origin_as == "origin"
-    assert r.next_hop_as == "b"
+    assert r.as_path[-1] == "origin"
+    assert r.as_path[0] == "b"
     assert r.learned_from == "b"
 
 
@@ -34,26 +34,6 @@ def test_route_contains():
     assert r.contains("b")
     assert r.contains("c")
     assert not r.contains("z")
-
-
-def test_prepended_by():
-    r = route("b", "c")
-    extended = r.prepended_by("a")
-    assert extended.as_path == ("a", "b", "c")
-    assert extended.learned_from == "a"
-    assert extended.prefix == "p0"
-
-
-def test_prepended_by_loop_raises():
-    with pytest.raises(ProtocolError):
-        route("b", "c").prepended_by("c")
-
-
-def test_same_attributes_ignores_learned_from():
-    a = Route(prefix="p0", as_path=("x", "y"), learned_from="x")
-    b = Route(prefix="p0", as_path=("x", "y"), learned_from="other")
-    assert a.same_attributes(b)
-    assert a != b
 
 
 def test_route_equality_and_hash():

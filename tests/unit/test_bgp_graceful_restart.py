@@ -31,7 +31,7 @@ def test_peer_crashed_enters_helper_mode(engine):
     assert helper.peer_crashed("r2", ["p0", "p1"], config) == 2
     assert helper.helping("r2")
     assert helper.is_stale("r2", "p0")
-    assert helper.stale_prefixes("r2") == ["p0", "p1"]
+    assert helper.is_stale("r2", "p1")
     assert helper.stale_count() == 2
 
 

@@ -69,12 +69,6 @@ def test_flap_log_and_times(setup):
         (20.0, "up"),
     ]
     assert origin.flap_times == [0.0, 10.0, 20.0]
-    assert origin.last_announcement_time == 20.0
-
-
-def test_last_announcement_time_none_before_any_up(setup):
-    _, origin, _ = setup
-    assert origin.last_announcement_time is None
 
 
 def test_causes_are_sequential_and_propagated(setup):

@@ -58,6 +58,6 @@ def test_routes_with_equal_paths_share_the_tuple():
     first = Route(prefix="10.0.0.0/8", as_path=("as1", "as2"), learned_from="as1")
     second = Route(prefix="10.1.0.0/8", as_path=("as1", "as2"), learned_from="as1")
     assert first.as_path is second.as_path
-    assert first.same_attributes(
-        Route(prefix="10.0.0.0/8", as_path=("as1", "as2"), learned_from="as1")
+    assert first == Route(
+        prefix="10.0.0.0/8", as_path=("as1", "as2"), learned_from="as1"
     )

@@ -118,14 +118,12 @@ class TestAdjRibOut:
     def test_initially_nothing_announced(self):
         table = AdjRibOut("peer")
         assert table.announced_route("p0") is None
-        assert not table.has_announced("p0")
 
     def test_record_announcement(self):
         table = AdjRibOut("peer")
         route = Route(prefix="p0", as_path=("me", "o"), learned_from="me")
         table.record_announcement("p0", route)
         assert table.announced_route("p0") == route
-        assert table.has_announced("p0")
         assert table.entry("p0").last_announced_length == 2
 
     def test_record_withdrawal_keeps_length_history(self):

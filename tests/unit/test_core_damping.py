@@ -166,8 +166,12 @@ def test_suppression_observers_notified(engine, manager):
 def test_pending_reuse_timers_listing(engine, manager):
     charge_to_suppression(engine, manager, peer="p1")
     charge_to_suppression(engine, manager, peer="p2")
-    timers = dict(manager.pending_reuse_timers())
-    assert set(timers) == {("p1", "d"), ("p2", "d")}
+    pending = {
+        key
+        for key in manager.entry_keys()
+        if manager.reuse_timer_expiry(*key) is not None
+    }
+    assert pending == {("p1", "d"), ("p2", "d")}
 
 
 def test_reuse_timer_expiry_none_when_not_suppressed(manager):

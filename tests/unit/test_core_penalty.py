@@ -98,12 +98,10 @@ def test_reset(state):
 
 def test_exceeds_cutoff_and_below_reuse(state):
     state.add(0.0, 2500.0)
-    assert state.exceeds_cutoff(0.0)
-    assert not state.below_reuse(0.0)
+    assert state.value_at(0.0) > CISCO_DEFAULTS.cutoff_threshold
     # After enough decay the value passes below reuse.
     delay = CISCO_DEFAULTS.reuse_delay(2500.0)
-    assert not state.exceeds_cutoff(delay + 1.0)
-    assert state.below_reuse(delay + 1.0)
+    assert state.value_at(delay + 1.0) < CISCO_DEFAULTS.reuse_threshold
 
 
 def test_reuse_delay_decreases_over_time(state):

@@ -12,10 +12,10 @@ from repro.experiments.base import (
     internet100_config,
     internet208_config,
     mesh100_config,
-    run_point,
     run_sweep,
     small_mesh_config,
 )
+from repro.workload.scenarios import run_episode
 
 
 class TestStandardConfigs:
@@ -57,8 +57,8 @@ class TestStandardConfigs:
 
 class TestSweeps:
     def test_run_point_deterministic(self):
-        a = run_point(small_mesh_config(seed=2), pulses=1)
-        b = run_point(small_mesh_config(seed=2), pulses=1)
+        a = run_episode(small_mesh_config(seed=2), pulses=1)
+        b = run_episode(small_mesh_config(seed=2), pulses=1)
         assert a.convergence_time == b.convergence_time
         assert a.message_count == b.message_count
 
@@ -80,8 +80,8 @@ class TestSweeps:
         assert SweepSeries("empty").mean_warmup == 0.0
 
     def test_flap_interval_respected(self):
-        fast = run_point(small_mesh_config(seed=2), pulses=2, flap_interval=10.0)
-        slow = run_point(small_mesh_config(seed=2), pulses=2, flap_interval=120.0)
+        fast = run_episode(small_mesh_config(seed=2), pulses=2, flap_interval=10.0)
+        slow = run_episode(small_mesh_config(seed=2), pulses=2, flap_interval=120.0)
         assert (
             slow.flap_times[-1] - slow.flap_times[0]
             > fast.flap_times[-1] - fast.flap_times[0]

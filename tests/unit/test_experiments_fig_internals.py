@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import CISCO_DEFAULTS
-from repro.experiments.fig3 import penalty_samples
 from repro.experiments.fig7 import _count_upward_crossings, _first_reuse_estimate
 from repro.experiments.fig8_9 import calculation_series
 from repro.core.damping import SuppressionRecord
@@ -42,27 +41,6 @@ class TestFirstReuseEstimate:
         )
         expected = 100.0 + CISCO_DEFAULTS.reuse_delay(3000.0)
         assert _first_reuse_estimate(record, CISCO_DEFAULTS) == pytest.approx(expected)
-
-
-class TestPenaltySamples:
-    def test_withdrawal_then_reannouncement(self):
-        samples = dict(
-            penalty_samples(
-                CISCO_DEFAULTS,
-                [(0.0, "down"), (60.0, "up")],
-                end=120.0,
-                step=60.0,
-            )
-        )
-        assert samples[0.0] == pytest.approx(1000.0)
-        # Cisco re-announcement adds nothing; pure decay afterwards.
-        assert samples[120.0] == pytest.approx(CISCO_DEFAULTS.decay(1000.0, 120.0))
-
-    def test_up_without_prior_down_counts_as_attribute_change(self):
-        samples = dict(
-            penalty_samples(CISCO_DEFAULTS, [(0.0, "up")], end=0.0, step=1.0)
-        )
-        assert samples[0.0] == pytest.approx(500.0)
 
 
 class TestCalculationSeries:

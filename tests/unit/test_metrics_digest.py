@@ -4,36 +4,37 @@ from __future__ import annotations
 
 import csv
 
-from repro.experiments.base import small_mesh_config, run_point
-from repro.experiments.export import export_result, export_series_csv, write_csv
+from repro.experiments.base import small_mesh_config
+from repro.experiments.export import export_result, write_csv
 from repro.experiments.table1 import table1_experiment
 from repro.metrics.digest import collector_fingerprint_lines, run_digest
+from repro.workload.scenarios import run_episode
 
 
 class TestDigest:
     def test_same_seed_same_digest(self):
-        a = run_point(small_mesh_config(seed=5), pulses=1)
-        b = run_point(small_mesh_config(seed=5), pulses=1)
+        a = run_episode(small_mesh_config(seed=5), pulses=1)
+        b = run_episode(small_mesh_config(seed=5), pulses=1)
         assert run_digest(a.collector) == run_digest(b.collector)
 
     def test_different_seed_different_digest(self):
-        a = run_point(small_mesh_config(seed=5), pulses=1)
-        b = run_point(small_mesh_config(seed=6), pulses=1)
+        a = run_episode(small_mesh_config(seed=5), pulses=1)
+        b = run_episode(small_mesh_config(seed=6), pulses=1)
         assert run_digest(a.collector) != run_digest(b.collector)
 
     def test_different_workload_different_digest(self):
-        a = run_point(small_mesh_config(seed=5), pulses=1)
-        b = run_point(small_mesh_config(seed=5), pulses=2)
+        a = run_episode(small_mesh_config(seed=5), pulses=1)
+        b = run_episode(small_mesh_config(seed=5), pulses=2)
         assert run_digest(a.collector) != run_digest(b.collector)
 
     def test_fingerprint_covers_all_event_kinds(self):
-        result = run_point(small_mesh_config(seed=5), pulses=1)
+        result = run_episode(small_mesh_config(seed=5), pulses=1)
         lines = collector_fingerprint_lines(result.collector)
         kinds = {line[0] for line in lines}
         assert kinds == {"U", "S", "R"}
 
     def test_digest_is_hex_sha256(self):
-        result = run_point(small_mesh_config(seed=5), pulses=0)
+        result = run_episode(small_mesh_config(seed=5), pulses=0)
         digest = run_digest(result.collector)
         assert len(digest) == 64
         int(digest, 16)  # parses as hex
@@ -74,7 +75,7 @@ class TestExport:
 
     def test_export_series(self, tmp_path):
         path = tmp_path / "series.csv"
-        export_series_csv(path, [(0.0, 1.0), (5.0, 2.0)], value_name="penalty")
+        write_csv(path, ["time_s", "penalty"], [(0.0, 1.0), (5.0, 2.0)])
         with path.open() as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["time_s", "penalty"]

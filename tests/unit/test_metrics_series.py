@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.report import render_comparison, render_series, render_table
-from repro.metrics.series import (
-    bin_counts,
-    sample_step_series,
-    series_peak,
-    step_series_at,
-    to_step_series,
-)
+from repro.metrics.report import render_series, render_table
+from repro.metrics.series import bin_counts, step_series_at, to_step_series
 
 
 class TestBinCounts:
@@ -65,19 +59,6 @@ class TestStepSeries:
         assert step_series_at(series, 3.0) == 3
         assert step_series_at(series, 100.0) == 3
 
-    def test_sample_step_series(self):
-        series = to_step_series([(1.0, +1), (3.0, +1)])
-        samples = sample_step_series(series, 0.0, 4.0, 1.0)
-        assert samples == [(0.0, 0), (1.0, 1), (2.0, 1), (3.0, 2), (4.0, 2)]
-
-    def test_sample_bad_step(self):
-        with pytest.raises(ConfigurationError):
-            sample_step_series([], 0.0, 1.0, 0.0)
-
-    def test_series_peak(self):
-        assert series_peak([(0.0, 1), (1.0, 5), (2.0, 3)]) == (1.0, 5)
-        assert series_peak([]) == (0.0, 0)
-
 
 class TestReport:
     def test_render_table_alignment(self):
@@ -103,10 +84,3 @@ class TestReport:
         series = [(float(i), 1.0) for i in range(1000)]
         text = render_series(series, max_points=20)
         assert len(text.splitlines()) == 20
-
-    def test_render_comparison(self):
-        text = render_comparison(
-            "left", [(1, 10.0), (2, 20.0)], "right", [(1, 11.0), (2, 21.0)]
-        )
-        assert "left" in text and "right" in text
-        assert "10.0" in text and "21.0" in text

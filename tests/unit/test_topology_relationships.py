@@ -57,9 +57,10 @@ class TestRelationshipMap:
         relationships.set_provider("isp", "c2")
         relationships.set_provider("tier1", "isp")
         relationships.set_peers("isp", "other")
-        assert relationships.customers_of("isp") == ["c1", "c2"]
+        assert relationships.relationship("isp", "c1") is Relationship.CUSTOMER
+        assert relationships.relationship("isp", "c2") is Relationship.CUSTOMER
         assert relationships.providers_of("isp") == ["tier1"]
-        assert relationships.peers_of("isp") == ["other"]
+        assert relationships.relationship("isp", "other") is Relationship.PEER
         assert relationships.provider_edge_count == 3
         assert relationships.peer_edge_count == 1
 
@@ -119,7 +120,7 @@ class TestAssignment:
         graph = nx.relabel_nodes(graph, {i: f"n{i}" for i in graph.nodes})
         relationships = assign_relationships(graph)
         assert relationships.providers_of("n0") == []
-        assert len(relationships.customers_of("n0")) == 5
+        assert relationships.provider_edge_count == 5
 
     def test_unknown_root_rejected(self):
         base = nx.path_graph(3)
