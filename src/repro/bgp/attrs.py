@@ -2,7 +2,7 @@
 
 A :class:`Route` is what lives in RIB tables: the destination prefix, the
 AS path as received (the sending peer's ASN first, the originating ASN
-last), and the peer it was learned from. Routes are immutable and
+last), and the peer it was learned from. Routes are never mutated and are
 value-compared, which makes "did this update change anything?"
 (duplicate detection, Adj-RIB-Out deltas) a simple equality test.
 """
@@ -16,7 +16,7 @@ from repro.bgp.paths import intern_path
 from repro.errors import ProtocolError
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class Route:
     """One path to ``prefix`` as stored in a RIB.
 
@@ -25,21 +25,30 @@ class Route:
     the originating AS. ``learned_from`` is the peer whose Adj-RIB-In the
     route sits in — for routes in Loc-RIB it records where the best route
     came from; for self-originated routes it equals the local ASN.
+
+    Slotted, with a hand-written ``__init__`` (the dataclass only adds
+    value ``__eq__`` / ``__hash__`` and the ``repr``): one is built per
+    received update and per best-path change. Instances are shared
+    between RIBs and hashed by value: never mutate one.
     """
+
+    __slots__ = ("prefix", "as_path", "learned_from")
 
     prefix: str
     as_path: Tuple[str, ...]
     learned_from: str
 
-    def __post_init__(self) -> None:
-        if not self.prefix:
+    def __init__(self, prefix: str, as_path: Tuple[str, ...], learned_from: str) -> None:
+        if not prefix:
             raise ProtocolError("route prefix must be non-empty")
-        if not self.as_path:
-            raise ProtocolError(f"route for {self.prefix!r} must have a non-empty AS path")
+        if not as_path:
+            raise ProtocolError(f"route for {prefix!r} must have a non-empty AS path")
+        self.prefix = prefix
         # Flyweight the path: equal paths share one tuple object, so the
         # equality tests below (and in the RIBs) usually short-circuit on
         # identity, and large-graph runs store each distinct path once.
-        object.__setattr__(self, "as_path", intern_path(self.as_path))
+        self.as_path = intern_path(as_path)
+        self.learned_from = learned_from
 
     @property
     def path_length(self) -> int:

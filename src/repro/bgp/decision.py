@@ -26,7 +26,7 @@ def preference_key(
     peer: str, route: Route, local_pref: LocalPrefFunction
 ) -> Tuple[int, int, str]:
     """Sort key such that the *minimum* is the best route."""
-    return (-local_pref(peer, route), route.path_length, peer)
+    return (-local_pref(peer, route), len(route.as_path), peer)
 
 
 def select_best(

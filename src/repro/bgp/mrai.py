@@ -57,6 +57,20 @@ class MraiConfig:
         return self.base > 0.0
 
 
+class _PeerState:
+    """What the limiter keeps for one peer, behind one lookup: the timer,
+    the prefixes deferred since it was armed (a set allocated by the first
+    ``defer`` — most peers of a large graph never defer) and the trace id
+    of the record that last deferred, the eventual flush's causal parent."""
+
+    __slots__ = ("timer", "dirty", "defer_cause")
+
+    def __init__(self, timer: Timer) -> None:
+        self.timer = timer
+        self.dirty: Optional[Set[str]] = None
+        self.defer_cause: Optional[int] = None
+
+
 class MraiLimiter:
     """Rate limiter for one router's announcements, one timer per peer.
 
@@ -80,27 +94,25 @@ class MraiLimiter:
         self.owner = owner
         self._rng = rng.stream(f"mrai:{owner}")
         self._flush = flush
-        self._timers: Dict[str, Timer] = {}
-        self._dirty: Dict[str, Set[str]] = {}
+        #: Created by the first ``note_sent`` to the peer; a disabled
+        #: limiter never creates one.
+        self._peers: Dict[str, _PeerState] = {}
         #: Causal tracer observing this limiter (set by Tracer.attach).
         self.trace: Optional["Tracer"] = None
-        #: Per-peer trace id of the record whose handling last deferred a
-        #: prefix — the causal parent of the eventual ``mrai_flush``.
-        self._defer_cause: Dict[str, Optional[int]] = {}
 
     def may_send_now(self, peer: str) -> bool:
         """True when an announcement to ``peer`` may go out immediately."""
-        # A disabled limiter never creates a timer, so this covers it too.
-        timer = self._timers.get(peer)
-        return timer is None or timer.state is not TimerState.PENDING
+        state = self._peers.get(peer)
+        return state is None or state.timer.state is not TimerState.PENDING
 
     def note_sent(self, peer: str) -> None:
         """Record that an announcement was just sent to ``peer`` and start
         the hold-off timer."""
-        if not self.config.enabled:
-            return
-        timer = self._timers.get(peer)
-        if timer is None:
+        config = self.config
+        state = self._peers.get(peer)
+        if state is None:
+            if not config.enabled:
+                return
             # functools.partial rather than a lambda so idle limiters stay
             # picklable for warm-state snapshots.
             timer = Timer(
@@ -111,10 +123,12 @@ class MraiLimiter:
                 actor=self.owner,
                 tag="mrai",
             )
-            self._timers[peer] = timer
-        config = self.config
-        timer.reschedule(
-            config.base * self._rng.uniform(config.jitter_low, config.jitter_high)
+            state = self._peers[peer] = _PeerState(timer)
+        # What random.uniform(low, high) evaluates, minus its frame: same
+        # stream, same draw, the same float bit for bit.
+        low = config.jitter_low
+        state.timer.reschedule(
+            config.base * (low + (config.jitter_high - low) * self._rng.random())
         )
 
     def defer(self, peer: str, prefix: str) -> None:
@@ -125,37 +139,40 @@ class MraiLimiter:
         deferring with no pending timer would strand the prefix, since
         nothing would ever flush it.
         """
-        timer = self._timers.get(peer)
-        if timer is None or timer.state is not TimerState.PENDING:
+        state = self._peers.get(peer)
+        if state is None or state.timer.state is not TimerState.PENDING:
             raise TimerError(
                 f"{self.owner}: defer({peer!r}, {prefix!r}) while the peer "
                 f"may send — send immediately instead"
             )
-        self._dirty.setdefault(peer, set()).add(prefix)
+        if state.dirty is None:
+            state.dirty = {prefix}
+        else:
+            state.dirty.add(prefix)
         if self.trace is not None:
             # The last deferral before the flush is its direct cause.
-            self._defer_cause[peer] = self.trace.context
+            state.defer_cause = self.trace.context
 
     def pending_prefixes(self, peer: str) -> Set[str]:
-        return set(self._dirty.get(peer, ()))
+        state = self._peers.get(peer)
+        return set(state.dirty) if state is not None and state.dirty else set()
 
     def has_pending(self) -> bool:
         """True when any peer still has deferred prefixes."""
-        return any(self._dirty.values())
+        return any(state.dirty for state in self._peers.values())
 
     def cancel_all_timers(self) -> int:
         """Disarm every pending MRAI timer; returns how many were pending.
 
         Deferred prefixes stay recorded, so a later :meth:`note_sent`
-        re-arms normally. This is the quiesce hook for session teardown
-        or limiter replacement — an armed timer surviving its limiter
-        would flush ``_dirty`` state nobody owns (timerlint TIM001's
-        runtime shape).
+        re-arms normally. This is the quiesce hook for limiter
+        replacement — an armed timer surviving its limiter would flush
+        dirty state nobody owns (timerlint TIM001's runtime shape).
         """
         cancelled = 0
-        for timer in self._timers.values():
-            if timer.is_pending:
-                timer.cancel()
+        for state in self._peers.values():
+            if state.timer.is_pending:
+                state.timer.cancel()
                 cancelled += 1
         return cancelled
 
@@ -163,33 +180,35 @@ class MraiLimiter:
         """Forget all MRAI state for ``peer``: disarm its timer and drop
         any deferred prefixes.
 
-        Used when the session to ``peer`` is destroyed by a crash rather
-        than bounced: deferred prefixes belong to the dead session (a
-        restarted peer gets a full re-advertisement instead), so keeping
+        Used when the session to ``peer`` goes away (link down, session
+        reset, peer crash): deferred prefixes belong to the dead session
+        (the next one starts with a full re-advertisement), so keeping
         them — as :meth:`cancel_all_timers` deliberately does — would
         replay stale deltas into the fresh session.
         """
-        timer = self._timers.get(peer)
-        if timer is not None and timer.is_pending:
-            timer.cancel()
-        self._dirty.pop(peer, None)
-        self._defer_cause.pop(peer, None)
+        state = self._peers.get(peer)
+        if state is not None:
+            state.timer.cancel()
+            state.dirty = None
+            state.defer_cause = None
 
     def _expired(self, peer: str) -> None:
-        dirty = self._dirty.pop(peer, None)
+        state = self._peers[peer]
+        dirty = state.dirty
         if not dirty:
             return
+        state.dirty = None
         trace = self.trace
         if trace is not None:
             flush_rid = trace.emit(
                 "mrai_flush",
                 self._engine.now,
                 node=self.owner,
-                cause=self._defer_cause.pop(peer, None),
+                cause=state.defer_cause,
                 peer=peer,
                 prefixes=sorted(dirty),
             )
+            state.defer_cause = None
             trace.set_context(flush_rid)
-        sent = self._flush(peer, dirty)
-        if sent:
+        if self._flush(peer, dirty):
             self.note_sent(peer)

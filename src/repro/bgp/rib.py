@@ -17,7 +17,6 @@ classification both vendors use for penalty increments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.attrs import Route
@@ -102,7 +101,7 @@ class AdjRibIn:
         if as_path is None:
             entry.route = None
         else:
-            entry.route = Route(prefix=prefix, as_path=as_path, learned_from=self.peer)
+            entry.route = Route(prefix, as_path, self.peer)
             entry.ever_announced = True
         entry.root_cause = root_cause
         return entry
@@ -146,43 +145,42 @@ class LocRib:
         return len(self._routes)
 
 
-@dataclass
 class RibOutEntry:
-    """Last state announced to a peer for one prefix."""
+    """Last state announced to a peer for one prefix (slotted, like
+    :class:`RibInEntry`).
 
-    route: Optional[Route] = None
-    #: AS-path length of the last announcement, kept across withdrawals so
-    #: the selective-damping preference tag can compare successive
-    #: announcements.
-    last_announced_length: Optional[int] = None
+    ``route`` is ``None`` before the first announcement and after a
+    withdrawal. ``last_announced_length`` is the AS-path length of the
+    last announcement, kept across withdrawals so the selective-damping
+    preference tag can compare successive announcements.
+    """
+
+    __slots__ = ("route", "last_announced_length")
+
+    def __init__(self) -> None:
+        self.route: Optional[Route] = None
+        self.last_announced_length: Optional[int] = None
 
 
 class AdjRibOut:
-    """Routes most recently sent to one peer, by prefix."""
+    """Routes most recently sent to one peer, by prefix. The table hands
+    out its entries: the router's export pass looks one up once and
+    updates it in place when it sends."""
 
     def __init__(self, peer: str) -> None:
         self.peer = peer
-        self._entries: Dict[str, RibOutEntry] = {}
+        self.entries: Dict[str, RibOutEntry] = {}
 
     def entry(self, prefix: str) -> RibOutEntry:
-        existing = self._entries.get(prefix)
+        """The entry for ``prefix``, created on first use."""
+        existing = self.entries.get(prefix)
         if existing is None:
-            existing = RibOutEntry()
-            self._entries[prefix] = existing
+            existing = self.entries[prefix] = RibOutEntry()
         return existing
 
     def announced_route(self, prefix: str) -> Optional[Route]:
-        existing = self._entries.get(prefix)
+        existing = self.entries.get(prefix)
         return existing.route if existing is not None else None
 
-    def record_announcement(self, prefix: str, route: Route) -> None:
-        entry = self.entry(prefix)
-        entry.route = route
-        entry.last_announced_length = route.path_length
-
-    def record_withdrawal(self, prefix: str) -> None:
-        entry = self.entry(prefix)
-        entry.route = None
-
     def prefixes(self) -> List[str]:
-        return list(self._entries)
+        return list(self.entries)

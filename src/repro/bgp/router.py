@@ -16,8 +16,9 @@ Processing pipeline for a received update (paper Sections 2 and 6):
    and the suppression state — a newly suppressed entry immediately drops
    out of the candidate set,
 4. re-run the decision process; if the Loc-RIB changed, remember the
-   triggering root cause and synchronise every peer's Adj-RIB-Out
-   (withdrawals immediately, announcements through MRAI).
+   triggering root cause and bring every peer's Adj-RIB-Out in line in
+   one export pass (withdrawals immediately, announcements through
+   MRAI, nothing to a peer whose session is down).
 
 Reuse-timer expiries re-run step 4 with the *stored* root cause of the
 reused route and report to the damping manager whether the expiry was
@@ -27,7 +28,7 @@ noisy (Loc-RIB changed) or silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bgp.attrs import Route
 from repro.bgp.decision import preference_key, select_best
@@ -35,7 +36,7 @@ from repro.bgp.graceful_restart import GracefulRestartConfig, GracefulRestartHel
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig, MraiLimiter
 from repro.bgp.policy import RoutingPolicy, ShortestPathPolicy
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib
+from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibOutEntry
 from repro.core.damping import DampingManager
 from repro.core.params import DampingParams, UpdateKind
 from repro.core.rcn import RootCause, RootCauseHistory
@@ -46,6 +47,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:
+    from repro.net.link import Link
     from repro.trace.tracer import Tracer
 
 #: Local preference assigned to self-originated routes — always wins.
@@ -131,6 +133,8 @@ class BgpRouter(Node):
         #: it)``. Valid only while the first element *is* the Loc-RIB
         #: route, so nothing ever has to invalidate it.
         self._exported: Dict[str, Tuple[Route, Route]] = {}
+        #: Per prefix, ``(Loc-RIB route, its decision key)``, same rule.
+        self._held_key: Dict[str, Tuple[Route, Tuple[int, int, str]]] = {}
         #: Root cause of the most recent event that changed the Loc-RIB,
         #: per prefix — copied into outgoing updates.
         self._current_cause: Dict[str, Optional[RootCause]] = {}
@@ -231,7 +235,9 @@ class BgpRouter(Node):
         if as_path is not None and self.name in as_path:
             return
 
-        table = self.rib_in(peer)
+        table = self._rib_in.get(peer)
+        if table is None:
+            table = self.rib_in(peer)
         kind = table.classify(prefix, as_path)
         if kind is UpdateKind.DUPLICATE:
             self.stats.duplicates_ignored += 1
@@ -326,19 +332,21 @@ class BgpRouter(Node):
                     and self.damping.is_suppressed(moved, prefix)
                 ):
                     return False
-                pref = self._local_pref
-                if held is not None and preference_key(
-                    moved, route, pref
-                ) > preference_key(held.learned_from, held, pref):
-                    return False
+                if held is not None:
+                    cached = self._held_key.get(prefix)
+                    if cached is None or cached[0] is not held:
+                        key = preference_key(held.learned_from, held, self._local_pref)
+                        cached = self._held_key[prefix] = (held, key)
+                    if preference_key(moved, route, self._local_pref) > cached[1]:
+                        return False
         best = select_best(self._candidates(prefix), self._local_pref)
-        changed = self.loc_rib.set_route(prefix, best[1] if best else None)
+        route = best[1] if best else None
+        changed = self.loc_rib.set_route(prefix, route)
         if changed:
             self.stats.best_path_changes += 1
             self.last_best_change[prefix] = self.engine.now
             self._current_cause[prefix] = cause
             if self.trace is not None:
-                route = self.loc_rib.route(prefix)
                 self.trace.emit(
                     "select",
                     self.engine.now,
@@ -347,7 +355,7 @@ class BgpRouter(Node):
                     prefix=prefix,
                     path=list(route.as_path) if route is not None else None,
                 )
-            self._export(prefix)
+            self._export(prefix, self._links.items())
         return changed
 
     def _on_reuse(self, peer: str, prefix: str) -> bool:
@@ -360,104 +368,105 @@ class BgpRouter(Node):
     # export path
     # ------------------------------------------------------------------
 
-    def _desired_announcement(self, peer: str, prefix: str) -> Optional[Route]:
-        """The route this router should currently be announcing to
-        ``peer`` for ``prefix``, or ``None`` (withdraw / nothing)."""
+    def _export(
+        self, prefix: str, peers: Iterable[Tuple[str, Link]], paced: bool = True
+    ) -> bool:
+        """Bring the Adj-RIB-Out of each of ``peers`` in line with the
+        Loc-RIB for ``prefix``; returns True if anything was sent.
+
+        The one place the two are diffed: a best-path change walks every
+        neighbour, a session coming up the one peer for every prefix, an
+        MRAI expiry the one peer for its deferred prefixes. Each peer's
+        Adj-RIB-Out entry is looked up once and handed to the send that
+        updates it. ``paced`` sends go through MRAI (withdrawals only if
+        configured); the MRAI expiry is the one unpaced caller — the
+        limiter re-arms once for the whole flush.
+        """
         best = self.loc_rib.route(prefix)
-        if best is None:
-            return None
-        # Sender-side loop prevention (covers the learned-from peer). Our
-        # own AS is never ``peer``, so the path as received decides.
-        if peer in best.as_path:
-            return None
-        if not self.policy.permits_export(self.name, best, peer):
-            return None
-        cached = self._exported.get(prefix)
-        if cached is not None and cached[0] is best:
-            return cached[1]
-        exported = best  # self-originated: already starts with us
-        if best.learned_from != self.name:
-            exported = Route(
-                prefix=prefix,
-                as_path=(self.name,) + best.as_path,
-                learned_from=self.name,
-            )
-        self._exported[prefix] = (best, exported)
-        return exported
-
-    def _export(self, prefix: str) -> None:
-        for peer in self._links:
-            self._sync_peer(peer, prefix)
-
-    def _sync_peer(self, peer: str, prefix: str) -> None:
-        """Bring ``peer``'s Adj-RIB-Out in line with the Loc-RIB, sending
-        a withdrawal immediately or an announcement through MRAI."""
-        if peer in self._crashed_peers:
-            return  # no session; the peer gets a full re-sync on restart
-        desired = self._desired_announcement(peer, prefix)
-        table = self.rib_out(peer)
-        current = table.announced_route(prefix)
-        if desired is None:
-            if current is None:
-                return
-            if self.config.mrai.apply_to_withdrawals and not self.mrai.may_send_now(peer):
-                self.mrai.defer(peer, prefix)
-                return
-            self._send_withdrawal(peer, prefix)
-            if self.config.mrai.apply_to_withdrawals:
-                self.mrai.note_sent(peer)
-            return
-        if current is not None and (
-            current.as_path is desired.as_path or current.as_path == desired.as_path
-        ):
-            return
-        if not self.mrai.may_send_now(peer):
-            self.mrai.defer(peer, prefix)
-            return
-        self._send_announcement(peer, desired)
-        self.mrai.note_sent(peer)
+        exported: Optional[Route] = None
+        if best is not None:
+            cached = self._exported.get(prefix)
+            if cached is not None and cached[0] is best:
+                exported = cached[1]
+        name = self.name
+        mrai = self.mrai
+        tables = self._rib_out
+        crashed = self._crashed_peers
+        permits_export = self.policy.permits_export
+        pace_withdrawals = paced and self.config.mrai.apply_to_withdrawals
+        sent = False
+        for peer, link in peers:
+            if not link.up or peer in crashed:
+                continue  # no session; it starts with a full re-sync
+            table = tables.get(peer) or self.rib_out(peer)
+            entry = table.entries.get(prefix)
+            current = entry.route if entry is not None else None
+            # Sender-side loop prevention (covers the learned-from peer;
+            # our own AS is never ``peer``), then policy.
+            if best is None or peer in best.as_path or not permits_export(name, best, peer):
+                if current is None:
+                    continue
+                owed = None
+                limited = pace_withdrawals
+            else:
+                if exported is None:
+                    exported = best  # self-originated: already starts with us
+                    if best.learned_from != name:
+                        exported = Route(prefix, (name,) + best.as_path, name)
+                    self._exported[prefix] = (best, exported)
+                if current is not None and (
+                    current.as_path is exported.as_path
+                    or current.as_path == exported.as_path
+                ):
+                    continue
+                owed = exported
+                limited = paced
+            if limited and not mrai.may_send_now(peer):
+                mrai.defer(peer, prefix)
+                continue
+            if entry is None:
+                entry = table.entry(prefix)  # first announcement to this peer
+            if owed is None:
+                self._send_withdrawal(link, entry, prefix)
+            else:
+                self._send_announcement(link, entry, owed)
+            if limited:
+                mrai.note_sent(peer)
+            sent = True
+        return sent
 
     def _mrai_flush(self, peer: str, prefixes: Set[str]) -> bool:
         """MRAI expiry: re-evaluate each deferred prefix against current
         state and send whatever delta remains. Returns True if anything
         was sent (the limiter then restarts the timer)."""
-        table = self.rib_out(peer)
+        session = ((peer, self._links[peer]),)
         sent = False
         for prefix in sorted(prefixes):
-            desired = self._desired_announcement(peer, prefix)
-            current = table.announced_route(prefix)
-            if desired is None:
-                if current is not None:
-                    self._send_withdrawal(peer, prefix)
-                    sent = True
-            elif current is None or (
-                current.as_path is not desired.as_path
-                and current.as_path != desired.as_path
-            ):
-                self._send_announcement(peer, desired)
+            if self._export(prefix, session, paced=False):
                 sent = True
         return sent
 
-    def _send_announcement(self, peer: str, route: Route) -> None:
+    def _send_announcement(self, link: Link, entry: RibOutEntry, route: Route) -> None:
         prefix = route.prefix
-        table = self.rib_out(peer)
-        preference = compare_paths(
-            table.entry(prefix).last_announced_length, route.path_length
-        )
+        as_path = route.as_path
+        length = len(as_path)
         cause = self._current_cause.get(prefix) if self.config.attach_root_cause else None
-        update = UpdateMessage(prefix, route.as_path, cause, preference)
-        table.record_announcement(prefix, route)
+        update = UpdateMessage(
+            prefix, as_path, cause, compare_paths(entry.last_announced_length, length)
+        )
+        entry.route = route
+        entry.last_announced_length = length
         self.stats.updates_sent += 1
         self.stats.announcements_sent += 1
-        self.send(peer, update)
+        link.send(self.name, update)
 
-    def _send_withdrawal(self, peer: str, prefix: str) -> None:
+    def _send_withdrawal(self, link: Link, entry: RibOutEntry, prefix: str) -> None:
         cause = self._current_cause.get(prefix) if self.config.attach_root_cause else None
-        update = UpdateMessage(prefix=prefix, as_path=None, root_cause=cause)
-        self.rib_out(peer).record_withdrawal(prefix)
+        update = UpdateMessage(prefix, None, cause)
+        entry.route = None  # last_announced_length survives the withdrawal
         self.stats.updates_sent += 1
         self.stats.withdrawals_sent += 1
-        self.send(peer, update)
+        link.send(self.name, update)
 
     # ------------------------------------------------------------------
     # session life cycle
@@ -469,9 +478,11 @@ class BgpRouter(Node):
         Down: every route learned from the neighbour becomes an implicit
         withdrawal (optionally charged — see
         :attr:`RouterConfig.charge_on_session_reset`), and the
-        Adj-RIB-Out for the neighbour is forgotten since the session's
-        state is gone. Up: the current Loc-RIB is re-advertised to the
-        neighbour, as a fresh session exchange would.
+        Adj-RIB-Out for the neighbour is forgotten, with whatever MRAI
+        still held back for it, since the session's state is gone; while
+        the link stays down nothing is exported to the neighbour. Up:
+        the current Loc-RIB is re-advertised to the neighbour, as a
+        fresh session exchange would.
 
         Damping state deliberately survives the session bounce: penalties
         keep decaying and suppressed entries stay suppressed, exactly as
@@ -484,12 +495,18 @@ class BgpRouter(Node):
 
     def _session_down(self, peer: str) -> None:
         self._withdraw_peer_routes(peer, list(self.rib_in(peer).prefixes()))
-        # The peer's view of us is gone with the session.
+        self._forget_session(peer)
+
+    def _forget_session(self, peer: str) -> None:
+        """What we told ``peer`` and what MRAI held back for it die with
+        the session: the next one starts with a full re-sync."""
         self._rib_out[peer] = AdjRibOut(peer)
+        self.mrai.reset_peer(peer)
 
     def _session_up(self, peer: str) -> None:
-        for prefix, _ in list(self.loc_rib):
-            self._sync_peer(peer, prefix)
+        session = ((peer, self._links[peer]),)
+        for prefix in self.loc_rib.prefixes():
+            self._export(prefix, session)
 
     def _withdraw_peer_routes(self, peer: str, prefixes: List[str]) -> None:
         """Treat each of ``prefixes`` learned from ``peer`` as implicitly
@@ -571,9 +588,6 @@ class BgpRouter(Node):
         :mod:`repro.bgp.graceful_restart`.
         """
         self._crashed_peers.add(peer)
-        # Deferred MRAI deltas belong to the dead session; the restarted
-        # peer gets a full re-sync instead.
-        self.mrai.reset_peer(peer)
         if graceful is None:
             self._session_down(peer)
             return
@@ -590,7 +604,7 @@ class BgpRouter(Node):
             trace_cause=self.trace.context if self.trace is not None else None,
         )
         # The peer's view of us died either way.
-        self._rib_out[peer] = AdjRibOut(peer)
+        self._forget_session(peer)
 
     def on_peer_restart(self, peer: str) -> None:
         """``peer`` is back: re-establish the session and advertise our

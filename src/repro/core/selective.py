@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.params import UpdateKind
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class RelativePreference:
     """Sender-attached comparison with the previous announcement.
 
@@ -30,12 +30,19 @@ class RelativePreference:
     ``0`` (first announcement / incomparable), or ``+1`` (better).
     ``path_length`` carries the announced AS-path length so receivers can
     sanity-check the claim.
+
+    Slotted, with a hand-written ``__init__`` (one is built per sent
+    announcement); compared and hashed by value: never mutate one.
     """
 
     __slots__ = ("direction", "path_length")
 
     direction: int
     path_length: int
+
+    def __init__(self, direction: int, path_length: int) -> None:
+        self.direction = direction
+        self.path_length = path_length
 
 
 class SelectiveDampingFilter:
@@ -100,10 +107,6 @@ class SelectiveDampingFilter:
 def compare_paths(previous_length: Optional[int], new_length: int) -> RelativePreference:
     """Sender-side helper: build the relative-preference tag for a new
     announcement given the previously announced path length."""
-    if previous_length is None:
-        return RelativePreference(direction=0, path_length=new_length)
-    if new_length > previous_length:
-        return RelativePreference(direction=-1, path_length=new_length)
-    if new_length < previous_length:
-        return RelativePreference(direction=1, path_length=new_length)
-    return RelativePreference(direction=0, path_length=new_length)
+    if previous_length is None or new_length == previous_length:
+        return RelativePreference(0, new_length)
+    return RelativePreference(-1 if new_length > previous_length else 1, new_length)

@@ -18,8 +18,7 @@ method) of one file into a set of effects:
     calls: a callee that may cancel invalidates what the caller knows
     about its pending timers.
 ``mutates-rib``
-    Writes routing state — ``LocRib.set_route``, Adj-RIB ``apply``,
-    ``record_announcement``/``record_withdrawal``.
+    Writes routing state — ``LocRib.set_route``, Adj-RIB ``apply``.
 ``emits-update``
     Sends protocol messages (``Node.send``).
 
@@ -93,9 +92,7 @@ _SCHEDULING_METHODS: FrozenSet[str] = frozenset(
 _CANCELLING_METHODS: FrozenSet[str] = frozenset({"cancel", "cancel_all_timers"})
 
 #: Method names that mutate routing state regardless of receiver.
-_RIB_MUTATORS: FrozenSet[str] = frozenset(
-    {"set_route", "record_announcement", "record_withdrawal"}
-)
+_RIB_MUTATORS: FrozenSet[str] = frozenset({"set_route"})
 
 #: Cross-module APIs known to carry an effect even though their body is
 #: not visible to an intra-file analysis.

@@ -68,7 +68,6 @@ PHASE_ROOTS: Dict[str, Tuple[str, ...]] = {
         "repro.bgp.rib.AdjRibIn.apply",
         "repro.bgp.rib.AdjRibIn.classify",
         "repro.bgp.rib.LocRib.set_route",
-        "repro.bgp.router.BgpRouter._sync_peer",
         "repro.bgp.router.BgpRouter._export",
     ),
     "mrai_flush": (

@@ -99,15 +99,15 @@ class MetricsCollector:
         if not isinstance(payload, UpdateMessage):
             return
         assert message.delivered_at is not None
-        self.updates.append(
-            UpdateRecord(
-                message.delivered_at,
-                message.src,
-                message.dst,
-                payload.is_withdrawal,
-                payload.prefix,
-            )
+        # What the generated UpdateRecord.__new__ calls, minus its frame.
+        record = (
+            message.delivered_at,
+            message.src,
+            message.dst,
+            payload.as_path is None,
+            payload.prefix,
         )
+        self.updates.append(tuple.__new__(UpdateRecord, record))
 
     def _on_drop(self, message: Message, reason: str) -> None:
         payload = message.payload

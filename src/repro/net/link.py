@@ -175,7 +175,8 @@ class Link:
         return message
 
     def _base_delay(self) -> float:
-        return self.config.base_delay + self._rng.uniform(0.0, self.config.jitter)
+        # uniform(0.0, jitter) minus its frame: same draw, same float.
+        return self.config.base_delay + self.config.jitter * self._rng.random()
 
     def _send_impaired(self, message: Message) -> None:
         """Ship ``message`` through the active impairment: it is lost, or

@@ -322,13 +322,25 @@ def test_link_fault_drops_are_counted_and_traced():
     config = _mesh_config()
     isp = config.isp
     neighbor = config.topology.neighbors(isp)[1]
+    # A router does not send into a session it knows is down, so what a
+    # link fault drops is what was in flight when it hit: fail the link
+    # a millisecond (a tenth of the smallest link delay) before a
+    # delivery on it that a fault-free run of the same seed shows.
+    _, clean, _ = _run(config)
+    start = clean.flap_times[0] - clean.schedule.events[0][0]
+    delivery = next(
+        u.time for u in clean.collector.updates if {u.src, u.dst} == {isp, neighbor}
+    )
     plan = FaultPlan(
-        link_faults=(LinkFault(a=isp, b=neighbor, down_at=20.0, up_at=100.0),),
+        link_faults=(
+            LinkFault(a=isp, b=neighbor, down_at=delivery - start - 0.001, up_at=100.0),
+        ),
         session_resets=(SessionReset(a=isp, b=neighbor, at=150.0),),
     )
     scenario, result, tracer = _run(replace(config, faults=plan))
     collector = result.collector
     assert collector.drop_count > 0
+    assert "link-down-inflight" in collector.drops_by_reason()
     assert collector.drop_count == scenario.network.messages_dropped
     reasons = collector.drops_by_reason()
     assert set(reasons) <= {"link-down", "link-down-inflight", "node-down", "loss"}

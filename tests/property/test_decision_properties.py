@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +98,8 @@ def test_higher_pref_always_wins(candidates, boost_index):
 
 
 # ----------------------------------------------------------------------
-# incremental decision: differential against the full scan
+# incremental decision and the export pass: differentials against the
+# full scan and against an export rebuilt from the Loc-RIB alone
 # ----------------------------------------------------------------------
 
 ROUTER = "R"
@@ -103,7 +108,8 @@ _RELATIONSHIPS = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDE
 
 #: One step: the kind picks which of the other fields it reads. Kinds
 #: repeat to weight them — updates (and whole flaps, which is what gets an
-#: entry suppressed) dominate; quiet spells, bounces and resets punctuate.
+#: entry suppressed) dominate; quiet spells, link failures and repairs,
+#: bounces and resets punctuate.
 steps = st.lists(
     st.tuples(
         st.sampled_from(
@@ -111,6 +117,7 @@ steps = st.lists(
             + ["withdraw"] * 3
             + ["flap"] * 3
             + ["advance"] * 2
+            + ["link_toggle"] * 2
             + ["duplicate", "bounce", "reset_damping"]
         ),
         st.integers(min_value=0, max_value=5),  # peer
@@ -133,37 +140,57 @@ class _Peer(Node):
 
 def _expected_export(router: BgpRouter, peer: str, prefix: str):
     """What ``router`` owes ``peer``, rebuilt from the Loc-RIB alone (the
-    router's own ``_desired_announcement`` serves a cached route). The
-    router under test originates nothing, so every route is prepended."""
+    router's own pass serves a cached route). The router under test
+    originates nothing, so every route is prepended."""
     best = router.best_route(prefix)
     if best is None:
         return None
     path = (router.name,) + best.as_path
     if peer in path or not router.policy.permits_export(router.name, best, peer):
         return None
-    return Route(prefix, path, router.name)
+    # The fields, not a Route: building one here would count as an export.
+    return (prefix, path, router.name)
 
 
 def _check_decision(router: BgpRouter) -> None:
     """Loc-RIB == full-scan winner; Adj-RIB-Out == the route owed,
-    wherever MRAI holds nothing back."""
+    wherever MRAI holds nothing back — and empty where the session is
+    down."""
     for prefix in PREFIXES:
         winner = select_best(router._candidates(prefix), router._local_pref)
         assert router.best_route(prefix) == (winner[1] if winner else None)
         for peer in router.neighbors:
-            owed = _expected_export(router, peer, prefix)
-            assert router._desired_announcement(peer, prefix) == owed, (peer, prefix)
-            if prefix not in router.mrai.pending_prefixes(peer):
-                assert router.rib_out(peer).announced_route(prefix) == owed, (peer, prefix)
+            route = router.rib_out(peer).announced_route(prefix)
+            announced = route and (route.prefix, route.as_path, route.learned_from)
+            if not router.network.link(ROUTER, peer).up:
+                assert announced is None, (peer, prefix)
+            elif prefix not in router.mrai.pending_prefixes(peer):
+                assert announced == _expected_export(router, peer, prefix), (peer, prefix)
 
 
-@given(
-    peer_count=st.integers(min_value=3, max_value=6),
-    no_valley=st.booleans(),
-    steps=steps,
-)
-@settings(max_examples=150, deadline=None)
-def test_incremental_decision_matches_full_scan(peer_count, no_valley, steps):
+@contextmanager
+def _one_export_per_best_path_change(router: BgpRouter):
+    """Fail the moment a second exported route is built for a prefix
+    while its Loc-RIB route has not changed (exported routes are the
+    ones learned from ourselves; the router under test originates
+    nothing, and every Loc-RIB change bumps ``best_path_changes``)."""
+    init = Route.__init__
+    built = set()
+
+    def counting(route, prefix, as_path, learned_from):
+        init(route, prefix, as_path, learned_from)
+        if learned_from == router.name:
+            key = (prefix, router.stats.best_path_changes)
+            assert key not in built, (prefix, as_path)
+            built.add(key)
+
+    with mock.patch.object(Route, "__init__", counting):
+        yield
+
+
+def _drive(peer_count, no_valley, steps):
+    """Run ``steps`` against one router with ``peer_count`` stub peers,
+    checking both differentials after every step."""
     engine = Engine()
     rng = RngRegistry(11)
     network = Network(engine, rng)
@@ -188,27 +215,126 @@ def test_incremental_decision_matches_full_scan(peer_count, no_valley, steps):
         nodes[name].send(ROUTER, UpdateMessage(prefix, path))
         engine.run(until=engine.now + 0.01)  # delivered, MRAI still armed
 
-    for kind, peer_index, prefix, tail, quiet, rounds in steps:
-        name = peers[peer_index % peer_count]
-        path = (name,) + tuple(tail) + ("o",)
-        if kind == "announce":
-            send(name, prefix, path)
-        elif kind == "withdraw":
-            send(name, prefix, None)
-        elif kind == "flap":
-            for _ in range(rounds):
-                send(name, prefix, None)
+    with _one_export_per_best_path_change(router):
+        for kind, peer_index, prefix, tail, quiet, rounds in steps:
+            name = peers[peer_index % peer_count]
+            path = (name,) + tuple(tail) + ("o",)
+            if kind == "announce":
                 send(name, prefix, path)
-        elif kind == "duplicate" and name in last_sent:
-            send(name, *last_sent[name])
-        elif kind == "bounce":
-            network.reset_session(ROUTER, name)
-        elif kind == "advance":
-            engine.run(until=engine.now + quiet)
-        elif kind == "reset_damping":
-            router.reset_damping()
+            elif kind == "withdraw":
+                send(name, prefix, None)
+            elif kind == "flap":
+                for _ in range(rounds):
+                    send(name, prefix, None)
+                    send(name, prefix, path)
+            elif kind == "duplicate" and name in last_sent:
+                send(name, *last_sent[name])
+            elif kind == "bounce":
+                network.reset_session(ROUTER, name)
+            elif kind == "link_toggle":
+                network.set_link_state(
+                    ROUTER, name, not network.link(ROUTER, name).up
+                )
+            elif kind == "advance":
+                engine.run(until=engine.now + quiet)
+            elif kind == "reset_damping":
+                router.reset_damping()
+            _check_decision(router)
+
+        engine.run()  # every MRAI and reuse timer has fired
+        assert not router.mrai.has_pending()
         _check_decision(router)
 
-    engine.run()  # every MRAI and reuse timer has fired
-    assert not router.mrai.has_pending()
-    _check_decision(router)
+
+@given(
+    peer_count=st.integers(min_value=3, max_value=6),
+    no_valley=st.booleans(),
+    steps=steps,
+)
+@settings(max_examples=150, deadline=None)
+def test_incremental_decision_matches_full_scan(peer_count, no_valley, steps):
+    _drive(peer_count, no_valley, steps)
+
+
+# -- seeded mutants of the export pass: each must trip the differential --
+
+#: Two routes learned, the better one withdrawn and re-announced, with a
+#: link failing and returning in between.
+_MUTANT_SCRIPT = [
+    ("announce", 0, "p0", ["x"], 0.0, 1),
+    ("announce", 1, "p0", [], 0.0, 1),
+    ("advance", 0, "p0", [], 40.0, 1),
+    ("link_toggle", 3, "p0", [], 0.0, 1),
+    ("withdraw", 1, "p0", [], 0.0, 1),
+    ("advance", 0, "p0", [], 40.0, 1),
+    ("withdraw", 0, "p0", [], 0.0, 1),
+    ("link_toggle", 3, "p0", [], 0.0, 1),
+    ("announce", 1, "p0", [], 0.0, 1),
+    ("advance", 0, "p0", [], 40.0, 1),
+]
+
+
+class _AlwaysUp:
+    """A link that claims to be up, whatever the real one says."""
+
+    up = True
+
+    def __init__(self, link):
+        self.send = link.send
+
+
+def _skip_last_peer(real):
+    def _export(self, prefix, peers, paced=True):
+        peers = list(peers)
+        return real(self, prefix, peers[:-1] if len(peers) > 1 else peers, paced)
+
+    return _export
+
+
+def _export_built_per_peer(real):
+    def _export(self, prefix, peers, paced=True):
+        sent = False
+        for session in list(peers):
+            self._exported.pop(prefix, None)
+            sent = real(self, prefix, (session,), paced) or sent
+        return sent
+
+    return _export
+
+
+def _down_session_not_skipped(real):
+    def _export(self, prefix, peers, paced=True):
+        return real(self, prefix, [(p, _AlwaysUp(link)) for p, link in peers], paced)
+
+    return _export
+
+
+def _entry_not_updated_on_withdrawal(real):
+    def _send_withdrawal(self, link, entry, prefix):
+        route = entry.route
+        real(self, link, entry, prefix)
+        entry.route = route
+
+    return _send_withdrawal
+
+
+def test_mutant_script_passes_unmutated():
+    _drive(4, False, _MUTANT_SCRIPT)
+
+
+_MUTANTS = {
+    "export skipped for the last peer": ("_export", _skip_last_peer),
+    "exported route built per peer": ("_export", _export_built_per_peer),
+    "down-session peer not skipped": ("_export", _down_session_not_skipped),
+    "entry not updated on withdrawal": (
+        "_send_withdrawal",
+        _entry_not_updated_on_withdrawal,
+    ),
+}
+
+
+@pytest.mark.parametrize("attribute, mutate", _MUTANTS.values(), ids=list(_MUTANTS))
+def test_export_pass_mutants_fail_the_differential(attribute, mutate, monkeypatch):
+    monkeypatch.setattr(BgpRouter, attribute, mutate(getattr(BgpRouter, attribute)))
+    with pytest.raises(AssertionError):
+        _drive(4, False, _MUTANT_SCRIPT)

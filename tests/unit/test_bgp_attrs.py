@@ -48,6 +48,53 @@ def test_route_str():
     assert str(route("b", "c")) == "p0 via [b c]"
 
 
+def test_route_is_a_value():
+    a = route("b", "c")
+    assert a == Route("p0", ("b", "c"), "b")
+    assert a != Route("p1", ("b", "c"), "b")  # every field takes part
+    assert a != Route("p0", ("b", "c"), "x")
+    assert a != ("p0", ("b", "c"), "b") and a != None  # noqa: E711
+    assert len({a, route("b", "c"), route("b", "d")}) == 2
+    assert repr(a) == "Route(prefix='p0', as_path=('b', 'c'), learned_from='b')"
+    assert not hasattr(a, "__dict__")  # slotted: one per update is kept
+
+
+def test_route_errors_name_what_is_missing():
+    with pytest.raises(ProtocolError, match="prefix must be non-empty"):
+        Route("", ("a",), "a")
+    with pytest.raises(ProtocolError, match="'p0' must have a non-empty AS path"):
+        Route("p0", (), "a")
+
+
+def test_equal_paths_share_one_tuple():
+    assert route("b", "c").as_path is route(*["b", "c"]).as_path
+
+
+def test_routes_and_preferences_survive_a_warm_state_snapshot():
+    import pickle
+
+    from repro.core.selective import RelativePreference
+    from repro.experiments.base import small_mesh_config
+    from repro.workload.scenarios import Scenario, WarmStateSnapshot
+
+    source = Scenario(small_mesh_config())
+    source.warm_up()
+    restored = WarmStateSnapshot.from_scenario(source).restore()
+    prefix = source.config.prefix
+    for name, router in source.routers.items():
+        twin = restored.routers[name]
+        best = twin.best_route(prefix)
+        assert best == router.best_route(prefix) and best is not router.best_route(prefix)
+        assert hash(best) == hash(router.best_route(prefix))
+        for peer in router.neighbors:
+            ours = router.rib_out(peer).entry(prefix)
+            theirs = twin.rib_out(peer).entry(prefix)
+            assert theirs.route == ours.route
+            assert theirs.last_announced_length == ours.last_announced_length
+    tag = RelativePreference(-1, 4)
+    assert pickle.loads(pickle.dumps(tag)) == tag
+
+
 def test_update_announcement():
     update = UpdateMessage(prefix="p0", as_path=("a", "b"))
     assert update.is_announcement

@@ -133,3 +133,34 @@ def test_duplicate_defer_collapses(engine):
     limiter.defer("p", "p0")
     engine.run(until=40.0)
     assert probe.calls == [("p", {"p0"})]
+
+
+def test_jitter_draws_what_uniform_would_bit_for_bit(engine):
+    """The interval is computed without ``random.uniform``'s frame; it
+    must stay the same float from the same draw of the ``mrai:`` stream."""
+    from unittest import mock
+
+    from repro.sim.timers import Timer
+
+    config = MraiConfig(base=30.0, jitter_low=0.75, jitter_high=1.0)
+    rng = RngRegistry(42)
+    limiter = MraiLimiter(engine, config, "r1", rng, FlushProbe())
+    twin = RngRegistry(42).stream("mrai:r1")
+    with mock.patch.object(Timer, "reschedule", autospec=True) as reschedule:
+        for _ in range(10_000):
+            limiter.note_sent("p")
+    delays = [call.args[1] for call in reschedule.call_args_list]
+    assert delays == [
+        config.base * twin.uniform(config.jitter_low, config.jitter_high)
+        for _ in range(10_000)
+    ]
+    assert rng.stream("mrai:r1").random() == twin.random()  # same draw count
+
+
+def test_dirty_set_is_allocated_by_the_first_defer(engine):
+    limiter, _ = make_limiter(engine)
+    limiter.note_sent("p")
+    assert limiter.pending_prefixes("p") == set()
+    assert limiter._peers["p"].dirty is None
+    limiter.defer("p", "p0")
+    assert limiter.pending_prefixes("p") == {"p0"}

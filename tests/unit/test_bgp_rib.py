@@ -119,24 +119,24 @@ class TestAdjRibOut:
         table = AdjRibOut("peer")
         assert table.announced_route("p0") is None
 
-    def test_record_announcement(self):
+    def test_entry_is_created_once_and_handed_out(self):
         table = AdjRibOut("peer")
+        entry = table.entry("p0")
+        assert entry.route is None and entry.last_announced_length is None
+        assert table.entry("p0") is entry
+        assert table.entries == {"p0": entry}
+        # The holder of the entry updates it; the table sees the change.
         route = Route(prefix="p0", as_path=("me", "o"), learned_from="me")
-        table.record_announcement("p0", route)
+        entry.route = route
+        entry.last_announced_length = 2
         assert table.announced_route("p0") == route
-        assert table.entry("p0").last_announced_length == 2
 
-    def test_record_withdrawal_keeps_length_history(self):
+    def test_announced_route_does_not_create_an_entry(self):
         table = AdjRibOut("peer")
-        route = Route(prefix="p0", as_path=("me", "o"), learned_from="me")
-        table.record_announcement("p0", route)
-        table.record_withdrawal("p0")
         assert table.announced_route("p0") is None
-        # The selective-damping preference comparison needs the last
-        # announced length across a withdrawal.
-        assert table.entry("p0").last_announced_length == 2
+        assert table.entries == {}
 
     def test_prefixes(self):
         table = AdjRibOut("peer")
-        table.record_withdrawal("p0")
+        table.entry("p0")
         assert table.prefixes() == ["p0"]

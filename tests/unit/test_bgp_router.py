@@ -330,13 +330,13 @@ def assert_one_shared_export(harness, learned_from, path):
 def test_best_path_change_builds_one_exported_route(monkeypatch):
     harness = Harness(peers=("A", "B", "C", "D"))
     built = []
-    post_init = Route.__post_init__
+    init = Route.__init__
 
-    def counting(route):
+    def counting(route, *args, **kwargs):
+        init(route, *args, **kwargs)
         built.append(route)
-        post_init(route)
 
-    monkeypatch.setattr(Route, "__post_init__", counting)
+    monkeypatch.setattr(Route, "__init__", counting)
     harness.peers["A"].announce("p0", ("A", "origin"))
     harness.run()
     # One route into the Adj-RIB-In, one out for all three neighbours.
@@ -366,13 +366,21 @@ def test_exported_route_survives_a_snapshot_round_trip():
     scenario = WarmStateSnapshot.capture(small_mesh_config()).restore()
     prefix = scenario.config.prefix
 
+    def owed(router, peer):
+        """The export rebuilt from the Loc-RIB alone (shortest-path
+        policy: only the loop check can hold a route back)."""
+        best = router.best_route(prefix)
+        if best is None or peer in best.as_path:
+            return None
+        return Route(prefix, (router.name,) + best.as_path, router.name)
+
     def exports():
-        """Every announced Adj-RIB-Out route, checked against the oracle."""
+        """Every announced Adj-RIB-Out route, checked against ``owed``."""
         sent = {}
         for router in scenario.routers.values():
             for peer in router.neighbors:
                 route = router.rib_out(peer).announced_route(prefix)
-                assert route == router._desired_announcement(peer, prefix)
+                assert route == owed(router, peer)
                 if route is not None:
                     assert route.as_path[0] == route.learned_from == router.name
                     sent[router.name, peer] = route
@@ -383,6 +391,91 @@ def test_exported_route_survives_a_snapshot_round_trip():
     rebuilt = exports()  # what the restored routers built since
     assert rebuilt.keys() == restored.keys()
     assert all(rebuilt[key] is not restored[key] for key in rebuilt)
+
+
+def test_withdrawal_keeps_the_announced_length_for_the_preference_tag():
+    """The selective-damping tag compares an announcement with the last
+    one sent, also across a withdrawal in between."""
+    harness = Harness()
+    a = harness.peers["A"]
+    a.announce("p0", ("A", "origin"))
+    harness.run()
+    a.withdraw("p0")
+    harness.run()
+    entry = harness.router.rib_out("C").entry("p0")
+    assert entry.route is None and entry.last_announced_length == 3
+    a.announce("p0", ("A", "x", "origin"))
+    harness.run()
+    first, withdrawal, second = harness.peers["C"].updates
+    assert (first.preference.direction, first.preference.path_length) == (0, 3)
+    assert withdrawal.is_withdrawal and withdrawal.preference is None
+    assert (second.preference.direction, second.preference.path_length) == (-1, 4)
+    assert entry.route.as_path == ("R", "A", "x", "origin")
+
+
+# ----------------------------------------------------------------------
+# sessions that are down
+# ----------------------------------------------------------------------
+
+
+def line_network(mrai: float = 0.0):
+    """Three routers ``A - B - C``, nothing originated yet; only the
+    middle one paces its announcements."""
+    engine = Engine()
+    rng = RngRegistry(1)
+    network = Network(engine, rng)
+    routers = {}
+    for name, base in (("A", 0.0), ("B", mrai), ("C", 0.0)):
+        config = RouterConfig(mrai=MraiConfig(base=base))
+        routers[name] = network.add_node(BgpRouter(name, engine, rng, config=config))
+    network.add_link("A", "B")
+    network.add_link("B", "C")
+    return engine, network, routers
+
+
+def test_route_learned_while_a_link_is_down_is_announced_when_it_returns():
+    """Regression: B used to record ``p`` as announced to C although the
+    message was dropped ``link-down``; when the link came back the
+    Adj-RIB-Out looked in sync and C never heard of ``p``."""
+    engine, network, routers = line_network()
+    drops = []
+    network.add_drop_hook(lambda message, reason: drops.append(reason))
+    network.set_link_state("B", "C", False)
+    routers["A"].originate("p")
+    engine.run()
+    assert routers["B"].best_route("p").as_path == ("A",)
+    # Nothing was sent into the dead session, so nothing claims to be.
+    assert routers["B"].rib_out("C").announced_route("p") is None
+    assert drops == []
+    assert not routers["C"].has_route("p")
+    network.set_link_state("B", "C", True)
+    engine.run()
+    assert routers["B"].rib_out("C").announced_route("p").as_path == ("B", "A")
+    assert routers["C"].best_route("p").as_path == ("B", "A")
+
+
+def test_session_down_drops_the_deltas_mrai_held_back():
+    """A prefix deferred for a peer belongs to that session: after the
+    link bounces the peer gets the full re-sync at once, not a flush of
+    the old session's dirty set."""
+    engine, network, routers = line_network(mrai=30.0)
+    b = routers["B"]
+    routers["A"].originate("p")
+    engine.run(until=1.0)  # B announced p to C: C's MRAI timer runs
+    routers["A"].originate("q")
+    engine.run(until=2.0)
+    assert b.mrai.pending_prefixes("C") == {"q"}
+    network.set_link_state("B", "C", False)
+    assert b.mrai.pending_prefixes("C") == set()
+    assert b.mrai.may_send_now("C")
+    assert b.rib_out("C").prefixes() == []
+    network.set_link_state("B", "C", True)
+    engine.run(until=3.0)
+    # One goes out with the session, the other waits for the new timer.
+    assert routers["C"].has_route("p") != routers["C"].has_route("q")
+    engine.run()
+    assert routers["C"].has_route("p") and routers["C"].has_route("q")
+    assert not b.mrai.has_pending()
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,17 @@ def test_compare_paths_equal():
     assert compare_paths(4, 4).direction == 0
 
 
+def test_relative_preference_is_a_value():
+    tag = RelativePreference(-1, 5)
+    assert tag == RelativePreference(direction=-1, path_length=5)
+    assert tag != RelativePreference(1, 5) and tag != RelativePreference(-1, 4)
+    assert tag != (-1, 5)
+    assert hash(tag) == hash(RelativePreference(-1, 5))
+    assert repr(tag) == "RelativePreference(direction=-1, path_length=5)"
+    assert not hasattr(tag, "__dict__")
+    assert compare_paths(3, 5) == tag
+
+
 def test_withdrawals_always_charge():
     selective = SelectiveDampingFilter()
     assert selective.should_charge("p", UpdateKind.WITHDRAWAL, None) is True

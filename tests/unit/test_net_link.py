@@ -79,6 +79,20 @@ def test_jitter_bounds():
         assert 0.1 <= message.latency <= 0.6
 
 
+def test_base_delay_draws_what_uniform_would_bit_for_bit():
+    """The delay is computed without ``random.uniform``'s frame; it must
+    stay the same float from the same draw of the same ``link:`` stream."""
+    config = LinkConfig(base_delay=0.01, jitter=0.04)
+    network = Network(Engine(), RngRegistry(42))
+    network.add_node(Recorder("a"))
+    network.add_node(Recorder("b"))
+    link = network.add_link("a", "b", config)
+    twin = RngRegistry(42).stream("link:a-b")
+    for _ in range(10_000):
+        assert link._base_delay() == config.base_delay + twin.uniform(0.0, config.jitter)
+    assert network.rng.stream("link:a-b").random() == twin.random()  # same draw count
+
+
 def test_fifo_ordering_per_direction():
     """A message must never overtake an earlier one in the same direction,
     even when jitter draws would reorder them."""
