@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
+from repro.topology.model import bfs_depths
 from repro.workload.scenarios import FlapRunResult, Scenario
 
 
@@ -39,9 +38,7 @@ def convergence_by_distance(
     """Distance profile of one finished episode."""
     prefix = scenario.config.prefix
     reference: Optional[float] = result.final_announcement_time
-    distances = nx.single_source_shortest_path_length(
-        scenario.config.topology.graph, scenario.isp
-    )
+    distances = bfs_depths(scenario.config.topology.adjacency, scenario.isp)
     suppressors = set(result.collector.routers_with_suppressions())
 
     by_hops: Dict[int, List[str]] = {}

@@ -934,15 +934,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _load_any_topology(path: str):
-    """Load ``path`` as topology JSON, falling back to the CAIDA-style
-    AS-relationship format (the two interchange formats `topo` accepts)."""
+    """Load ``path`` as topology JSON or, if it is not JSON at all, as the
+    CAIDA-style AS-relationship format (the two formats `topo` accepts)."""
     from repro.errors import TopologyError
     from repro.topology.io import load_topology
     from repro.topology.scale import ingest_as_relationships
 
     try:
         return load_topology(path)
-    except TopologyError:
+    except TopologyError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise
         return ingest_as_relationships(path)
 
 

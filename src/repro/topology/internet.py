@@ -12,13 +12,11 @@ peering edges to raise path diversity toward measured AS-graph levels.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.sim.rng import RngRegistry
-from repro.topology.model import Topology
+from repro.topology.model import Topology, build_adjacency
 from repro.topology.relationships import assign_relationships
 
 
@@ -64,16 +62,16 @@ def internet_topology(
             f"extra_peering_fraction must be >= 0, got {extra_peering_fraction}"
         )
 
-    base = nx.barabasi_albert_graph(nodes, attachment, seed=seed)
-    graph = nx.relabel_nodes(base, {i: internet_node_name(i) for i in base.nodes})
-
+    names = [internet_node_name(i) for i in range(nodes)]
+    edges = [(names[a], names[b]) for a, b in _barabasi_albert_edges(nodes, attachment, seed)]
     if extra_peering_fraction > 0:
-        _add_peering_edges(graph, extra_peering_fraction, seed)
+        _add_peering_edges(edges, extra_peering_fraction, seed)
 
-    relationships = assign_relationships(graph) if with_relationships else None
+    adjacency = build_adjacency(names, edges)
+    relationships = assign_relationships(adjacency) if with_relationships else None
     return Topology(
         name=f"internet-{nodes}",
-        graph=graph,
+        adjacency=adjacency,
         relationships=relationships,
         metadata={
             "attachment": attachment,
@@ -83,24 +81,48 @@ def internet_topology(
     )
 
 
-def _add_peering_edges(graph: nx.Graph, fraction: float, seed: int) -> None:
-    """Add ``fraction * |E|`` random edges between similar-degree nodes."""
+def _barabasi_albert_edges(nodes: int, m: int, seed: int) -> List[Tuple[int, int]]:
+    """Preferential attachment, draw for draw NetworkX 3.x
+    ``barabasi_albert_graph(nodes, m, seed)``: a star on ``m + 1`` nodes,
+    then each new node links to ``m`` distinct targets drawn from a list
+    holding every node once per incident edge."""
+    rng = random.Random(seed)
+    edges = [(0, leaf) for leaf in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, nodes):
+        targets: Set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        edges.extend((source, target) for target in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
+
+
+def _add_peering_edges(edges: List[Tuple[str, str]], fraction: float, seed: int) -> None:
+    """Append ``fraction * |E|`` random edges between similar-degree nodes."""
     rng = random.Random(seed + 1)
-    target = int(graph.number_of_edges() * fraction)
-    names = sorted(graph.nodes)
+    target = int(len(edges) * fraction)
+    neighbours: Dict[str, Set[str]] = {}
+    for a, b in edges:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    names = sorted(neighbours)
     attempts = 0
     added = 0
     while added < target and attempts < target * 50 + 100:
         attempts += 1
         a, b = rng.sample(names, 2)
-        if graph.has_edge(a, b):
+        if b in neighbours[a]:
             continue
-        deg_a, deg_b = graph.degree[a], graph.degree[b]
+        deg_a, deg_b = len(neighbours[a]), len(neighbours[b])
         # Prefer similar-degree pairs (peering-like); always allow small
         # degrees so stubs can multihome.
         if max(deg_a, deg_b) > 2 * max(1, min(deg_a, deg_b)) and rng.random() < 0.7:
             continue
-        graph.add_edge(a, b)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+        edges.append((a, b))
         added += 1
 
 
@@ -122,8 +144,8 @@ def pick_isp(
     fell back to ``random.Random(0)`` and silently shared a stream
     (the hazard detlint rule DET002 exists to catch).
 
-    ``topology.nodes`` is a lazily cached sorted list, so repeated calls
-    are O(1) after the first; callers drawing many ISPs in a tight loop
+    ``topology.nodes`` is a sorted list computed once at construction,
+    so repeated calls are O(1); callers drawing many ISPs in a tight loop
     (sweep setup on 10k-node graphs) can also pass a precomputed
     ``nodes`` sequence to skip the property lookup entirely.
     """

@@ -13,11 +13,9 @@ import json
 import pathlib
 from typing import Dict, List, Union
 
-import networkx as nx
-
 from repro.bgp.policy import Relationship
 from repro.errors import TopologyError
-from repro.topology.model import Topology
+from repro.topology.model import Topology, build_adjacency
 from repro.topology.relationships import RelationshipMap
 
 FORMAT_VERSION = 1
@@ -50,29 +48,34 @@ def topology_to_dict(topology: Topology) -> Dict:
 
 def topology_from_dict(document: Dict) -> Topology:
     """Rebuild a topology from :func:`topology_to_dict` output."""
+    if not isinstance(document, dict):
+        raise TopologyError("a topology document must be a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise TopologyError(f"unsupported topology format version {version!r}")
-    graph = nx.Graph()
-    graph.add_nodes_from(document["nodes"])
+    missing = [key for key in ("name", "nodes", "edges") if key not in document]
+    if missing:
+        raise TopologyError(f"topology document lacks {', '.join(missing)}")
     for edge in document["edges"]:
         if len(edge) != 2:
             raise TopologyError(f"malformed edge {edge!r}")
-        graph.add_edge(edge[0], edge[1])
     relationships = None
     if "relationships" in document:
         relationships = RelationshipMap()
         for item in document["relationships"]:
-            if item["kind"] == "peer":
-                relationships.set_peers(item["a"], item["b"])
-            elif item["kind"] == "provider":
-                relationships.set_provider(item["provider"], item["customer"])
-            else:
-                raise TopologyError(f"unknown relationship kind {item['kind']!r}")
-        relationships.validate_acyclic(graph.nodes)
+            kind = item.get("kind")
+            try:
+                if kind == "peer":
+                    relationships.set_peers(item["a"], item["b"])
+                elif kind == "provider":
+                    relationships.set_provider(item["provider"], item["customer"])
+                else:
+                    raise TopologyError(f"unknown relationship kind {kind!r}")
+            except KeyError as exc:
+                raise TopologyError(f"{kind} relationship lacks {exc}") from exc
     return Topology(
         name=document["name"],
-        graph=graph,
+        adjacency=build_adjacency(document["nodes"], document["edges"]),
         relationships=relationships,
         metadata=dict(document.get("metadata", {})),
     )

@@ -7,10 +7,8 @@ i.e. a torus. The paper's main runs use 100 nodes (10×10, 200 links).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
-from repro.topology.model import Topology
+from repro.topology.model import Topology, build_adjacency
 
 
 def mesh_node_name(row: int, col: int) -> str:
@@ -27,21 +25,18 @@ def mesh_topology(rows: int, cols: int) -> Topology:
     """
     if rows < 2 or cols < 2:
         raise TopologyError(f"mesh needs at least 2x2 nodes, got {rows}x{cols}")
-    graph = nx.Graph()
-    for row in range(rows):
-        for col in range(cols):
-            graph.add_node(mesh_node_name(row, col))
+    nodes = [mesh_node_name(row, col) for row in range(rows) for col in range(cols)]
+    edges = []
     for row in range(rows):
         for col in range(cols):
             here = mesh_node_name(row, col)
-            right = mesh_node_name(row, (col + 1) % cols)
-            down = mesh_node_name((row + 1) % rows, col)
-            if here != right:
-                graph.add_edge(here, right)
-            if here != down:
-                graph.add_edge(here, down)
+            # A length-2 dimension's wraparound edge repeats the grid edge.
+            if cols > 2 or col == 0:
+                edges.append((here, mesh_node_name(row, (col + 1) % cols)))
+            if rows > 2 or row == 0:
+                edges.append((here, mesh_node_name((row + 1) % rows, col)))
     return Topology(
         name=f"mesh-{rows}x{cols}",
-        graph=graph,
+        adjacency=build_adjacency(nodes, edges),
         metadata={"rows": rows, "cols": cols},
     )

@@ -21,12 +21,12 @@ root, then descend to all customers).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
 from repro.bgp.policy import Relationship
 from repro.errors import TopologyError
+from repro.topology.model import Adjacency, bfs_depths
 
 
 class RelationshipMap:
@@ -116,40 +116,51 @@ class RelationshipMap:
 
     def validate_acyclic(self, nodes: Iterable[str]) -> None:
         """Raise :class:`TopologyError` if the provider digraph has a cycle
-        (which would break Gao–Rexford convergence guarantees)."""
-        digraph = nx.DiGraph()
-        digraph.add_nodes_from(nodes)
-        digraph.add_edges_from((c, p) for (p, c) in self._provider_of)
-        if not nx.is_directed_acyclic_graph(digraph):
+        (which would break Gao–Rexford convergence guarantees).
+
+        Kahn's algorithm: retire every node with no unretired provider,
+        starting from ``nodes``; a node left over sits on a cycle.
+        """
+        providers: Dict[str, int] = dict.fromkeys(nodes, 0)
+        customers: DefaultDict[str, List[str]] = defaultdict(list)
+        for provider, customer in self._provider_of:
+            providers.setdefault(provider, 0)
+            providers[customer] = providers.get(customer, 0) + 1
+            customers[provider].append(customer)
+        retired = [node for node, count in providers.items() if count == 0]
+        for node in retired:
+            for customer in customers[node]:
+                providers[customer] -= 1
+                if providers[customer] == 0:
+                    retired.append(customer)
+        if len(retired) != len(providers):
             raise TopologyError("customer-provider relationships contain a cycle")
 
 
 def assign_relationships(
-    graph: nx.Graph, root: Optional[str] = None
+    adjacency: Adjacency, root: Optional[str] = None
 ) -> RelationshipMap:
-    """Assign relationships to every edge of ``graph`` by BFS depth.
+    """Assign relationships to every edge of ``adjacency`` by BFS depth.
 
     ``root`` defaults to the highest-degree node (ties broken by name) —
     the synthetic "tier-1". See the module docstring for the guarantees
     this construction provides.
     """
-    if graph.number_of_nodes() == 0:
+    if not adjacency:
         raise TopologyError("cannot assign relationships on an empty graph")
-    if not nx.is_connected(graph):
-        raise TopologyError("relationship assignment requires a connected graph")
     if root is None:
-        root = max(sorted(graph.nodes), key=lambda n: graph.degree[n])
-    elif root not in graph:
+        root = max(sorted(adjacency), key=lambda n: len(adjacency[n]))
+    elif root not in adjacency:
         raise TopologyError(f"root {root!r} is not in the graph")
 
-    depth = nx.single_source_shortest_path_length(graph, root)
+    depth = bfs_depths(adjacency, root)
+    if len(depth) != len(adjacency):
+        raise TopologyError("relationship assignment requires a connected graph")
     relationships = RelationshipMap()
-    for u, v in graph.edges:
-        if depth[u] == depth[v]:
-            relationships.set_peers(u, v)
-        elif depth[u] < depth[v]:
-            relationships.set_provider(u, v)
-        else:
-            relationships.set_provider(v, u)
-    relationships.validate_acyclic(graph.nodes)
+    for u in adjacency:
+        for v in adjacency[u]:
+            if depth[u] == depth[v]:
+                relationships.set_peers(u, v)
+            elif depth[u] < depth[v]:
+                relationships.set_provider(u, v)
     return relationships

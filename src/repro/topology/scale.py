@@ -7,9 +7,8 @@ The paper's experiments top out at 208 nodes; the real AS graph is
 - :func:`powerlaw_topology` — a seeded preferential-attachment
   generator with a tunable attachment exponent and a fully meshed
   clique core, implemented in pure Python on a *named* RNG stream so
-  the emitted edge list is bit-stable across Python and networkx
-  versions (``nx.barabasi_albert_graph`` keeps no such promise, which
-  matters once a generated graph is committed as a CI fixture).
+  the emitted edge list is a pure function of its arguments, which
+  matters once a generated graph is committed as a CI fixture.
 - :func:`ingest_as_relationships` — a reader for CAIDA-style
   AS-relationship files (``provider|customer|-1`` / ``peer|peer|0``)
   producing a Topology plus :class:`RelationshipMap`, with
@@ -28,12 +27,10 @@ import pathlib
 import random
 from typing import Dict, List, Optional, Tuple, Union
 
-import networkx as nx
-
 from repro.bgp.policy import Relationship
 from repro.errors import TopologyError
 from repro.sim.rng import RngRegistry
-from repro.topology.model import Topology
+from repro.topology.model import Topology, bfs_depths, build_adjacency
 from repro.topology.relationships import RelationshipMap, assign_relationships
 
 PathLike = Union[str, pathlib.Path]
@@ -130,14 +127,11 @@ def powerlaw_topology(
         for target in chosen:
             add_edge(new, target)
 
-    graph = nx.Graph()
-    graph.add_nodes_from(names)
-    graph.add_edges_from((names[a], names[b]) for a, b in edges)
-
-    relationships = assign_relationships(graph) if with_relationships else None
+    adjacency = build_adjacency(names, ((names[a], names[b]) for a, b in edges))
+    relationships = assign_relationships(adjacency) if with_relationships else None
     return Topology(
         name=name or f"powerlaw-{nodes}",
-        graph=graph,
+        adjacency=adjacency,
         relationships=relationships,
         metadata={
             "generator": "powerlaw",
@@ -211,7 +205,8 @@ def ingest_as_relationships(
     that :meth:`RelationshipMap.validate_acyclic` would reject.
     """
     source = pathlib.Path(path)
-    graph = nx.Graph()
+    # Endpoint-sorted pair → None: repeated lines name one edge.
+    edges: Dict[Tuple[str, str], None] = {}
     provider_edges: List[Tuple[str, str]] = []
     peer_edges: List[Tuple[str, str]] = []
     for lineno, raw in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
@@ -237,28 +232,35 @@ def ingest_as_relationships(
                 f"{source}:{lineno}: unknown relationship code {kind} "
                 f"(expected -1 provider|customer or 0 peer|peer)"
             )
-        graph.add_edge(a, b)
+        edges[(a, b) if a < b else (b, a)] = None
 
-    if graph.number_of_nodes() == 0:
+    if not edges:
         raise TopologyError(f"{source}: no relationships found")
-    if largest_component and not nx.is_connected(graph):
-        keep = max(nx.connected_components(graph), key=lambda c: (len(c), sorted(c)))
-        graph = graph.subgraph(keep).copy()
+    adjacency = build_adjacency(dict.fromkeys(end for edge in edges for end in edge), edges)
+    if largest_component:
+        unseen = dict.fromkeys(adjacency)
+        components = []
+        while unseen:
+            components.append(bfs_depths(adjacency, next(iter(unseen))))
+            for node in components[-1]:
+                del unseen[node]
+        keep = max(components, key=lambda c: (len(c), sorted(c)))
+        if len(keep) < len(adjacency):
+            adjacency = build_adjacency(keep, (e for e in edges if e[0] in keep))
 
     relationships: Optional[RelationshipMap] = None
     if with_relationships:
         relationships = RelationshipMap()
         for provider, customer in provider_edges:
-            if provider in graph and customer in graph:
+            if provider in adjacency and customer in adjacency:
                 relationships.set_provider(provider, customer)
         for a, b in peer_edges:
-            if a in graph and b in graph:
+            if a in adjacency and b in adjacency:
                 relationships.set_peers(a, b)
-        relationships.validate_acyclic(graph.nodes)
 
     return Topology(
         name=name or source.stem,
-        graph=graph,
+        adjacency=adjacency,
         relationships=relationships,
         metadata={"source": str(source), "format": "as-relationships"},
     )
@@ -318,7 +320,7 @@ def estimate_powerlaw_exponent(degrees: List[int], d_min: int = 2) -> Optional[f
 
 def topology_stats(topology: Topology) -> Dict[str, object]:
     """Summary statistics for ``topo stats`` and fixture sanity checks."""
-    degrees = sorted((int(d) for _, d in topology.graph.degree), reverse=True)
+    degrees = sorted(map(len, topology.adjacency.values()), reverse=True)
     n = topology.node_count
     stats: Dict[str, object] = {
         "name": topology.name,

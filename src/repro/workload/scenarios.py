@@ -117,13 +117,13 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "no-valley policy requires a topology with relationships"
             )
-        if self.isp is not None and self.isp not in self.topology.graph:
+        if self.isp is not None and self.isp not in self.topology.adjacency:
             raise ConfigurationError(f"isp {self.isp!r} is not in the topology")
         if self.damping_overrides:
             unknown = [
                 name
                 for name in self.damping_overrides
-                if name not in self.topology.graph
+                if name not in self.topology.adjacency
             ]
             if unknown:
                 raise ConfigurationError(
@@ -137,7 +137,7 @@ class ScenarioConfig:
             unknown_routers = sorted(
                 name
                 for name in self.faults.routers()
-                if name != ORIGIN_NAME and name not in self.topology.graph
+                if name != ORIGIN_NAME and name not in self.topology.adjacency
             )
             if unknown_routers:
                 raise ConfigurationError(

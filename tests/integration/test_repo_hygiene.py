@@ -297,7 +297,6 @@ KEPT_WITHOUT_A_CALLER = {
     "latency": "link tests observe per-message delay",
     "remaining": "timer tests observe time to expiry",
     "pick_isp": "documented topology helper (docs/SCALING.md)",
-    "invalidate_caches": "documented escape hatch after in-place topology surgery",
 }
 
 

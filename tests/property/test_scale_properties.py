@@ -55,7 +55,7 @@ def test_powerlaw_generator_is_deterministic(nodes, seed, attachment):
     second = powerlaw_topology(nodes, attachment=attachment, seed=seed)
     assert first.edges == second.edges
     assert first.nodes == second.nodes
-    assert nx.is_connected(first.graph)
+    assert nx.is_connected(nx.Graph(first.edges))
     # Edge budget: clique core plus min(attachment, existing) per node.
     core = 4
     expected = core * (core - 1) // 2 + sum(
@@ -68,5 +68,5 @@ def test_powerlaw_generator_is_deterministic(nodes, seed, attachment):
 @settings(max_examples=10, deadline=None)
 def test_powerlaw_exponent_zero_still_connects(seed):
     topology = powerlaw_topology(60, exponent=0.0, seed=seed)
-    assert nx.is_connected(topology.graph)
+    assert nx.is_connected(nx.Graph(topology.edges))
     assert topology.node_count == 60

@@ -19,7 +19,7 @@ from repro.workload.pulses import PulseSchedule
 def test_mesh_structure(rows, cols):
     topology = mesh_topology(rows, cols)
     assert topology.node_count == rows * cols
-    assert nx.is_connected(topology.graph)
+    assert nx.is_connected(nx.Graph(topology.edges))
     # A torus is vertex-transitive: every node has the same degree.
     degrees = {topology.degree(n) for n in topology.nodes}
     assert len(degrees) == 1
@@ -33,7 +33,7 @@ def test_mesh_structure(rows, cols):
 def test_internet_topology_connected_and_sized(nodes, seed):
     topology = internet_topology(nodes, seed=seed)
     assert topology.node_count == nodes
-    assert nx.is_connected(topology.graph)
+    assert nx.is_connected(nx.Graph(topology.edges))
 
 
 @given(nodes=st.integers(min_value=5, max_value=60), seed=st.integers(min_value=0, max_value=30))

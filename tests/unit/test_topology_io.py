@@ -107,3 +107,65 @@ def test_relationship_cycle_rejected_on_load():
     }
     with pytest.raises(TopologyError):
         topology_from_dict(document)
+
+
+def _triangle_document():
+    """a provides transit to b and c, which peer with each other."""
+    return {
+        "format_version": 1,
+        "name": "triangle",
+        "nodes": ["a", "b", "c"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+        "metadata": {},
+        "relationships": [
+            {"kind": "provider", "provider": "a", "customer": "b"},
+            {"kind": "peer", "a": "b", "b": "c"},
+            {"kind": "provider", "provider": "a", "customer": "c"},
+        ],
+    }
+
+
+MALFORMED_DOCUMENTS = {
+    "missing-nodes": lambda d: d.pop("nodes"),
+    "missing-edges": lambda d: d.pop("edges"),
+    "missing-name": lambda d: d.pop("name"),
+    "unknown-endpoint": lambda d: d["edges"].append(["c", "zz"]),
+    "self-loop": lambda d: d["edges"].append(["c", "c"]),
+    "duplicate-node": lambda d: d["nodes"].append("b"),
+    "repeated-edge": lambda d: d["edges"].append(["a", "b"]),
+    "repeated-edge-reversed": lambda d: d["edges"].append(["c", "b"]),
+    "edge-without-relationship": lambda d: d["relationships"].pop(1),
+    "relationship-on-non-edge": lambda d: d["edges"].remove(["a", "c"]),
+    "relationship-missing-key": lambda d: d["relationships"][0].pop("customer"),
+}
+
+
+def test_triangle_document_is_well_formed():
+    topology = topology_from_dict(_triangle_document())
+    assert topology.edges == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_rejected_at_load(case):
+    document = _triangle_document()
+    MALFORMED_DOCUMENTS[case](document)
+    with pytest.raises(TopologyError):
+        topology_from_dict(document)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_topo_stats_reports_malformed_document_in_one_line(case, tmp_path, capsys):
+    from repro.cli import main
+
+    document = _triangle_document()
+    MALFORMED_DOCUMENTS[case](document)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert main(["topo", "stats", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rfd-repro topo: ") and err.count("\n") == 1
+
+
+def test_non_object_document_rejected():
+    with pytest.raises(TopologyError):
+        topology_from_dict([1, 2, 3])

@@ -27,8 +27,8 @@ class TestMesh:
 
     def test_wraparound_edges_exist(self):
         topology = mesh_topology(4, 4)
-        assert topology.graph.has_edge(mesh_node_name(0, 0), mesh_node_name(3, 0))
-        assert topology.graph.has_edge(mesh_node_name(0, 0), mesh_node_name(0, 3))
+        assert mesh_node_name(3, 0) in topology.neighbors(mesh_node_name(0, 0))
+        assert mesh_node_name(0, 3) in topology.neighbors(mesh_node_name(0, 0))
 
     def test_connected(self):
         topology = mesh_topology(3, 7)
@@ -72,7 +72,7 @@ class TestInternet:
     def test_long_tailed_degree_distribution(self):
         """Most nodes are low-degree stubs; a few hubs dominate."""
         topology = internet_topology(200, seed=7)
-        histogram = Counter(degree for _, degree in topology.graph.degree)
+        histogram = Counter(topology.degree(node) for node in topology.nodes)
         stubs = sum(count for degree, count in histogram.items() if degree <= 3)
         assert stubs > topology.node_count / 2
         assert max(histogram) >= 4 * min(histogram)

@@ -31,7 +31,7 @@ def test_powerlaw_counts_and_connectivity():
     assert topology.node_count == 200
     # clique core + attachment edges for every later node
     assert topology.edge_count == 6 + (200 - 4) * 2
-    assert nx.is_connected(topology.graph)
+    assert nx.is_connected(nx.Graph(topology.edges))
     assert topology.name == "powerlaw-200"
     assert topology.metadata["generator"] == "powerlaw"
 
@@ -47,8 +47,8 @@ def test_powerlaw_is_deterministic_per_seed():
 def test_powerlaw_exponent_shapes_the_tail():
     flat = powerlaw_topology(400, exponent=0.0, seed=2)
     sharp = powerlaw_topology(400, exponent=1.6, seed=2)
-    flat_max = max(d for _, d in flat.graph.degree)
-    sharp_max = max(d for _, d in sharp.graph.degree)
+    flat_max = max(flat.degree(n) for n in flat.nodes)
+    sharp_max = max(sharp.degree(n) for n in sharp.nodes)
     assert sharp_max > flat_max
 
 
