@@ -5,7 +5,7 @@ knobs a router operator sets: penalty increments per update kind, cut-off
 and reuse thresholds, half-life, and the maximum hold-down time. Derived
 quantities that the rest of the code needs constantly — the decay constant
 ``λ = ln2 / half_life`` and the penalty ceiling that enforces the max
-hold-down — are computed once here.
+hold-down — are computed once per instance here.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from repro.errors import ConfigurationError
@@ -99,12 +100,15 @@ class DampingParams:
     # derived quantities
     # ------------------------------------------------------------------
 
-    @property
+    # ``cached_property`` writes ``__dict__`` past the frozen __setattr__;
+    # equality, hashing and ``replace`` see only the fields.
+
+    @cached_property
     def decay_constant(self) -> float:
         """``λ`` in ``p(t) = p(t0) · exp(-λ (t - t0))``."""
         return math.log(2.0) / self.half_life
 
-    @property
+    @cached_property
     def penalty_ceiling(self) -> float:
         """Largest penalty value ever stored.
 

@@ -36,12 +36,15 @@ Two mechanisms keep ``jobs=N`` from drowning in dispatch overhead:
 
 Episode outcomes cross the process boundary as compact picklable
 :class:`PointOutcome` records (metrics plus the run digest), never as
-full result objects with their collectors and traces.
+full result objects with their collectors and traces. A finished
+scenario is one large reference cycle, so each point collects it before
+the next point is built: a sweep holds one scenario at a time.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import math
 import multiprocessing
 import os
@@ -180,7 +183,7 @@ def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
         if tracer is not None:
             trace_digest = tracer.close()
     summary = result.summary
-    return PointOutcome(
+    outcome = PointOutcome(
         pulses=pulses,
         convergence_time=result.convergence_time,
         message_count=result.message_count,
@@ -191,6 +194,11 @@ def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
         digest=run_digest(result.collector),
         trace_digest=trace_digest,
     )
+    # A finished scenario is one reference cycle that reference counting
+    # never frees: collect it now, before the next point is built.
+    del _scenario, result
+    gc.collect()
+    return outcome
 
 
 #: One chunk of work: contiguous ``(index, pulses)`` tasks.

@@ -12,7 +12,7 @@ a one-line check.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import Iterator
 
 from repro.metrics.collector import MetricsCollector
 
@@ -22,30 +22,29 @@ def _round_time(value: float) -> int:
     return int(round(value * 1_000_000))
 
 
-def collector_fingerprint_lines(collector: MetricsCollector) -> List[str]:
-    """The canonical line-per-event rendering that gets hashed."""
-    lines: List[str] = []
+def collector_fingerprint_lines(collector: MetricsCollector) -> Iterator[str]:
+    """The canonical line-per-event rendering that gets hashed, one line
+    at a time (a large run has tens of thousands of lines)."""
     for update in collector.updates:
         kind = "W" if update.is_withdrawal else "A"
-        lines.append(
+        yield (
             f"U {_round_time(update.time)} {update.src}>{update.dst} "
             f"{update.prefix} {kind}"
         )
     for time, delta, router, peer in collector.suppression_changes:
         sign = "+" if delta > 0 else "-"
-        lines.append(f"S {_round_time(time)} {router}:{peer} {sign}")
+        yield f"S {_round_time(time)} {router}:{peer} {sign}"
     for event in collector.reuse_events():
         noise = "noisy" if event.noisy else "silent"
-        lines.append(f"R {_round_time(event.time)} {event.peer}:{event.prefix} {noise}")
+        yield f"R {_round_time(event.time)} {event.peer}:{event.prefix} {noise}"
     # Drop lines only appear when something was dropped, so fault-free
     # runs keep their historical digests byte-identical.
     for drop in collector.drops:
         kind = "W" if drop.is_withdrawal else "A"
-        lines.append(
+        yield (
             f"D {_round_time(drop.time)} {drop.src}>{drop.dst} "
             f"{drop.prefix} {kind} {drop.reason}"
         )
-    return lines
 
 
 def run_digest(collector: MetricsCollector) -> str:

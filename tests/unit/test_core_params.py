@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
@@ -138,3 +139,29 @@ def test_describe_round_trip():
 def test_params_are_immutable():
     with pytest.raises(AttributeError):
         CISCO_DEFAULTS.cutoff_threshold = 1.0  # type: ignore[misc]
+
+
+def test_derived_values_are_the_documented_expressions_bit_for_bit():
+    params = DampingParams(half_life=600.0, max_hold_down=2700.0)
+    assert params.decay_constant == math.log(2.0) / 600.0
+    assert params.penalty_ceiling == 750.0 * math.pow(2.0, 2700.0 / 600.0)
+
+
+def test_with_overrides_gets_its_own_derived_values():
+    base = DampingParams()
+    base_lambda, base_ceiling = base.decay_constant, base.penalty_ceiling
+    faster = base.with_overrides(half_life=300.0)
+    assert faster.decay_constant == math.log(2.0) / 300.0
+    assert faster.penalty_ceiling == 750.0 * math.pow(2.0, 3600.0 / 300.0)
+    assert (base.decay_constant, base.penalty_ceiling) == (base_lambda, base_ceiling)
+
+
+def test_cached_values_leave_equality_hash_and_pickle_alone():
+    cold, warm = DampingParams(), DampingParams()
+    warm.decay_constant, warm.penalty_ceiling  # fills both caches
+    assert cold == warm and hash(cold) == hash(warm)
+    for original in (cold, warm):
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone == CISCO_DEFAULTS and hash(clone) == hash(CISCO_DEFAULTS)
+        assert clone.decay_constant == CISCO_DEFAULTS.decay_constant
+        assert clone.penalty_ceiling == CISCO_DEFAULTS.penalty_ceiling
