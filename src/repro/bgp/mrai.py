@@ -119,7 +119,7 @@ class MraiLimiter:
                 self._engine,
                 functools.partial(self._expired, peer),
                 # One allocation per peer lifetime, not per sent update.
-                name=f"mrai:{self.owner}->{peer}",  # perflint: disable=PERF004
+                name=f"mrai:{self.owner}->{peer}",  # lint: disable=PERF004
                 actor=self.owner,
                 tag="mrai",
             )

@@ -10,7 +10,7 @@ an ad-hoc simulation runner::
     rfd-repro run F8 --smoke --verify-digests benchmarks/results/f8_smoke_digests.json
     rfd-repro simulate --topology mesh --nodes 100 --pulses 3 --damping cisco
     rfd-repro trace --topology mesh --nodes 100 --pulses 3 --out run.jsonl
-    rfd-repro lint --pass all src/   # detlint + semlint static analysis
+    rfd-repro lint src/              # static analysis (det/sem/tim/perf passes)
 
 Commands raise on failure; :func:`main` alone turns an exception into an
 exit code. 0 is success; 1 means the run broke its own rules
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "attach the runtime allocation probe (tracemalloc net bytes "
             "per sub-phase) and print the per-phase allocation "
-            "report — the dynamic counterpart of the perflint pass"
+            "report — the dynamic counterpart of the perf lint pass"
         ),
     )
     sim.add_argument(
@@ -396,17 +396,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the detlint/semlint/timerlint/perflint static-analysis passes",
+        help="run the det/sem/tim/perf static-analysis passes",
         description=(
-            "Check Python sources against the determinism (DET001..DET010), "
-            "protocol-semantics (SEM001..SEM007), timer-lifecycle "
-            "(TIM001..TIM010), and hot-path performance (PERF001..PERF010) "
-            "rule catalogues — see docs/STATIC_ANALYSIS.md. PERF findings "
-            "keep warning severity only inside the call-graph hot set; "
-            "elsewhere they downgrade to advisory info and never block. "
-            "Exit-code contract (stable): 0 clean (no blocking findings per "
-            "--fail-on), 1 blocking findings or parse errors remain, 2 on "
-            "usage errors."
+            "Check Python sources against the determinism (DET), "
+            "protocol-semantics (SEM), timer-lifecycle (TIM) and hot-path "
+            "performance (PERF) rule catalogues — see "
+            "docs/STATIC_ANALYSIS.md. PERF rules check only functions in "
+            "the call-graph hot set. Every finding blocks. Exit-code "
+            "contract (stable): 0 clean, 1 findings or parse errors "
+            "remain, 2 on usage errors."
         ),
     )
     lint.add_argument(
@@ -443,36 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "unchanged files are served from the cache, findings are "
             "digest-identical to an uncached run"
         ),
-    )
-    lint.add_argument(
-        "--show-info",
-        action="store_true",
-        help="list advisory info-severity findings in text output",
-    )
-    lint.add_argument(
-        "--fail-on",
-        choices=["error", "warning", "never"],
-        default="warning",
-        dest="fail_on",
-        help=(
-            "minimum severity that exits 1: 'warning' (default) fails on any "
-            "finding, 'error' ignores warnings, 'never' always exits 0 "
-            "(parse errors still fail regardless)"
-        ),
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "compare findings against a baseline file; baselined findings "
-            "are reported but do not fail the run"
-        ),
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings and exit 0",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
@@ -1064,11 +1032,8 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
-        apply_baseline,
         lint_paths,
         make_config,
-        parse_baseline,
-        render_baseline,
         render_json,
         render_rule_list,
         render_text,
@@ -1077,8 +1042,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_list())
         return 0
-    if args.update_baseline and args.baseline is None:
-        raise ConfigurationError("--update-baseline requires --baseline FILE")
     config = make_config(
         select=tuple(args.select),
         ignore=tuple(args.ignore),
@@ -1096,26 +1059,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             ),
             file=sys.stderr,
         )
-    if args.baseline is not None:
-        if args.update_baseline:
-            with open(args.baseline, "w", encoding="utf-8") as handle:
-                handle.write(render_baseline(report))
-            print(
-                f"wrote baseline with {report.finding_count} finding(s) "
-                f"to {args.baseline}"
-            )
-            return 0
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            report = apply_baseline(report, parse_baseline(handle.read()))
     if args.output_format == "json":
         print(render_json(report))
     else:
-        print(render_text(report, show_info=args.show_info))
-    # Exit contract: parse errors always fail; findings fail per --fail-on
-    # ('warning' = any finding, 'error' = errors only, 'never' = report only).
-    if report.parse_errors:
-        return 1
-    return 1 if report.blocking_findings(args.fail_on) else 0
+        print(render_text(report))
+    return 0 if report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -338,7 +338,7 @@ class DampingManager:
                 self._engine,
                 functools.partial(self._reuse_fired, peer, prefix),
                 # One allocation per (peer, prefix) lifetime, not per event.
-                name=f"reuse:{self.owner}:{peer}:{prefix}",  # perflint: disable=PERF004
+                name=f"reuse:{self.owner}:{peer}:{prefix}",  # lint: disable=PERF004
                 actor=self.owner,
                 tag="reuse",
             )
@@ -357,7 +357,7 @@ class DampingManager:
         # SuppressionRecord carries defaulted fields and a list factory, so
         # it cannot take __slots__ on this Python; suppressions are rare
         # relative to charges, so the dict cost is accepted.
-        record = SuppressionRecord(  # perflint: disable=PERF006
+        record = SuppressionRecord(  # lint: disable=PERF006
             peer=peer, prefix=prefix, started=now, penalty_at_start=penalty
         )
         entry.current_record = record

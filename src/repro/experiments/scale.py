@@ -120,7 +120,7 @@ def run_scale_episode(
     convergence, wipe damping state, drive ``pulses`` down/up pairs
     through the origin, run the queue dry.
     """
-    start = time.perf_counter()  # detlint: disable=DET001
+    start = time.perf_counter()
     if topology is None:
         topology = powerlaw_topology(nodes, seed=topology_seed)
     config = ScenarioConfig(
@@ -132,14 +132,14 @@ def run_scale_episode(
     scenario = Scenario(config)
     if watchdog:
         scenario.engine.enable_watchdog()
-    built = time.perf_counter()  # detlint: disable=DET001
+    built = time.perf_counter()
 
     scenario.warm_up()
-    warmed = time.perf_counter()  # detlint: disable=DET001
+    warmed = time.perf_counter()
 
     events_before = scenario.engine.events_executed
     result = scenario.run(PulseSchedule.regular(pulses, interval))
-    done = time.perf_counter()  # detlint: disable=DET001
+    done = time.perf_counter()
 
     events = scenario.engine.events_executed - events_before
     episode_seconds = done - warmed

@@ -66,13 +66,6 @@ def config_digest(config: LintConfig) -> str:
             "select": sorted(config.select),
             "ignore": sorted(config.ignore),
             "passes": sorted(config.passes),
-            "protected_packages": list(config.protected_packages),
-            "decision_modules": list(config.decision_modules),
-            "timer_modules": list(config.timer_modules),
-            "penalty_modules": list(config.penalty_modules),
-            "params_modules": list(config.params_modules),
-            "damping_modules": list(config.damping_modules),
-            "executor_modules": list(config.executor_modules),
         },
         sort_keys=True,
     )
@@ -94,9 +87,7 @@ def finding_from_dict(data: Mapping[str, object]) -> Finding:
         line=int(data["line"]),  # type: ignore[arg-type]
         col=int(data.get("col", 0)),  # type: ignore[arg-type]
         end_line=int(data.get("end_line", 0)),  # type: ignore[arg-type]
-        severity=str(data.get("severity", "error")),
         suppressed=bool(data.get("suppressed", False)),
-        baselined=bool(data.get("baselined", False)),
     )
 
 

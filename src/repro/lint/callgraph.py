@@ -1,8 +1,8 @@
-"""Cross-file call graph for the perflint hot set and the incremental
+"""Cross-file call graph for the perf pass's hot set and the incremental
 cache's transitive invalidation.
 
 The intra-file effect inference in :mod:`repro.lint.effects` stops at
-file boundaries; perflint needs to know whether a function is reachable
+file boundaries; the perf pass needs to know whether a function is reachable
 from a *phase root* or an *engine callback registration* anywhere in
 the project. :func:`summarize` distils one file's context into a
 JSON-round-trippable :class:`FileSummary` (functions, call tokens,
@@ -20,8 +20,8 @@ together, resolving edges through
 
 Resolution is deliberately sound-ish rather than complete — an
 unresolvable callee is simply absent from the graph, which errs toward
-*smaller* hot sets (findings downgrade to info, never spuriously
-upgrade to warning).
+*smaller* hot sets (a PERF hazard goes unreported rather than a cold
+function being reported).
 
 Because summaries round-trip through JSON, the incremental cache stores
 them per file keyed by source digest: a warm run rebuilds the whole
@@ -392,17 +392,8 @@ class ProjectGraph:
         """Functions registered (anywhere) as engine/timer callbacks."""
         return self._callback_roots
 
-    def has_function(self, full_name: str) -> bool:
-        return full_name in self._functions
-
     def path_of(self, full_name: str) -> Optional[str]:
         return self._path_of.get(full_name)
-
-    def functions_in(self, path: str) -> List[str]:
-        """Full names of every function defined in ``path``, sorted."""
-        return sorted(
-            full for full, p in self._path_of.items() if p == path
-        )
 
     def closure(self, roots: Iterable[str]) -> FrozenSet[str]:
         """Transitive callee closure of ``roots`` over resolved edges."""

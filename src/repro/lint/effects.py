@@ -1,5 +1,5 @@
-"""Intra-file call-graph and effect inference for the semlint and
-timerlint passes.
+"""Intra-file call-graph and effect inference for the sem and tim
+passes.
 
 Protocol-semantics rules need to know *what a function does*, not just
 what tokens it contains. This module classifies every function (and
@@ -13,7 +13,7 @@ method) of one file into a set of effects:
     timers internally (``DampingManager.record_update``).
 ``cancels-timer``
     Disarms scheduled work — ``Timer.cancel`` / ``ScheduledEvent.cancel``
-    (or ``cancel_all_timers``). The timerlint abstract interpreter uses
+    (or ``cancel_all_timers``). The tim pass's abstract interpreter uses
     this label to keep its handle-state tracking sound across helper
     calls: a callee that may cancel invalidates what the caller knows
     about its pending timers.
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 from repro.lint.framework import FunctionEntry, enumerate_defs
 
@@ -54,26 +54,6 @@ EMITS_UPDATE = "emits-update"
 
 ALL_EFFECTS: FrozenSet[str] = frozenset(
     {READS_CLOCK, SCHEDULES_TIMER, CANCELS_TIMER, MUTATES_RIB, EMITS_UPDATE}
-)
-
-#: Attribute names that denote simulated instants. Shared vocabulary of
-#: DET005 (exact equality on bare time operands) and SEM004 (equality on
-#: time-valued expressions).
-TIME_NAMES: FrozenSet[str] = frozenset(
-    {
-        "now",
-        "_now",
-        "time",
-        "expiry",
-        "deadline",
-        "sent_at",
-        "delivered_at",
-        "deliver_at",
-        "attach_time",
-        "start_time",
-        "end_time",
-        "fire_time",
-    }
 )
 
 #: Receiver names that denote the simulation engine.
@@ -140,9 +120,6 @@ class EffectAnalysis:
     def iter_functions(self) -> Iterator[FunctionEffects]:
         for qualname in sorted(self._functions):
             yield self._functions[qualname]
-
-    def impure_functions(self) -> List[FunctionEffects]:
-        return [f for f in self.iter_functions() if not f.is_pure]
 
     def __len__(self) -> int:
         return len(self._functions)
@@ -287,7 +264,6 @@ __all__ = [
     "MUTATES_RIB",
     "READS_CLOCK",
     "SCHEDULES_TIMER",
-    "TIME_NAMES",
     "analyze_effects",
     "infer_effects",
 ]

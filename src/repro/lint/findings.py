@@ -3,22 +3,14 @@
 A :class:`Finding` pins one rule violation to a ``file:line`` location; a
 :class:`LintReport` aggregates the findings of a whole run together with
 bookkeeping the reporters and the CI gate need (files checked, findings
-silenced by suppression comments or a baseline, files that failed to
-parse).
+silenced by suppression comments, files that failed to parse). Every
+active finding blocks: a report is clean only when it has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-
-#: The severity vocabulary, in decreasing order of strictness. ``error``
-#: findings always gate (unless ``--fail-on never``); ``warning``
-#: findings gate only under the default ``--fail-on warning``; ``info``
-#: findings never gate — perflint uses them for hazards that sit outside
-#: the profiled hot set and are advisory rather than blocking.
-SEVERITIES: Tuple[str, ...] = ("error", "warning", "info")
 
 
 @dataclass(frozen=True)
@@ -33,32 +25,11 @@ class Finding:
     #: Last physical line of the flagged construct; suppression comments
     #: anywhere in ``line..end_line`` (continuation lines) are honoured.
     end_line: int = 0
-    #: ``error`` or ``warning`` — copied from the rule that produced the
-    #: finding and consumed by the ``--fail-on`` exit-code contract.
-    severity: str = "error"
     suppressed: bool = False
-    #: True when the finding is silenced by a ``--baseline`` file rather
-    #: than fixed; baselined findings do not fail the run.
-    baselined: bool = False
 
     def __post_init__(self) -> None:
         if self.end_line < self.line:
             object.__setattr__(self, "end_line", self.line)
-
-    @property
-    def location(self) -> str:
-        """``file:line`` rendering used by reporters and error output."""
-        return f"{self.path}:{self.line}"
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-independent identity used by baseline record/compare.
-
-        Deliberately excludes the line number so findings survive
-        unrelated edits that shift code up or down a file.
-        """
-        path = self.path.replace("\\", "/")
-        return f"{path}::{self.rule_id}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable form (used by the JSON reporter)."""
@@ -69,9 +40,7 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "end_line": self.end_line,
-            "severity": self.severity,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
 
@@ -81,8 +50,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings matched (and silenced) by a ``--baseline`` file.
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     #: ``(path, error message)`` for files that could not be parsed.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
@@ -93,41 +60,16 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        """True when the tree is clean: no findings and no parse errors."""
+        """True when the tree is clean: no findings and no parse errors.
+
+        An unparseable file cannot be certified clean, so a parse error
+        fails the run just as a finding does.
+        """
         return not self.findings and not self.parse_errors
 
     @property
     def finding_count(self) -> int:
         return len(self.findings)
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "error")
-
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "warning")
-
-    @property
-    def info_count(self) -> int:
-        return sum(1 for f in self.findings if f.severity == "info")
-
-    def blocking_findings(self, fail_on: str = "warning") -> List[Finding]:
-        """The findings that fail the run under a ``--fail-on`` threshold.
-
-        ``warning`` (the default, and the historical behaviour): every
-        error- and warning-severity finding blocks. ``error``: only
-        error-severity findings block. ``never``: findings never block.
-        ``info`` findings are advisory and never block under any
-        threshold. Parse errors are not findings and always fail the run
-        — an unparseable file cannot be certified clean — so callers
-        must check :attr:`parse_errors` separately.
-        """
-        if fail_on == "never":
-            return []
-        if fail_on == "error":
-            return [f for f in self.findings if f.severity == "error"]
-        return [f for f in self.findings if f.severity != "info"]
 
     def counts_by_rule(self) -> Dict[str, int]:
         """Active finding count per rule id, sorted by rule id."""
@@ -135,11 +77,3 @@ class LintReport:
         for finding in self.findings:
             counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
         return dict(sorted(counts.items()))
-
-    def extend(self, other: "LintReport") -> None:
-        """Merge ``other`` (one file's report) into this run-level report."""
-        self.findings.extend(other.findings)
-        self.suppressed.extend(other.suppressed)
-        self.baselined.extend(other.baselined)
-        self.files_checked += other.files_checked
-        self.parse_errors.extend(other.parse_errors)

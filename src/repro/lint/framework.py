@@ -1,5 +1,4 @@
-"""The rule framework shared by the detlint, semlint, timerlint and
-perflint passes.
+"""The rule framework shared by the det, sem, tim and perf passes.
 
 A :class:`Rule` inspects one file through a :class:`FileContext` — the
 single per-file analysis product, built once from one ``ast.parse``: the
@@ -36,7 +35,7 @@ from typing import (
 )
 
 from repro.lint.config import LintConfig
-from repro.lint.findings import SEVERITIES, Finding
+from repro.lint.findings import Finding
 
 if TYPE_CHECKING:
     from repro.lint.callgraph import ProjectGraph
@@ -243,13 +242,18 @@ class FileContext:
         parts.append(head)
         return ".".join(reversed(parts))
 
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Finding:
+    def in_packages(self, packages: Tuple[str, ...]) -> bool:
+        """True when this file's module is one of ``packages`` or lies
+        inside one (path-scoped rules use this to pick their modules)."""
+        module = self.module
+        if module is None:
+            return False
+        return any(
+            module == package or module.startswith(package + ".")
+            for package in packages
+        )
+
+    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         end_line = getattr(node, "end_lineno", None) or line
         # A finding anchored to a whole def/class must not let directives
@@ -266,7 +270,6 @@ class FileContext:
             line=line,
             col=getattr(node, "col_offset", 0),
             end_line=end_line,
-            severity=severity if severity is not None else rule.severity,
         )
 
 
@@ -287,8 +290,6 @@ class Rule:
     id: str = ""
     title: str = ""
     rationale: str = ""
-    #: ``error`` (default) or ``warning``; drives the ``--fail-on`` gate.
-    severity: str = "error"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -297,7 +298,7 @@ class Rule:
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 #: Pass prefix (three or four letters) + three-digit ordinal, e.g.
-#: ``TIM004`` or ``PERF002``.
+#: ``TIM006`` or ``PERF002``.
 _RULE_ID_FORMAT = re.compile(r"^[A-Z]{3,4}\d{3}$")
 
 
@@ -305,7 +306,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the global catalogue.
 
     Raises :class:`ValueError` at import time for a missing or malformed
-    id, an unknown severity, or an id another rule class already claimed
+    id, or an id another rule class already claimed
     (within or across passes) — a collision would silently shadow one of
     the two rules in ``--select``/``--ignore`` and the documentation gate.
     """
@@ -314,12 +315,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
     if not _RULE_ID_FORMAT.match(rule_class.id):
         raise ValueError(
             f"rule {rule_class.__name__} id {rule_class.id!r} does not match "
-            "the PREFIXnnn format (e.g. DET001, SEM003, TIM010, PERF004)"
-        )
-    if rule_class.severity not in SEVERITIES:
-        raise ValueError(
-            f"rule {rule_class.__name__} severity {rule_class.severity!r} "
-            f"is not one of {SEVERITIES}"
+            "the PREFIXnnn format (e.g. DET002, SEM001, TIM006, PERF004)"
         )
     existing = _REGISTRY.get(rule_class.id)
     if existing is not None:
@@ -329,11 +325,6 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
         )
     _REGISTRY[rule_class.id] = rule_class
     return rule_class
-
-
-def registry() -> Dict[str, Type[Rule]]:
-    """The live rule catalogue (id -> class), for introspection."""
-    return dict(_REGISTRY)
 
 
 def all_rule_ids() -> FrozenSet[str]:

@@ -1,16 +1,15 @@
-"""The perflint (hot-path performance) rule catalogue.
+"""The hot-path performance (PERF) rule catalogue.
 
 The paper's regime — small per-event costs compounding across timer
 interactions at scale — makes allocation and lookup churn on the engine
-hot path a first-order correctness-of-scale concern. These rules flag
-the hazard *patterns* everywhere but scope their *severity* by a
-computed hot set: :func:`hot_functions` takes the root functions of the
-five protocol phases (:data:`PHASE_ROOTS`), adds every function
-registered as an engine/timer callback anywhere in the project, and
-closes the set transitively over the cross-file call graph
+hot path a first-order correctness-of-scale concern. These rules look
+for the hazard *patterns* only inside a computed hot set:
+:func:`hot_functions` takes the root functions of the five protocol
+phases (:data:`PHASE_ROOTS`), adds every function registered as an
+engine/timer callback anywhere in the project, and closes the set
+transitively over the cross-file call graph
 (:mod:`repro.lint.callgraph`) — a pure function of the source tree.
-Findings inside the hot set are ``warning`` (blocking in CI); outside it
-they downgrade to ``info``.
+Code outside the hot set is not checked.
 
 The catalogue (see ``docs/STATIC_ANALYSIS.md`` for examples):
 
@@ -113,14 +112,11 @@ def hot_functions(project: ProjectGraph) -> FrozenSet[str]:
 
 
 class _FunctionScope:
-    __slots__ = ("qualname", "node", "hot", "nodes")
+    __slots__ = ("qualname", "node", "nodes")
 
-    def __init__(
-        self, qualname: str, node: ast.AST, hot: bool, nodes: List[ast.AST]
-    ) -> None:
+    def __init__(self, qualname: str, node: ast.AST, nodes: List[ast.AST]) -> None:
         self.qualname = qualname
         self.node = node
-        self.hot = hot
         self.nodes = nodes
 
 
@@ -142,7 +138,7 @@ def _own_nodes(func: ast.AST) -> List[ast.AST]:
 
 
 class PerfAnalysis:
-    """Hot-set-annotated function scopes of one file."""
+    """The hot function scopes of one file."""
 
     def __init__(self, context: FileContext) -> None:
         project = context.project
@@ -154,10 +150,10 @@ class PerfAnalysis:
             _FunctionScope(
                 qualname=entry.qualname,
                 node=entry.node,
-                hot=f"{namespace}.{entry.qualname}" in hot,
                 nodes=_own_nodes(entry.node),
             )
             for entry in context.functions
+            if f"{namespace}.{entry.qualname}" in hot
         ]
         self._class_slots: Dict[str, bool] = {
             node.name: any(
@@ -191,31 +187,18 @@ class PerfAnalysis:
         return name in self._module_names and name.isupper()
 
 
-def perf_analysis(context: FileContext) -> PerfAnalysis:
-    return context.perf_analysis()
-
-
 def _hot_suffix(scope: _FunctionScope) -> str:
-    if scope.hot:
-        return f"in hot function '{scope.qualname}'"
-    return f"in function '{scope.qualname}' (outside the profiled hot set)"
+    return f"in hot function '{scope.qualname}'"
 
 
 class PerfRule(Rule):
-    """Base: iterate annotated function scopes, severity scoped by heat."""
-
-    severity = "warning"
+    """Base: iterate the file's hot function scopes."""
 
     def check(self, context: FileContext) -> Iterator[Finding]:
-        analysis = perf_analysis(context)
+        analysis = context.perf_analysis()
         for scope in analysis.functions:
             for node, message in self.check_scope(scope, analysis, context):
-                yield context.finding(
-                    self,
-                    node,
-                    message,
-                    severity="warning" if scope.hot else "info",
-                )
+                yield context.finding(self, node, message)
 
     def check_scope(
         self, scope: _FunctionScope, analysis: PerfAnalysis, context: FileContext
@@ -756,5 +739,4 @@ __all__ = [
     "PHASE_ROOTS",
     "PerfAnalysis",
     "hot_functions",
-    "perf_analysis",
 ]

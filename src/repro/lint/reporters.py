@@ -14,47 +14,24 @@ from repro.lint.findings import LintReport
 from repro.lint.rules import iter_rules
 
 
-def render_text(report: LintReport, show_info: bool = False) -> str:
-    """GCC-style ``path:line:col: RULE message`` lines plus a summary.
-
-    Error- and warning-severity findings are always listed; info-severity
-    findings (perflint hazards outside the hot set) are advisory, so by
-    default only their count appears — ``show_info`` lists them too.
-    """
+def render_text(report: LintReport) -> str:
+    """GCC-style ``path:line:col: RULE message`` lines plus a summary."""
     lines: List[str] = []
     for path, error in report.parse_errors:
         lines.append(f"{path}: error: {error}")
-    blocking = [f for f in report.findings if f.severity != "info"]
-    info = [f for f in report.findings if f.severity == "info"]
-    shown = report.findings if show_info else blocking
-    for finding in shown:
+    for finding in report.findings:
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col + 1}: "
             f"{finding.rule_id} {finding.message}"
         )
-    summary = f"{len(blocking)} finding(s) in {report.files_checked} file(s)"
-    if report.warning_count:
-        summary += (
-            f" ({report.error_count} error(s), "
-            f"{report.warning_count} warning(s))"
-        )
-    if info:
-        summary += f", {len(info)} info"
-        if not show_info:
-            summary += " (--show-info to list)"
+    summary = f"{report.finding_count} finding(s) in {report.files_checked} file(s)"
     if report.suppressed:
         summary += f", {len(report.suppressed)} suppressed"
-    if report.baselined:
-        summary += f", {len(report.baselined)} baselined"
     if report.parse_errors:
         summary += f", {len(report.parse_errors)} parse error(s)"
-    by_rule: Dict[str, int] = {}
-    for finding in shown:
-        by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
+    by_rule = report.counts_by_rule()
     if by_rule:
-        summary += " [" + ", ".join(
-            f"{k}: {v}" for k, v in sorted(by_rule.items())
-        ) + "]"
+        summary += " [" + ", ".join(f"{k}: {v}" for k, v in by_rule.items()) + "]"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -68,7 +45,6 @@ def render_json(report: LintReport) -> str:
         "counts_by_rule": report.counts_by_rule(),
         "findings": [f.as_dict() for f in report.findings],
         "suppressed": [f.as_dict() for f in report.suppressed],
-        "baselined": [f.as_dict() for f in report.baselined],
         "parse_errors": [
             {"path": path, "error": error} for path, error in report.parse_errors
         ],
@@ -77,10 +53,9 @@ def render_json(report: LintReport) -> str:
 
 
 def render_rule_list() -> str:
-    """The ``--list-rules`` table: id, severity, title, rationale."""
+    """The ``--list-rules`` table: id, title, rationale."""
     lines: List[str] = []
     for rule in iter_rules():
-        marker = f" [{rule.severity}]" if rule.severity != "error" else ""
-        lines.append(f"{rule.id}{marker}  {rule.title}")
+        lines.append(f"{rule.id}  {rule.title}")
         lines.append(f"        {rule.rationale}")
     return "\n".join(lines)

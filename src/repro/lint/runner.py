@@ -2,13 +2,13 @@
 the incremental cache.
 
 :func:`lint_paths` is the entry point the CLI and the tier-1 hygiene gate
-share; it runs whichever passes (detlint / semlint / timerlint /
-perflint) the config enables. Every file goes through one sequence —
-parse once into a :class:`~repro.lint.framework.FileContext`, run rules
-over it, split the findings by suppression — and :func:`lint_source` is
-that sequence over one string. The det/sem/tim passes are *local* (pure
-functions of one file). The perf pass is *cross-file*: after the local
-rules have run, the per-file call-graph summaries are stitched into a
+share; it runs whichever passes (det / sem / tim / perf) the config
+enables. Every file goes through one sequence — parse once into a
+:class:`~repro.lint.framework.FileContext`, run rules over it, split the
+findings by suppression — and :func:`lint_source` is that sequence over
+one string. The det/sem/tim passes are *local* (pure functions of one
+file). The perf pass is *cross-file*: after the local rules have run,
+the per-file call-graph summaries are stitched into a
 :class:`~repro.lint.callgraph.ProjectGraph`, the hot set is computed
 from it, and the PERF rules run on the contexts the local phase already
 built, each dropped as soon as it is done. With ``cache_dir`` set, both
@@ -17,22 +17,17 @@ findings of a warm run are digest-identical to a cold run by
 construction, because cached entries are keyed on exactly the inputs the
 analysis reads, and a file whose entries all hit is never parsed.
 
-Suppression comments are construct-scoped and pass-prefixed::
+Suppression comments are construct-scoped and have one spelling::
 
-    t = time.time()  # detlint: disable=DET001
-    u = time.time()  # detlint: disable=all
-    d = self.params.rates  # perflint: disable=PERF003
-    x = simulate()  # lint: disable=DET001,SEM003
+    d = self.params.rates  # lint: disable=PERF003
+    x = simulate()  # lint: disable=DET002,SEM002
+    y = simulate()  # lint: disable=all
 
-A pass-scoped prefix (``semlint:`` / ``timerlint:`` / ``perflint:``)
-only silences ids of its own pass (``disable=all`` means "all rules of
-this pass"); the generic ``lint:`` prefix — and ``detlint:``, which
-predates pass scoping and stays fully generic for compatibility —
-silences any listed id (``disable=all`` silences everything). A directive
-silences a finding when it sits on any physical line of the flagged
-construct (so continuation lines of a multi-line call work), or on a
-decorator line of the flagged ``def``/``class``. A suppressed finding is
-still recorded (reporters show the count) but does not fail the run.
+A directive silences the listed ids (``all`` silences every rule) when it
+sits on any physical line of the flagged construct (so continuation
+lines of a multi-line call work), or on a decorator line of the flagged
+``def``/``class``. A suppressed finding is still recorded (reporters
+show the count) but does not fail the run.
 """
 
 from __future__ import annotations
@@ -57,49 +52,18 @@ from repro.lint.findings import Finding, LintReport
 from repro.lint.perf import hot_functions
 from repro.lint.rules import FileContext, Rule, all_rule_ids, iter_rules
 
-#: Pass-scoped directive prefixes: ids listed after ``# semlint:`` only
-#: silence SEM rules; ``disable=all`` becomes the pass-scoped token
-#: ``sem:all``.
-_PASS_DIRECTIVES: Dict[str, str] = {
-    "semlint:": "sem",
-    "timerlint:": "tim",
-    "perflint:": "perf",
-}
-#: Generic prefixes: listed ids silence any pass; ``all`` everything.
-#: ``detlint:`` predates the pass-scoped prefixes and has always accepted
-#: ids of every catalogue, so it stays an alias of ``lint:`` — existing
-#: suppressions keep working.
-_GENERIC_DIRECTIVES = ("lint:", "detlint:")
+#: The one directive prefix; the ids (or ``all``) follow, comma-separated.
+_DIRECTIVE = "lint: disable="
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache", ".pytest_cache"})
-
-
-def _directive_tokens(text: str, pass_name: Optional[str]) -> Set[str]:
-    """Parse one ``disable=...`` payload into suppression tokens."""
-    if not text.startswith("disable="):
-        return set()
-    tokens: Set[str] = set()
-    for part in text[len("disable=") :].split(","):
-        rule_id = part.strip()
-        if not rule_id:
-            continue
-        if pass_name is None:
-            tokens.add(rule_id)
-        elif rule_id == "all":
-            tokens.add(f"{pass_name}:all")
-        elif pass_for_rule(rule_id) == pass_name:
-            tokens.add(rule_id)
-        # An id of another pass under a pass-scoped prefix is ignored —
-        # `# semlint: disable=DET001` must not silence detlint.
-    return tokens
 
 
 def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     """Map line number -> suppression tokens active on that line.
 
-    Tokens are rule ids, the pass-scoped ``<pass>:all``, or the global
-    ``all``. Comments are found with :mod:`tokenize`, so directive-
-    looking text inside string literals is ignored.
+    Tokens are rule ids or ``all``. Comments are found with
+    :mod:`tokenize`, so directive-looking text inside string literals is
+    ignored.
     """
     suppressions: Dict[int, Set[str]] = {}
     try:
@@ -108,20 +72,13 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
             if token.type != tokenize.COMMENT:
                 continue
             text = token.string.lstrip("#").strip()
-            parsed: Set[str] = set()
-            for prefix, pass_name in _PASS_DIRECTIVES.items():
-                if text.startswith(prefix):
-                    parsed = _directive_tokens(
-                        text[len(prefix) :].strip(), pass_name
-                    )
-                    break
-            else:
-                for prefix in _GENERIC_DIRECTIVES:
-                    if text.startswith(prefix):
-                        parsed = _directive_tokens(
-                            text[len(prefix) :].strip(), None
-                        )
-                        break
+            if not text.startswith(_DIRECTIVE):
+                continue
+            parsed = {
+                part.strip()
+                for part in text[len(_DIRECTIVE) :].split(",")
+                if part.strip()
+            }
             if parsed:
                 suppressions.setdefault(token.start[0], set()).update(parsed)
     except tokenize.TokenError:
@@ -140,9 +97,7 @@ def _disabled_rules(finding: Finding, context: FileContext) -> Set[str]:
 
 
 def _is_suppressed(finding: Finding, disabled: Set[str]) -> bool:
-    if "all" in disabled or finding.rule_id in disabled:
-        return True
-    return f"{pass_for_rule(finding.rule_id)}:all" in disabled
+    return "all" in disabled or finding.rule_id in disabled
 
 
 def module_name_for(path: str) -> Optional[str]:

@@ -1,32 +1,23 @@
-"""timerlint: timer-lifecycle and timer-interaction rules (TIM001..TIM010).
+"""The timer-lifecycle (TIM) rule catalogue: TIM001, TIM002, TIM006.
 
 The paper's subject is what happens when damping's reuse/decay timers
 interact with MRAI hold-offs, so the code arming those timers has to obey
-a strict lifecycle and unit discipline. This pass enforces it statically:
+a strict lifecycle. This pass enforces it statically:
 
 ``TIM001``  armed timer handle that never escapes and is never cancelled
 ``TIM002``  ``start()`` on a possibly-pending handle (double-arm)
-``TIM003``  ``start()`` on a cancelled handle (re-arm after cancel)
-``TIM004``  scheduled callback mutates damping state off the charge API
-``TIM005``  raw numeric delay literal at an arming call site
 ``TIM006``  direct call of a timer-expiry internal (engine-boundary bypass)
-``TIM007``  ``Timer`` constructed without ``actor``/``tag`` race labels
-``TIM008``  arming delay computed by unclamped subtraction
-``TIM009``  timer state compared to a string instead of ``TimerState``
-``TIM010``  timer armed inside ``__init__`` (arming during construction)
 
-TIM001..TIM003 come from a small abstract interpreter over timer handles
-(:func:`analyze_timers`): each function body is executed abstractly,
-tracking for every local ``Timer`` handle the set of lifecycle states it
-may be in (idle / pending / fired / cancelled), joining at branches and
-iterating loop bodies. The interpreter leans on the call-graph effect
-inference (:mod:`repro.lint.effects`): a handle passed to an intra-file
-helper whose transitive effects include ``cancels-timer`` (and not
-``schedules-timer``) is treated as cancelled rather than escaped, so the
-blessed "helper disarms it for me" idiom stays clean while a genuinely
-dropped armed handle is flagged. TIM004 likewise propagates
-"mutates damping state" transitively over the same call graph before
-judging a scheduled callback.
+TIM001 and TIM002 come from a small abstract interpreter over timer
+handles (:func:`analyze_timers`): each function body is executed
+abstractly, tracking for every local ``Timer`` handle the set of
+lifecycle states it may be in (idle / pending / fired / cancelled),
+joining at branches and iterating loop bodies. The interpreter leans on
+the call-graph effect inference (:mod:`repro.lint.effects`): a handle
+passed to an intra-file helper whose transitive effects include
+``cancels-timer`` (and not ``schedules-timer``) is treated as cancelled
+rather than escaped, so the blessed "helper disarms it for me" idiom
+stays clean while a genuinely dropped armed handle is flagged.
 
 The runtime counterpart is the opt-in timer audit
 (:class:`repro.sim.timers.TimerAudit`, ``rfd-repro simulate
@@ -41,19 +32,9 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.effects import (
-    CANCELS_TIMER,
-    ENGINE_RECEIVERS,
-    SCHEDULES_TIMER,
-    EffectAnalysis,
-)
+from repro.lint.effects import CANCELS_TIMER, SCHEDULES_TIMER, EffectAnalysis
 from repro.lint.findings import Finding
-from repro.lint.framework import FileContext, Rule, iter_calls, register, walk_list
-
-#: Timer methods that (re)arm the underlying event.
-ARMING_METHODS: FrozenSet[str] = frozenset(
-    {"start", "reschedule", "restart_if_idle"}
-)
+from repro.lint.framework import FileContext, Rule, iter_calls, register
 
 #: Timer-expiry internals that must only ever run as engine callbacks —
 #: calling them synchronously flushes reuse/MRAI state outside the event
@@ -63,102 +44,14 @@ FIRE_INTERNALS: FrozenSet[str] = frozenset({"_fire", "_expired", "_reuse_fired"}
 #: The abstract lifecycle lattice (mirrors repro.sim.timers.TimerState).
 _ALL_STATES: FrozenSet[str] = frozenset({"idle", "pending", "fired", "cancelled"})
 
-#: Attribute names whose mutation is "damping state" for TIM004.
-_DAMPING_ATTRS: FrozenSet[str] = frozenset({"penalty", "suppressed"})
-
-#: PenaltyState mutators (the charge API's own internals).
-_PENALTY_MUTATORS: FrozenSet[str] = frozenset({"charge", "touch"})
-
 
 def _is_timer_ctor(context: FileContext, call: ast.Call) -> bool:
     qualified = context.qualified_name(call.func)
     return qualified is not None and qualified.split(".")[-1] == "Timer"
 
 
-def _receiver_last_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _timer_local_names(context: FileContext) -> FrozenSet[str]:
-    """Every local name the file ever binds to a ``Timer(...)`` result —
-    the receiver vocabulary for the syntactic arming-site rules."""
-    names: Set[str] = set()
-    for node in context.nodes:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _is_timer_ctor(context, node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-    return frozenset(names)
-
-
-def _is_timerish_receiver(
-    receiver: ast.expr, timer_names: FrozenSet[str]
-) -> bool:
-    name = _receiver_last_name(receiver)
-    if name is None:
-        return False
-    return "timer" in name.lower() or name in timer_names
-
-
-def _delay_argument(call: ast.Call) -> Optional[ast.expr]:
-    """The delay operand of an arming call (first positional or
-    ``delay=``)."""
-    if call.args:
-        first = call.args[0]
-        if not isinstance(first, ast.Starred):
-            return first
-        return None
-    for keyword in call.keywords:
-        if keyword.arg == "delay":
-            return keyword.value
-    return None
-
-
-def _arming_delay_site(
-    context: FileContext, call: ast.Call, timer_names: FrozenSet[str]
-) -> Optional[ast.expr]:
-    """The delay expression when ``call`` is a relative arming site:
-    a Timer arming method, ``engine.schedule``, or ``call_soon``.
-    ``schedule_at`` takes an absolute instant and is out of scope."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        if func.id == "call_soon" and len(call.args) >= 1:
-            # call_soon(engine, cb) has no delay operand at all.
-            return None
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    method = func.attr
-    if method in {"reschedule", "restart_if_idle"}:
-        return _delay_argument(call)
-    if method == "start" and _is_timerish_receiver(func.value, timer_names):
-        return _delay_argument(call)
-    if method == "schedule":
-        receiver = _receiver_last_name(func.value)
-        if receiver in ENGINE_RECEIVERS:
-            return _delay_argument(call)
-    return None
-
-
-def _numeric_constant(node: ast.expr) -> Optional[float]:
-    """The numeric value of a literal (including unary minus), else None."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _numeric_constant(node.operand)
-        return None if inner is None else -inner
-    if isinstance(node, ast.Constant):
-        value = node.value
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    return None
-
-
 # ----------------------------------------------------------------------
-# the abstract interpreter behind TIM001..TIM003
+# the abstract interpreter behind TIM001 and TIM002
 # ----------------------------------------------------------------------
 
 
@@ -166,7 +59,7 @@ def _numeric_constant(node: ast.expr) -> Optional[float]:
 class TimerViolation:
     """One lifecycle hazard found by the abstract interpreter."""
 
-    kind: str  # "leak" | "double-arm" | "rearm-after-cancel"
+    kind: str  # "leak" | "double-arm"
     node: ast.AST
     handle: str
     function: str
@@ -325,8 +218,6 @@ class _FunctionInterpreter:
         if method == "start":
             if "pending" in state.states:
                 self._violate("double-arm", call, name)
-            elif state.states == {"cancelled"}:
-                self._violate("rearm-after-cancel", call, name)
             state.states = {"pending"}
             state.armed_node = call
         elif method == "reschedule" or method == "restart_if_idle":
@@ -486,15 +377,10 @@ class _FunctionInterpreter:
 
 
 class TimerAnalysis:
-    """Lifecycle hazards of every function in one file, plus the file's
-    timer-handle vocabulary."""
+    """Lifecycle hazards of every function in one file."""
 
-    def __init__(
-        self, violations: List[TimerViolation], timer_names: FrozenSet[str]
-    ) -> None:
+    def __init__(self, violations: List[TimerViolation]) -> None:
         self.violations = violations
-        #: Local names the file binds to ``Timer(...)`` results.
-        self.timer_names = timer_names
 
     def by_kind(self, kind: str) -> List[TimerViolation]:
         return [v for v in self.violations if v.kind == kind]
@@ -517,11 +403,11 @@ def analyze_timers(context: FileContext) -> TimerAnalysis:
             v.kind,
         )
     )
-    return TimerAnalysis(violations, _timer_local_names(context))
+    return TimerAnalysis(violations)
 
 
 # ----------------------------------------------------------------------
-# TIM001..TIM003: interpreter-backed lifecycle rules
+# TIM001, TIM002: interpreter-backed lifecycle rules
 # ----------------------------------------------------------------------
 
 
@@ -570,207 +456,9 @@ class TimerDoubleArmRule(Rule):
             )
 
 
-@register
-class TimerRearmAfterCancelRule(Rule):
-    id = "TIM003"
-    title = "start() on a handle cancelled earlier on the same path"
-    severity = "warning"
-    rationale = (
-        "cancel() followed by start() on the same handle silently resets "
-        "the lifecycle history the audit and race detector rely on; "
-        "reschedule() arms from any state and says what it means, or use "
-        "a fresh Timer if the old arming truly is unrelated."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for violation in context.timer_analysis().by_kind("rearm-after-cancel"):
-            yield context.finding(
-                self,
-                violation.node,
-                f"timer handle {violation.handle!r} was cancelled on this "
-                "path and is armed again with start() — prefer "
-                "reschedule(), which arms from any state explicitly",
-            )
-
-
 # ----------------------------------------------------------------------
-# TIM004: scheduled callbacks must go through the charge API
+# TIM006: the engine boundary
 # ----------------------------------------------------------------------
-
-
-def _mutates_damping_directly(nodes: Sequence[ast.AST]) -> bool:
-    for sub in nodes:
-        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr in _DAMPING_ATTRS
-                ):
-                    return True
-        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            receiver = _receiver_last_name(sub.func.value)
-            if (
-                sub.func.attr in _PENALTY_MUTATORS
-                and receiver is not None
-                and "penalty" in receiver.lower()
-            ):
-                return True
-    return False
-
-
-def _damping_mutators(context: FileContext) -> FrozenSet[str]:
-    """Qualnames of functions that (transitively) mutate damping state."""
-    effects = context.effect_analysis()
-    mutators: Set[str] = {
-        qualname
-        for qualname, entry in context.function_named.items()
-        if _mutates_damping_directly(entry.nodes)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for record in effects.iter_functions():
-            if record.qualname in mutators:
-                continue
-            if any(callee in mutators for callee in record.calls):
-                mutators.add(record.qualname)
-                changed = True
-    return frozenset(mutators)
-
-
-def _enclosing_class_name(context: FileContext, node: ast.AST) -> Optional[str]:
-    current: Optional[ast.AST] = node
-    while current is not None:
-        if isinstance(current, ast.ClassDef):
-            return current.name
-        current = context.parent(current)
-    return None
-
-
-def _callback_argument(
-    context: FileContext, call: ast.Call
-) -> Optional[ast.expr]:
-    """The callback operand of a callback-registering call site."""
-    func = call.func
-    if _is_timer_ctor(context, call):
-        if len(call.args) >= 2:
-            return call.args[1]
-        for keyword in call.keywords:
-            if keyword.arg == "callback":
-                return keyword.value
-        return None
-    if isinstance(func, ast.Name) and func.id == "call_soon":
-        return call.args[1] if len(call.args) >= 2 else None
-    if isinstance(func, ast.Attribute) and func.attr in {
-        "schedule",
-        "schedule_at",
-    }:
-        receiver = _receiver_last_name(func.value)
-        if receiver in ENGINE_RECEIVERS:
-            if len(call.args) >= 2:
-                return call.args[1]
-            for keyword in call.keywords:
-                if keyword.arg == "callback":
-                    return keyword.value
-    return None
-
-
-@register
-class CallbackDampingMutationRule(Rule):
-    id = "TIM004"
-    title = "scheduled callback mutates damping state off the charge API"
-    rationale = (
-        "A timer callback that pokes .penalty/.suppressed (or calls the "
-        "PenaltyState mutators) directly bypasses DampingManager's "
-        "bookkeeping: no suppression record, no reuse timer, no trace "
-        "causality. Only the damping module itself may do this; everyone "
-        "else goes through record_update()."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if context.config.is_damping_module(context.module):
-            return
-        mutators = _damping_mutators(context)
-
-        def resolves_to_mutator(expr: ast.expr, site: ast.AST) -> Optional[str]:
-            if isinstance(expr, ast.Call):
-                qualified = context.qualified_name(expr.func)
-                if qualified is not None and qualified.split(".")[-1] == "partial":
-                    if expr.args:
-                        return resolves_to_mutator(expr.args[0], site)
-                return None
-            if isinstance(expr, ast.Lambda):
-                body = walk_list(expr.body)
-                if _mutates_damping_directly(body):
-                    return "<lambda>"
-                for sub in body:
-                    if isinstance(sub, ast.Call):
-                        inner = resolves_to_mutator(sub.func, site)
-                        if inner is not None:
-                            return inner
-                return None
-            if isinstance(expr, ast.Name):
-                return expr.id if expr.id in mutators else None
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-            ):
-                owner = _enclosing_class_name(context, site)
-                if owner is not None:
-                    qualname = f"{owner}.{expr.attr}"
-                    return qualname if qualname in mutators else None
-            return None
-
-        for call in iter_calls(context):
-            callback = _callback_argument(context, call)
-            if callback is None:
-                continue
-            culprit = resolves_to_mutator(callback, call)
-            if culprit is not None:
-                yield context.finding(
-                    self,
-                    call,
-                    f"scheduled callback {culprit}() mutates damping state "
-                    "directly — route penalty/suppression changes through "
-                    "DampingManager.record_update() (the charge API)",
-                )
-
-
-# ----------------------------------------------------------------------
-# TIM005..TIM010: syntactic discipline at arming/construction sites
-# ----------------------------------------------------------------------
-
-
-@register
-class RawDelayLiteralRule(Rule):
-    id = "TIM005"
-    title = "raw numeric delay literal at an arming call site"
-    rationale = (
-        "A bare 30.0 at an arming site says nothing about units (seconds "
-        "vs. half-lives vs. ticks) and drifts apart from the parameter it "
-        "duplicates. Name the interval (module constant or params field); "
-        "zero is exempt — it is the call_soon idiom, not an interval."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = context.timer_analysis().timer_names
-        for call in iter_calls(context):
-            delay = _arming_delay_site(context, call, timer_names)
-            if delay is None:
-                continue
-            value = _numeric_constant(delay)
-            if value is not None and value != 0.0:
-                yield context.finding(
-                    self,
-                    delay,
-                    f"raw delay literal {value!r} at an arming call — name "
-                    "the interval (a module constant or a params field) so "
-                    "its unit is auditable",
-                )
 
 
 @register
@@ -798,149 +486,7 @@ class ManualTimerFireRule(Rule):
                 )
 
 
-@register
-class UnlabeledTimerRule(Rule):
-    id = "TIM007"
-    title = "Timer constructed without actor/tag race labels"
-    severity = "warning"
-    rationale = (
-        "The schedule-race detector can only see ties between events that "
-        "carry an actor label, and the trace tooling groups by tag. An "
-        "unlabeled Timer is invisible to both — every production timer "
-        "names its owning router and its kind ('mrai', 'reuse', ...)."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for call in iter_calls(context):
-            if not _is_timer_ctor(context, call):
-                continue
-            keywords = {kw.arg for kw in call.keywords if kw.arg is not None}
-            missing = [kw for kw in ("actor", "tag") if kw not in keywords]
-            if missing:
-                yield context.finding(
-                    self,
-                    call,
-                    "Timer constructed without "
-                    + " and ".join(f"{kw}=" for kw in missing)
-                    + " — unlabeled timers are invisible to the "
-                    "schedule-race detector",
-                )
-
-
-@register
-class UnclampedDelaySubtractionRule(Rule):
-    id = "TIM008"
-    title = "arming delay computed by unclamped subtraction"
-    rationale = (
-        "start(deadline - now) goes negative the moment the deadline has "
-        "passed and raises TimerError deep inside an event callback. "
-        "Clamp with max(0.0, ...) or schedule the absolute instant with "
-        "schedule_at()."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = context.timer_analysis().timer_names
-        for call in iter_calls(context):
-            delay = _arming_delay_site(context, call, timer_names)
-            if (
-                delay is not None
-                and isinstance(delay, ast.BinOp)
-                and isinstance(delay.op, ast.Sub)
-            ):
-                yield context.finding(
-                    self,
-                    delay,
-                    "arming delay computed by bare subtraction — a past "
-                    "deadline makes it negative and raises TimerError; "
-                    "clamp with max(0.0, ...) or use schedule_at()",
-                )
-
-
-@register
-class TimerStateStringCompareRule(Rule):
-    id = "TIM009"
-    title = "timer state compared to a string literal"
-    rationale = (
-        "Timer.state is a TimerState enum; comparing it to 'pending' is "
-        "always False and silently disables whatever guard it was meant "
-        "to be. Compare against TimerState members or use .is_pending."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = context.timer_analysis().timer_names
-        for node in context.nodes:
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left] + list(node.comparators)
-            has_state = any(
-                isinstance(op, ast.Attribute)
-                and op.attr == "state"
-                and _is_timerish_receiver(op.value, timer_names)
-                for op in operands
-            )
-            has_string = any(
-                isinstance(op, ast.Constant) and isinstance(op.value, str)
-                for op in operands
-            )
-            if has_state and has_string:
-                yield context.finding(
-                    self,
-                    node,
-                    "timer state compared to a string literal — TimerState "
-                    "is an enum, so this comparison is always False; use "
-                    "TimerState members or .is_pending",
-                )
-
-
-@register
-class ArmInConstructorRule(Rule):
-    id = "TIM010"
-    title = "timer armed inside __init__"
-    severity = "warning"
-    rationale = (
-        "Arming during construction schedules work before the owner is "
-        "fully built and observable (race labels, observers, snapshots "
-        "assume quiescent construction — warm-state pickling relies on "
-        "it). Construct idle; arm from an explicit event or bring-up call."
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        timer_names = context.timer_analysis().timer_names
-        for entry in context.functions:
-            node = entry.node
-            if not isinstance(node, ast.FunctionDef) or node.name != "__init__":
-                continue
-            for sub in entry.nodes:
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                arming = False
-                if isinstance(func, ast.Name) and func.id == "call_soon":
-                    arming = True
-                elif isinstance(func, ast.Attribute):
-                    method = func.attr
-                    if method in {"reschedule", "restart_if_idle"}:
-                        arming = True
-                    elif method == "start" and _is_timerish_receiver(
-                        func.value, timer_names
-                    ):
-                        arming = True
-                    elif method in {"schedule", "schedule_at"}:
-                        arming = (
-                            _receiver_last_name(func.value) in ENGINE_RECEIVERS
-                        )
-                if arming:
-                    yield context.finding(
-                        self,
-                        sub,
-                        "timer armed inside __init__ — construct idle and "
-                        "arm from an explicit event/bring-up call so "
-                        "snapshots and race labels see a quiescent object",
-                    )
-
-
 __all__ = [
-    "ARMING_METHODS",
     "FIRE_INTERNALS",
     "TimerAnalysis",
     "TimerViolation",

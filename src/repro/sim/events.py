@@ -62,7 +62,7 @@ class TieDetector:
         """Engine observer: called with every event about to fire."""
         # A "tie" means two events were scheduled for the *identical*
         # float instant, so exact inequality is the correct bucket test.
-        if event.time != self._instant:  # detlint: disable=DET005
+        if event.time != self._instant:
             self._instant = event.time
             self._anchors = {}
         if event.actor is None:

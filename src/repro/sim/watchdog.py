@@ -100,7 +100,7 @@ def stall_diagnostics(
         inventory = tuple(audit.pending_timers())
     # StallDiagnostics has a defaulted field, so it cannot take __slots__
     # on this Python; it is built once per stall report, never per event.
-    return StallDiagnostics(  # perflint: disable=PERF006
+    return StallDiagnostics(  # lint: disable=PERF006
         now=engine.now,
         events_executed=engine.events_executed,
         events_at_instant=events_at_instant,
@@ -149,7 +149,7 @@ class Watchdog:
         """
         # A stall bucket is the *identical* float instant — any advance,
         # however small, is progress, so exact inequality is correct.
-        if event.time != self._instant:  # detlint: disable=DET005
+        if event.time != self._instant:
             self._instant = event.time
             self._count = 1
             return

@@ -20,12 +20,14 @@ catalogue to physical reality.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import textwrap
 
 import pytest
 
 from repro.core.params import CISCO_DEFAULTS
-from repro.lint import lint_source, make_config
+from repro.lint import ProjectGraph, lint_source, make_config, summarize_file
 from repro.sim.allocprobe import AllocationProbe
 from repro.sim.engine import Engine
 from repro.topology.mesh import mesh_topology
@@ -111,7 +113,7 @@ SEEDED_VIOLATIONS = {
     "PERF009": (
         """
         def trace(log, peer):
-            log.debug(f"peer {peer}")  # perflint: disable=PERF004
+            log.debug(f"peer {peer}")  # lint: disable=PERF004
         """,
         "repro.sample.fixture",
     ),
@@ -126,9 +128,18 @@ SEEDED_VIOLATIONS = {
 
 
 def _perf_report(source: str, module: str):
+    """Lint ``source`` with every function in it hot (registered as an
+    engine callback), the way the hazard runs on the dynamic side."""
+    source = textwrap.dedent(source)
+    summary = summarize_file(ast.parse(source), "seeded.py", module)
+    callbacks = tuple(
+        ("<module>", "qual", f"{module}.{info.qualname}")
+        for info in summary.functions
+    )
+    project = ProjectGraph([dataclasses.replace(summary, callback_targets=callbacks)])
     config = make_config(passes=("perf",))
     return lint_source(
-        textwrap.dedent(source), path="seeded.py", config=config, module=module
+        source, path="seeded.py", config=config, module=module, project=project
     )
 
 
@@ -370,7 +381,7 @@ def test_probe_is_passive_for_simulation_results():
 
 def test_scenario_run_samples_protocol_subphases():
     """A damped episode under the probe reports the protocol sub-phases
-    the hot-set resolver scopes severity by."""
+    whose roots seed the hot set."""
     config = ScenarioConfig(
         topology=mesh_topology(3, 3), damping=CISCO_DEFAULTS, seed=7
     )

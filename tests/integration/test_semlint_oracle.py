@@ -47,32 +47,11 @@ SEEDED_VIOLATIONS = {
         """,
         "repro.core.fixture",
     ),
-    "SEM003": (
-        """
-        def should_suppress(entry):
-            return entry.penalty > 3000.0
-        """,
-        "repro.core.fixture",
-    ),
-    "SEM004": (
-        """
-        def reuse_due(entry, now, delay):
-            return entry.armed_at == now + delay
-        """,
-        "repro.bgp.fixture",
-    ),
     "SEM005": (
         """
         class Router:
             def install(self, prefix, route):
                 self.loc_rib.set_route(prefix, route)
-        """,
-        "repro.bgp.fixture",
-    ),
-    "SEM006": (
-        """
-        def is_fresh(rcn, last_seq):
-            return rcn.seq != last_seq
         """,
         "repro.bgp.fixture",
     ),

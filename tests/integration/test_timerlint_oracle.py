@@ -53,72 +53,10 @@ SEEDED_VIOLATIONS = {
         """),
         "repro.sim.fixture",
     ),
-    "TIM003": (
-        _seed("""
-        def rearm(engine, cb):
-            t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-            t.start(DELAY)
-            t.cancel()
-            t.start(DELAY)
-            return t
-        """),
-        "repro.sim.fixture",
-    ),
-    "TIM004": (
-        _seed("""
-        class Owner:
-            def flush(self):
-                self.entry.penalty = 0.0
-
-            def arm(self, engine):
-                t = Timer(engine, self.flush, name="x", actor="r", tag="reuse")
-                t.start(DELAY)
-                return t
-        """),
-        "repro.sim.fixture",
-    ),
-    "TIM005": (
-        """
-        def arm(timer):
-            timer.reschedule(30.0)
-        """,
-        "repro.sim.fixture",
-    ),
     "TIM006": (
         """
         def flush_now(timer):
             timer._fire()
-        """,
-        "repro.sim.fixture",
-    ),
-    "TIM007": (
-        """
-        from repro.sim.timers import Timer
-
-        def build(engine, cb):
-            return Timer(engine, cb, name="x")
-        """,
-        "repro.sim.fixture",
-    ),
-    "TIM008": (
-        """
-        def arm(timer, deadline, engine):
-            timer.reschedule(deadline - engine.now)
-        """,
-        "repro.sim.fixture",
-    ),
-    "TIM009": (
-        """
-        def check(timer):
-            return timer.state == "pending"
-        """,
-        "repro.sim.fixture",
-    ),
-    "TIM010": (
-        """
-        class Eager:
-            def __init__(self, engine, cb, delay):
-                engine.schedule(delay, cb)
         """,
         "repro.sim.fixture",
     ),

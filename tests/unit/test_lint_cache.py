@@ -133,10 +133,9 @@ class TestCallGraphInvalidation:
     def test_edge_change_reruns_other_files_perf_pass(self, tree, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = run(tree, cache_dir)
-        severities = {
-            f.severity for f in cold.findings if f.rule_id == "PERF004"
-        }
-        assert severities == {"info"}  # nothing is hot yet
+        assert not [
+            f for f in cold.findings if f.rule_id == "PERF004"
+        ]  # nothing is hot yet
 
         # Rewire alpha: registering beta.helper as an engine callback
         # pulls it into the hot set, so *beta's* hot slice changes even
@@ -154,9 +153,7 @@ class TestCallGraphInvalidation:
             for f in warm.findings
             if f.rule_id == "PERF004" and f.path.endswith("beta.py")
         ]
-        assert beta_findings and all(
-            f.severity == "warning" for f in beta_findings
-        )
+        assert beta_findings
         fresh = run(tree, tmp_path / "fresh_cache")
         assert render_json(warm) == render_json(fresh)
 

@@ -187,7 +187,7 @@ class TestAnalysisContainer:
         names = [f.qualname for f in analysis.iter_functions()]
         assert names == sorted(names)
         assert len(analysis) == 2
-        impure = [f.qualname for f in analysis.impure_functions()]
+        impure = [f.qualname for f in analysis.iter_functions() if not f.is_pure]
         assert impure == ["a"]
 
     def test_unknown_function_returns_none(self):

@@ -1,17 +1,18 @@
 """Unit tests for the perflint (PERF0xx) catalogue and its hot-set model.
 
 Every rule gets a seeded fixture that must fire and compliant code that
-must stay silent. Severity scoping is exercised both ways: the same
-hazard is a ``warning`` inside the computed hot set (phase roots,
-callback registrations, their transitive callees) and an advisory
-``info`` outside it. :func:`~repro.lint.perf.hot_functions` is tested
-directly as a pure function of the source tree, and the suppression
-parser is exercised for all four comment prefixes.
+must stay silent; the rule fixtures are linted with every function hot,
+so they exercise the rule logic apart from the hot-set model. The hot
+set itself is exercised both ways: a hazard inside it (phase roots,
+callback registrations, their transitive callees) is reported, the same
+hazard outside it is not checked. :func:`~repro.lint.perf.hot_functions`
+is tested directly as a pure function of the source tree.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import textwrap
 
 import pytest
@@ -30,7 +31,38 @@ def perf_config():
     return make_config(passes=("perf",))
 
 
+def all_hot_project(source: str, module: str) -> ProjectGraph:
+    """A one-file project in which every function of ``source`` is
+    registered as an engine callback, so every one of them is hot."""
+    summary = summarize_file(ast.parse(source), "fixture.py", module)
+    callbacks = tuple(
+        ("<module>", "qual", f"{module}.{info.qualname}")
+        for info in summary.functions
+    )
+    return ProjectGraph(
+        [dataclasses.replace(summary, callback_targets=callbacks)]
+    )
+
+
 def perf_findings(source: str, module: str = "repro.sample.fixture"):
+    source = textwrap.dedent(source)
+    report = lint_source(
+        source,
+        path="fixture.py",
+        config=perf_config(),
+        module=module,
+        project=all_hot_project(source, module),
+    )
+    assert not report.parse_errors
+    return report.findings
+
+
+def perf_ids(source: str, module: str = "repro.sample.fixture") -> set:
+    return {f.rule_id for f in perf_findings(source, module=module)}
+
+
+def scoped_perf_findings(source: str, module: str = "repro.sample.fixture"):
+    """PERF findings for ``source`` under its own computed hot set."""
     report = lint_source(
         textwrap.dedent(source),
         path="fixture.py",
@@ -39,10 +71,6 @@ def perf_findings(source: str, module: str = "repro.sample.fixture"):
     )
     assert not report.parse_errors
     return report.findings
-
-
-def perf_ids(source: str, module: str = "repro.sample.fixture") -> set:
-    return {f.rule_id for f in perf_findings(source, module=module)}
 
 
 def graph_of(source: str, module: str, path: str = "fixture.py") -> ProjectGraph:
@@ -406,7 +434,7 @@ class TestPERF010:
 
 
 # ----------------------------------------------------------------------
-# severity scoping by the hot set
+# scoping by the hot set
 # ----------------------------------------------------------------------
 
 
@@ -414,7 +442,7 @@ class TestHotSetSeverity:
     def test_phase_root_fixture_is_warning(self):
         # ``repro.sim.engine.Engine._drain`` is a timer_dispatch phase
         # root, and every phase root is hot.
-        findings = perf_findings(
+        findings = scoped_perf_findings(
             """
             class Engine:
                 def _drain(self, event):
@@ -424,23 +452,18 @@ class TestHotSetSeverity:
         )
         perf004 = [f for f in findings if f.rule_id == "PERF004"]
         assert len(perf004) == 1
-        assert perf004[0].severity == "warning"
         assert "hot function" in perf004[0].message
 
-    def test_unprofiled_fixture_is_info(self):
-        findings = perf_findings(
+    def test_unprofiled_fixture_is_not_checked(self):
+        assert not scoped_perf_findings(
             """
             def helper(event):
                 return f"event {event}"
             """
         )
-        perf004 = [f for f in findings if f.rule_id == "PERF004"]
-        assert len(perf004) == 1
-        assert perf004[0].severity == "info"
-        assert "outside the profiled hot set" in perf004[0].message
 
     def test_callback_registration_makes_function_hot(self):
-        findings = perf_findings(
+        findings = scoped_perf_findings(
             """
             class Owner:
                 def arm(self, engine):
@@ -452,10 +475,9 @@ class TestHotSetSeverity:
         )
         perf004 = [f for f in findings if f.rule_id == "PERF004"]
         assert len(perf004) == 1
-        assert perf004[0].severity == "warning"
 
     def test_hot_callees_inherit_heat_transitively(self):
-        findings = perf_findings(
+        findings = scoped_perf_findings(
             """
             def select_best(candidates, local_pref):
                 return shared_helper(candidates)
@@ -468,27 +490,9 @@ class TestHotSetSeverity:
             """,
             module="repro.bgp.decision",
         )
-        severities = {
-            f.line: f.severity for f in findings if f.rule_id == "PERF004"
-        }
-        assert len(severities) == 2
-        assert sorted(severities.values()) == ["info", "warning"]
-
-    def test_info_findings_never_block(self):
-        report = lint_source(
-            textwrap.dedent(
-                """
-                def helper(event):
-                    return f"event {event}"
-                """
-            ),
-            path="fixture.py",
-            config=perf_config(),
-            module="repro.sample.fixture",
-        )
-        assert report.findings
-        assert not report.blocking_findings("warning")
-        assert report.info_count == len(report.findings)
+        perf004 = [f for f in findings if f.rule_id == "PERF004"]
+        assert len(perf004) == 1
+        assert "shared_helper" in perf004[0].message
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +544,7 @@ def test_every_perf_rule_is_registered(rule_id):
 
 
 # ----------------------------------------------------------------------
-# suppression prefixes (pass-scoped and generic)
+# the one suppression spelling
 # ----------------------------------------------------------------------
 
 _HOT_FSTRING = """
@@ -560,90 +564,13 @@ def _suppression_report(directive: str):
 
 
 class TestSuppressionPrefixes:
-    def test_perflint_prefix_suppresses_perf_finding(self):
-        report = _suppression_report("perflint: disable=PERF004")
-        assert "PERF004" not in {f.rule_id for f in report.findings}
-        assert "PERF004" in {f.rule_id for f in report.suppressed}
-
     def test_generic_lint_prefix_suppresses_perf_finding(self):
         report = _suppression_report("lint: disable=PERF004")
         assert "PERF004" not in {f.rule_id for f in report.findings}
         assert "PERF004" in {f.rule_id for f in report.suppressed}
 
-    def test_foreign_pass_prefix_is_inert(self):
-        # A semlint-scoped directive must not silence a PERF finding.
-        report = _suppression_report("semlint: disable=PERF004")
+    @pytest.mark.parametrize("prefix", ["detlint", "perflint", "semlint", "timerlint"])
+    def test_retired_prefixes_are_inert(self, prefix):
+        report = _suppression_report(f"{prefix}: disable=PERF004")
         assert "PERF004" in {f.rule_id for f in report.findings}
-
-    def test_perflint_disable_all_scopes_to_perf_pass_only(self):
-        source = """
-        import time
-
-        class Engine:
-            def _drain(self, event):
-                stamp = time.time()
-                return f"event {event} at {stamp}"  # perflint: disable=all
-        """
-        report = lint_source(
-            textwrap.dedent(source),
-            path="fixture.py",
-            config=make_config(passes=("all",)),
-            module="repro.sim.engine",
-        )
-        found = {f.rule_id for f in report.findings}
-        suppressed = {f.rule_id for f in report.suppressed}
-        assert "PERF004" in suppressed
-        assert "PERF004" not in found
-        # The determinism finding from the other pass survives.
-        assert "DET001" in found
-
-    def test_semlint_prefix_suppresses_sem_finding(self):
-        source = """
-        def should_suppress(entry):
-            return entry.penalty > 3000.0{directive}
-        """
-        config = make_config(passes=("sem",))
-        noisy = lint_source(
-            textwrap.dedent(source.replace("{directive}", "")),
-            path="fixture.py",
-            config=config,
-            module="repro.core.fixture",
-        )
-        assert "SEM003" in {f.rule_id for f in noisy.findings}
-        silenced = lint_source(
-            textwrap.dedent(
-                source.replace("{directive}", "  # semlint: disable=SEM003")
-            ),
-            path="fixture.py",
-            config=config,
-            module="repro.core.fixture",
-        )
-        assert "SEM003" not in {f.rule_id for f in silenced.findings}
-        assert "SEM003" in {f.rule_id for f in silenced.suppressed}
-
-    def test_timerlint_prefix_suppresses_tim_finding(self):
-        source = """
-        def arm(engine, callback):
-            engine.schedule(12.5, callback)
-        """
-        config = make_config(passes=("tim",))
-        noisy = lint_source(
-            textwrap.dedent(source),
-            path="fixture.py",
-            config=config,
-            module="repro.sample.fixture",
-        )
-        tim_ids = {f.rule_id for f in noisy.findings if f.rule_id.startswith("TIM")}
-        assert tim_ids, "expected a timerlint finding to exercise the prefix"
-        target = sorted(tim_ids)[0]
-        silenced = lint_source(
-            textwrap.dedent(source).replace(
-                "engine.schedule(12.5, callback)",
-                f"engine.schedule(12.5, callback)  # timerlint: disable={target}",
-            ),
-            path="fixture.py",
-            config=config,
-            module="repro.sample.fixture",
-        )
-        assert target not in {f.rule_id for f in silenced.findings}
-        assert target in {f.rule_id for f in silenced.suppressed}
+        assert not report.suppressed

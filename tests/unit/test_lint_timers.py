@@ -1,11 +1,11 @@
-"""Unit tests for the timerlint pass (TIM001..TIM010).
+"""Unit tests for the timerlint pass (TIM001, TIM002, TIM006).
 
 Same shape as ``test_lint_rules.py``: per rule, a fixture that must
-fire, the fixture with a ``# detlint: disable=...`` comment that must
+fire, the fixture with a ``# lint: disable=...`` comment that must
 stay silent, and compliant code that must not be flagged. The abstract
-interpreter behind TIM001..TIM003 gets extra path-sensitivity coverage,
-and the hardened rule registry (duplicate ids, malformed ids, unknown
-severities) is tested at the end.
+interpreter behind TIM001 and TIM002 gets extra path-sensitivity
+coverage, and the hardened rule registry (duplicate and malformed ids)
+is tested at the end.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source, render_rule_list
-from repro.lint.framework import Rule, register, registry
+from repro.lint import all_rule_ids, iter_rules, lint_source
+from repro.lint.framework import Rule, register
 
 
 def findings_for(source: str, module: str = "repro.sim.fixture") -> list:
@@ -28,8 +28,8 @@ def rule_ids_of(source: str, module: str = "repro.sim.fixture") -> set:
     return {f.rule_id for f in findings_for(source, module=module)}
 
 
-#: Fixture preamble shared by the lifecycle tests: a labelled Timer and a
-#: named delay keep TIM005/TIM007 out of tests that target other rules.
+#: Fixture preamble shared by the lifecycle tests: the Timer import and a
+#: named delay.
 _PREAMBLE = 'from repro.sim.timers import Timer\n\nDELAY = 5.0\n'
 
 
@@ -75,7 +75,7 @@ class TestTIM001:
             _with_preamble("""
             def leak(engine, cb):
                 t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-                t.start(DELAY)  # detlint: disable=TIM001
+                t.start(DELAY)  # lint: disable=TIM001
             """)
         )
 
@@ -161,7 +161,7 @@ class TestTIM002:
             def double(engine, cb):
                 t = Timer(engine, cb, name="x", actor="r", tag="reuse")
                 t.start(DELAY)
-                t.start(DELAY)  # detlint: disable=TIM002
+                t.start(DELAY)  # lint: disable=TIM002
                 return t
             """)
         )
@@ -199,183 +199,6 @@ class TestTIM002:
 
 
 # ----------------------------------------------------------------------
-# TIM003 — re-arm after cancel
-# ----------------------------------------------------------------------
-
-
-class TestTIM003:
-    def test_fires_on_start_after_cancel(self):
-        findings = [
-            f
-            for f in findings_for(
-                _with_preamble("""
-                def rearm(engine, cb):
-                    t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-                    t.start(DELAY)
-                    t.cancel()
-                    t.start(DELAY)
-                    return t
-                """)
-            )
-            if f.rule_id == "TIM003"
-        ]
-        assert len(findings) == 1
-        assert findings[0].severity == "warning"
-
-    def test_respects_disable_comment(self):
-        assert "TIM003" not in rule_ids_of(
-            _with_preamble("""
-            def rearm(engine, cb):
-                t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-                t.start(DELAY)
-                t.cancel()
-                t.start(DELAY)  # detlint: disable=TIM003
-                return t
-            """)
-        )
-
-    def test_quiet_when_only_one_path_cancelled(self):
-        # Joined state is {cancelled, pending-free idle...}: start() after
-        # a *maybe* cancel is not flagged (the rule requires certainty).
-        assert "TIM003" not in rule_ids_of(
-            _with_preamble("""
-            def maybe(engine, cb, flag):
-                t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-                if flag:
-                    t.start(DELAY)
-                    t.cancel()
-                t.start(DELAY)
-                return t
-            """)
-        )
-
-
-# ----------------------------------------------------------------------
-# TIM004 — callback mutates damping state off the charge API
-# ----------------------------------------------------------------------
-
-
-class TestTIM004:
-    def test_fires_on_method_callback_mutating_penalty(self):
-        ids = rule_ids_of(
-            _with_preamble("""
-            class Owner:
-                def flush(self):
-                    self.entry.penalty = 0.0
-
-                def arm(self, engine):
-                    t = Timer(engine, self.flush, name="x", actor="r", tag="reuse")
-                    t.start(DELAY)
-                    return t
-            """)
-        )
-        assert "TIM004" in ids
-
-    def test_fires_through_partial_and_transitive_call(self):
-        ids = rule_ids_of(
-            _with_preamble("""
-            from functools import partial
-
-            def poke(entry):
-                entry.suppressed = True
-
-            def outer(entry):
-                poke(entry)
-
-            def arm(engine, entry):
-                t = Timer(engine, partial(outer, entry), name="x", actor="r", tag="reuse")
-                t.start(DELAY)
-                return t
-            """)
-        )
-        assert "TIM004" in ids
-
-    def test_respects_disable_comment(self):
-        assert "TIM004" not in rule_ids_of(
-            _with_preamble("""
-            def poke(entry):
-                entry.penalty.charge(0.0, None)
-
-            def arm(engine, entry):
-                from functools import partial
-                t = Timer(engine, partial(poke, entry), name="x", actor="r", tag="reuse")  # detlint: disable=TIM004
-                t.start(DELAY)
-                return t
-            """)
-        )
-
-    def test_quiet_in_damping_module_and_for_clean_callbacks(self):
-        source = _with_preamble("""
-            class Owner:
-                def flush(self):
-                    self.entry.penalty = 0.0
-
-                def arm(self, engine):
-                    t = Timer(engine, self.flush, name="x", actor="r", tag="reuse")
-                    t.start(DELAY)
-                    return t
-            """)
-        assert "TIM004" not in rule_ids_of(source, module="repro.core.damping")
-        assert "TIM004" not in rule_ids_of(
-            _with_preamble("""
-            class Owner:
-                def note(self):
-                    self.count += 1
-
-                def arm(self, engine):
-                    t = Timer(engine, self.note, name="x", actor="r", tag="reuse")
-                    t.start(DELAY)
-                    return t
-            """)
-        )
-
-
-# ----------------------------------------------------------------------
-# TIM005 — raw delay literal
-# ----------------------------------------------------------------------
-
-
-class TestTIM005:
-    def test_fires_on_literal_delay(self):
-        ids = rule_ids_of(
-            """
-            def arm(timer):
-                timer.reschedule(30.0)
-            """
-        )
-        assert "TIM005" in ids
-
-    def test_fires_on_engine_schedule_literal(self):
-        ids = rule_ids_of(
-            """
-            def arm(engine, cb):
-                engine.schedule(15, cb)
-            """
-        )
-        assert "TIM005" in ids
-
-    def test_respects_disable_comment(self):
-        assert not findings_for(
-            """
-            def arm(timer):
-                timer.reschedule(30.0)  # detlint: disable=TIM005
-            """
-        )
-
-    def test_quiet_on_named_delay_and_zero(self):
-        assert not findings_for(
-            """
-            HALF_LIFE = 900.0
-
-            def arm(timer, engine, cb, params):
-                timer.reschedule(HALF_LIFE)
-                timer.restart_if_idle(params.reuse_interval)
-                engine.schedule(0.0, cb)
-            """
-        )
-
-
-# ----------------------------------------------------------------------
 # TIM006 — manual call of a timer-expiry internal
 # ----------------------------------------------------------------------
 
@@ -395,7 +218,7 @@ class TestTIM006:
         assert not findings_for(
             """
             def flush_now(timer):
-                timer._fire()  # detlint: disable=TIM006
+                timer._fire()  # lint: disable=TIM006
             """
         )
 
@@ -410,211 +233,17 @@ class TestTIM006:
 
 
 # ----------------------------------------------------------------------
-# TIM007 — unlabeled Timer construction
-# ----------------------------------------------------------------------
-
-
-class TestTIM007:
-    def test_fires_and_is_warning(self):
-        findings = [
-            f
-            for f in findings_for(
-                """
-                from repro.sim.timers import Timer
-
-                def build(engine, cb):
-                    return Timer(engine, cb, name="x")
-                """
-            )
-            if f.rule_id == "TIM007"
-        ]
-        assert len(findings) == 1
-        assert findings[0].severity == "warning"
-        assert "actor=" in findings[0].message and "tag=" in findings[0].message
-
-    def test_respects_disable_comment(self):
-        assert not findings_for(
-            """
-            from repro.sim.timers import Timer
-
-            def build(engine, cb):
-                return Timer(engine, cb, name="x")  # detlint: disable=TIM007
-            """
-        )
-
-    def test_quiet_on_fully_labeled_timer(self):
-        assert not findings_for(
-            """
-            from repro.sim.timers import Timer
-
-            def build(engine, cb):
-                return Timer(engine, cb, name="x", actor="r1", tag="mrai")
-            """
-        )
-
-
-# ----------------------------------------------------------------------
-# TIM008 — unclamped delay subtraction
-# ----------------------------------------------------------------------
-
-
-class TestTIM008:
-    def test_fires_on_bare_subtraction(self):
-        ids = rule_ids_of(
-            """
-            def arm(timer, deadline, engine):
-                timer.reschedule(deadline - engine.now)
-            """
-        )
-        assert "TIM008" in ids
-
-    def test_respects_disable_comment(self):
-        assert not findings_for(
-            """
-            def arm(timer, deadline, engine):
-                timer.reschedule(deadline - engine.now)  # detlint: disable=TIM008
-            """
-        )
-
-    def test_quiet_on_clamped_or_absolute(self):
-        assert not findings_for(
-            """
-            def arm(timer, engine, cb, deadline):
-                timer.reschedule(max(0.0, deadline - engine.now))
-                engine.schedule_at(deadline, cb)
-            """
-        )
-
-
-# ----------------------------------------------------------------------
-# TIM009 — timer state vs. string literal
-# ----------------------------------------------------------------------
-
-
-class TestTIM009:
-    def test_fires_on_string_compare(self):
-        ids = rule_ids_of(
-            """
-            def check(timer):
-                return timer.state == "pending"
-            """
-        )
-        assert "TIM009" in ids
-
-    def test_respects_disable_comment(self):
-        assert not findings_for(
-            """
-            def check(timer):
-                return timer.state == "pending"  # detlint: disable=TIM009
-            """
-        )
-
-    def test_quiet_on_enum_compare_and_unrelated_state(self):
-        assert not findings_for(
-            """
-            from repro.sim.timers import TimerState
-
-            def check(timer, session):
-                return timer.state is TimerState.PENDING or session.state == "up"
-            """
-        )
-
-
-# ----------------------------------------------------------------------
-# TIM010 — arming inside __init__
-# ----------------------------------------------------------------------
-
-
-class TestTIM010:
-    def test_fires_and_is_warning(self):
-        findings = [
-            f
-            for f in findings_for(
-                """
-                from repro.sim.timers import Timer
-
-                class Eager:
-                    def __init__(self, engine, cb, delay):
-                        self.timer = Timer(engine, cb, name="x", actor="r", tag="mrai")
-                        self.timer.reschedule(delay)
-                """
-            )
-            if f.rule_id == "TIM010"
-        ]
-        assert len(findings) == 1
-        assert findings[0].severity == "warning"
-
-    def test_fires_on_engine_schedule_in_init(self):
-        assert "TIM010" in rule_ids_of(
-            """
-            class Eager:
-                def __init__(self, engine, cb, delay):
-                    engine.schedule(delay, cb)
-            """
-        )
-
-    def test_respects_disable_comment(self):
-        assert "TIM010" not in rule_ids_of(
-            """
-            class Eager:
-                def __init__(self, engine, cb, delay):
-                    engine.schedule(delay, cb)  # detlint: disable=TIM010
-            """
-        )
-
-    def test_quiet_on_idle_construction(self):
-        assert not findings_for(
-            """
-            from repro.sim.timers import Timer
-
-            class Lazy:
-                def __init__(self, engine, cb):
-                    self.timer = Timer(engine, cb, name="x", actor="r", tag="mrai")
-
-                def bring_up(self, delay):
-                    self.timer.reschedule(delay)
-            """
-        )
-
-
-# ----------------------------------------------------------------------
-# severity plumbing
-# ----------------------------------------------------------------------
-
-
-class TestSeverity:
-    WARNING_ONLY = """
-        from repro.sim.timers import Timer
-
-        def build(engine, cb):
-            return Timer(engine, cb, name="x")
-        """
-
-    def test_blocking_findings_honours_fail_on(self):
-        report = lint_source(
-            textwrap.dedent(self.WARNING_ONLY),
-            path="fixture.py",
-            module="repro.sim.fixture",
-        )
-        assert {f.severity for f in report.findings} == {"warning"}
-        assert report.blocking_findings("warning") == report.findings
-        assert report.blocking_findings("error") == []
-        assert report.blocking_findings("never") == []
-
-    def test_rule_list_marks_non_error_severities(self):
-        listing = render_rule_list()
-        assert "TIM003 [warning]" in listing
-        assert "TIM001  " in listing  # errors carry no marker
-
-
-# ----------------------------------------------------------------------
 # hardened rule registry
 # ----------------------------------------------------------------------
 
 
+def _registered_class(rule_id: str) -> type:
+    return next(type(rule) for rule in iter_rules() if rule.id == rule_id)
+
+
 class TestRegistryHardening:
     def test_duplicate_rule_id_raises_and_keeps_original(self):
-        original = registry()["TIM001"]
+        original = _registered_class("TIM001")
 
         class Impostor(Rule):
             id = "TIM001"
@@ -623,7 +252,7 @@ class TestRegistryHardening:
 
         with pytest.raises(ValueError, match="duplicate rule id TIM001"):
             register(Impostor)
-        assert registry()["TIM001"] is original
+        assert _registered_class("TIM001") is original
 
     def test_missing_id_raises(self):
         class Nameless(Rule):
@@ -642,15 +271,4 @@ class TestRegistryHardening:
 
         with pytest.raises(ValueError, match="does not match"):
             register(Malformed)
-        assert bad_id not in registry()
-
-    def test_unknown_severity_raises(self):
-        class Loud(Rule):
-            id = "ZZZ001"
-            title = "bad severity"
-            rationale = "bad severity"
-            severity = "fatal"
-
-        with pytest.raises(ValueError, match="severity"):
-            register(Loud)
-        assert "ZZZ001" not in registry()
+        assert bad_id not in all_rule_ids()

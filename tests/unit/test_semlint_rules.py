@@ -2,7 +2,7 @@
 
 Every SEM rule gets a firing fixture, a suppression check, and a
 compliant fixture that must stay silent. Module scoping (decision /
-timer / penalty / damping modules) is exercised through the ``module``
+timer / damping modules) is exercised through the ``module``
 argument, exactly as the runner derives it from file paths.
 """
 
@@ -77,7 +77,7 @@ class TestSEM001:
     def test_respects_disable_on_def_line(self):
         assert not sem_findings(
             """
-            def select_best(candidates, engine):  # detlint: disable=SEM001
+            def select_best(candidates, engine):  # lint: disable=SEM001
                 return max(candidates), engine.now
             """,
             "SEM001",
@@ -145,7 +145,7 @@ class TestSEM002:
         assert not sem_findings(
             """
             def rearm(entry, now, delay):
-                entry.expiry = now + delay  # detlint: disable=SEM002
+                entry.expiry = now + delay  # lint: disable=SEM002
             """,
             "SEM002",
             module="repro.core.fixture",
@@ -179,138 +179,6 @@ class TestSEM002:
 
 
 # ----------------------------------------------------------------------
-# SEM003 — penalty arithmetic with named constants
-# ----------------------------------------------------------------------
-
-
-class TestSEM003:
-    def test_fires_on_literal_threshold_compare(self):
-        findings = sem_findings(
-            """
-            def should_suppress(entry):
-                return entry.penalty > 3000.0
-            """,
-            "SEM003",
-            module="repro.core.fixture",
-        )
-        assert len(findings) == 1
-        assert "3000" in findings[0].message
-
-    def test_fires_on_literal_in_arithmetic(self):
-        assert sem_findings(
-            """
-            def bump(entry):
-                entry.penalty = entry.penalty + 1000.0
-            """,
-            "SEM003",
-            module="repro.core.fixture",
-        )
-
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            def should_suppress(entry):
-                return entry.penalty > 3000.0  # detlint: disable=SEM003
-            """,
-            "SEM003",
-            module="repro.core.fixture",
-        )
-
-    def test_quiet_with_named_params(self):
-        assert not sem_findings(
-            """
-            def should_suppress(entry, params):
-                return entry.penalty > params.cutoff
-
-            def decay(entry, params, dt):
-                return entry.penalty * 2.0 ** (-dt / params.half_life)
-            """,
-            "SEM003",
-            module="repro.core.fixture",
-        )
-
-    def test_quiet_on_structural_values(self):
-        assert not sem_findings(
-            """
-            def halve(entry):
-                if entry.penalty <= 0:
-                    return 0.0
-                return entry.penalty * 0.5
-            """,
-            "SEM003",
-            module="repro.core.fixture",
-        )
-
-    def test_quiet_in_params_module_and_outside_penalty_modules(self):
-        source = """
-            CISCO_CUTOFF = 2000.0
-
-            def preset():
-                return {"cutoff": CISCO_CUTOFF, "penalty": 1000.0}
-
-            def compare(penalty):
-                return penalty > 3000.0
-            """
-        assert not sem_findings(source, "SEM003", module="repro.core.params")
-        assert not sem_findings(source, "SEM003", module="repro.metrics.fixture")
-
-
-# ----------------------------------------------------------------------
-# SEM004 — equality on computed time expressions
-# ----------------------------------------------------------------------
-
-
-class TestSEM004:
-    def test_fires_on_arithmetic_time_equality(self):
-        findings = sem_findings(
-            """
-            def due(entry, now, delay):
-                return entry.armed_at == now + delay
-            """,
-            "SEM004",
-        )
-        assert len(findings) == 1
-
-    def test_fires_on_time_returning_call_equality(self):
-        assert sem_findings(
-            """
-            def aligned(manager, entry, horizon):
-                return manager.reuse_delay(entry) != horizon
-            """,
-            "SEM004",
-        )
-
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            def due(entry, now, delay):
-                return entry.armed_at == now + delay  # detlint: disable=SEM004
-            """,
-            "SEM004",
-        )
-
-    def test_quiet_on_ordering_and_tolerance(self):
-        assert not sem_findings(
-            """
-            def due(entry, now, delay, eps):
-                early = entry.armed_at < now + delay
-                close = abs(entry.armed_at - (now + delay)) <= eps
-                return early or close
-            """,
-            "SEM004",
-        )
-
-    def test_quiet_on_non_time_arithmetic(self):
-        assert not sem_findings(
-            """
-            def parity(count):
-                return count % 2 == 0
-            """,
-            "SEM004",
-        )
-
-
-# ----------------------------------------------------------------------
 # SEM005 — Loc-RIB mutations notify metrics
 # ----------------------------------------------------------------------
 
@@ -332,7 +200,7 @@ class TestSEM005:
             """
             class Router:
                 def install(self, prefix, route):
-                    self.loc_rib.set_route(prefix, route)  # detlint: disable=SEM005
+                    self.loc_rib.set_route(prefix, route)  # lint: disable=SEM005
             """,
             "SEM005",
         )
@@ -376,63 +244,6 @@ class TestSEM005:
 
 
 # ----------------------------------------------------------------------
-# SEM006 — monotonic sequence comparison
-# ----------------------------------------------------------------------
-
-
-class TestSEM006:
-    def test_fires_on_seq_inequality(self):
-        findings = sem_findings(
-            """
-            def is_fresh(rcn, last_seq):
-                return rcn.seq != last_seq
-            """,
-            "SEM006",
-        )
-        assert len(findings) == 1
-
-    def test_fires_on_seq_equality(self):
-        assert sem_findings(
-            """
-            def already_seen(self, notification):
-                return notification.seq_num == self.highest_seq
-            """,
-            "SEM006",
-        )
-
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            def is_fresh(rcn, last_seq):
-                return rcn.seq != last_seq  # detlint: disable=SEM006
-            """,
-            "SEM006",
-        )
-
-    def test_quiet_on_ordering_comparison(self):
-        assert not sem_findings(
-            """
-            def is_fresh(rcn, last_seq):
-                return rcn.seq > last_seq
-
-            def accept(self, notification):
-                if notification.seq_num >= self.highest_seq:
-                    self.highest_seq = notification.seq_num
-            """,
-            "SEM006",
-        )
-
-    def test_quiet_on_none_check(self):
-        assert not sem_findings(
-            """
-            def first_sighting(last_seq):
-                return last_seq == None
-            """,
-            "SEM006",
-        )
-
-
-# ----------------------------------------------------------------------
 # SEM007 — suppression state owned by the damping manager
 # ----------------------------------------------------------------------
 
@@ -453,7 +264,7 @@ class TestSEM007:
         assert not sem_findings(
             """
             def force_release(entry):
-                entry.suppressed = False  # detlint: disable=SEM007
+                entry.suppressed = False  # lint: disable=SEM007
             """,
             "SEM007",
             module="repro.bgp.router",
