@@ -2,49 +2,74 @@
 """Causal attribution of reuse-timer interactions.
 
 The paper infers secondary charging from penalty traces; this example
-uses the library's attribution analysis to establish it *causally*: for
-every reuse-timer postponement in a single-pulse episode, find the noisy
-reuse expiry (or origin flap) whose update wave caused it, then rank the
-reuse events by how many other timers they pushed back — the "after
-shocks" of Section 8.
+establishes it *causally* by reading the run's trace DAG: every
+reuse-timer postponement in a single-pulse episode is traced back to the
+origin flap or reuse expiry its update wave started from, and the reuse
+expiries are ranked by how many other timers they pushed back — the
+"after shocks" of Section 8.
 
 Run:  python examples/timer_attribution.py
 """
 
-from repro.analysis.attribution import analyze_run, suppression_extension_seconds
+from repro.analysis.causality import ROOT_KINDS, analyze_trace, causal_chain
+from repro.core.damping import charging_only_reuse_time
 from repro.experiments.base import mesh100_config
 from repro.metrics.report import render_table
-from repro.workload.scenarios import run_episode
+from repro.trace import Tracer
+from repro.workload.pulses import PulseSchedule
+from repro.workload.scenarios import run_scenario
 
 
 def main() -> None:
-    result = run_episode(mesh100_config(seed=42), pulses=1)
-    report = analyze_run(result)
+    tracer = Tracer()
+    _scenario, result = run_scenario(
+        mesh100_config(seed=42), PulseSchedule.regular(1, 60.0), tracer=tracer
+    )
+    report = analyze_trace(tracer.records)
+    postponed = report.postponements_by_class
 
     print("=== single pulse, 100-node mesh, damping everywhere ===")
-    print(f"convergence time:        {result.convergence_time:9.1f} s")
-    print(f"reuse-timer recharges:   {report.total:9d}")
-    print(f"  caused by reuse waves: {report.reuse_caused:9d}")
-    print(f"  caused by flaps:       {report.flap_caused:9d}")
-    print(f"  ambiguous (mixed):     {report.mixed:9d}")
-    print(f"  unattributed:          {report.unattributed:9d}")
-    print(f"secondary-charging share: {100 * report.secondary_fraction:7.1f} %")
+    print(f"convergence time:          {result.convergence_time:9.1f} s")
+    print(f"reuse-timer postponements: {report.postponements_total:9d}")
+    print(f"  rooted in reuse expiries:{postponed['reuse']:9d}")
+    print(f"  rooted in origin flaps:  {postponed['flap']:9d}")
+    print(f"  unattributed:            {postponed['unattributed']:9d}")
+    print(f"secondary-charging share:  {100 * report.secondary_fraction:9.1f} %")
 
     extension = 0.0
     for records in result.collector.suppression_records().values():
-        extension += suppression_extension_seconds(records, result.config.damping)
+        for record in records:
+            if record.ended is not None:
+                baseline = charging_only_reuse_time(record, result.config.damping)
+                extension += max(0.0, record.ended - baseline)
     print(f"suppression time added by recharges (network-wide): {extension:,.0f} s")
 
     print()
-    fanout = report.fanout_by_reuse_event()[:10]
-    rows = [[f"{time:.1f}", count] for time, count in fanout]
+    rows = [
+        [f"{shock.time:.1f}", shock.router, shock.postponements]
+        for shock in report.after_shocks[:10]
+    ]
     print(
         render_table(
-            ["noisy reuse at (s)", "timers it postponed"],
+            ["reuse at (s)", "router", "timers it postponed"],
             rows,
             title="top 'after shock' reuse events",
         )
     )
+
+    # Walk one postponement back to the reuse expiry that launched it.
+    top = report.after_shocks[0]
+    for record in tracer.records:
+        if record.kind != "reuse_postponed":
+            continue
+        chain = causal_chain(tracer.records, record.id)
+        roots = [i for i, step in enumerate(chain) if step.kind in ROOT_KINDS]
+        wave = chain[roots[-1]:]
+        if (wave[0].time, wave[0].node) == (top.time, top.router):
+            break
+    print()
+    print("one postponement it caused, edge by edge:")
+    print("  " + " -> ".join(f"{step.kind}@{step.node}" for step in wave))
     print()
     print("Each row is one router reusing a suppressed route; the update")
     print("wave it launches postpones the listed number of other reuse")

@@ -17,7 +17,6 @@ Quickstart::
     print(result.convergence_time, result.message_count)
 """
 
-from repro.analysis.attribution import analyze_run
 from repro.core import CISCO_DEFAULTS, JUNIPER_DEFAULTS, DampingParams, IntendedBehaviorModel
 from repro.metrics.digest import run_digest
 from repro.topology import internet_topology, mesh_topology
@@ -38,7 +37,6 @@ __all__ = [
     "PulseSchedule",
     "Scenario",
     "ScenarioConfig",
-    "analyze_run",
     "internet_topology",
     "mesh_topology",
     "poisson_pattern",

@@ -2,30 +2,20 @@
 
 The paper's core discovery is *causal*: updates triggered by route reuse
 at one router recharge damping penalties (and postpone reuse timers) at
-other routers. :mod:`repro.analysis.attribution` reconstructs that causal
-structure from a finished run — attributing every reuse-timer
-postponement to the noisy reuse event (or origin flap) whose update wave
-caused it — and quantifies how much of the convergence delay secondary
-charging is responsible for.
+other routers. :mod:`repro.analysis.causality` reads that causal
+structure off a run's trace DAG — attributing every charge and
+reuse-timer postponement to the origin flap, reuse expiry or injected
+fault its chain starts from, and ranking the reuse expiries by how many
+other reuse timers they postponed.
 """
 
-from repro.analysis.attribution import (
-    AttributionReport,
-    RechargeAttribution,
-    attribute_recharges,
-    suppression_extension_seconds,
-)
 from repro.analysis.causality import (
+    AfterShock,
     CausalityReport,
     analyze_trace,
     causal_chain,
-    compare_with_attribution,
 )
-from repro.analysis.distance import (
-    DistanceBucket,
-    convergence_by_distance,
-    farthest_settling_router,
-)
+from repro.analysis.distance import DistanceBucket, convergence_by_distance
 from repro.analysis.invariants import (
     InvariantReport,
     InvariantViolation,
@@ -39,22 +29,17 @@ from repro.analysis.sensitivity import (
 )
 
 __all__ = [
-    "AttributionReport",
+    "AfterShock",
     "CausalityReport",
     "DistanceBucket",
     "InvariantReport",
     "InvariantViolation",
     "check_converged_invariants",
-    "RechargeAttribution",
     "SensitivityPoint",
     "analyze_trace",
-    "attribute_recharges",
     "causal_chain",
-    "compare_with_attribution",
     "convergence_by_distance",
     "evaluate_params",
-    "farthest_settling_router",
-    "suppression_extension_seconds",
     "sweep_parameter",
     "tolerance_frontier",
 ]

@@ -1,21 +1,24 @@
-"""Causal attribution from trace DAGs.
+"""Causal attribution from trace DAGs — the repo's one secondary-charging
+attribution.
 
-Where :mod:`repro.analysis.attribution` infers causes from *time
-windows* (a recharge is blamed on the latest noisy reuse or flap within
-60 s), this module reads them off the causal trace exactly: every
-:class:`~repro.trace.records.TraceRecord` names the record that
+Every :class:`~repro.trace.records.TraceRecord` names the record that
 triggered it, so a penalty charge either descends from an origin
-``flap`` or from a ``reuse_expired`` somewhere upstream — no window, no
-"mixed" bucket.
+``flap``, from a ``reuse_expired`` somewhere upstream, or from an
+injected ``fault`` — read off the DAG exactly, with no time window and
+no "mixed" bucket.
 
 Because ``cause_id`` is always smaller than ``id`` (causes are emitted
 before their effects), the classification is a single linear pass: a
-record's *root class* is its own kind if it is a ``flap`` or a
-``reuse_expired``, and otherwise the root class of its cause. A charge
-whose root class is ``reuse_expired`` is the paper's **secondary
-charging**; one rooted in a ``flap`` is primary charging, split into
-*origin-flap* (the flap's own withdrawal/re-announcement) and
-*path-exploration* (attribute changes as routers walk alternate paths).
+record's *root* is itself if it is a ``flap``, ``reuse_expired`` or
+``fault``, and otherwise the root of its cause. A charge rooted in a
+``reuse_expired`` is the paper's **secondary charging**; one rooted in
+a ``flap`` is primary charging, split into *origin-flap* (the flap's own
+withdrawal/re-announcement) and *path-exploration* (attribute changes
+as routers walk alternate paths).
+
+The same pass counts, per reuse expiry, the reuse-timer postponements
+rooted in it: the paper's "after shocks", one router's reuse launching
+an update wave that pushes back many other routers' reuse timers.
 
 Muffling is equally direct: a ``reuse_expired`` with ``noisy=False`` is
 a reuse timer that fired into silence, and having no descendants in the
@@ -25,7 +28,7 @@ DAG confirms it caused nothing downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.trace.records import TraceRecord
 
@@ -35,6 +38,17 @@ _ROOT_FLAP = 1
 _ROOT_REUSE = 2
 _ROOT_FAULT = 3
 
+#: The record kinds that start a causal chain, with their root class.
+ROOT_KINDS = {"flap": _ROOT_FLAP, "reuse_expired": _ROOT_REUSE, "fault": _ROOT_FAULT}
+
+#: Postponement labels by root class.
+_POSTPONEMENT_LABELS = {
+    _ROOT_REUSE: "reuse",
+    _ROOT_FLAP: "flap",
+    _ROOT_FAULT: "fault",
+    _ROOT_NONE: "unattributed",
+}
+
 #: Charge classification labels (Table-1 vocabulary plus the injected
 #: fault class introduced by the fault-injection subsystem).
 CHARGE_CLASSES = (
@@ -43,6 +57,14 @@ CHARGE_CLASSES = (
     "secondary-charging",
     "fault-induced",
 )
+
+
+class AfterShock(NamedTuple):
+    """One reuse expiry and the reuse-timer postponements rooted in it."""
+
+    time: float
+    router: str
+    postponements: int
 
 
 @dataclass
@@ -57,12 +79,7 @@ class CausalityReport:
     )
     #: ``reuse_postponed`` records by root class of their charge.
     postponements_by_class: Dict[str, int] = field(
-        default_factory=lambda: {
-            "reuse": 0,
-            "flap": 0,
-            "fault": 0,
-            "unattributed": 0,
-        }
+        default_factory=lambda: {label: 0 for label in _POSTPONEMENT_LABELS.values()}
     )
     reuse_total: int = 0
     reuse_noisy: int = 0
@@ -71,6 +88,9 @@ class CausalityReport:
     #: Muffled expiries with no descendants in the DAG (should equal
     #: ``reuse_muffled``: silence means nothing downstream).
     reuse_muffled_childless: int = 0
+    #: Every reuse expiry that postponed at least one reuse timer, largest
+    #: fan-out first; the counts sum to ``postponements_by_class["reuse"]``.
+    after_shocks: List[AfterShock] = field(default_factory=list)
 
     @property
     def charges_total(self) -> int:
@@ -82,9 +102,7 @@ class CausalityReport:
 
     @property
     def secondary_fraction(self) -> float:
-        """Fraction of reuse-timer postponements caused by reuse waves —
-        the exact counterpart of
-        :attr:`repro.analysis.attribution.AttributionReport.secondary_fraction`."""
+        """Fraction of reuse-timer postponements caused by reuse waves."""
         total = self.postponements_total
         if total == 0:
             return 0.0
@@ -119,6 +137,10 @@ class CausalityReport:
                 "muffled": self.reuse_muffled,
                 "muffled_childless": self.reuse_muffled_childless,
             },
+            "after_shocks": [
+                [round(row.time, 6), row.router, row.postponements]
+                for row in self.after_shocks
+            ],
         }
 
 
@@ -127,42 +149,52 @@ def analyze_trace(records: Sequence[TraceRecord]) -> CausalityReport:
 
     ``records`` must be a complete trace (ids 1..n in order, causes
     always preceding effects) as produced by the tracer or parsed back
-    from a JSONL file.
+    from a JSONL file; anything else raises ``ValueError`` naming the
+    first offending record.
     """
     report = CausalityReport(records_total=len(records))
-    # root_class[i] = class of record id i+1; child_count likewise.
+    # Indexed by record id - 1: root class, root record id, child count.
     root_class: List[int] = [_ROOT_NONE] * len(records)
+    root_id: List[int] = [0] * len(records)
     child_count: List[int] = [0] * len(records)
+    fanout: Dict[int, int] = {}
 
     for index, record in enumerate(records):
+        record_id = index + 1
+        if record.id != record_id:
+            raise ValueError(
+                f"trace record {record.id} at position {record_id}: "
+                f"ids must run 1..n in order"
+            )
         report.counts_by_kind[record.kind] = (
             report.counts_by_kind.get(record.kind, 0) + 1
         )
+        cause = record.cause_id
         cause_class = _ROOT_NONE
-        if record.cause_id is not None:
-            cause_class = root_class[record.cause_id - 1]
-            child_count[record.cause_id - 1] += 1
-        if record.kind == "flap":
-            root_class[index] = _ROOT_FLAP
-        elif record.kind == "reuse_expired":
-            root_class[index] = _ROOT_REUSE
-        elif record.kind == "fault":
-            root_class[index] = _ROOT_FAULT
-        else:
+        cause_root = 0
+        if cause is not None:
+            if not 0 < cause < record_id:
+                raise ValueError(
+                    f"trace record {record_id} names cause {cause}, "
+                    f"which does not precede it"
+                )
+            cause_class = root_class[cause - 1]
+            cause_root = root_id[cause - 1]
+            child_count[cause - 1] += 1
+        own_class = ROOT_KINDS.get(record.kind)
+        if own_class is None:
             root_class[index] = cause_class
+            root_id[index] = cause_root
+        else:
+            root_class[index] = own_class
+            root_id[index] = record_id
 
         if record.kind == "charge" and record.data.get("charged", True):
             report.charges_by_class[_charge_class(record, cause_class)] += 1
         elif record.kind == "reuse_postponed":
+            report.postponements_by_class[_POSTPONEMENT_LABELS[cause_class]] += 1
             if cause_class == _ROOT_REUSE:
-                label = "reuse"
-            elif cause_class == _ROOT_FLAP:
-                label = "flap"
-            elif cause_class == _ROOT_FAULT:
-                label = "fault"
-            else:
-                label = "unattributed"
-            report.postponements_by_class[label] += 1
+                fanout[cause_root] = fanout.get(cause_root, 0) + 1
 
     for index, record in enumerate(records):
         if record.kind != "reuse_expired":
@@ -174,6 +206,13 @@ def analyze_trace(records: Sequence[TraceRecord]) -> CausalityReport:
             report.reuse_muffled += 1
             if child_count[index] == 0:
                 report.reuse_muffled_childless += 1
+    shocks = (
+        AfterShock(records[rid - 1].time, records[rid - 1].node or "", count)
+        for rid, count in fanout.items()
+    )
+    report.after_shocks = sorted(
+        shocks, key=lambda row: (-row.postponements, row.time, row.router)
+    )
     return report
 
 
@@ -185,25 +224,6 @@ def _charge_class(record: TraceRecord, cause_class: int) -> str:
     if record.data.get("kind") == "attribute_change":
         return "path-exploration"
     return "origin-flap"
-
-
-def compare_with_attribution(
-    report: CausalityReport, windowed_secondary_fraction: float
-) -> Dict[str, float]:
-    """Trace-exact vs window-inferred secondary-charging share.
-
-    The windowed estimator counts a postponement as (at least partly)
-    reuse-caused when a noisy reuse fell in its window, so its
-    ``(reuse + mixed) / total`` upper-bounds the exact share; the two
-    agree tightly on the paper's scenarios because most recharges happen
-    after the final flap, when reuse waves are the only update source.
-    """
-    exact = report.secondary_fraction
-    return {
-        "trace_secondary_fraction": round(exact, 6),
-        "windowed_secondary_fraction": round(windowed_secondary_fraction, 6),
-        "difference": round(abs(exact - windowed_secondary_fraction), 6),
-    }
 
 
 def causal_chain(
@@ -223,8 +243,9 @@ def causal_chain(
 
 __all__ = [
     "CHARGE_CLASSES",
+    "ROOT_KINDS",
+    "AfterShock",
     "CausalityReport",
     "analyze_trace",
     "causal_chain",
-    "compare_with_attribution",
 ]

@@ -69,18 +69,3 @@ def convergence_by_distance(
             )
         )
     return buckets
-
-
-def farthest_settling_router(
-    scenario: Scenario, result: FlapRunResult
-) -> Optional[str]:
-    """The router whose Loc-RIB settled last (None if nothing changed)."""
-    prefix = scenario.config.prefix
-    latest: Optional[str] = None
-    latest_time = float("-inf")
-    for name, router in scenario.routers.items():
-        change = router.last_best_change.get(prefix)
-        if change is not None and change > latest_time:
-            latest_time = change
-            latest = name
-    return latest

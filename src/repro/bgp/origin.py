@@ -39,7 +39,6 @@ class OriginRouter(BgpRouter):
         config = RouterConfig(
             damping=None,
             rcn_enabled=False,
-            attach_root_cause=True,
             mrai=MraiConfig(base=0.0),
         )
         super().__init__(name, engine, rng, config=config)

@@ -20,10 +20,9 @@ transits traffic for a third party.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Mapping, Tuple
+from typing import Callable
 
 from repro.bgp.attrs import Route
-from repro.errors import ConfigurationError
 
 
 class Relationship(enum.Enum):
@@ -71,8 +70,7 @@ class NoValleyPolicy(RoutingPolicy):
     Parameters
     ----------
     relationship:
-        Function (or mapping lookup, see :meth:`from_mapping`) giving each
-        router's relationship with each neighbour.
+        Function giving each router's relationship with each neighbour.
     prefer_customer:
         When ``True`` (the default, and standard practice), local
         preference is 300/200/100 for customer/peer/provider routes; when
@@ -89,24 +87,6 @@ class NoValleyPolicy(RoutingPolicy):
     def __init__(self, relationship: RelationshipFunction, prefer_customer: bool = True) -> None:
         self._relationship = relationship
         self._prefer_customer = prefer_customer
-
-    @classmethod
-    def from_mapping(
-        cls,
-        relationships: Mapping[Tuple[str, str], Relationship],
-        prefer_customer: bool = True,
-    ) -> "NoValleyPolicy":
-        """Build from a ``{(router, neighbor): Relationship}`` mapping."""
-
-        def lookup(router: str, neighbor: str) -> Relationship:
-            try:
-                return relationships[(router, neighbor)]
-            except KeyError:
-                raise ConfigurationError(
-                    f"no relationship configured between {router!r} and {neighbor!r}"
-                ) from None
-
-        return cls(lookup, prefer_customer=prefer_customer)
 
     def local_pref(self, router: str, peer: str, route: Route) -> int:
         del route

@@ -60,16 +60,14 @@ class RouterConfig:
 
     ``damping`` enables route flap damping when set; ``rcn_enabled`` and
     ``selective_enabled`` choose the penalty filter placed in front of the
-    damping algorithm (at most one should be set). ``attach_root_cause``
-    controls whether this router stamps/propagates RCN attributes on the
-    updates it sends — kept separate from ``rcn_enabled`` so partial
-    deployments can propagate causes without using them.
+    damping algorithm (at most one should be set). Every router stamps
+    and propagates RCN root causes on the updates it sends, whether or
+    not it uses them, so partial deployments still carry causes.
     """
 
     damping: Optional[DampingParams] = None
     rcn_enabled: bool = False
     selective_enabled: bool = False
-    attach_root_cause: bool = True
     mrai: MraiConfig = dataclass_field(default_factory=MraiConfig)
     #: Whether the implicit withdrawals of a BGP session going down charge
     #: the damping penalty. RFC 2439 leaves this to the implementation;
@@ -450,7 +448,7 @@ class BgpRouter(Node):
         prefix = route.prefix
         as_path = route.as_path
         length = len(as_path)
-        cause = self._current_cause.get(prefix) if self.config.attach_root_cause else None
+        cause = self._current_cause.get(prefix)
         update = UpdateMessage(
             prefix, as_path, cause, compare_paths(entry.last_announced_length, length)
         )
@@ -461,7 +459,7 @@ class BgpRouter(Node):
         link.send(self.name, update)
 
     def _send_withdrawal(self, link: Link, entry: RibOutEntry, prefix: str) -> None:
-        cause = self._current_cause.get(prefix) if self.config.attach_root_cause else None
+        cause = self._current_cause.get(prefix)
         update = UpdateMessage(prefix, None, cause)
         entry.route = None  # last_announced_length survives the withdrawal
         self.stats.updates_sent += 1
@@ -714,7 +712,7 @@ class BgpRouter(Node):
             }
             snapshot["prefixes"][p] = {  # type: ignore[index]
                 "best": best.as_path if best else None,
-                "originated": p in self._originated,
+                "originated": self.originates(p),
                 "rib_in": rib_in,
                 "rib_out": rib_out,
             }

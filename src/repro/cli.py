@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -259,10 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one episode with causal tracing and summarize the DAG",
         description=(
             "Run a single scenario with the causal tracer attached, emit "
-            "the trace as canonical JSONL, and print a charge-attribution "
-            "summary (origin-flap / path-exploration / secondary-charging) "
-            "cross-checked against the windowed attribution analysis — see "
-            "docs/OBSERVABILITY.md."
+            "the trace as canonical JSONL, and print the charge and "
+            "postponement attribution read off its DAG (origin-flap / "
+            "path-exploration / secondary-charging) with the largest "
+            "reuse 'after shock' — see docs/OBSERVABILITY.md."
         ),
     )
     _add_scenario_flags(trace, nodes=100, pulses=3)
@@ -455,13 +456,18 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _read_json(path: str) -> Dict[str, Any]:
-    """A JSON expectation file the user named; unreadable or malformed
-    is bad input, not a crash."""
+    """A JSON object file the user named; unreadable, malformed or not
+    an object is bad input, not a crash."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            document = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigurationError(
+            f"cannot read {path}: expected a JSON object, got {type(document).__name__}"
+        )
+    return document
 
 
 def _write_json(path: str, payload: object) -> None:
@@ -684,8 +690,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.analysis.attribution import analyze_run
-    from repro.analysis.causality import analyze_trace, compare_with_attribution
+    from repro.analysis.causality import analyze_trace
     from repro.trace import JsonlSink, MemorySink, Tracer, canonical_line
     from repro.trace.records import KNOWN_KINDS
 
@@ -700,23 +705,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
 
     tracer = Tracer(JsonlSink(args.out) if args.out is not None else MemorySink())
-    _scenario, result = run_scenario(
+    run_scenario(
         _adhoc_config(args),
         PulseSchedule.regular(args.pulses, args.interval),
         tracer=tracer,
     )
     digest = tracer.close()
     causal = analyze_trace(tracer.records)
-    windowed = analyze_run(result)
-    comparison = compare_with_attribution(causal, windowed.secondary_fraction)
 
     summary = causal.to_json_dict()
     summary["digest"] = digest
-    summary["windowed_comparison"] = comparison
 
     rows: List[List[object]] = [
         ["records", causal.records_total],
-        ["trace digest", (digest or "")[:16]],
+        ["trace digest", digest[:16]],
         ["charges (total)", causal.charges_total],
     ]
     for label, count in causal.charges_by_class.items():
@@ -728,10 +730,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         [
             ["reuse expiries (noisy / muffled)", f"{causal.reuse_noisy} / {causal.reuse_muffled}"],
             ["secondary fraction (trace)", round(causal.secondary_fraction, 4)],
-            ["secondary fraction (windowed)", round(windowed.secondary_fraction, 4)],
-            ["agreement gap", comparison["difference"]],
         ]
     )
+    if causal.after_shocks:
+        top = causal.after_shocks[0]
+        rows.append(
+            [
+                "largest after shock (s / router / postponed)",
+                f"{top.time:.1f} / {top.router} / {top.postponements}",
+            ]
+        )
     print(render_table(["metric", "value"], rows, title="causal trace summary"))
 
     if args.show > 0:
@@ -983,6 +991,9 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
     topology = None
     if args.topology_file:
         topology = load_topology(args.topology_file)
+    ledger: Dict[str, Any] = {}  # a missing ledger is a first recording
+    if args.write_digests and os.path.exists(args.write_digests):
+        ledger = _read_json(args.write_digests)
     result = run_scale_episode(
         topology=topology,
         nodes=args.nodes,
@@ -1003,12 +1014,8 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
 
     key = _scale_digest_key(result)
     if args.write_digests:
-        try:
-            digests = _read_json(args.write_digests)
-        except ConfigurationError:
-            digests = {}  # first recording: start a new ledger
-        digests[key] = result.digest
-        _write_json(args.write_digests, digests)
+        ledger[key] = result.digest
+        _write_json(args.write_digests, ledger)
         print(f"recorded digest for {key} in {args.write_digests}")
     if args.verify_digests:
         expected = _read_json(args.verify_digests)

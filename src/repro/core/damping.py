@@ -55,6 +55,13 @@ class SuppressionRecord:
         return self.ended - self.started
 
 
+def charging_only_reuse_time(record: SuppressionRecord, params: DampingParams) -> float:
+    """When ``record``'s route would have been reused had no recharge
+    pushed its reuse timer back; anything after it is time that
+    secondary charging added to the suppression."""
+    return record.started + params.reuse_delay(record.penalty_at_start)
+
+
 @dataclass
 class ReuseEvent:
     """A reuse-timer expiry and its observed effect."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.damping import SuppressionRecord
+from repro.core.damping import SuppressionRecord, charging_only_reuse_time
 from repro.experiments.base import (
     DEFAULT_SEED,
     ExperimentResult,
@@ -81,6 +81,7 @@ def fig7_experiment(
     over_cutoff_crossings = _count_upward_crossings(
         state.history, params.cutoff_threshold
     )
+    first_reuse = charging_only_reuse_time(record, params)
 
     rows: List[List[object]] = [
         ["router", router_name],
@@ -90,7 +91,7 @@ def fig7_experiment(
         ["reuse-timer recharges (secondary charging)", len(record.recharges)],
         ["penalty pushed over cutoff (times)", over_cutoff_crossings],
         ["network convergence time (s)", round(result.convergence_time, 1)],
-        ["charging-only reuse estimate (s)", round(_first_reuse_estimate(record, params), 1)],
+        ["charging-only reuse estimate (s)", round(first_reuse, 1)],
     ]
     chart = render_series(
         samples,
@@ -100,7 +101,6 @@ def fig7_experiment(
         ),
     )
     secondary_share = 0.0
-    first_reuse = _first_reuse_estimate(record, params)
     if record.ended and result.convergence_time > 0:
         extension = record.ended - first_reuse
         secondary_share = max(0.0, extension) / result.convergence_time
@@ -143,8 +143,3 @@ def _count_upward_crossings(
         elif value <= threshold:
             below = True
     return crossings
-
-
-def _first_reuse_estimate(record: SuppressionRecord, params) -> float:  # noqa: ANN001
-    """When the route would have been reused had no recharge happened."""
-    return record.started + params.reuse_delay(record.penalty_at_start)

@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.digest import run_digest
-from repro.sim.rng import RngRegistry
 from repro.trace.sinks import JsonlSink
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
@@ -133,13 +132,6 @@ def resolve_chunk_size(
     if worker_count <= 1:
         return max(1, point_count)
     return max(1, math.ceil(point_count / (worker_count * _CHUNKS_PER_WORKER)))
-
-
-def derive_seed(master_seed: int, label: str) -> int:
-    """Stable per-point (or per-replicate) seed derived through
-    :meth:`RngRegistry.fork`, so multi-seed sweeps stay reproducible
-    without seed arithmetic scattered across experiments."""
-    return RngRegistry(master_seed).fork(label).master_seed
 
 
 # ----------------------------------------------------------------------
@@ -231,21 +223,21 @@ class _PoolManager:
     """
 
     def __init__(self) -> None:
-        self._idle: Dict[Tuple[object, int, str], ProcessPoolExecutor] = {}
+        self._idle: Dict[Tuple[object, int], ProcessPoolExecutor] = {}
 
     def acquire(
-        self, worker_count: int, start_method: str
-    ) -> Tuple[Tuple[object, int, str], ProcessPoolExecutor]:
+        self, worker_count: int
+    ) -> Tuple[Tuple[object, int], ProcessPoolExecutor]:
         executor_cls = ProcessPoolExecutor  # module attr: monkeypatch seam
-        key = (executor_cls, worker_count, start_method)
+        key = (executor_cls, worker_count)
         pool = self._idle.pop(key, None)
         if pool is None:
-            context = multiprocessing.get_context(start_method)
+            context = multiprocessing.get_context("spawn")
             pool = executor_cls(max_workers=worker_count, mp_context=context)
         return key, pool
 
     def release(
-        self, key: Tuple[object, int, str], pool: ProcessPoolExecutor
+        self, key: Tuple[object, int], pool: ProcessPoolExecutor
     ) -> None:
         """Park a healthy pool for reuse (folding any duplicate)."""
         if key in self._idle:
@@ -311,7 +303,6 @@ def execute_sweep(
     flap_interval: float = 60.0,
     jobs: Optional[int] = 1,
     check_invariants: bool = False,
-    mp_start_method: str = "spawn",
     trace_dir: Optional[str] = None,
     point_timeout: Optional[float] = None,
     max_retries: int = 2,
@@ -386,7 +377,7 @@ def execute_sweep(
         missing = [task for task in tasks if task[0] not in results]
         if not missing:
             break
-        key, pool = _POOLS.acquire(worker_count, mp_start_method)
+        key, pool = _POOLS.acquire(worker_count)
         submitted: List[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]] = []
         broke = False
         try:
@@ -454,7 +445,6 @@ def execute_sweep(
 __all__ = [
     "PointOutcome",
     "available_cpus",
-    "derive_seed",
     "execute_sweep",
     "resolve_chunk_size",
     "resolve_jobs",

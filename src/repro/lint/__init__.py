@@ -44,9 +44,9 @@ and the opt-in timer audit — live in :mod:`repro.sim.engine`,
 """
 
 from repro.lint.cache import LintCache
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize_file
+from repro.lint.callgraph import FileSummary, ProjectGraph, summarize
 from repro.lint.config import LintConfig, make_config, pass_for_rule
-from repro.lint.effects import EffectAnalysis, FunctionEffects, analyze_effects
+from repro.lint.effects import EffectAnalysis, FunctionEffects, infer_effects
 from repro.lint.findings import Finding, LintReport
 from repro.lint.framework import FileContext, Rule, all_rule_ids, iter_rules
 from repro.lint.perf import PerfAnalysis, hot_functions
@@ -70,9 +70,9 @@ __all__ = [
     "Rule",
     "TimerAnalysis",
     "all_rule_ids",
-    "analyze_effects",
     "analyze_timers",
     "hot_functions",
+    "infer_effects",
     "iter_rules",
     "lint_paths",
     "lint_source",
@@ -82,5 +82,5 @@ __all__ = [
     "render_json",
     "render_rule_list",
     "render_text",
-    "summarize_file",
+    "summarize",
 ]

@@ -34,7 +34,6 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig
 from repro.lint.framework import FileContext
 
 #: Receiver spellings that conventionally denote instances of a class in
@@ -230,17 +229,6 @@ def _callback_tokens(
                 yield token
 
 
-def summarize_file(
-    tree: ast.AST, path: str, module: Optional[str] = None
-) -> FileSummary:
-    """Distil one parsed file into its :class:`FileSummary` (the
-    bare-tree entry point; the runner summarizes the context it already
-    holds with :func:`summarize`)."""
-    return summarize(
-        FileContext(path=path, tree=tree, config=LintConfig(), module=module)
-    )
-
-
 def summarize(context: FileContext) -> FileSummary:
     """Distil one file's context into its :class:`FileSummary`."""
     aliases = context.aliases
@@ -418,5 +406,4 @@ __all__ = [
     "FunctionInfo",
     "ProjectGraph",
     "summarize",
-    "summarize_file",
 ]

@@ -43,7 +43,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.lint.framework import FunctionEntry, enumerate_defs
+from repro.lint.framework import FunctionEntry
 
 #: Effect labels (the vocabulary of the classification).
 READS_CLOCK = "reads-clock"
@@ -193,13 +193,6 @@ def _scan(entry: FunctionEntry) -> Tuple[Set[str], Set[Tuple[str, bool]]]:
     return direct, callees
 
 
-def analyze_effects(tree: ast.AST) -> EffectAnalysis:
-    """Classify every function of one parsed file (the bare-tree entry
-    point; a :class:`~repro.lint.framework.FileContext` hands its own
-    function table to :func:`infer_effects`)."""
-    return infer_effects(enumerate_defs(tree)[0])
-
-
 def infer_effects(table: Sequence[FunctionEntry]) -> EffectAnalysis:
     """Classify every function of one file's function table.
 
@@ -264,6 +257,5 @@ __all__ = [
     "MUTATES_RIB",
     "READS_CLOCK",
     "SCHEDULES_TIMER",
-    "analyze_effects",
     "infer_effects",
 ]

@@ -215,13 +215,11 @@ class MetricsCollector:
     def secondary_charge_count(self) -> int:
         """Total reuse-timer postponements observed while suppressed —
         the footprint of secondary charging."""
-        total = 0
-        for router in self._routers:
-            if router.damping is None:
-                continue
-            for record in router.damping.suppressions:
-                total += len(record.recharges)
-        return total
+        return sum(
+            router.damping.recharge_count()
+            for router in self._routers
+            if router.damping is not None
+        )
 
     # ------------------------------------------------------------------
     # schedule-race observations (tie detector, opt-in)

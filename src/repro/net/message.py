@@ -44,12 +44,5 @@ class Message:
         #: tracer so the delivery can name its cause (None when not tracing).
         self.trace_id = trace_id
 
-    @property
-    def latency(self) -> Optional[float]:
-        """Propagation delay experienced, once delivered."""
-        if self.sent_at is None or self.delivered_at is None:
-            return None
-        return self.delivered_at - self.sent_at
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Message(#{self.msg_id} {self.src}->{self.dst} {self.payload!r})"

@@ -294,7 +294,7 @@ class Engine:
         if self._running:
             raise SimulationError("the engine's run loop is not reentrant")
         self._running = True
-        # An episode makes no cyclic garbage: collecting here only rescans.
+        # An episode makes no cyclic garbage: a collection here only rescans.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         executed = 0

@@ -80,13 +80,6 @@ class Timer:
         """Absolute time the timer will (or did) fire, ``None`` if idle."""
         return self._expiry
 
-    @property
-    def remaining(self) -> float:
-        """Seconds until expiry; 0.0 when not pending."""
-        if not self.is_pending or self._expiry is None:
-            return 0.0
-        return max(0.0, self._expiry - self._engine.now)
-
     def start(self, delay: float) -> None:
         """Arm the timer to fire ``delay`` seconds from now.
 

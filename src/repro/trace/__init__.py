@@ -21,14 +21,13 @@ from repro.trace.records import (
     record_from_json,
     render_jsonl,
 )
-from repro.trace.sinks import JsonlSink, MemorySink, NullSink, TraceSink, trace_digest
+from repro.trace.sinks import JsonlSink, MemorySink, TraceSink, trace_digest
 from repro.trace.tracer import Tracer
 
 __all__ = [
     "JsonlSink",
     "KNOWN_KINDS",
     "MemorySink",
-    "NullSink",
     "TRACE_SCHEMA_VERSION",
     "TraceRecord",
     "TraceSink",

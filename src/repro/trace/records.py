@@ -101,10 +101,11 @@ def render_jsonl(records: Iterable[TraceRecord]) -> str:
 
 
 def record_from_json(payload: Dict[str, object]) -> TraceRecord:
-    """Rebuild a :class:`TraceRecord` from one parsed JSONL object."""
-    record_id = payload["id"]
-    time_value = payload["t"]
-    kind = payload["kind"]
+    """Rebuild a :class:`TraceRecord` from one parsed JSONL object;
+    ``ValueError`` names a record with a missing or mistyped field."""
+    record_id = payload.get("id")
+    time_value = payload.get("t")
+    kind = payload.get("kind")
     if (
         not isinstance(record_id, int)
         or not isinstance(time_value, (int, float))

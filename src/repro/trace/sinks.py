@@ -4,14 +4,13 @@ The :class:`TraceSink` protocol decouples the instrumented hot path from
 output concerns. The tracer buffers records in memory during the run and
 hands the complete, id-ordered sequence to the sink exactly once at
 :meth:`repro.trace.tracer.Tracer.close`; the sink returns the SHA-256
-digest of the canonical JSONL document (or ``None`` if it collects
-nothing). Because the document is canonical and written in one shot,
-digests — and for :class:`JsonlSink`, the bytes on disk — are identical
-however the run was produced (``--jobs 1`` vs ``--jobs 2``).
+digest of the canonical JSONL document. Because the document is
+canonical and written in one shot, digests — and for :class:`JsonlSink`,
+the bytes on disk — are identical however the run was produced
+(``--jobs 1`` vs ``--jobs 2``).
 
-:class:`NullSink` reports ``collecting = False``, which makes the whole
-attach step a no-op: the engine hook is never installed and the fast
-dispatch path stays untouched.
+There is no discarding sink: a run that should not be traced passes no
+tracer at all (``tracer=None``).
 """
 
 from __future__ import annotations
@@ -31,41 +30,22 @@ def trace_digest(document: str) -> str:
 
 
 class TraceSink(Protocol):
-    """Destination for one sealed trace.
+    """Destination for one sealed trace: ``write`` receives the complete
+    id-ordered record sequence once and returns the document digest."""
 
-    ``collecting`` tells the tracer whether instrumentation should be
-    installed at all; ``write`` receives the complete id-ordered record
-    sequence once and returns the document digest (``None`` when the
-    sink discards its input).
-    """
-
-    collecting: bool
-
-    def write(self, records: Sequence["TraceRecord"]) -> Optional[str]:
-        """Consume the sealed trace; return its digest if one exists."""
+    def write(self, records: Sequence["TraceRecord"]) -> str:
+        """Consume the sealed trace; return its digest."""
         ...
-
-
-class NullSink:
-    """Discard everything; signals the tracer not to instrument at all."""
-
-    collecting = False
-
-    def write(self, records: Sequence["TraceRecord"]) -> Optional[str]:
-        del records
-        return None
 
 
 class MemorySink:
     """Keep the sealed records (and digest) in memory for inspection."""
 
-    collecting = True
-
     def __init__(self) -> None:
         self.records: List["TraceRecord"] = []
         self.digest: Optional[str] = None
 
-    def write(self, records: Sequence["TraceRecord"]) -> Optional[str]:
+    def write(self, records: Sequence["TraceRecord"]) -> str:
         self.records = list(records)
         self.digest = trace_digest(render_jsonl(self.records))
         return self.digest
@@ -78,13 +58,11 @@ class JsonlSink:
     hence its digest) are reproducible across hosts and worker layouts.
     """
 
-    collecting = True
-
     def __init__(self, path: str) -> None:
         self.path = path
         self.digest: Optional[str] = None
 
-    def write(self, records: Sequence["TraceRecord"]) -> Optional[str]:
+    def write(self, records: Sequence["TraceRecord"]) -> str:
         document = render_jsonl(records)
         with open(self.path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(document)
@@ -92,4 +70,4 @@ class JsonlSink:
         return self.digest
 
 
-__all__ = ["JsonlSink", "MemorySink", "NullSink", "TraceSink", "trace_digest"]
+__all__ = ["JsonlSink", "MemorySink", "TraceSink", "trace_digest"]

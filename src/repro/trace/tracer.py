@@ -22,9 +22,8 @@ Causal threading works in two ways:
   The engine observer clears the context at every event boundary so
   causes can never leak across unrelated events.
 
-When the sink is a :class:`~repro.trace.sinks.NullSink` the tracer is
-*disabled*: :meth:`attach` installs nothing, so the simulator runs
-exactly as it would with no tracer at all.
+There is no disabled tracer: an untraced run passes ``tracer=None``, so
+nothing is attached and the simulator runs its plain path.
 """
 
 from __future__ import annotations
@@ -46,13 +45,11 @@ class Tracer:
 
     def __init__(self, sink: Optional[TraceSink] = None) -> None:
         self._sink: TraceSink = sink if sink is not None else MemorySink()
-        #: False for a NullSink — attach() then installs nothing.
-        self.enabled: bool = bool(self._sink.collecting)
         self._records: List[TraceRecord] = []
         #: Ambient causal context: id of the record whose handling is
         #: currently executing (None between causally-tracked events).
         self.context: Optional[int] = None
-        self._closed = False
+        #: Digest of the sealed trace (None until :meth:`close`).
         self.digest: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -167,9 +164,7 @@ class Tracer:
         network: "Network",
         routers: Iterable["BgpRouter"],
     ) -> None:
-        """Instrument a built simulation. A no-op when disabled."""
-        if not self.enabled:
-            return
+        """Instrument a built simulation."""
         engine.add_observer(self.on_engine_event)
         network.trace = self
         for router in routers:
@@ -182,11 +177,10 @@ class Tracer:
     # sealing
     # ------------------------------------------------------------------
 
-    def close(self) -> Optional[str]:
-        """Seal the trace into the sink; returns the document digest
-        (``None`` for a discarding sink). Idempotent."""
-        if not self._closed:
-            self._closed = True
+    def close(self) -> str:
+        """Seal the trace into the sink; returns the document digest.
+        Idempotent."""
+        if self.digest is None:
             self.digest = self._sink.write(self._records)
         return self.digest
 

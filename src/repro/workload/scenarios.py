@@ -49,6 +49,7 @@ from repro.net.network import Network
 from repro.sim.engine import Engine, PhaseProbe
 from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
+from repro.topology.internet import pick_isp
 from repro.topology.model import Topology
 from repro.workload.pulses import PulseSchedule
 
@@ -57,6 +58,10 @@ if TYPE_CHECKING:
 
 ORIGIN_NAME = "originAS"
 DEFAULT_PREFIX = "p0"
+#: Simulated seconds the warm-up and the measured episode may take to
+#: drain; an episode still busy past its horizon is a SimulationError.
+WARMUP_HORIZON = 5_000.0
+RUN_HORIZON = 100_000.0
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,6 @@ class ScenarioConfig:
     #: parameter settings"). Routers not listed use ``damping``.
     damping_overrides: Optional[Mapping[str, DampingParams]] = None
     prefix: str = DEFAULT_PREFIX
-    warmup_horizon: float = 5_000.0
-    run_horizon: float = 100_000.0
     #: Opt-in runtime schedule-race detector: record same-instant event
     #: ties touching the same router (see ``docs/STATIC_ANALYSIS.md``).
     #: Detection is passive — results are bit-identical either way.
@@ -227,8 +230,7 @@ class Scenario:
     def _choose_isp(self) -> str:
         if self.config.isp is not None:
             return self.config.isp
-        chooser = self.rng.stream("scenario:isp")
-        return chooser.choice(self.config.topology.nodes)
+        return pick_isp(self.config.topology, self.rng.stream("scenario:isp"))
 
     def _damping_nodes(self) -> set:
         nodes = self.config.topology.nodes
@@ -255,7 +257,6 @@ class Scenario:
                 damping=node_damping,
                 rcn_enabled=self.config.rcn and name in damping_nodes,
                 selective_enabled=self.config.selective and name in damping_nodes,
-                attach_root_cause=True,
                 mrai=self.config.mrai,
                 graceful_restart=self.config.graceful_restart,
                 charge_on_session_reset=self.config.charge_on_session_reset,
@@ -306,10 +307,10 @@ class Scenario:
 
         self.network.add_delivery_hook(note_delivery)
         self.origin.bring_up()
-        self.engine.run_until_idle(max_time=start + self.config.warmup_horizon)
+        self.engine.run_until_idle(max_time=start + WARMUP_HORIZON)
         if self.engine.pending_count:
             raise SimulationError(
-                f"warm-up did not converge within {self.config.warmup_horizon}s"
+                f"warm-up did not converge within {WARMUP_HORIZON}s"
             )
         # Remove the temporary hook so the measured phase doesn't pay for it.
         self.network._delivery_hooks.remove(note_delivery)
@@ -338,9 +339,8 @@ class Scenario:
 
         ``tracer`` optionally attaches a causal
         :class:`~repro.trace.tracer.Tracer` for the episode (warm-up is
-        deliberately not traced — the measured episode starts clean). A
-        tracer over a :class:`~repro.trace.sinks.NullSink` attaches
-        nothing.
+        deliberately not traced — the measured episode starts clean);
+        ``None`` runs untraced.
         """
         if not self._warmed_up:
             self.warm_up()
@@ -359,8 +359,6 @@ class Scenario:
                 self.network,
                 list(self.routers.values()) + [self.origin],
             )
-            if not tracer.enabled:
-                tracer = None
 
         start = self.engine.now
         if self.config.faults is not None and not self.config.faults.is_empty:
@@ -381,10 +379,10 @@ class Scenario:
                 actor=ORIGIN_NAME,
                 tag="flap",
             )
-        self.engine.run_until_idle(max_time=start + self.config.run_horizon)
+        self.engine.run_until_idle(max_time=start + RUN_HORIZON)
         if self.engine.pending_count:
             raise SimulationError(
-                f"episode did not drain within {self.config.run_horizon}s "
+                f"episode did not drain within {RUN_HORIZON}s "
                 f"({self.engine.pending_count} events pending)"
             )
 
@@ -663,8 +661,6 @@ def _config_cache_key(config: ScenarioConfig) -> Hashable:
         config.damping_fraction,
         overrides,
         config.prefix,
-        config.warmup_horizon,
-        config.run_horizon,
         config.detect_schedule_ties,
         config.faults,
         config.graceful_restart,

@@ -487,6 +487,9 @@ def test_trace_small_mesh(capsys, tmp_path):
 
     summary = _json.loads(summary_path.read_text(encoding="utf-8"))
     assert summary["records_total"] == len(records)
+    assert "windowed_comparison" not in summary
+    shocks = summary["after_shocks"]
+    assert sum(row[2] for row in shocks) == summary["postponements"]["by_class"]["reuse"]
 
 
 def test_trace_show_filters_by_kind(capsys):
@@ -501,6 +504,30 @@ def test_trace_rejects_unknown_kind(capsys):
     assert main(["trace", "--nodes", "9", "--pulses", "1",
                  "--kinds", "nonsense"]) == 2
     assert "unknown kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", '"ledger"', "3"])
+def test_verify_digests_rejects_a_ledger_that_is_not_an_object(
+    capsys, tmp_path, document
+):
+    ledger = tmp_path / "list.json"
+    ledger.write_text(document, encoding="utf-8")
+    assert main(["run", "T1", "--verify-digests", str(ledger)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rfd-repro run: ")
+    assert "expected a JSON object" in lines[0]
+
+
+def test_topo_bench_leaves_a_malformed_ledger_untouched(capsys, tmp_path):
+    """Only a missing ledger starts a fresh one: recording into a file
+    that does not parse is bad input, and the file keeps its bytes."""
+    ledger = tmp_path / "ledger.json"
+    ledger.write_bytes(b'{"a": ')
+    argv = ["topo", "bench", "--nodes", "60", "--pulses", "1"]
+    assert main(argv + ["--write-digests", str(ledger)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("rfd-repro topo: ")
+    assert ledger.read_bytes() == b'{"a": '
 
 
 def test_run_smoke_digest_round_trip(capsys, tmp_path):

@@ -413,7 +413,7 @@ def test_identical_faulted_runs_are_digest_identical():
 def test_faulted_sweep_digest_identical_jobs_1_vs_2():
     config = _chaos_config()
     sequential = execute_sweep(config, (0, 1, 2), jobs=1)
-    parallel = execute_sweep(config, (0, 1, 2), jobs=2, mp_start_method="spawn")
+    parallel = execute_sweep(config, (0, 1, 2), jobs=2)
     assert [o.digest for o in sequential] == [o.digest for o in parallel]
     assert sequential == parallel
 

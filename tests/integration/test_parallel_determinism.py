@@ -22,7 +22,6 @@ from repro.experiments.base import (
 )
 from repro.experiments.parallel import (
     available_cpus,
-    derive_seed,
     execute_sweep,
     resolve_chunk_size,
     resolve_jobs,
@@ -31,9 +30,8 @@ from repro.experiments.parallel import (
 #: Four points so ``jobs=4`` actually exercises four spawn workers.
 PULSES = (0, 1, 3, 5)
 
-#: Two seeds: the standard one and one derived through the registry's
-#: fork stream (also exercising the per-point seed helper).
-SEEDS = (DEFAULT_SEED, derive_seed(DEFAULT_SEED, "parallel-determinism"))
+#: Two seeds: the standard one and an arbitrary 64-bit one.
+SEEDS = (DEFAULT_SEED, 16699903411756448033)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -43,7 +41,7 @@ SEEDS = (DEFAULT_SEED, derive_seed(DEFAULT_SEED, "parallel-determinism"))
 def test_parallel_sweep_is_digest_identical_to_sequential(factory, seed):
     config = factory(seed=seed)
     sequential = execute_sweep(config, PULSES, jobs=1)
-    parallel = execute_sweep(config, PULSES, jobs=4, mp_start_method="spawn")
+    parallel = execute_sweep(config, PULSES, jobs=4)
     assert [o.digest for o in sequential] == [o.digest for o in parallel]
     # Digest identity should imply metric identity; check it really does.
     assert sequential == parallel
@@ -91,9 +89,3 @@ def test_resolve_chunk_size_semantics():
     assert resolve_chunk_size(None, 4, 2) == 1
     assert resolve_chunk_size(None, 100, 4) == 7
     assert resolve_chunk_size(None, 1, 8) == 1
-
-
-def test_derive_seed_is_stable_and_label_sensitive():
-    assert derive_seed(42, "a") == derive_seed(42, "a")
-    assert derive_seed(42, "a") != derive_seed(42, "b")
-    assert derive_seed(42, "a") != derive_seed(43, "a")

@@ -27,7 +27,7 @@ import textwrap
 import pytest
 
 from repro.core.params import CISCO_DEFAULTS
-from repro.lint import ProjectGraph, lint_source, make_config, summarize_file
+from repro.lint import FileContext, ProjectGraph, lint_source, make_config, summarize
 from repro.sim.allocprobe import AllocationProbe
 from repro.sim.engine import Engine
 from repro.topology.mesh import mesh_topology
@@ -131,7 +131,10 @@ def _perf_report(source: str, module: str):
     """Lint ``source`` with every function in it hot (registered as an
     engine callback), the way the hazard runs on the dynamic side."""
     source = textwrap.dedent(source)
-    summary = summarize_file(ast.parse(source), "seeded.py", module)
+    context = FileContext(
+        path="seeded.py", tree=ast.parse(source), config=make_config(), module=module
+    )
+    summary = summarize(context)
     callbacks = tuple(
         ("<module>", "qual", f"{module}.{info.qualname}")
         for info in summary.functions

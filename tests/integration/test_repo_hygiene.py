@@ -185,15 +185,18 @@ def test_path_scoped_rules_survive_a_checkout_directory_named_repro():
 def test_every_phase_root_names_a_function_in_src():
     """A renamed root otherwise drops out of the hot set without a word
     and the PERF rules stop checking it."""
-    from repro.lint import ProjectGraph, summarize_file
+    from repro.lint import FileContext, LintConfig, ProjectGraph, summarize
     from repro.lint.perf import PHASE_ROOTS
     from repro.lint.runner import module_name_for
 
     project = ProjectGraph(
-        summarize_file(
-            ast.parse(path.read_text(encoding="utf-8")),
-            str(path),
-            module_name_for(str(path)),
+        summarize(
+            FileContext(
+                path=str(path),
+                tree=ast.parse(path.read_text(encoding="utf-8")),
+                config=LintConfig(),
+                module=module_name_for(str(path)),
+            )
         )
         for path in sorted((REPO_ROOT / "src").rglob("*.py"))
     )
@@ -333,25 +336,42 @@ KEPT_WITHOUT_A_CALLER = {
     "providers_of": "relationship-assignment tests read the provider hierarchy",
     "is_announcement": "how protocol tests read an UpdateMessage",
     "dump_state": "router state dump; ROADMAP item 3 decides its fate",
-    "canonical": "PathTable's API; property tests intern through private tables",
-    "from_mapping": "NoValleyPolicy from a plain dict, the policy tests' constructor",
-    "originates": "router tests observe local origination",
-    "latency": "link tests observe per-message delay",
-    "remaining": "timer tests observe time to expiry",
-    "pick_isp": "documented topology helper (docs/SCALING.md)",
     "last_seq": "RCN tests observe the generator's sequence counter",
     "reuse_timer_expiry": "damping tests observe when a reuse timer fires",
+    "lint_source": "the linter on one source string, how every rule fixture test runs it",
+    "parse_jsonl": "reads a JSONL trace file back (docs/OBSERVABILITY.md)",
+    "step_series_at": "reads a step series at one instant; series property tests",
+    "tolerance_frontier": "inverts the model for a tolerated pulse count (docs/TUTORIAL.md)",
 }
+
+
+def _re_exports(tree: ast.Module, is_package: bool) -> set:
+    """Ids of the nodes that only re-export a name: the strings of an
+    ``__all__`` list and, in a package ``__init__``, its imports."""
+    nodes = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            nodes.update(id(child) for child in ast.walk(node.value))
+        elif is_package and isinstance(node, (ast.Import, ast.ImportFrom)):
+            nodes.update(id(child) for child in ast.walk(node))
+    return nodes
 
 
 def test_no_function_is_kept_only_for_its_own_test():
     """Every function under ``src/repro`` is named in ``src/``,
     ``bench/``, ``benchmarks/`` or ``examples/``, or listed above. Name-level: a string counts by its
-    last dotted component (``getattr`` metrics, ``PHASE_ROOTS``)."""
+    last dotted component (``getattr`` metrics, ``PHASE_ROOTS``); being
+    re-exported (``__all__``, a package ``__init__`` import) is no use."""
     used, defined = set(), set()
     for base in ("src", "bench", "benchmarks", "examples"):
         for path in (REPO_ROOT / base).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            re_exports = _re_exports(tree, path.name == "__init__.py")
+            for node in ast.walk(tree):
+                if id(node) in re_exports:
+                    continue
                 if isinstance(node, ast.FunctionDef):
                     if base == "src":
                         defined.add(node.name)

@@ -1,5 +1,5 @@
 """Integration tests for causal tracing: determinism across seeds and
-worker counts, and agreement with the windowed attribution estimator.
+worker counts, and exact agreement with the damping managers' records.
 
 The determinism contract is byte-level: the canonical JSONL a traced
 episode writes must be identical whatever ``--jobs`` is, because each
@@ -12,17 +12,18 @@ import pathlib
 
 import pytest
 
-from repro.analysis.attribution import analyze_run
-from repro.analysis.causality import analyze_trace, compare_with_attribution
+from repro.analysis.causality import analyze_trace
 from repro.experiments.base import (
     DEFAULT_SEED,
+    internet100_config,
     mesh100_config,
     small_mesh_config,
 )
+from repro.experiments.gr_faults import FX1_FLAP_INTERVAL, FX1_PULSES, _fx1_config
 from repro.experiments.parallel import execute_sweep
 from repro.trace import MemorySink, Tracer, parse_jsonl
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import run_scenario
 
 PULSES = (0, 1, 2)
 
@@ -80,21 +81,54 @@ def test_trace_files_parse_back_and_analyze(tmp_path):
     assert outcomes[0].trace_digest is not None
 
 
-def test_causality_agrees_with_windowed_attribution_on_fig8_mesh100():
-    """Acceptance criterion: on the paper's fig8 full-damping mesh the
-    trace-exact secondary-charging share and attribution.py's windowed
-    estimate agree within one percentage point."""
-    scenario = Scenario(mesh100_config(seed=DEFAULT_SEED))
-    scenario.warm_up()
-    tracer = Tracer(MemorySink())
-    result = scenario.run(PulseSchedule.regular(3, 60.0), tracer=tracer)
-    tracer.close()
+def _fx1(graceful, crash):
+    return lambda: _fx1_config(graceful=graceful, crash=crash)
 
+
+#: label -> (config factory, pulses, flap interval) of every checked episode.
+EPISODES = {
+    "mesh100-n1": (lambda: mesh100_config(seed=DEFAULT_SEED), 1, 60.0),
+    "mesh100-n3": (lambda: mesh100_config(seed=DEFAULT_SEED), 3, 60.0),
+    "mesh100-rcn-n3": (lambda: mesh100_config(seed=DEFAULT_SEED, rcn=True), 3, 60.0),
+    "internet100-n2": (lambda: internet100_config(seed=DEFAULT_SEED), 2, 60.0),
+    "fx1-baseline": (_fx1(False, False), FX1_PULSES, FX1_FLAP_INTERVAL),
+    "fx1-hard-reset": (_fx1(False, True), FX1_PULSES, FX1_FLAP_INTERVAL),
+    "fx1-graceful": (_fx1(True, True), FX1_PULSES, FX1_FLAP_INTERVAL),
+}
+
+
+@pytest.mark.parametrize(
+    "build, pulses, interval", list(EPISODES.values()), ids=list(EPISODES)
+)
+def test_trace_dag_counts_equal_the_damping_records(build, pulses, interval):
+    """The trace DAG and the damping managers observe the same run, so
+    their counts agree exactly; the after-shock fan-out partitions the
+    reuse-rooted postponements."""
+    tracer = Tracer(MemorySink())
+    _scenario, result = run_scenario(
+        build(), PulseSchedule.regular(pulses, interval), tracer=tracer
+    )
+    tracer.close()
     report = analyze_trace(tracer.records)
-    windowed = analyze_run(result)
-    comparison = compare_with_attribution(report, windowed.secondary_fraction)
-    assert comparison["difference"] <= 0.01
-    # Both observers count the same postponement events.
+    collector = result.collector
+
     assert report.postponements_total == result.summary.secondary_charges
-    assert report.charges_total > 0
+    assert report.reuse_total == len(collector.reuse_events())
+    assert report.reuse_noisy == collector.noisy_reuse_count()
     assert report.reuse_muffled == report.reuse_muffled_childless
+    assert sum(row.postponements for row in report.after_shocks) == (
+        report.postponements_by_class["reuse"]
+    )
+
+
+def test_largest_after_shock_on_the_single_pulse_mesh100():
+    """The paper's "after shock", read off the DAG: one reuse expiry
+    whose update wave postpones 132 other reuse timers."""
+    tracer = Tracer(MemorySink())
+    run_scenario(
+        mesh100_config(seed=DEFAULT_SEED), PulseSchedule.regular(1, 60.0), tracer=tracer
+    )
+    report = analyze_trace(tracer.records)
+    assert report.postponements_by_class["reuse"] == 567
+    top = report.after_shocks[0]
+    assert (round(top.time, 1), top.postponements) == (1931.9, 132)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import random
 
 import networkx as nx
 import pytest
@@ -37,47 +36,28 @@ FIXTURE = (
 )
 
 
-def _networkx_internet_edges(nodes, attachment, peering, seed):
+def _networkx_internet_edges(nodes, attachment, seed):
     """The Internet graph as built when networkx generated it."""
     base = nx.barabasi_albert_graph(nodes, attachment, seed=seed)
     graph = nx.relabel_nodes(base, {i: internet_node_name(i) for i in base.nodes})
-    rng = random.Random(seed + 1)
-    target = int(graph.number_of_edges() * peering)
-    names = sorted(graph.nodes)
-    attempts = added = 0
-    while added < target and attempts < target * 50 + 100:
-        attempts += 1
-        a, b = rng.sample(names, 2)
-        if graph.has_edge(a, b):
-            continue
-        deg_a, deg_b = graph.degree[a], graph.degree[b]
-        if max(deg_a, deg_b) > 2 * max(1, min(deg_a, deg_b)) and rng.random() < 0.7:
-            continue
-        graph.add_edge(a, b)
-        added += 1
     return sorted(tuple(sorted(edge)) for edge in graph.edges)
 
 
 @pytest.mark.parametrize(
-    "nodes, attachment, peering, seed",
+    "nodes, attachment, seed",
     [
-        (100, 2, 0.0, 7),  # internet100_config
-        (208, 2, 0.0, 7),  # internet208_config
-        (100, 2, 0.2, 7),
-        (208, 2, 0.1, 3),
-        (3, 1, 0.0, 0),
-        (3, 2, 0.0, 1),
-        (50, 1, 0.0, 11),
-        (50, 3, 0.5, 11),
-        (120, 4, 0.0, 42),
-        (1200, 2, 0.05, 5),  # names wider than three digits
+        (100, 2, 7),  # internet100_config
+        (208, 2, 7),  # internet208_config
+        (3, 1, 0),
+        (3, 2, 1),
+        (50, 1, 11),
+        (120, 4, 42),
+        (1200, 2, 5),  # names wider than three digits
     ],
 )
-def test_vendored_generator_matches_networkx(nodes, attachment, peering, seed):
-    topology = internet_topology(
-        nodes, attachment=attachment, extra_peering_fraction=peering, seed=seed
-    )
-    assert topology.edges == _networkx_internet_edges(nodes, attachment, peering, seed)
+def test_vendored_generator_matches_networkx(nodes, attachment, seed):
+    topology = internet_topology(nodes, attachment=attachment, seed=seed)
+    assert topology.edges == _networkx_internet_edges(nodes, attachment, seed)
 
 
 @given(
@@ -89,7 +69,7 @@ def test_vendored_generator_matches_networkx(nodes, attachment, peering, seed):
 def test_vendored_generator_matches_networkx_on_any_parameters(nodes, attachment, seed):
     attachment = min(attachment, nodes - 1)
     topology = internet_topology(nodes, attachment=attachment, seed=seed)
-    assert topology.edges == _networkx_internet_edges(nodes, attachment, 0.0, seed)
+    assert topology.edges == _networkx_internet_edges(nodes, attachment, seed)
 
 
 @st.composite
@@ -184,7 +164,6 @@ PINNED_DOCUMENTS = {
     "mesh10x10": "f6a8a95c2885225af0915ae9563f4ec286cdd3bca4970854795a0109ca32fb8c",
     "mesh2x5": "ebfcc2446cebb4249e92d0ac888a86fd8c4d4b57ce04bcf05517c91a8988fae7",
     "internet100": "56062e1a93c81f4b2ec7cf8856467f3ffb75767e32c1f2d02f430a303d6953fd",
-    "internet100_peering": "00be342bbe76b3052e681a74ab73a8a460784473e56836564b5e26f80274b78e",
     "internet208_relationships": "84be4e9337d7a7fc97e56816625caa3f1f8bec19b5fb5e6630e074cbe6ebce80",
     "powerlaw1000": "a7f2cd53dc04a94ceba82211013ab8ebf5b5e0dfe5b0d79ee6d5ccf3dac6340e",
     "internet1k_fixture": "a98c385ca1506ef7c86ea37cdac2655da01e27ff58c4d89a7171d1aa83b133ee",
@@ -195,9 +174,6 @@ BUILDERS = {
     "mesh10x10": lambda tmp: mesh_topology(10, 10),
     "mesh2x5": lambda tmp: mesh_topology(2, 5),
     "internet100": lambda tmp: internet_topology(100, seed=7),
-    "internet100_peering": lambda tmp: internet_topology(
-        100, seed=7, extra_peering_fraction=0.2
-    ),
     "internet208_relationships": lambda tmp: internet_topology(
         208, seed=7, with_relationships=True
     ),

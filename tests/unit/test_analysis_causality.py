@@ -6,15 +6,17 @@ import pytest
 
 from repro.analysis.causality import (
     CHARGE_CLASSES,
+    AfterShock,
     analyze_trace,
     causal_chain,
-    compare_with_attribution,
 )
 from repro.trace import MemorySink, TraceRecord, Tracer
 
 
-def _rec(rid, kind, /, cause=None, **data):
-    return TraceRecord(id=rid, time=float(rid), kind=kind, cause_id=cause, data=data)
+def _rec(rid, kind, /, cause=None, node=None, **data):
+    return TraceRecord(
+        id=rid, time=float(rid), kind=kind, node=node, cause_id=cause, data=data
+    )
 
 
 def test_charge_classes_vocabulary():
@@ -32,6 +34,7 @@ def test_empty_trace_yields_empty_report():
     assert report.charges_total == 0
     assert report.secondary_fraction == 0.0
     assert report.secondary_charge_fraction == 0.0
+    assert report.after_shocks == []
 
 
 def test_flap_rooted_charges_split_by_update_kind():
@@ -124,17 +127,62 @@ def test_muffled_reuse_expiries_are_childless():
     assert report.reuse_muffled_childless == 1
 
 
-def test_compare_with_attribution_reports_gap():
+def test_after_shocks_count_postponements_rooted_in_each_reuse():
+    """Fan-out follows the DAG, not the clock: the postponement at t=6
+    descends from the earlier reuse at t=1 although the reuse at t=4 is
+    closer in time, and a flap-rooted postponement counts for no reuse."""
     records = [
-        _rec(1, "reuse_expired", noisy=True),
-        _rec(2, "charge", cause=1, charged=True),
-        _rec(3, "reuse_postponed", cause=2),
+        _rec(1, "reuse_expired", node="r1", noisy=True),
+        _rec(2, "send", cause=1),
+        _rec(3, "recv", cause=2),
+        _rec(4, "reuse_expired", node="r2", noisy=True),
+        _rec(5, "charge", cause=4, charged=True),
+        _rec(6, "charge", cause=3, charged=True),
+        _rec(7, "reuse_postponed", cause=5),
+        _rec(8, "reuse_postponed", cause=6),
+        _rec(9, "reuse_postponed", cause=6),
+        _rec(10, "flap"),
+        _rec(11, "charge", cause=10, charged=True),
+        _rec(12, "reuse_postponed", cause=11),
     ]
     report = analyze_trace(records)
-    comparison = compare_with_attribution(report, 0.9)
-    assert comparison["trace_secondary_fraction"] == 1.0
-    assert comparison["windowed_secondary_fraction"] == 0.9
-    assert comparison["difference"] == pytest.approx(0.1)
+    assert report.after_shocks == [
+        AfterShock(time=1.0, router="r1", postponements=2),
+        AfterShock(time=4.0, router="r2", postponements=1),
+    ]
+    assert sum(row.postponements for row in report.after_shocks) == (
+        report.postponements_by_class["reuse"]
+    )
+    assert report.to_json_dict()["after_shocks"] == [[1.0, "r1", 2], [4.0, "r2", 1]]
+
+
+def test_gap_in_ids_is_rejected_with_the_record_named():
+    records = [_rec(1, "flap"), _rec(3, "send", cause=1)]
+    with pytest.raises(ValueError, match="trace record 3 at position 2"):
+        analyze_trace(records)
+
+
+def test_forward_cause_is_rejected_with_the_record_named():
+    records = [_rec(1, "flap"), _rec(2, "charge", cause=3), _rec(3, "send", cause=1)]
+    with pytest.raises(ValueError, match="trace record 2 names cause 3"):
+        analyze_trace(records)
+
+
+def test_trace_missing_a_kind_of_record_is_rejected():
+    """A parsed trace with its ``mrai_flush`` lines filtered out has id
+    gaps; the analysis refuses it instead of misattributing charges."""
+    from repro.experiments.base import small_mesh_config
+    from repro.trace import parse_jsonl, render_jsonl
+    from repro.workload.pulses import PulseSchedule
+    from repro.workload.scenarios import run_scenario
+
+    tracer = Tracer(MemorySink())
+    run_scenario(small_mesh_config(seed=3), PulseSchedule.regular(1, 60.0), tracer=tracer)
+    lines = render_jsonl(tracer.records).splitlines()
+    kept = [line for line in lines if '"kind":"mrai_flush"' not in line]
+    assert len(kept) < len(lines)
+    with pytest.raises(ValueError, match="ids must run 1..n in order"):
+        analyze_trace(parse_jsonl("\n".join(kept)))
 
 
 def test_causal_chain_walks_root_first():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.distance import convergence_by_distance, farthest_settling_router
+from repro.analysis.distance import convergence_by_distance
 from repro.analysis.sensitivity import (
     evaluate_params,
     sweep_parameter,
@@ -120,13 +120,3 @@ class TestDistanceProfile:
         buckets = convergence_by_distance(scenario, result)
         remote = [b for b in buckets if b.hops >= 2]
         assert any(b.routers_with_suppression > 0 for b in remote)
-
-    def test_farthest_settling_router(self, episode):
-        scenario, result = episode
-        name = farthest_settling_router(scenario, result)
-        assert name in scenario.routers
-        prefix = scenario.config.prefix
-        latest = scenario.routers[name].last_best_change[prefix]
-        for router in scenario.routers.values():
-            change = router.last_best_change.get(prefix)
-            assert change is None or change <= latest

@@ -8,11 +8,11 @@ from repro.bgp.attrs import Route
 from repro.bgp.decision import preference_key, rank_candidates, select_best
 from repro.bgp.policy import (
     NoValleyPolicy,
-    Relationship,
     RoutingPolicy,
     ShortestPathPolicy,
 )
-from repro.errors import ConfigurationError
+from repro.errors import TopologyError
+from repro.topology.relationships import RelationshipMap
 
 
 def route(peer: str, *path: str) -> tuple:
@@ -86,13 +86,12 @@ class TestShortestPathPolicy:
 class TestNoValleyPolicy:
     @pytest.fixture
     def policy(self):
-        relationships = {
-            ("me", "cust"): Relationship.CUSTOMER,
-            ("me", "peer1"): Relationship.PEER,
-            ("me", "prov"): Relationship.PROVIDER,
-            ("me", "cust2"): Relationship.CUSTOMER,
-        }
-        return NoValleyPolicy.from_mapping(relationships)
+        relationships = RelationshipMap()
+        relationships.set_provider("me", "cust")
+        relationships.set_peers("me", "peer1")
+        relationships.set_provider("prov", "me")
+        relationships.set_provider("me", "cust2")
+        return NoValleyPolicy(relationships.relationship)
 
     def r(self, learned_from: str) -> Route:
         return Route(prefix="p0", as_path=(learned_from, "o"), learned_from=learned_from)
@@ -123,11 +122,12 @@ class TestNoValleyPolicy:
             assert policy.permits_export("me", own, to_peer)
 
     def test_missing_relationship_raises(self, policy):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TopologyError):
             policy.local_pref("me", "stranger", self.r("stranger"))
 
     def test_prefer_customer_disabled(self):
-        relationships = {("me", "cust"): Relationship.CUSTOMER}
-        policy = NoValleyPolicy.from_mapping(relationships, prefer_customer=False)
+        relationships = RelationshipMap()
+        relationships.set_provider("me", "cust")
+        policy = NoValleyPolicy(relationships.relationship, prefer_customer=False)
         r = Route(prefix="p0", as_path=("cust", "o"), learned_from="cust")
         assert policy.local_pref("me", "cust", r) == 100

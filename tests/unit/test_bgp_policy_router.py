@@ -14,7 +14,7 @@ import pytest
 
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import MraiConfig
-from repro.bgp.policy import NoValleyPolicy, Relationship
+from repro.bgp.policy import NoValleyPolicy
 from repro.bgp.router import BgpRouter, RouterConfig
 from repro.net.link import LinkConfig
 from repro.net.message import Message
@@ -22,6 +22,7 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.topology.relationships import RelationshipMap
 
 
 class PeerStub(Node):
@@ -38,13 +39,12 @@ def setup():
     engine = Engine()
     rng = RngRegistry(13)
     network = Network(engine, rng)
-    relationships = {
-        ("R", "cust1"): Relationship.CUSTOMER,
-        ("R", "cust2"): Relationship.CUSTOMER,
-        ("R", "peerA"): Relationship.PEER,
-        ("R", "prov"): Relationship.PROVIDER,
-    }
-    policy = NoValleyPolicy.from_mapping(relationships)
+    relationships = RelationshipMap()
+    relationships.set_provider("R", "cust1")
+    relationships.set_provider("R", "cust2")
+    relationships.set_peers("R", "peerA")
+    relationships.set_provider("prov", "R")
+    policy = NoValleyPolicy(relationships.relationship)
     router = BgpRouter(
         "R", engine, rng, policy=policy, config=RouterConfig(mrai=MraiConfig(base=0.0))
     )

@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import CISCO_DEFAULTS
-from repro.experiments.fig7 import _count_upward_crossings, _first_reuse_estimate
+from repro.core.damping import SuppressionRecord, charging_only_reuse_time
+from repro.experiments.fig7 import _count_upward_crossings
 from repro.experiments.fig8_9 import calculation_series
-from repro.core.damping import SuppressionRecord
 
 
 class TestCountUpwardCrossings:
@@ -35,12 +35,14 @@ class TestCountUpwardCrossings:
 
 
 class TestFirstReuseEstimate:
+    """F7's charging-only reuse estimate."""
+
     def test_estimate_uses_starting_penalty(self):
         record = SuppressionRecord(
             peer="p", prefix="d", started=100.0, penalty_at_start=3000.0
         )
         expected = 100.0 + CISCO_DEFAULTS.reuse_delay(3000.0)
-        assert _first_reuse_estimate(record, CISCO_DEFAULTS) == pytest.approx(expected)
+        assert charging_only_reuse_time(record, CISCO_DEFAULTS) == pytest.approx(expected)
 
 
 class TestCalculationSeries:

@@ -11,12 +11,13 @@ from repro.lint.effects import (
     MUTATES_RIB,
     READS_CLOCK,
     SCHEDULES_TIMER,
-    analyze_effects,
+    infer_effects,
 )
+from repro.lint.framework import enumerate_defs
 
 
 def analysis_of(source: str):
-    return analyze_effects(ast.parse(textwrap.dedent(source)))
+    return infer_effects(enumerate_defs(ast.parse(textwrap.dedent(source)))[0])
 
 
 class TestDirectEffects:

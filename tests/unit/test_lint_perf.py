@@ -18,11 +18,13 @@ import textwrap
 import pytest
 
 from repro.lint import (
+    FileContext,
+    LintConfig,
     ProjectGraph,
     hot_functions,
     lint_source,
     make_config,
-    summarize_file,
+    summarize,
 )
 from repro.lint.perf import PERF_RULE_IDS
 
@@ -31,10 +33,15 @@ def perf_config():
     return make_config(passes=("perf",))
 
 
+def summarize_of(tree, path, module):
+    context = FileContext(path=path, tree=tree, config=LintConfig(), module=module)
+    return summarize(context)
+
+
 def all_hot_project(source: str, module: str) -> ProjectGraph:
     """A one-file project in which every function of ``source`` is
     registered as an engine callback, so every one of them is hot."""
-    summary = summarize_file(ast.parse(source), "fixture.py", module)
+    summary = summarize_of(ast.parse(source), "fixture.py", module)
     callbacks = tuple(
         ("<module>", "qual", f"{module}.{info.qualname}")
         for info in summary.functions
@@ -75,7 +82,7 @@ def scoped_perf_findings(source: str, module: str = "repro.sample.fixture"):
 
 def graph_of(source: str, module: str, path: str = "fixture.py") -> ProjectGraph:
     tree = ast.parse(textwrap.dedent(source))
-    return ProjectGraph([summarize_file(tree, path, module)])
+    return ProjectGraph([summarize_of(tree, path, module)])
 
 
 # ----------------------------------------------------------------------

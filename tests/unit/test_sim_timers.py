@@ -133,12 +133,12 @@ def test_remaining_time(engine):
     timer.start(10.0)
     engine.schedule(4.0, lambda: None)
     engine.step()
-    assert timer.remaining == pytest.approx(6.0)
+    assert timer.expiry - engine.now == pytest.approx(6.0)
 
 
 def test_remaining_zero_when_not_pending(engine):
     timer = Timer(engine, lambda: None)
-    assert timer.remaining == 0.0
+    assert not timer.is_pending and timer.expiry is None
 
 
 def test_cancel_then_restart(engine):

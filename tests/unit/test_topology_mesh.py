@@ -97,11 +97,6 @@ class TestInternet:
     def test_no_relationships_by_default(self):
         assert internet_topology(50, seed=3).relationships is None
 
-    def test_extra_peering_increases_edges(self):
-        base = internet_topology(100, seed=7)
-        enriched = internet_topology(100, seed=7, extra_peering_fraction=0.2)
-        assert enriched.edge_count > base.edge_count
-
     def test_validation(self):
         with pytest.raises(TopologyError):
             internet_topology(2)
@@ -109,8 +104,6 @@ class TestInternet:
             internet_topology(10, attachment=0)
         with pytest.raises(TopologyError):
             internet_topology(10, attachment=10)
-        with pytest.raises(TopologyError):
-            internet_topology(10, extra_peering_fraction=-0.1)
 
     def test_pick_isp_in_topology(self):
         import random

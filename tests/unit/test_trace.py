@@ -12,7 +12,6 @@ from repro.trace import (
     TRACE_SCHEMA_VERSION,
     JsonlSink,
     MemorySink,
-    NullSink,
     TraceRecord,
     Tracer,
     canonical_line,
@@ -82,19 +81,27 @@ def test_round_trip_through_jsonl():
 
 
 def test_record_from_json_rejects_garbage():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="malformed trace record"):
         record_from_json({"t": 0.0, "kind": "flap"})  # no id
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"id": 1, "kind": "flap"},  # no time
+        {"id": 1, "t": 1.0},  # no kind
+        {"id": "1", "t": 1.0, "kind": "flap"},  # mistyped id
+    ],
+)
+def test_record_from_json_names_a_record_missing_a_field(payload):
+    with pytest.raises(ValueError, match="malformed trace record") as raised:
+        record_from_json(payload)
+    assert repr(payload) in str(raised.value)
 
 
 # ----------------------------------------------------------------------
 # sinks
 # ----------------------------------------------------------------------
-
-
-def test_null_sink_collects_nothing():
-    sink = NullSink()
-    assert sink.collecting is False
-    assert sink.write([]) is None
 
 
 def test_memory_sink_digest_matches_document_hash():
@@ -168,15 +175,21 @@ def test_tracer_close_is_idempotent_and_returns_digest():
     assert tracer.close() == digest
 
 
-def test_disabled_tracer_attach_is_noop():
-    from repro.sim.engine import Engine
+def test_untraced_run_attaches_nothing():
+    """``tracer=None`` is the one way to run untraced: no engine
+    observer, and no component holds a tracer."""
+    from repro.experiments.base import small_mesh_config
+    from repro.workload.pulses import PulseSchedule
+    from repro.workload.scenarios import Scenario
 
-    tracer = Tracer(NullSink())
-    assert tracer.enabled is False
-    engine = Engine()
-    tracer.attach(engine, network=None, routers=[])
-    # A disabled tracer subscribes nothing.
-    assert engine.observers == ()
+    scenario = Scenario(small_mesh_config(seed=3))
+    scenario.run(PulseSchedule.regular(1, 60.0), tracer=None)
+    assert scenario.engine.observers == ()
+    assert scenario.network.trace is None
+    for router in scenario.routers.values():
+        assert router.trace is None
+        assert router.mrai.trace is None
+        assert router.damping is None or router.damping.trace is None
 
 
 def test_event_hook_instruments_engine():
