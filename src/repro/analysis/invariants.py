@@ -1,22 +1,26 @@
-"""Runtime verification of whole-network protocol invariants.
+"""The converged-state oracle: every Loc-RIB against a solved stable routing.
 
-A converged path-vector network must satisfy global safety properties
-regardless of what happened on the way: loop-free realisable paths,
-Loc-RIBs that equal the decision-process winner over the currently
-usable candidates, and no suppressed entries after a full drain. The
-property-based tests drive random workloads through
-:func:`check_converged_invariants`; users can call it after their own
-experiments as a cheap "did the simulation stay sane?" oracle.
+Both routing policies have exactly one stable state, computable without
+a simulation: shortest path with lowest-neighbour tie-break is a
+breadth-first search from the origin, and no-valley with prefer-customer
+is the Gao–Rexford solution ("BGP Converges to stable solution in
+Interdomain routing"). :func:`stable_routing` solves it from an adjacency
+and a relationship function alone — no code shared with the router's
+decision process — and :func:`check_converged_invariants` holds every
+drained Loc-RIB to it: damping may delay convergence but never change
+where the network ends up ("Analysis of Path-vector Routing Stability").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.bgp.decision import select_best
+from repro.bgp.policy import Relationship, RelationshipFunction
 from repro.errors import SimulationError
 from repro.workload.scenarios import Scenario
+
+Path = Tuple[str, ...]
 
 
 @dataclass
@@ -50,65 +54,126 @@ class InvariantReport:
             )
 
 
-def check_converged_invariants(
-    scenario: Scenario,
-    expect_reachable: bool = True,
-    expect_drained: bool = True,
-) -> InvariantReport:
-    """Verify every router of a (supposedly) converged scenario.
+def stable_routing(
+    adjacency: Mapping[str, Iterable[str]],
+    origin: str,
+    relationship: Optional[RelationshipFunction] = None,
+) -> Dict[str, Path]:
+    """The stable AS path of every node that can reach ``origin``.
 
-    Parameters
-    ----------
-    scenario:
-        A scenario whose engine queue has drained.
-    expect_reachable:
-        Assert every router has a route (set ``False`` when the origin's
-        final state is down).
-    expect_drained:
-        Assert no entry is still suppressed (always true after a full
-        drain, since reuse timers are bounded by the hold-down ceiling).
+    ``adjacency`` is the live graph, ``origin`` included. Without a
+    ``relationship`` the policy is shortest path; with one it is
+    no-valley with prefer-customer. Each path starts at the node's next
+    hop and ends at ``origin`` — the Loc-RIB's ``as_path`` — and nodes
+    with no route are absent (so is ``origin`` itself). An ``origin``
+    missing from ``adjacency`` gives no route anywhere.
+    """
+    if origin not in adjacency:
+        return {}
+    paths: Dict[str, Path] = {origin: ()}
+    if relationship is None:
+        _settle(paths, adjacency, [origin], lambda via, node: True, onward=True)
+    else:
+        rel: RelationshipFunction = relationship
+        # Customer routes climb to providers and are exported to everyone;
+        # a peer route goes no further than the peer; anything descends.
+        for kind, onward in (
+            (Relationship.CUSTOMER, True),
+            (Relationship.PEER, False),
+            (Relationship.PROVIDER, True),
+        ):
+            _settle(
+                paths,
+                adjacency,
+                list(paths),
+                lambda via, node, kind=kind: rel(node, via) is kind,
+                onward,
+            )
+    del paths[origin]
+    return paths
+
+
+def _settle(
+    paths: Dict[str, Path],
+    adjacency: Mapping[str, Iterable[str]],
+    exporters: List[str],
+    learns: Callable[[str, str], bool],
+    onward: bool,
+) -> None:
+    """Give a path to every unsettled node that ``learns(via, node)``
+    from a settled exporter, choosing by (path length, next-hop name);
+    with ``onward`` each newly settled node exports in turn."""
+    offers: Dict[int, Dict[str, str]] = {}  # length -> {node: lowest via}
+
+    def offer(via: str) -> None:
+        bucket = offers.setdefault(len(paths[via]) + 1, {})
+        for node in adjacency[via]:
+            if node not in paths and learns(via, node):
+                if node not in bucket or via < bucket[node]:
+                    bucket[node] = via
+
+    for via in exporters:
+        offer(via)
+    while offers:
+        bucket = offers.pop(min(offers))
+        settled = [node for node in bucket if node not in paths]
+        for node in settled:
+            paths[node] = (bucket[node],) + paths[bucket[node]]
+        if onward:
+            for node in settled:
+                offer(node)
+
+
+def _live_adjacency(scenario: Scenario) -> Dict[str, List[str]]:
+    """The scenario's graph minus down links, crashed routers and, while
+    it is withdrawn, the origin."""
+    live = {node.name for node in scenario.network.nodes if node.alive}
+    if not scenario.origin.is_up:
+        live.discard(scenario.origin.name)
+    adjacency: Dict[str, List[str]] = {name: [] for name in live}
+    for link in scenario.network.links:
+        if link.up and link.a in live and link.b in live:
+            adjacency[link.a].append(link.b)
+            adjacency[link.b].append(link.a)
+    return adjacency
+
+
+def check_converged_invariants(scenario: Scenario) -> InvariantReport:
+    """Check a drained scenario against its solved stable state.
+
+    Two invariants per router: ``stable-state`` (the Loc-RIB path equals
+    :func:`stable_routing` on the live graph; no route where it gives
+    none) and ``drain`` (no entry is still suppressed — reuse timers are
+    bounded by the hold-down ceiling, so a drained queue has released
+    them all).
     """
     prefix = scenario.config.prefix
-    report = InvariantReport()
-
-    def violation(router: str, invariant: str, detail: str) -> None:
-        report.violations.append(InvariantViolation(router, invariant, detail))
-
-    for router in scenario.routers.values():
-        report.routers_checked += 1
+    expected = stable_routing(
+        _live_adjacency(scenario), scenario.origin.name, scenario.relationship
+    )
+    # Lost updates are never re-sent, so a lossy link can leave the
+    # network off its stable state; say how many this episode lost.
+    collector = scenario.collector
+    lost = "" if collector is None else (
+        f" ({collector.drops_by_reason().get('loss', 0)} update(s) lost "
+        f"to link loss this episode)"
+    )
+    report = InvariantReport(routers_checked=len(scenario.routers))
+    for name, router in scenario.routers.items():
         best = router.best_route(prefix)
-
-        if best is None:
-            if expect_reachable:
-                violation(router.name, "reachability", "no route after drain")
-            continue
-
-        if len(set(best.as_path)) != len(best.as_path):
-            violation(router.name, "loop-freedom", f"repeated AS in {best.as_path}")
-        if router.name in best.as_path:
-            violation(router.name, "loop-freedom", f"self in path {best.as_path}")
-
-        hops = (router.name,) + best.as_path
-        for a, b in zip(hops, hops[1:]):
-            if not scenario.network.has_link(a, b):
-                violation(router.name, "realisability", f"phantom hop {a}-{b}")
-                break
-
-        candidates = router._candidates(prefix)
-        winner = select_best(candidates, router._local_pref)
-        if winner is None or winner[1] != best:
-            violation(
-                router.name,
-                "decision-consistency",
-                f"Loc-RIB {best.as_path} != winner "
-                f"{winner[1].as_path if winner else None}",
+        held = best.as_path if best is not None else None
+        want = expected.get(name)
+        if held != want:
+            report.violations.append(
+                InvariantViolation(
+                    name, "stable-state", f"Loc-RIB {held} != stable {want}{lost}"
+                )
             )
-
-        if expect_drained and router.suppressed_entry_count() > 0:
-            violation(
-                router.name,
-                "drain",
-                f"{router.suppressed_entry_count()} entries still suppressed",
+        suppressed = router.suppressed_entry_count()
+        if suppressed:
+            report.violations.append(
+                InvariantViolation(
+                    name, "drain", f"{suppressed} entries still suppressed"
+                )
             )
-
     return report

@@ -67,15 +67,9 @@ class ShortestPathPolicy(RoutingPolicy):
 class NoValleyPolicy(RoutingPolicy):
     """Gao–Rexford no-valley export with prefer-customer selection.
 
-    Parameters
-    ----------
-    relationship:
-        Function giving each router's relationship with each neighbour.
-    prefer_customer:
-        When ``True`` (the default, and standard practice), local
-        preference is 300/200/100 for customer/peer/provider routes; when
-        ``False`` the preference is constant and only the export rule
-        applies.
+    ``relationship`` gives each router's relationship with each
+    neighbour; local preference is 300/200/100 for customer/peer/provider
+    routes.
     """
 
     _PREFS = {
@@ -84,14 +78,11 @@ class NoValleyPolicy(RoutingPolicy):
         Relationship.PROVIDER: 100,
     }
 
-    def __init__(self, relationship: RelationshipFunction, prefer_customer: bool = True) -> None:
+    def __init__(self, relationship: RelationshipFunction) -> None:
         self._relationship = relationship
-        self._prefer_customer = prefer_customer
 
     def local_pref(self, router: str, peer: str, route: Route) -> int:
         del route
-        if not self._prefer_customer:
-            return 100
         return self._PREFS[self._relationship(router, peer)]
 
     def permits_export(self, router: str, route: Route, to_peer: str) -> bool:

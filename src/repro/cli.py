@@ -152,9 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shared_flag(
         sim,
         "--check-invariants",
-        "after the episode drains, run the converged-state invariant "
-        "oracle (reachability, loop-freedom, decision consistency, "
-        "drain) and fail on any violation",
+        "after the episode drains, compare every Loc-RIB with the "
+        "independently solved stable routing, require that nothing stays "
+        "suppressed, and fail on any violation",
     )
     _add_shared_flag(
         sim,

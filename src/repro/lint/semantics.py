@@ -57,8 +57,8 @@ class DecisionPurityRule(Rule):
         "The decision process must be a pure function of its candidate "
         "set: scheduling timers, reading the clock, mutating RIBs, or "
         "sending updates from inside it makes best-path selection "
-        "history-dependent and breaks the decision-consistency invariant "
-        "the runtime oracle checks."
+        "history-dependent, and the network may then converge off the "
+        "stable state the runtime oracle solves for."
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:

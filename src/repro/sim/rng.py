@@ -44,16 +44,5 @@ class RngRegistry:
         """Draw one uniform sample from the named stream."""
         return self.stream(name).uniform(low, high)
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Derive a child registry whose master seed depends on ``name``.
-
-        Used by sweep runners so each repetition gets fully independent
-        randomness while remaining reproducible.
-        """
-        digest = hashlib.sha256(
-            f"{self._master_seed}/fork/{name}".encode("utf-8")
-        ).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(master_seed={self._master_seed}, streams={sorted(self._streams)})"

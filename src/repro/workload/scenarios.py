@@ -31,12 +31,19 @@ import hashlib
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.bgp.graceful_restart import GracefulRestartConfig
 from repro.bgp.mrai import MraiConfig
 from repro.bgp.origin import OriginRouter
-from repro.bgp.policy import NoValleyPolicy, RoutingPolicy, ShortestPathPolicy
+from repro.bgp.policy import (
+    NoValleyPolicy,
+    Relationship,
+    RelationshipFunction,
+    RoutingPolicy,
+    ShortestPathPolicy,
+)
 from repro.bgp.router import BgpRouter, RouterConfig
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import DampingParams
@@ -51,6 +58,7 @@ from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
 from repro.topology.internet import pick_isp
 from repro.topology.model import Topology
+from repro.topology.relationships import RelationshipMap
 from repro.workload.pulses import PulseSchedule
 
 if TYPE_CHECKING:
@@ -206,11 +214,20 @@ class Scenario:
             self.engine, self.rng, coalesce_delivery=config.coalesce_delivery
         )
         self.routers: Dict[str, BgpRouter] = {}
-        self.policy = self._build_policy()
         self.isp = self._choose_isp()
+        #: Each router's relationship with each neighbour, the origin's
+        #: link to the ISP included; ``None`` under shortest-path routing.
+        self.relationship = self._build_relationship()
+        self.policy: RoutingPolicy = (
+            ShortestPathPolicy()
+            if self.relationship is None
+            else NoValleyPolicy(self.relationship)
+        )
         self._build_routers()
         self.origin = self._build_origin()
         self.warmup_convergence: float = 0.0
+        #: The measured episode's collector, set by :meth:`run`.
+        self.collector: Optional[MetricsCollector] = None
         #: Set by :meth:`run` when the config carries a fault plan.
         self.fault_injector: Optional[FaultInjector] = None
         self._warmed_up = False
@@ -220,12 +237,14 @@ class Scenario:
     # construction
     # ------------------------------------------------------------------
 
-    def _build_policy(self) -> RoutingPolicy:
+    def _build_relationship(self) -> Optional[RelationshipFunction]:
         if not self.config.use_no_valley:
-            return ShortestPathPolicy()
+            return None
         relationships = self.config.topology.relationships
         assert relationships is not None  # validated by ScenarioConfig
-        return NoValleyPolicy(relationships.relationship)
+        # The topology is shared and frozen: the origin's edge is answered
+        # here rather than written into its map.
+        return partial(_origin_is_isp_customer, relationships, self.isp)
 
     def _choose_isp(self) -> str:
         if self.config.isp is not None:
@@ -279,11 +298,6 @@ class Scenario:
         )
         self.network.add_node(origin)
         self.network.add_link(ORIGIN_NAME, self.isp, self.config.link)
-        if self.config.use_no_valley:
-            relationships = self.config.topology.relationships
-            assert relationships is not None
-            if not relationships.has_relationship(self.isp, ORIGIN_NAME):
-                relationships.set_provider(self.isp, ORIGIN_NAME)
         return origin
 
     # ------------------------------------------------------------------
@@ -348,7 +362,7 @@ class Scenario:
             raise SimulationError("scenario already ran its episode")
         self._ran = True
 
-        collector = MetricsCollector()
+        collector = self.collector = MetricsCollector()
         collector.attach(self.network, list(self.routers.values()))
         if self.tie_detector is not None:
             collector.schedule_ties = self.tie_detector.ties
@@ -437,6 +451,17 @@ class Scenario:
         )
 
 
+def _origin_is_isp_customer(
+    relationships: RelationshipMap, isp: str, router: str, neighbor: str
+) -> Relationship:
+    """``relationships.relationship`` plus the ISP's view of the origin:
+    its customer. (Module-level under ``partial`` so a warm-state
+    snapshot can pickle it; the origin itself never consults a policy.)"""
+    if router == isp and neighbor == ORIGIN_NAME:
+        return Relationship.CUSTOMER
+    return relationships.relationship(router, neighbor)
+
+
 def run_scenario(
     config: ScenarioConfig,
     schedule: PulseSchedule,
@@ -454,9 +479,8 @@ def run_scenario(
     whole life (warm-up included) and ``phase_probe`` brackets every
     engine callback; ``tracer`` covers the measured episode only. A
     timer-audit violation raises ``SimulationError``; with
-    ``check_invariants`` so does any violation
-    :func:`repro.analysis.invariants.check_converged_invariants` finds
-    in the drained scenario.
+    ``check_invariants`` so does a drained scenario off its solved stable
+    state (:func:`repro.analysis.invariants.check_converged_invariants`).
     """
     scenario = Scenario(config)
     audit = scenario.engine.enable_timer_audit() if audit_timers else None
@@ -477,8 +501,6 @@ def run_scenario(
         # Imported lazily: analysis.invariants imports this module.
         from repro.analysis.invariants import check_converged_invariants
 
-        # Every PulseSchedule ends with the origin up, so the converged
-        # network must be fully reachable and fully drained.
         check_converged_invariants(scenario).raise_on_violation()
     return scenario, result
 

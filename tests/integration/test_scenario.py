@@ -177,6 +177,26 @@ def test_no_valley_scenario_warms_up():
         assert router.has_route(config.prefix)
 
 
+def test_no_valley_scenarios_leave_the_shared_topology_unchanged():
+    """The origin is the ISP's customer without that edge being written
+    into the cached topology's relationship map (which every spawned
+    sweep worker unpickles with its config)."""
+    from repro.bgp.policy import Relationship
+    from repro.experiments.base import internet208_config
+
+    relationships = internet208_config().topology.relationships
+    before = (relationships.provider_edge_count, relationships.peer_edge_count)
+    isps = set()
+    for seed in (1, 2, 3, 42):
+        scenario = Scenario(internet208_config(use_no_valley=True, seed=seed))
+        assert scenario.relationship(scenario.isp, ORIGIN_NAME) is Relationship.CUSTOMER
+        assert not relationships.has_relationship(scenario.isp, ORIGIN_NAME)
+        isps.add(scenario.isp)
+    assert len(isps) == 4
+    after = (relationships.provider_edge_count, relationships.peer_edge_count)
+    assert after == before
+
+
 def test_config_label():
     topology = mesh_topology(3, 3)
     config = ScenarioConfig(topology=topology, damping=CISCO_DEFAULTS, rcn=True)

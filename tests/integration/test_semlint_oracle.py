@@ -123,19 +123,17 @@ def test_clean_run_passes_the_oracle(healthy):
 
 def test_corrupted_loc_rib_trips_decision_consistency():
     """Dynamic face of SEM001/SEM005: a Loc-RIB that no pure decision
-    process over the current candidates would produce."""
+    process would converge to is off the solved stable state."""
     scenario = drained_scenario()
     router = scenario.routers[sorted(scenario.routers)[0]]
     prefix = scenario.config.prefix
     best = router.best_route(prefix)
     assert best is not None
-    # A doubled AS path is simultaneously loopy and not the decision
-    # winner — exactly what an unobserved foreign mutation produces.
+    # A doubled AS path is loopy and not the stable route — exactly what
+    # an unobserved foreign mutation produces.
     router.loc_rib.set_route(prefix, dc_replace(best, as_path=best.as_path * 2))
     report = check_converged_invariants(scenario)
-    invariants = {v.invariant for v in report.violations}
-    assert "decision-consistency" in invariants
-    assert "loop-freedom" in invariants
+    assert {v.invariant for v in report.violations} == {"stable-state"}
     with pytest.raises(SimulationError):
         report.raise_on_violation()
 
@@ -147,7 +145,7 @@ def test_silent_withdrawal_trips_reachability():
     router = scenario.routers[sorted(scenario.routers)[-1]]
     router.loc_rib.set_route(scenario.config.prefix, None)
     report = check_converged_invariants(scenario)
-    assert {v.invariant for v in report.violations} == {"reachability"}
+    assert {v.invariant for v in report.violations} == {"stable-state"}
     assert report.violations[0].router == router.name
 
 

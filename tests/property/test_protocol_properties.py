@@ -12,30 +12,20 @@ from hypothesis import strategies as st
 
 from repro.core.damping import DampingManager
 from repro.core.params import CISCO_DEFAULTS, UpdateKind
-from repro.bgp.decision import select_best
 from repro.sim.engine import Engine
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
-from repro.workload.scenarios import ORIGIN_NAME, Scenario, ScenarioConfig
+from repro.workload.scenarios import Scenario, ScenarioConfig
 from repro.workload.pulses import PulseSchedule
 
 
 def _check_converged_invariants(scenario: Scenario) -> None:
-    """Invariants of a fully drained network with the origin up.
-
-    Delegates to the public checker and additionally verifies the paths
-    terminate at the origin.
-    """
+    """A fully drained network sits on its solved stable state."""
     from repro.analysis.invariants import check_converged_invariants
 
     report = check_converged_invariants(scenario)
     assert report.ok, [str(v) for v in report.violations]
     assert report.routers_checked == len(scenario.routers)
-    prefix = scenario.config.prefix
-    for router in scenario.routers.values():
-        best = router.best_route(prefix)
-        assert best is not None
-        assert best.as_path[-1] == ORIGIN_NAME
 
 
 @given(
@@ -63,15 +53,17 @@ def test_mesh_network_converges_to_consistent_state(size, pulses, seed, damping)
     topo_seed=st.integers(min_value=0, max_value=30),
     pulses=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=10_000),
+    use_no_valley=st.booleans(),
 )
 @settings(max_examples=15, deadline=None)
 def test_internet_network_converges_to_consistent_state(
-    nodes, topo_seed, pulses, seed
+    nodes, topo_seed, pulses, seed, use_no_valley
 ):
     config = ScenarioConfig(
-        topology=internet_topology(nodes, seed=topo_seed),
+        topology=internet_topology(nodes, seed=topo_seed, with_relationships=True),
         damping=CISCO_DEFAULTS,
         seed=seed,
+        use_no_valley=use_no_valley,
     )
     scenario = Scenario(config)
     scenario.warm_up()

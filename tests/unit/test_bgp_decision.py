@@ -124,10 +124,3 @@ class TestNoValleyPolicy:
     def test_missing_relationship_raises(self, policy):
         with pytest.raises(TopologyError):
             policy.local_pref("me", "stranger", self.r("stranger"))
-
-    def test_prefer_customer_disabled(self):
-        relationships = RelationshipMap()
-        relationships.set_provider("me", "cust")
-        policy = NoValleyPolicy(relationships.relationship, prefer_customer=False)
-        r = Route(prefix="p0", as_path=("cust", "o"), learned_from="cust")
-        assert policy.local_pref("me", "cust", r) == 100

@@ -47,20 +47,6 @@ def test_uniform_within_bounds():
         assert 0.75 <= value <= 1.0
 
 
-def test_fork_is_deterministic():
-    a = RngRegistry(7).fork("run-1")
-    b = RngRegistry(7).fork("run-1")
-    assert a.master_seed == b.master_seed
-
-
-def test_fork_differs_from_parent_and_sibling():
-    parent = RngRegistry(7)
-    child1 = parent.fork("run-1")
-    child2 = parent.fork("run-2")
-    assert child1.master_seed != parent.master_seed
-    assert child1.master_seed != child2.master_seed
-
-
 def test_master_seed_property():
     assert RngRegistry(42).master_seed == 42
 
