@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark reproduces one table or figure: it runs the experiment
-driver under pytest-benchmark timing (one round — these are simulations,
-not micro-benchmarks), prints the same rows/series the paper reports, and
-saves the rendered output under ``benchmarks/results/`` so the artefacts
-survive pytest's output capture.
+``test_experiments.py`` reproduces every registered table and figure:
+it runs each experiment under pytest-benchmark timing (one round — these
+are simulations, not micro-benchmarks), prints the same rows/series the
+paper reports, and saves the rendered output under
+``benchmarks/results/`` so the artefacts survive pytest's output capture.
 """
 
 from __future__ import annotations

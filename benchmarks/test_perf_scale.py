@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from bench_utils import run_once
+from benchmarks.bench_utils import run_once
 from repro.experiments.parallel import available_cpus
 from repro.experiments.scale import run_scale_episode
 from repro.topology.scale import powerlaw_topology

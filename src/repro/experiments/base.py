@@ -143,12 +143,6 @@ class SweepSeries:
     config: Optional[ScenarioConfig] = None
     flap_interval: float = 60.0
 
-    def convergence(self) -> List[tuple]:
-        return [(p.pulses, p.convergence_time) for p in self.points]
-
-    def messages(self) -> List[tuple]:
-        return [(p.pulses, p.message_count) for p in self.points]
-
     def point(self, pulses: int) -> PointOutcome:
         for p in self.points:
             if p.pulses == pulses:
@@ -403,13 +397,16 @@ class Sweep:
     notes: Tuple[str, ...] = ()
     pulse_counts: Tuple[int, ...] = DEFAULT_PULSE_COUNTS
 
+    def specs(self) -> Tuple[Series, ...]:
+        return self.series() if callable(self.series) else self.series
+
     def run(
         self, options: RunOptions = RunOptions(), cache: Optional[SeriesCache] = None
     ) -> ExperimentResult:
         counts = list(
             self.pulse_counts if options.pulse_counts is None else options.pulse_counts
         )
-        specs = self.series() if callable(self.series) else self.series
+        specs = self.specs()
         sweeps = run_series(specs, counts, options, cache=cache)
         headers, rows, extra = self.layout.table(specs, sweeps, counts)
         return ExperimentResult(

@@ -31,9 +31,9 @@ def run_fig8_9_sweeps(
     return run_series(FIG8_SERIES, counts, RunOptions(jobs=jobs), seed=seed)
 
 
-def critical_pulse_count(sweeps: Dict[str, SweepSeries], tolerance: float = 0.15) -> Optional[int]:
+def critical_pulse_count(sweeps: Dict[str, SweepSeries]) -> Optional[int]:
     """The measured ``Nh``: smallest n from which the full-damping mesh
-    convergence stays within ``tolerance`` (relative) of the calculation."""
+    convergence stays within 15% (relative) of the calculation."""
     mesh = sweeps["full_damping_mesh"]
     counts = [p.pulses for p in mesh.points]
     tup = sweeps["no_damping_mesh"].mean_warmup
@@ -47,7 +47,7 @@ def critical_pulse_count(sweeps: Dict[str, SweepSeries], tolerance: float = 0.15
             measured = mesh.point(n).convergence_time
             if expected <= 0:
                 continue
-            if abs(measured - expected) / expected > tolerance:
+            if abs(measured - expected) / expected > 0.15:
                 ok = False
                 break
         if ok:

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+from typing import Dict, Tuple
+
 import pytest
 
 from repro.core.params import CISCO_DEFAULTS
+from repro.experiments.base import ExperimentResult, RunOptions, SeriesCache, Sweep
+from repro.experiments.claims import CLAIMS_BY_ID, claims_for
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.sim.engine import Engine
@@ -58,3 +64,63 @@ def oracle_calls(monkeypatch):
         lambda scenario: calls.append(scenario) or oracle(scenario),
     )
     return calls
+
+
+def reduced_pulse_counts(experiment_id: str) -> Tuple[int, ...]:
+    """The grid a sweep runs on in tier-1: the union of the ``pulses``
+    of the claim rows of every sweep that shares a series with it, so
+    the shared series is executed once. Empty for other experiments."""
+    entry = EXPERIMENTS[experiment_id]
+    if not isinstance(entry, Sweep):
+        return ()
+    series = set(entry.specs())
+    sharing = {experiment_id} | {
+        other
+        for other, sweep in EXPERIMENTS.items()
+        if isinstance(sweep, Sweep) and series & set(sweep.specs())
+    }
+    return tuple(
+        sorted({n for other in sharing for claim in claims_for(other) for n in claim.pulses})
+    )
+
+
+@pytest.fixture(scope="session")
+def series_cache() -> SeriesCache:
+    """Sweeps with a series in common execute it once per session."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def experiment_result(series_cache):
+    """``experiment_result(id)``: the registered experiment, run once per
+    session — a sweep on the reduced grid its claim rows read, anything
+    else as ``rfd-repro run`` runs it. The claims test and the rendering
+    pins read the same result."""
+    results: Dict[str, ExperimentResult] = {}
+
+    def result(experiment_id: str) -> ExperimentResult:
+        if experiment_id not in results:
+            counts = reduced_pulse_counts(experiment_id) or None
+            results[experiment_id] = run_experiment(
+                experiment_id, RunOptions(pulse_counts=counts), series_cache
+            )
+            # Kept results live to the end of the session: freeze them so
+            # the full collection every later sweep point runs skips them.
+            gc.collect()
+            gc.freeze()
+        return results[experiment_id]
+
+    return result
+
+
+@pytest.fixture(scope="session")
+def claims_hold(experiment_result):
+    """``claims_hold(*claim_ids)`` asserts each row of the claims table
+    on its experiment's session result."""
+
+    def check(*claim_ids: str) -> None:
+        claims = [CLAIMS_BY_ID[claim_id] for claim_id in claim_ids]
+        failures = [claim.check(experiment_result(claim.experiment)) for claim in claims]
+        assert not any(failures), "\n".join(filter(None, failures))
+
+    return check

@@ -2,7 +2,8 @@
 
 networkx is a test-only oracle. A fresh interpreter that imports the
 package, the CLI and the scenario layer, and unpickles the configs a
-spawn worker receives, must never load it.
+spawn worker receives, must never load it — nor the claims table,
+which only the tests and the golden-renderings benchmark read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import pickle, sys
 configs = pickle.loads(sys.stdin.buffer.read())
 assert [c.topology.node_count for c in configs] == [100, 100]
 import repro, repro.cli, repro.workload.scenarios
-print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"
+             or m == "repro.experiments.claims"))
 """
 
 

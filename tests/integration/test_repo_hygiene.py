@@ -1,7 +1,7 @@
 """Repository-level consistency checks.
 
 These guard the promises the documentation makes: every experiment in
-the registry has a benchmark that regenerates it, every example script
+the registry is regenerated by the benchmark, every example script
 is syntactically valid and importable, and the public API exports
 resolve.
 """
@@ -24,23 +24,13 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
-def _bench_sources() -> str:
-    return "\n".join(
-        path.read_text(encoding="utf-8") for path in BENCH_DIR.glob("test_*.py")
-    )
-
-
 def test_every_registered_experiment_has_a_benchmark():
-    """Each table entry is run by a benchmark — sweeps by id, bespoke
-    drivers by name — and has its rendering committed."""
-    sources = _bench_sources()
-    for experiment_id, entry in EXPERIMENTS.items():
-        wanted = (
-            entry.driver.__name__
-            if isinstance(entry, Bespoke)
-            else f'run_experiment, "{experiment_id}"'
-        )
-        assert wanted in sources, f"experiment {experiment_id} has no benchmark"
+    """One benchmark runs every table entry by id and checks its claim
+    rows, and each entry has its rendering committed."""
+    source = (BENCH_DIR / "test_experiments.py").read_text(encoding="utf-8")
+    assert '@pytest.mark.parametrize("experiment_id", list_experiments())' in source
+    assert "claims_for(experiment_id)" in source
+    for experiment_id in EXPERIMENTS:
         assert (BENCH_DIR / "results" / f"{experiment_id}.txt").exists()
 
 

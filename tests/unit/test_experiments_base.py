@@ -69,9 +69,7 @@ class TestSweeps:
 
     def test_sweep_accessors(self):
         series = run_sweep("s", small_mesh_config(damping=None, seed=2), [1])
-        point = series.point(1)
-        assert point.message_count == series.messages()[0][1]
-        assert point.convergence_time == series.convergence()[0][1]
+        assert series.point(1) is series.points[0]
         assert series.mean_warmup > 0
 
     def test_empty_series_mean_warmup(self):
