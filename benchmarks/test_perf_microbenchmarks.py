@@ -372,8 +372,9 @@ def _fig8_sweep(jobs: int, rounds: int = 1):
 
 def test_perf_fig8_sweep_sequential_vs_parallel():
     """Wall-clock for the fig8 full-damping mesh sweep, sequential
-    against a warm spawn pool. Both build and warm a fresh scenario per
-    point and must agree digest-for-digest.
+    against a warm spawn pool. Both run one trunk per process (each
+    worker gets one contiguous chunk) and fork the shorter points off
+    it, and must agree digest-for-digest.
 
     The parallel round is timed with the pool already warm (persistent
     pools are the executor's steady state — every sweep after a

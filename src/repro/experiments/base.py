@@ -156,9 +156,11 @@ class SweepSeries:
         return sum(p.warmup_convergence for p in self.points) / len(self.points)
 
 
-#: No sweep consults this cache: every point warms a fresh scenario.
-#: Kept because the frozen ``bench/`` harness calls
-#: ``sweep_cache().clear()`` and reads its ``hits``/``misses``.
+#: No sweep consults this cache: a sweep warms one trunk scenario per
+#: chunk and forks its shorter points off it (see
+#: :mod:`repro.experiments.parallel`). Kept because the frozen
+#: ``bench/`` harness calls ``sweep_cache().clear()`` and reads its
+#: ``hits``/``misses``.
 _SWEEP_CACHE = WarmStateCache(max_entries=8)
 
 
@@ -177,8 +179,9 @@ def run_sweep(
 ) -> SweepSeries:
     """Run one episode per pulse count.
 
-    Episodes are independent: every point builds and warms its own
-    fresh scenario; with ``jobs != 1`` points run in a spawn-context
+    Each point's episode is the one a fresh scenario would run; the
+    executor runs the largest count once and forks the shorter ones off
+    it, and with ``jobs != 1`` does so per chunk in a spawn-context
     process pool (see :mod:`repro.experiments.parallel`), which is
     digest-identical to the sequential loop.
     """

@@ -1,44 +1,58 @@
-"""Deterministic process-pool sweep executor.
+"""Deterministic sweep executor: prefix-shared branches and a spawn pool.
 
-Every figure and ablation is a sweep of *independent* episodes: each
-(config, pulse count) point builds and warms its own scenario from its
-own seed, so points can run in any process, in any order, without
-sharing state. This module is the one place such fan-out is allowed
-(detlint rule DET010 flags ``multiprocessing``/``concurrent.futures``
-anywhere else), and it provides a hard guarantee: results are
-**digest-identical** to the sequential path, whatever ``jobs`` or the
-chunk geometry is.
+Every figure and ablation is a sweep over the pulse count ``n`` of one
+config, and a regular ``n``-pulse train is by construction the first
+part of every longer one. So a sweep does not replay that shared part
+per point. One **trunk** scenario is built, warmed and started with the
+largest count; for each smaller ``n``, in ascending order, the trunk
+drains every event strictly before its ``(n+1)``-th withdrawal, then
+forks (``os.fork``) a **branch** that cancels the flaps still to come,
+drains, and reduces to a :class:`PointOutcome`, which it pipes back
+pickled (or the exception it raised). The trunk then runs on and ends
+as the largest point. This module is the one place such fan-out is
+allowed (detlint rule DET010 flags ``multiprocessing``,
+``concurrent.futures`` and ``os.fork`` anywhere else), and it provides
+a hard guarantee: results are **digest-identical** to replaying every
+point on a fresh scenario, whatever ``jobs`` or the chunk geometry is.
 
 The guarantee holds by construction:
 
-* Each point's scenario derives every random draw from the point's own
-  :class:`~repro.sim.rng.RngRegistry` master seed — nothing is drawn
-  from shared or process-global randomness.
-* Sequential loop and workers alike build a fresh
-  :class:`~repro.workload.scenarios.Scenario` from the bare
-  :class:`~repro.workload.scenarios.ScenarioConfig` and warm it up per
-  point; only the config crosses the process boundary.
-* The pool uses the ``spawn`` start method, so workers import a fresh
-  interpreter instead of inheriting forked state, and results are
-  collected in submission order regardless of completion order.
+* Flap events are scheduled at episode start, ahead of every protocol
+  event, so a longer train changes no same-instant tie-break before
+  its first extra flap, and cancelling those flaps leaves exactly the
+  shorter episode's queue (:class:`~repro.workload.scenarios.Episode`).
+* Every random draw comes from a per-name stream of the scenario's
+  :class:`~repro.sim.rng.RngRegistry`, and flaps draw none, so the
+  trunk's streams are the shorter episode's streams.
+* A branch runs on the trunk's own objects, shared copy-on-write: it
+  runs the converged-state oracle, the timer audit and the tracer
+  exactly as a fresh point would, and writes its own trace file.
+* Pool workers use the ``spawn`` start method: only the bare
+  :class:`~repro.workload.scenarios.ScenarioConfig` crosses the process
+  boundary, each worker runs the same trunk-and-branches runner over
+  one contiguous chunk, and results are collected in submission order.
 
-Two mechanisms keep ``jobs=N`` from drowning in dispatch overhead:
+Forking is only safe from a single-threaded process. Where there is no
+``os.fork`` or more than one thread is alive (a warm pool's manager
+threads, say), every point is replayed on a fresh scenario instead
+(:func:`_run_point`), which is also the reference the equivalence
+tests hold the branches to. Branches are forked, not pickled: a warmed
+mesh100 scenario pickles to 1.4 MB (its 303 Mersenne-Twister streams
+alone are 1.15 MB) and takes ~70 ms to dump and load, more than most
+branch tails take to run, and episodes on unpickled objects run
+13–18 % slower.
 
-* **Persistent warm pools** (:class:`_PoolManager`): spawn workers cost
-  a full interpreter start + import each, so pools are kept alive and
-  reused across ``execute_sweep`` calls instead of being rebuilt per
-  sweep. A broken or timed-out pool is discarded; healthy pools return
-  to the warm set.
-* **Chunked scheduling** (:func:`resolve_chunk_size`): points are
-  submitted in contiguous chunks so per-task IPC is amortised on
-  many-small-point grids; collection stays in submission order, so
-  chunking never reorders results.
+**Persistent warm pools** (:class:`_PoolManager`): spawn workers cost a
+full interpreter start + import each, so pools are kept alive and
+reused across ``execute_sweep`` calls instead of being rebuilt per
+sweep. A broken or timed-out pool is discarded; healthy pools return to
+the warm set.
 
-Episode outcomes cross the process boundary as compact picklable
+Episode outcomes cross process boundaries as compact picklable
 :class:`PointOutcome` records (metrics plus the run digest), never as
 full result objects with their collectors and traces. A finished
-scenario is one large reference cycle, so each point collects it before
-the next point is built: a sweep holds one scenario at a time.
+scenario is one large reference cycle, so each chunk collects its trunk
+before the next is built: a process holds one scenario at a time.
 """
 
 from __future__ import annotations
@@ -48,21 +62,29 @@ import gc
 import math
 import multiprocessing
 import os
+import pickle
+import signal
+import sys
+import threading
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.digest import run_digest
 from repro.trace.sinks import JsonlSink
 from repro.trace.tracer import Tracer
 from repro.workload.pulses import PulseSchedule
-from repro.workload.scenarios import ScenarioConfig, run_scenario
-
-#: Auto-chunking target: enough chunks per worker that completion skew
-#: stays small, few enough that dispatch overhead is amortised.
-_CHUNKS_PER_WORKER = 4
+from repro.workload.scenarios import (
+    Episode,
+    FlapRunResult,
+    Scenario,
+    ScenarioConfig,
+    run_scenario,
+    verify_episode,
+    warmed_scenario,
+)
 
 
 @dataclass(frozen=True)
@@ -121,21 +143,35 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def resolve_chunk_size(
     chunk_size: Optional[int], point_count: int, worker_count: int
 ) -> int:
-    """Points per submitted task. ``None`` auto-sizes to roughly
-    :data:`_CHUNKS_PER_WORKER` chunks per worker — 1 for figure-sized
-    sweeps (big points, negligible dispatch), larger for many-point
-    ablation grids where per-task IPC would dominate."""
+    """Points per submitted task. ``None`` gives each worker one
+    contiguous chunk: a chunk shares one trunk among its points, so
+    fewer, longer chunks do less work in total."""
     if chunk_size is not None:
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         return chunk_size
-    if worker_count <= 1:
-        return max(1, point_count)
-    return max(1, math.ceil(point_count / (worker_count * _CHUNKS_PER_WORKER)))
+    return max(1, math.ceil(point_count / worker_count))
+
+
+def _pulse_counts(pulse_counts: Sequence[int]) -> List[int]:
+    """The requested counts as ints; a non-integral or negative count
+    is a :class:`ConfigurationError` before any point runs."""
+    counts = []
+    for raw in pulse_counts:
+        try:
+            count = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            count = -1
+        if count < 0 or count != raw:
+            raise ConfigurationError(
+                f"pulse counts must be non-negative integers, got {raw!r}"
+            )
+        counts.append(count)
+    return counts
 
 
 # ----------------------------------------------------------------------
-# per-point work (sequential loop and worker processes alike)
+# trunk, branches and per-point replay (in process and in workers alike)
 # ----------------------------------------------------------------------
 
 
@@ -153,15 +189,38 @@ class _SweepSpec:
     audit_timers: bool
 
 
+def _trace_path(spec: _SweepSpec, index: int, pulses: int) -> str:
+    """Stable, index-ordered, pulse-labelled point trace file."""
+    assert spec.trace_dir is not None
+    return os.path.join(spec.trace_dir, f"point_{index:03d}_p{pulses}.jsonl")
+
+
+def _outcome(
+    pulses: int, result: FlapRunResult, trace_digest: Optional[str]
+) -> PointOutcome:
+    summary = result.summary
+    return PointOutcome(
+        pulses=pulses,
+        convergence_time=result.convergence_time,
+        message_count=result.message_count,
+        suppressions=summary.total_suppressions,
+        peak_damped_links=summary.peak_damped_links,
+        secondary_charges=summary.secondary_charges,
+        warmup_convergence=result.warmup_convergence,
+        digest=run_digest(result.collector),
+        trace_digest=trace_digest,
+    )
+
+
 def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
-    """Run the point's episode on a fresh scenario and reduce it to a
+    """Replay one point on a fresh scenario and reduce it to a
     :class:`PointOutcome`; with a ``trace_dir`` the episode's causal
-    trace is written as canonical JSONL and its digest recorded."""
+    trace is written as canonical JSONL and its digest recorded. The
+    reference the branches are held to, and the path for processes that
+    cannot fork safely."""
     tracer: Optional[Tracer] = None
     if spec.trace_dir is not None:
-        # Stable, index-ordered, pulse-labelled.
-        name = f"point_{index:03d}_p{pulses}.jsonl"
-        tracer = Tracer(JsonlSink(os.path.join(spec.trace_dir, name)))
+        tracer = Tracer(JsonlSink(_trace_path(spec, index, pulses)))
     trace_digest: Optional[str] = None
     try:
         _scenario, result = run_scenario(
@@ -174,23 +233,99 @@ def _run_point(spec: _SweepSpec, index: int, pulses: int) -> PointOutcome:
     finally:
         if tracer is not None:
             trace_digest = tracer.close()
-    summary = result.summary
-    outcome = PointOutcome(
-        pulses=pulses,
-        convergence_time=result.convergence_time,
-        message_count=result.message_count,
-        suppressions=summary.total_suppressions,
-        peak_damped_links=summary.peak_damped_links,
-        secondary_charges=summary.secondary_charges,
-        warmup_convergence=result.warmup_convergence,
-        digest=run_digest(result.collector),
-        trace_digest=trace_digest,
-    )
+    outcome = _outcome(pulses, result, trace_digest)
     # A finished scenario is one reference cycle that reference counting
     # never frees: collect it now, before the next point is built.
     del _scenario, result
     gc.collect()
     return outcome
+
+
+def _finish_point(
+    spec: _SweepSpec,
+    scenario: Scenario,
+    episode: Episode,
+    tracer: Optional[Tracer],
+    indices: Sequence[int],
+) -> PointOutcome:
+    """Drain a trunk or branch and reduce it as :func:`_run_point`
+    would, writing its trace to every index that asked for its count."""
+    pulses = episode.schedule.pulse_count
+    trace_digest: Optional[str] = None
+    try:
+        result = scenario.finish_episode(episode)
+        verify_episode(scenario, check_invariants=spec.check_invariants)
+    finally:
+        if tracer is not None:
+            for index in indices:
+                sink = JsonlSink(_trace_path(spec, index, pulses))
+                trace_digest = sink.write(tracer.records)
+    return _outcome(pulses, result, trace_digest)
+
+
+def _can_fork() -> bool:
+    """A fork is safe only from a single-threaded process: a lock held
+    by another thread would stay held forever in the child."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
+    """Run ``work`` in a forked child and return its outcome, or raise
+    the exception it raised. A child that dies without answering is a
+    :class:`SimulationError` naming its pulse count."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child, which never returns
+        os.close(read_fd)
+        code = 1
+        try:
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_answer(work))
+            code = 0
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            answer = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    # A child exits 0 only once its whole answer is in the pipe.
+    if status != 0 or not answer:
+        raise SimulationError(
+            f"sweep branch n={pulses} exited without a result "
+            f"({_describe_status(status)})"
+        )
+    ok, value = pickle.loads(answer)
+    if not ok:
+        raise value
+    return value
+
+
+def _answer(work: Callable[[], PointOutcome]) -> bytes:
+    """The pickled ``(True, outcome)`` or ``(False, exception)``; an
+    exception that does not survive a pickle round trip is sent as a
+    :class:`SimulationError` carrying its type name and message."""
+    try:
+        return pickle.dumps((True, work()))
+    except BaseException as exc:  # boundary: the parent re-raises it
+        try:
+            answer = pickle.dumps((False, exc))
+            pickle.loads(answer)
+            return answer
+        except Exception:
+            error = SimulationError(f"{type(exc).__name__}: {exc}")
+            return pickle.dumps((False, error))
+
+
+def _describe_status(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    return f"exit status {os.WEXITSTATUS(status)}"
 
 
 #: One chunk of work: contiguous ``(index, pulses)`` tasks.
@@ -200,8 +335,42 @@ _Chunk = Tuple[Tuple[int, int], ...]
 def _worker_run_chunk(
     spec: _SweepSpec, tasks: _Chunk
 ) -> List[Tuple[int, PointOutcome]]:
-    """Run every point of a chunk and return (index, outcome) pairs."""
-    return [(index, _run_point(spec, index, pulses)) for index, pulses in tasks]
+    """Run every point of a chunk and return (index, outcome) pairs.
+
+    One trunk runs the largest count; every smaller count is a branch
+    forked off it just before the trunk's first flap that count lacks.
+    Duplicate counts share one branch.
+    """
+    if not _can_fork():
+        return [(index, _run_point(spec, index, pulses)) for index, pulses in tasks]
+    indices: Dict[int, List[int]] = {}
+    for index, pulses in tasks:
+        indices.setdefault(pulses, []).append(index)
+    counts = sorted(indices)
+    tracer = Tracer() if spec.trace_dir is not None else None
+    scenario = warmed_scenario(spec.config, audit_timers=spec.audit_timers)
+    episode = scenario.start_episode(
+        PulseSchedule.regular(counts[-1], spec.flap_interval), tracer
+    )
+    outcomes: Dict[int, PointOutcome] = {}
+    for pulses in counts:
+        if pulses < counts[-1]:
+            prefix = PulseSchedule.regular(pulses, spec.flap_interval)
+            scenario.engine.run_before(episode.branch_point(prefix))
+
+            def branch() -> PointOutcome:
+                episode.truncate(prefix)
+                return _finish_point(spec, scenario, episode, tracer, indices[pulses])
+
+            outcome = _in_branch(pulses, branch)
+        else:  # the trunk itself ends as the largest point
+            outcome = _finish_point(spec, scenario, episode, tracer, indices[pulses])
+        for index in indices[pulses]:
+            outcomes[index] = outcome
+    # The trunk is one reference cycle: collect it before the next chunk.
+    del scenario, episode, tracer
+    gc.collect()
+    return [(index, outcomes[index]) for index, _ in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +410,7 @@ class _PoolManager:
     ) -> None:
         """Park a healthy pool for reuse (folding any duplicate)."""
         if key in self._idle:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
             return
         self._idle[key] = pool
 
@@ -252,8 +421,11 @@ class _PoolManager:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def shutdown_all(self) -> None:
+        """Shut every idle pool down and join it. An idle pool has no
+        work left, so the join is quick, and afterwards none of its
+        threads is alive: the process may fork branches again."""
         for pool in self._idle.values():
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
         self._idle.clear()
 
 
@@ -262,7 +434,7 @@ atexit.register(_POOLS.shutdown_all)
 
 
 def shutdown_worker_pools() -> None:
-    """Tear down every warm worker pool (tests, embedders)."""
+    """Tear down and join every warm worker pool (tests, embedders)."""
     _POOLS.shutdown_all()
 
 
@@ -312,14 +484,19 @@ def execute_sweep(
     """Run one episode per pulse count, optionally across processes.
 
     ``jobs`` follows the CLI convention (``1`` sequential in-process,
-    ``0`` one worker per available CPU, ``N`` workers otherwise).
-    Every point builds and warms its own fresh scenario from
-    ``config``. Outcomes are returned in ``pulse_counts`` order and are
-    digest-identical whatever ``jobs`` or ``chunk_size`` resolve to.
+    ``0`` one worker per available CPU, ``N`` workers otherwise). Each
+    process runs its counts as one trunk and forked branches (see the
+    module docstring), so a sweep builds and warms one scenario per
+    chunk, not per point. Counts may come in any order and repeat; a
+    non-integral or negative count is a ``ConfigurationError`` before
+    anything runs. Outcomes are returned in ``pulse_counts`` order and
+    are digest-identical to replaying each point on a fresh scenario,
+    whatever ``jobs`` or ``chunk_size`` resolve to.
 
     ``chunk_size`` groups points into contiguous per-task chunks
-    (``None`` auto-sizes — see :func:`resolve_chunk_size`); it is the
-    seam the chunk-geometry determinism test drives, not a tuning knob.
+    (``None`` gives each worker one chunk — see
+    :func:`resolve_chunk_size`); it is the seam the chunk-geometry
+    determinism test drives, not a tuning knob.
 
     ``trace_dir`` enables causal tracing: each point writes its canonical
     JSONL trace to ``<trace_dir>/point_<index>_p<pulses>.jsonl`` (the
@@ -341,12 +518,14 @@ def execute_sweep(
       fresh pool, up to ``max_retries`` extra attempts.
 
     Deterministic failures — an episode raising ``SimulationError``,
-    an invariant or timer-audit violation — are *not* retried: rerunning
-    the same seed reproduces them, so they propagate immediately.
-    Because every point is a pure function of ``(config, task)``,
-    salvage-and-retry cannot change results, only recover them.
+    an invariant or timer-audit violation, in a trunk or a branch — are
+    *not* retried: rerunning the same seed reproduces them, so they
+    propagate immediately. A branch that dies without answering raises
+    ``SimulationError`` naming its pulse count. Because every point is
+    a pure function of ``(config, pulses)``, salvage-and-retry cannot
+    change results, only recover them.
     """
-    counts = [int(p) for p in pulse_counts]
+    counts = _pulse_counts(pulse_counts)
     worker_count = resolve_jobs(jobs)
     if max_retries < 0:
         raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
@@ -368,7 +547,7 @@ def execute_sweep(
     )
     tasks = list(enumerate(counts))
     if worker_count == 1 or len(counts) == 1:
-        return [_run_point(spec, index, pulses) for index, pulses in tasks]
+        return [outcome for _, outcome in _worker_run_chunk(spec, tuple(tasks))]
 
     size = resolve_chunk_size(chunk_size, len(tasks), worker_count)
     results: Dict[int, PointOutcome] = {}

@@ -16,10 +16,10 @@ the heap in between: the benchmark workloads cancel 0–8 % of what they
 schedule and their queues peak at 0.4k–8k entries.
 
 There is **one dispatch loop** (:meth:`Engine._drain`; :meth:`Engine.step`,
-:meth:`Engine.run` and :meth:`Engine.run_until_idle` only differ in what
-they do once it returns) and **one observer list**
-(:meth:`Engine.add_observer`), to which the schedule-race
-:class:`~repro.sim.events.TieDetector`, the no-progress
+:meth:`Engine.run`, :meth:`Engine.run_until_idle` and
+:meth:`Engine.run_before` only differ in what they do once it returns)
+and **one observer list** (:meth:`Engine.add_observer`), to which the
+schedule-race :class:`~repro.sim.events.TieDetector`, the no-progress
 :class:`~repro.sim.watchdog.Watchdog` and the causal
 :class:`~repro.trace.tracer.Tracer` subscribe. Observers are passive:
 they never reorder, delay or drop events.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 import sys
 from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
@@ -379,6 +380,17 @@ class Engine:
                     diagnostics=diagnostics,
                 )
         return executed
+
+    def run_before(self, instant: float) -> int:
+        """Fire every event strictly before ``instant``, and nothing at it.
+
+        :meth:`run_until_idle` bounded just short of ``instant``: the
+        clock stays at the last executed event, so a drain resumed
+        afterwards is the same drain as one that never paused. Sweeps
+        use it to stop an episode right before a flap event and branch
+        off the state every shorter pulse train shares with it.
+        """
+        return self.run_until_idle(math.nextafter(instant, -math.inf))
 
     def clear(self) -> None:
         """Drop all pending events (used between experiment repetitions)."""

@@ -14,9 +14,15 @@ A :class:`Scenario` packages the paper's methodology:
    origin, and run the event queue dry. Convergence time and message
    count are measured exactly as the paper defines them.
 
-Sweeps run all three steps per point: a fresh build and warm-up costs
-~20 ms on the 100-node mesh, and the episode that follows runs faster
-on freshly built objects than on unpickled ones. A warmed-up scenario
+The run has two public halves, :meth:`Scenario.start_episode` and
+:meth:`Scenario.finish_episode`, with an :class:`Episode` handle in
+between. Sweeps use the gap: a regular ``n``-pulse train is the first
+part of every longer one, so the sweep executor runs the longest train
+once and branches each shorter one off it just before its first extra
+flap (:meth:`Episode.branch_point`, :meth:`Episode.truncate`); see
+:mod:`repro.experiments.parallel`. Branching never pickles: the
+episode that follows a restore runs slower on unpickled objects than
+on freshly built ones. A warmed-up scenario
 can still be checkpointed as a :class:`WarmStateSnapshot` — a pickle of
 the converged network, damping, RIB, and RNG state. An episode run on a
 restored checkpoint is digest-identical to one run after a fresh
@@ -53,7 +59,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
 from repro.net.link import LinkConfig
 from repro.net.network import Network
-from repro.sim.engine import Engine, PhaseProbe
+from repro.sim.engine import Engine, PhaseProbe, ScheduledEvent
 from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
 from repro.topology.internet import pick_isp
@@ -194,12 +200,58 @@ class FlapRunResult:
         return self.summary.message_count
 
 
+class Episode:
+    """A measured episode between :meth:`Scenario.start_episode` and
+    :meth:`Scenario.finish_episode`: its schedule, its start instant and
+    the handles of its scheduled flap events, in schedule order."""
+
+    __slots__ = ("schedule", "start", "flaps")
+
+    def __init__(
+        self, schedule: PulseSchedule, start: float, flaps: List[ScheduledEvent]
+    ) -> None:
+        self.schedule = schedule
+        self.start = start
+        self.flaps = flaps
+
+    def branch_point(self, prefix: PulseSchedule) -> float:
+        """The instant before which this episode and one driven by
+        ``prefix`` fire the same events: the first flap ``prefix`` lacks,
+        or the run horizon if that comes first."""
+        self._check_prefix(prefix)
+        horizon = self.start + RUN_HORIZON
+        if len(prefix.events) == len(self.flaps):
+            return horizon
+        return min(self.flaps[len(prefix.events)].time, horizon)
+
+    def truncate(self, prefix: PulseSchedule) -> None:
+        """Cancel every flap past ``prefix``, which becomes the schedule.
+
+        While nothing at or after :meth:`branch_point` has fired, the
+        episode then runs exactly as one started with ``prefix``: the
+        flaps it shares were scheduled the same way, and every random
+        draw comes from a per-name stream the cancelled flaps never touch.
+        """
+        self._check_prefix(prefix)
+        for event in self.flaps[len(prefix.events):]:
+            event.cancel()
+        del self.flaps[len(prefix.events):]
+        self.schedule = prefix
+
+    def _check_prefix(self, prefix: PulseSchedule) -> None:
+        if prefix.events != self.schedule.events[: len(prefix.events)]:
+            raise ConfigurationError(
+                f"a {prefix.pulse_count}-pulse schedule is not a prefix of "
+                f"this episode's {self.schedule.pulse_count}-pulse schedule"
+            )
+
+
 class Scenario:
     """A built simulation, ready to warm up and run one episode.
 
-    A scenario instance is single-use: build → warm_up → run. Sweeps
-    construct a fresh scenario per data point (see
-    :mod:`repro.experiments.base`).
+    A scenario instance is single-use: build → warm_up → run. A sweep
+    builds one per process and branches its shorter points off the
+    longest episode (see :mod:`repro.experiments.parallel`).
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
@@ -354,8 +406,17 @@ class Scenario:
         ``tracer`` optionally attaches a causal
         :class:`~repro.trace.tracer.Tracer` for the episode (warm-up is
         deliberately not traced — the measured episode starts clean);
-        ``None`` runs untraced.
+        ``None`` runs untraced. The two halves, :meth:`start_episode` and
+        :meth:`finish_episode`, are public so a sweep can pause between
+        them and branch shorter pulse trains off this one.
         """
+        return self.finish_episode(self.start_episode(schedule, tracer))
+
+    def start_episode(
+        self, schedule: PulseSchedule, tracer: Optional["Tracer"] = None
+    ) -> Episode:
+        """Attach the collector (and ``tracer``), install the fault plan
+        and schedule every flap of ``schedule``; nothing fires yet."""
         if not self._warmed_up:
             self.warm_up()
         if self._ran:
@@ -386,13 +447,24 @@ class Scenario:
                 tracer=tracer,
             )
             self.fault_injector.install(start)
-        for offset, status in schedule.events:
+        # Flaps are scheduled ahead of every protocol event, so they win
+        # every same-instant tie whatever the schedule's length: that is
+        # what makes a shorter train a prefix of a longer one.
+        flaps = [
             self.engine.schedule_at(
                 start + offset,
                 self._make_flap_action(status, tracer),
                 actor=ORIGIN_NAME,
                 tag="flap",
             )
+            for offset, status in schedule.events
+        ]
+        return Episode(schedule, start, flaps)
+
+    def finish_episode(self, episode: Episode) -> FlapRunResult:
+        """Drain the episode to its horizon and reduce it to a result."""
+        start = episode.start
+        schedule = episode.schedule
         self.engine.run_until_idle(max_time=start + RUN_HORIZON)
         if self.engine.pending_count:
             raise SimulationError(
@@ -400,6 +472,8 @@ class Scenario:
                 f"({self.engine.pending_count} events pending)"
             )
 
+        collector = self.collector
+        assert collector is not None  # attached by start_episode
         final_announcement: Optional[float]
         if schedule.events:
             final_announcement = start + schedule.final_announcement_offset
@@ -473,21 +547,47 @@ def run_scenario(
 ) -> Tuple[Scenario, FlapRunResult]:
     """Build a fresh scenario, warm it up and run one measured episode.
 
-    The one place a measured episode is put together: sweep points,
-    bespoke drivers and the ad-hoc CLI commands all come through here.
-    ``audit_timers`` attaches the runtime timer audit for the scenario's
+    Bespoke drivers and the ad-hoc CLI commands come through here.
+    Sweep trunks and branches use its pieces instead
+    (:func:`warmed_scenario`, :meth:`Scenario.start_episode` /
+    :meth:`Scenario.finish_episode`, :func:`verify_episode`); only
+    replayed sweep points call it whole. ``audit_timers`` attaches the runtime timer audit for the scenario's
     whole life (warm-up included) and ``phase_probe`` brackets every
     engine callback; ``tracer`` covers the measured episode only. A
     timer-audit violation raises ``SimulationError``; with
     ``check_invariants`` so does a drained scenario off its solved stable
     state (:func:`repro.analysis.invariants.check_converged_invariants`).
     """
+    scenario = warmed_scenario(
+        config, audit_timers=audit_timers, phase_probe=phase_probe
+    )
+    result = scenario.run(schedule, tracer=tracer)
+    verify_episode(scenario, check_invariants=check_invariants)
+    return scenario, result
+
+
+def warmed_scenario(
+    config: ScenarioConfig,
+    *,
+    audit_timers: bool = False,
+    phase_probe: Optional[PhaseProbe] = None,
+) -> Scenario:
+    """Build a fresh scenario and warm it up, with the timer audit and
+    the phase probe (when asked for) attached before anything fires."""
     scenario = Scenario(config)
-    audit = scenario.engine.enable_timer_audit() if audit_timers else None
+    if audit_timers:
+        scenario.engine.enable_timer_audit()
     if phase_probe is not None:
         scenario.engine.set_phase_probe(phase_probe)
     scenario.warm_up()
-    result = scenario.run(schedule, tracer=tracer)
+    return scenario
+
+
+def verify_episode(scenario: Scenario, *, check_invariants: bool = False) -> None:
+    """Hold a drained scenario to its checks: the timer audit, when one
+    is attached, and with ``check_invariants`` the converged-state
+    oracle. Either failing raises ``SimulationError``."""
+    audit = scenario.engine.timer_audit
     if audit is not None:
         violations = audit.verify()
         if violations:
@@ -502,7 +602,6 @@ def run_scenario(
         from repro.analysis.invariants import check_converged_invariants
 
         check_converged_invariants(scenario).raise_on_violation()
-    return scenario, result
 
 
 def run_episode(
@@ -532,8 +631,8 @@ class WarmStateSnapshot:
     share no mutable state with each other.
 
     Snapshots are plain picklable values themselves. The sweep executor
-    does not use them (it warms a fresh scenario per point); they are a
-    checkpoint primitive and the restore-invariance test oracle.
+    does not use them (it forks branches off a live trunk instead); they
+    are a checkpoint primitive and the restore-invariance test oracle.
     """
 
     __slots__ = ("config", "blob", "warmup_convergence", "_digest")

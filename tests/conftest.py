@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import os
 from typing import Dict, Tuple
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.params import CISCO_DEFAULTS
 from repro.experiments.base import ExperimentResult, RunOptions, SeriesCache, Sweep
 from repro.experiments.claims import CLAIMS_BY_ID, claims_for
+from repro.experiments.parallel import shutdown_worker_pools
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.net.link import LinkConfig
 from repro.net.network import Network
@@ -17,6 +19,16 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.topology.mesh import mesh_topology
 from repro.workload.scenarios import ScenarioConfig
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _join_worker_pools_after_each_module():
+    """Join the worker pools a module leaves warm. Their threads would
+    make every later sequential sweep replay its points instead of
+    forking branches, so which path a test took would depend on the
+    order the modules ran in."""
+    yield
+    shutdown_worker_pools()
 
 
 @pytest.fixture
@@ -50,18 +62,34 @@ def fast_config(small_mesh) -> ScenarioConfig:
     )
 
 
+class _CallLog:
+    """A file of one line per call; ``len()`` reads the current count."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+        path.write_text("")
+
+    def record(self) -> None:
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+
+    def __len__(self) -> int:
+        return len(self.path.read_text(encoding="utf-8").splitlines())
+
+
 @pytest.fixture
-def oracle_calls(monkeypatch):
-    """Counts converged-state invariant-oracle passes: the list grows by
-    one entry per call (the oracle still runs)."""
+def oracle_calls(monkeypatch, tmp_path):
+    """Counts converged-state invariant-oracle passes (the oracle still
+    runs). Sweep points that run in forked branches count too: every
+    process appends its calls to one log file."""
     import repro.analysis.invariants as invariants
 
-    calls = []
+    calls = _CallLog(tmp_path / "oracle_calls.log")
     oracle = invariants.check_converged_invariants
     monkeypatch.setattr(
         invariants,
         "check_converged_invariants",
-        lambda scenario: calls.append(scenario) or oracle(scenario),
+        lambda scenario: calls.record() or oracle(scenario),
     )
     return calls
 

@@ -1,8 +1,9 @@
 """An episode makes no cyclic garbage; a finished scenario is one big cycle.
 
 ``Engine._drain`` runs with Python's automatic cyclic collector paused,
-and ``experiments.parallel._run_point`` collects each point's scenario
-before the next point is built. Both rest on the properties pinned here.
+and the sweep executor collects each chunk's trunk scenario (and
+``experiments.parallel._run_point`` each replayed point's) before the
+next one is built. Both rest on the properties pinned here.
 Every count is taken with automatic collection off, so nothing is
 collected behind the test's back: one ``gc.collect()`` returns exactly
 the garbage the code under test left.

@@ -11,6 +11,8 @@ byte-level metrics digests. The CI matrix runs them on Python 3.9 and
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -25,6 +27,7 @@ from repro.experiments.parallel import (
     execute_sweep,
     resolve_chunk_size,
     resolve_jobs,
+    shutdown_worker_pools,
 )
 
 #: Four points so ``jobs=4`` actually exercises four spawn workers.
@@ -83,9 +86,21 @@ def test_resolve_chunk_size_semantics():
     assert resolve_chunk_size(3, 10, 2) == 3
     with pytest.raises(ConfigurationError):
         resolve_chunk_size(0, 10, 2)
-    # Auto mode: sequential keeps one chunk; parallel targets a few
-    # chunks per worker and never rounds below one point per chunk.
+    # Auto mode: one contiguous chunk per worker (a chunk shares one
+    # trunk among its points), never below one point per chunk.
     assert resolve_chunk_size(None, 5, 1) == 5
-    assert resolve_chunk_size(None, 4, 2) == 1
-    assert resolve_chunk_size(None, 100, 4) == 7
+    assert resolve_chunk_size(None, 4, 2) == 2
+    assert resolve_chunk_size(None, 100, 4) == 25
+    assert resolve_chunk_size(None, 11, 2) == 6
     assert resolve_chunk_size(None, 1, 8) == 1
+
+
+def test_shutdown_worker_pools_joins_idle_pools(fast_config):
+    """Sweep branches are forked only from a single-threaded process, so
+    tearing the warm pools down must leave no pool thread behind."""
+    shutdown_worker_pools()
+    assert threading.active_count() == 1
+    execute_sweep(fast_config, (0, 1), jobs=2)
+    assert threading.active_count() > 1  # the parked pool's threads
+    shutdown_worker_pools()
+    assert threading.active_count() == 1

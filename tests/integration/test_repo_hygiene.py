@@ -272,20 +272,23 @@ def _callers(*callees: str) -> dict:
 
 
 def test_one_function_builds_and_warms_a_measured_scenario():
-    """Build → warm-up → run is spelt out once, but for two that own a
+    """Build → warm-up is spelt out once (``warmed_scenario``, which
+    ``run_scenario`` and the sweep trunk share), and so are the
+    post-episode checks (``verify_episode``), but for two that own a
     stage boundary: ``run_scale_episode`` times each stage and ``capture``
     stops after the warm-up (and is a frozen ``bench/`` shim site)."""
-    runner = "workload/scenarios.py::run_scenario"
+    builder = "workload/scenarios.py::warmed_scenario"
+    checker = "workload/scenarios.py::verify_episode"
     sites = _callers("Scenario", "check_converged_invariants", "enable_timer_audit")
     assert sites["Scenario"] == {
-        runner,
+        builder,
         "workload/scenarios.py::capture",
         "experiments/scale.py::run_scale_episode",
     }
     oracle = sites["check_converged_invariants"]
-    assert {s for s in oracle if not s.startswith("analysis/")} == {runner}
+    assert {s for s in oracle if not s.startswith("analysis/")} == {checker}
     audit = sites["enable_timer_audit"]
-    assert {s for s in audit if not s.startswith("sim/")} == {runner}
+    assert {s for s in audit if not s.startswith("sim/")} == {builder}
 
 
 def test_cli_errors_are_handled_in_main():

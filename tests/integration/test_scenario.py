@@ -97,6 +97,35 @@ def test_single_pulse_metrics(fast_config):
     assert result.schedule.pulse_count == 1
 
 
+def test_truncated_episode_is_the_shorter_episode(fast_config):
+    """An episode started with 3 pulses, drained to the branch point of
+    a 1-pulse prefix and truncated there, finishes as a 1-pulse run."""
+    from repro.metrics.digest import run_digest
+
+    scenario = Scenario(fast_config)
+    episode = scenario.start_episode(PulseSchedule.regular(3, 60.0))
+    prefix = PulseSchedule.regular(1, 60.0)
+    cut = episode.branch_point(prefix)
+    assert cut == episode.start + 120.0  # the second withdrawal
+    scenario.engine.run_before(cut)
+    episode.truncate(prefix)
+    branched = scenario.finish_episode(episode)
+    fresh = run_episode(fast_config, pulses=1)
+    assert branched.schedule == fresh.schedule
+    assert branched.flap_times == fresh.flap_times
+    assert branched.end_time == fresh.end_time
+    assert run_digest(branched.collector) == run_digest(fresh.collector)
+
+
+def test_truncate_rejects_a_schedule_that_is_not_a_prefix(fast_config):
+    scenario = Scenario(fast_config)
+    episode = scenario.start_episode(PulseSchedule.regular(2, 60.0))
+    with pytest.raises(ConfigurationError, match="not a prefix"):
+        episode.truncate(PulseSchedule.regular(1, 30.0))
+    with pytest.raises(ConfigurationError, match="not a prefix"):
+        episode.branch_point(PulseSchedule.regular(3, 60.0))
+
+
 def test_same_seed_reproduces_exactly(fast_config):
     a = run_episode(fast_config, pulses=2)
     b = run_episode(fast_config, pulses=2)

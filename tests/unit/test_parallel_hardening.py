@@ -96,6 +96,29 @@ def test_execute_sweep_validates_retry_and_timeout_arguments(fast_config):
         execute_sweep(fast_config, (0, 1), jobs=2, chunk_size=0)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "counts", [[2.7], [1, -1], ["3"], [float("nan")], [None]], ids=repr
+)
+def test_pulse_counts_are_validated_before_any_work(
+    fast_config, monkeypatch, counts, jobs
+):
+    def no_work(spec, tasks):
+        raise AssertionError("a point ran before the counts were checked")
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(parallel_mod, "_worker_run_chunk", no_work)
+    with pytest.raises(ConfigurationError, match="non-negative integers"):
+        execute_sweep(fast_config, counts, jobs=jobs)
+    assert _InlinePool.instances == []
+
+
+def test_integral_float_counts_are_counts(fast_config):
+    outcomes = execute_sweep(fast_config, [1.0, 0])
+    assert [o.pulses for o in outcomes] == [1, 0]
+    assert all(isinstance(o.pulses, int) for o in outcomes)
+
+
 def test_broken_pool_salvages_completed_points_and_retries(
     fast_config, monkeypatch
 ):

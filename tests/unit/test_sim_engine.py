@@ -131,6 +131,19 @@ def test_run_until_idle_respects_max_time():
     assert engine.pending_count == 1
 
 
+def test_run_before_fires_strictly_earlier_events_and_keeps_the_clock():
+    engine = Engine()
+    fired = []
+    for time in (1.0, 5.0, 5.0, 7.0):
+        engine.schedule_at(time, partial(fired.append, time))
+    assert engine.run_before(5.0) == 1
+    assert fired == [1.0]
+    assert engine.now == 1.0  # not moved to the instant
+    # Resuming is the drain that never paused: both 5.0 events, in order.
+    engine.run_until_idle(max_time=100.0)
+    assert fired == [1.0, 5.0, 5.0, 7.0]
+
+
 def test_run_until_idle_event_budget_exceeded_raises():
     engine = Engine()
 
