@@ -10,7 +10,7 @@ file (CI passes ``$GITHUB_STEP_SUMMARY`` so the table lands in the job
 summary page).
 
 Parallel benchmarks are only meaningful relative to the core count they
-ran on — a ``jobs=2`` sweep recorded on a single-core box is pure spawn
+ran on — a ``jobs=2`` sweep recorded on a single-core box is pure fork
 overhead, not a measurement. Entries therefore carry the ``cpu_count``
 they were recorded on, and entries whose core counts differ between
 baseline and current are reported as ``incomparable`` instead of being

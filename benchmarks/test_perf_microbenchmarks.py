@@ -25,12 +25,7 @@ from repro.bgp.decision import select_best
 from repro.core.params import CISCO_DEFAULTS, UpdateKind
 from repro.core.penalty import PenaltyState
 from repro.experiments.base import DEFAULT_SEED, mesh100_config, small_mesh_config
-from repro.experiments.parallel import (
-    available_cpus,
-    execute_sweep,
-    resolve_chunk_size,
-    shutdown_worker_pools,
-)
+from repro.experiments.parallel import available_cpus, execute_sweep
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
 from repro.trace import MemorySink, Tracer
@@ -372,25 +367,21 @@ def _fig8_sweep(jobs: int, rounds: int = 1):
 
 def test_perf_fig8_sweep_sequential_vs_parallel():
     """Wall-clock for the fig8 full-damping mesh sweep, sequential
-    against a warm spawn pool. Both run one trunk per process (each
-    worker gets one contiguous chunk) and fork the shorter points off
-    it, and must agree digest-for-digest.
+    against forked chunk workers. Both run one trunk per process (each
+    worker is forked with one contiguous chunk) and fork the shorter
+    points off it, and must agree digest-for-digest.
 
-    The parallel round is timed with the pool already warm (persistent
-    pools are the executor's steady state — every sweep after a
-    process's first reuses workers), and both sides take min-of-rounds
-    so host-load noise hits them equally. On a host with >= 2 available
-    CPUs the parallel sweep must be at least as fast as sequential. On a
-    single-core host the requirement is physically unsatisfiable (spawn
-    workers time-slice one core and pay IPC on top), so the gate skips
-    with that reason; the recorded ``cpu_count`` lets compare_perf refuse
-    cross-host comparisons of the number.
+    Both sides take min-of-rounds so host-load noise hits them equally.
+    On a host with >= 2 available CPUs the parallel sweep must be at
+    least as fast as sequential. On a single-core host the requirement
+    is physically unsatisfiable (the workers time-slice one core and
+    pay a fork and a pipe on top), so the gate skips with that reason;
+    the recorded ``cpu_count`` lets compare_perf refuse cross-host
+    comparisons of the number.
     """
     par_jobs = 2 if available_cpus() < 4 else 4
-    chunk = resolve_chunk_size(None, len(_FIG8_PULSES), par_jobs)
 
     seq_s, seq = _fig8_sweep(jobs=1, rounds=2)
-    _fig8_sweep(jobs=par_jobs)  # spawn + warm the pool
     par_s, par = _fig8_sweep(jobs=par_jobs, rounds=2)
 
     assert [o.digest for o in seq] == [o.digest for o in par]
@@ -402,14 +393,13 @@ def test_perf_fig8_sweep_sequential_vs_parallel():
         points=len(_FIG8_PULSES),
         jobs=par_jobs,
         cpu_count=available_cpus(),
-        start_method="spawn",
-        chunk_size=chunk,
+        start_method="fork",
         speedup_vs_sequential=round(seq_s / par_s, 2),
     )
     if available_cpus() < 2:
         pytest.skip(
             f"parallel speedup gate needs >= 2 available CPUs, host has "
-            f"{available_cpus()}: jobs={par_jobs} spawn workers time-slice "
+            f"{available_cpus()}: jobs={par_jobs} workers time-slice "
             f"one core, so parallel >= sequential cannot hold (numbers "
             f"recorded, not gated)"
         )
@@ -418,37 +408,6 @@ def test_perf_fig8_sweep_sequential_vs_parallel():
         f"sequential on {available_cpus()} CPUs — the parallel executor "
         f"is losing to its own sequential path"
     )
-
-
-def test_perf_warm_pool_amortises_spawn():
-    """A second sweep on an already-warm pool must not pay spawn again.
-
-    The persistent pool manager is what turns ``jobs=N`` from a
-    per-sweep interpreter-start tax into a one-off: the first parallel
-    sweep spawns workers, every later one reuses them. This records the
-    cold/warm split so the pool manager's value is visible in the perf
-    trajectory (and its loss would show as warm_s climbing to cold_s).
-    """
-    shutdown_worker_pools()
-    config = mesh100_config(seed=DEFAULT_SEED)
-    pulses = (0, 1, 2, 3)
-
-    cold_s = _timed(lambda: execute_sweep(config, pulses, jobs=2))
-    warm_s = min(
-        _timed(lambda: execute_sweep(config, pulses, jobs=2)) for _ in range(2)
-    )
-
-    _record(
-        "parallel_pool_cold_vs_warm",
-        warm_s,
-        cold_seconds=round(cold_s, 6),
-        cpu_count=available_cpus(),
-        jobs=2,
-        start_method="spawn",
-    )
-    # The warm sweep skips worker spawn + import entirely; it must never
-    # be slower than the cold one beyond timing noise.
-    assert warm_s <= cold_s * 1.10 + 0.05
 
 
 def _small_episode(tracer=None):

@@ -181,8 +181,8 @@ def run_sweep(
 
     Each point's episode is the one a fresh scenario would run; the
     executor runs the largest count once and forks the shorter ones off
-    it, and with ``jobs != 1`` does so per chunk in a spawn-context
-    process pool (see :mod:`repro.experiments.parallel`), which is
+    it, and with ``jobs != 1`` does so per chunk in forked worker
+    processes (see :mod:`repro.experiments.parallel`), which is
     digest-identical to the sequential loop.
     """
     outcomes = execute_sweep(

@@ -1,4 +1,4 @@
-"""Deterministic sweep executor: prefix-shared branches and a spawn pool.
+"""Deterministic sweep executor: prefix-shared branches in forked chunks.
 
 Every figure and ablation is a sweep over the pulse count ``n`` of one
 config, and a regular ``n``-pulse train is by construction the first
@@ -9,11 +9,14 @@ drains every event strictly before its ``(n+1)``-th withdrawal, then
 forks (``os.fork``) a **branch** that cancels the flaps still to come,
 drains, and reduces to a :class:`PointOutcome`, which it pipes back
 pickled (or the exception it raised). The trunk then runs on and ends
-as the largest point. This module is the one place such fan-out is
-allowed (detlint rule DET010 flags ``multiprocessing``,
-``concurrent.futures`` and ``os.fork`` anywhere else), and it provides
-a hard guarantee: results are **digest-identical** to replaying every
-point on a fresh scenario, whatever ``jobs`` or the chunk geometry is.
+as the largest point. With ``jobs > 1`` the counts are cut into one
+contiguous **chunk** per worker, and each chunk runs the same trunk and
+branches in a child forked from the caller. ``os.fork`` is the only way
+this module starts a process, and this module is the one place such
+fan-out is allowed (detlint rule DET010 flags ``multiprocessing``,
+``concurrent.futures`` and ``os.fork`` anywhere else). It provides a
+hard guarantee: results are **digest-identical** to replaying every
+point on a fresh scenario, whatever ``jobs`` is.
 
 The guarantee holds by construction:
 
@@ -27,26 +30,19 @@ The guarantee holds by construction:
 * A branch runs on the trunk's own objects, shared copy-on-write: it
   runs the converged-state oracle, the timer audit and the tracer
   exactly as a fresh point would, and writes its own trace file.
-* Pool workers use the ``spawn`` start method: only the bare
-  :class:`~repro.workload.scenarios.ScenarioConfig` crosses the process
-  boundary, each worker runs the same trunk-and-branches runner over
-  one contiguous chunk, and results are collected in submission order.
+* A chunk child builds its trunk from the bare
+  :class:`~repro.workload.scenarios.ScenarioConfig`, like the caller
+  would, and the caller joins the chunks in submission order.
 
 Forking is only safe from a single-threaded process. Where there is no
-``os.fork`` or more than one thread is alive (a warm pool's manager
-threads, say), every point is replayed on a fresh scenario instead
-(:func:`_run_point`), which is also the reference the equivalence
+``os.fork`` or more than one thread is alive, every point is replayed
+on a fresh scenario in the caller instead (:func:`_run_point`),
+whatever ``jobs`` is; that replay is also the reference the equivalence
 tests hold the branches to. Branches are forked, not pickled: a warmed
 mesh100 scenario pickles to 1.4 MB (its 303 Mersenne-Twister streams
 alone are 1.15 MB) and takes ~70 ms to dump and load, more than most
 branch tails take to run, and episodes on unpickled objects run
 13–18 % slower.
-
-**Persistent warm pools** (:class:`_PoolManager`): spawn workers cost a
-full interpreter start + import each, so pools are kept alive and
-reused across ``execute_sweep`` calls instead of being rebuilt per
-sweep. A broken or timed-out pool is discarded; healthy pools return to
-the warm set.
 
 Episode outcomes cross process boundaries as compact picklable
 :class:`PointOutcome` records (metrics plus the run digest), never as
@@ -57,19 +53,16 @@ before the next is built: a process holds one scenario at a time.
 
 from __future__ import annotations
 
-import atexit
+import functools
 import gc
 import math
-import multiprocessing
 import os
 import pickle
 import signal
 import sys
 import threading
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.digest import run_digest
@@ -130,27 +123,16 @@ def available_cpus() -> int:
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``--jobs`` value: ``None``/``1`` = sequential,
     ``0`` = one worker per *available* CPU (affinity-aware, so container
-    CPU limits are respected), ``N`` = that many workers."""
+    CPU limits are respected), ``N`` = that many workers. Anything but
+    ``None`` or a non-negative ``int`` (a ``bool`` is not one) is a
+    :class:`ConfigurationError`."""
     if jobs is None:
         return 1
-    if jobs < 0:
-        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
+        raise ConfigurationError(f"jobs must be an integer >= 0, got {jobs!r}")
     if jobs == 0:
         return available_cpus()
     return jobs
-
-
-def resolve_chunk_size(
-    chunk_size: Optional[int], point_count: int, worker_count: int
-) -> int:
-    """Points per submitted task. ``None`` gives each worker one
-    contiguous chunk: a chunk shares one trunk among its points, so
-    fewer, longer chunks do less work in total."""
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
-    return max(1, math.ceil(point_count / worker_count))
 
 
 def _pulse_counts(pulse_counts: Sequence[int]) -> List[int]:
@@ -177,10 +159,8 @@ def _pulse_counts(pulse_counts: Sequence[int]) -> List[int]:
 
 @dataclass(frozen=True)
 class _SweepSpec:
-    """Everything needed to run any point of a sweep, kept deliberately
-    tiny. Because the spec rides on every chunk instead of the pool
-    initializer, one persistent pool serves sweeps over different
-    configs back to back."""
+    """Everything needed to run any point of a sweep: the caller, each
+    chunk child and :func:`_run_point` build from this alone."""
 
     config: ScenarioConfig
     flap_interval: float
@@ -269,10 +249,19 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
-    """Run ``work`` in a forked child and return its outcome, or raise
-    the exception it raised. A child that dies without answering is a
-    :class:`SimulationError` naming its pulse count."""
+def _fork(
+    work: Callable[[], object], timeout: Optional[float] = None
+) -> Tuple[int, int]:
+    """Run ``work`` in a forked child; return the child's pid and the
+    read end of the pipe its answer (:func:`_answer`) arrives on.
+
+    With a ``timeout`` the child restores SIGALRM's default action and
+    arms a real-time timer, so running past ``timeout`` seconds kills
+    it. A fork does not inherit timers, so a child forked without a
+    ``timeout`` re-arms whatever time its parent had left: a branch
+    dies at the same instant as the chunk it was forked from, instead of
+    holding the chunk's pipe open after the chunk is gone."""
+    deadline = signal.getitimer(signal.ITIMER_REAL)[0] if timeout is None else timeout
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
@@ -281,6 +270,12 @@ def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
         os.close(read_fd)
         code = 1
         try:
+            if timeout is not None:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            if deadline > 0:
+                # Past ~292 years setitimer overflows; that is no bound anyway.
+                deadline = min(deadline, threading.TIMEOUT_MAX)
+                signal.setitimer(signal.ITIMER_REAL, deadline)
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(_answer(work))
             code = 0
@@ -289,6 +284,14 @@ def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
             sys.stderr.flush()
             os._exit(code)
     os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(pid: int, read_fd: int, label: str) -> Any:
+    """Read a forked child's answer, reap the child, and return its
+    value or raise the exception it raised. A child that dies without
+    answering is a :class:`SimulationError` naming ``label`` and how
+    the child ended."""
     try:
         with os.fdopen(read_fd, "rb") as pipe:
             answer = pipe.read()
@@ -297,8 +300,7 @@ def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
     # A child exits 0 only once its whole answer is in the pipe.
     if status != 0 or not answer:
         raise SimulationError(
-            f"sweep branch n={pulses} exited without a result "
-            f"({_describe_status(status)})"
+            f"{label} exited without a result ({_describe_status(status)})"
         )
     ok, value = pickle.loads(answer)
     if not ok:
@@ -306,8 +308,8 @@ def _in_branch(pulses: int, work: Callable[[], PointOutcome]) -> PointOutcome:
     return value
 
 
-def _answer(work: Callable[[], PointOutcome]) -> bytes:
-    """The pickled ``(True, outcome)`` or ``(False, exception)``; an
+def _answer(work: Callable[[], object]) -> bytes:
+    """The pickled ``(True, value)`` or ``(False, exception)``; an
     exception that does not survive a pickle round trip is sent as a
     :class:`SimulationError` carrying its type name and message."""
     try:
@@ -362,7 +364,7 @@ def _worker_run_chunk(
                 episode.truncate(prefix)
                 return _finish_point(spec, scenario, episode, tracer, indices[pulses])
 
-            outcome = _in_branch(pulses, branch)
+            outcome = _join(*_fork(branch), f"sweep branch n={pulses}")
         else:  # the trunk itself ends as the largest point
             outcome = _finish_point(spec, scenario, episode, tracer, indices[pulses])
         for index in indices[pulses]:
@@ -373,100 +375,18 @@ def _worker_run_chunk(
     return [(index, outcomes[index]) for index, _ in tasks]
 
 
-# ----------------------------------------------------------------------
-# persistent pools
-# ----------------------------------------------------------------------
-
-
-class _PoolManager:
-    """Keeps spawn pools warm across sweeps.
-
-    A spawn worker pays a full interpreter start plus ``import repro``
-    — comparable to several episodes — so tearing the pool down after
-    every sweep forfeits most of the multi-core win for short sweeps
-    and multi-sweep experiments. Healthy pools are parked here on sweep
-    completion and handed back to the next sweep with the same shape;
-    broken or timed-out pools are discarded (their wedged workers make
-    them unreusable). Keys include the executor class so the hardening
-    tests' fake pools never alias real ones.
-    """
-
-    def __init__(self) -> None:
-        self._idle: Dict[Tuple[object, int], ProcessPoolExecutor] = {}
-
-    def acquire(
-        self, worker_count: int
-    ) -> Tuple[Tuple[object, int], ProcessPoolExecutor]:
-        executor_cls = ProcessPoolExecutor  # module attr: monkeypatch seam
-        key = (executor_cls, worker_count)
-        pool = self._idle.pop(key, None)
-        if pool is None:
-            context = multiprocessing.get_context("spawn")
-            pool = executor_cls(max_workers=worker_count, mp_context=context)
-        return key, pool
-
-    def release(
-        self, key: Tuple[object, int], pool: ProcessPoolExecutor
-    ) -> None:
-        """Park a healthy pool for reuse (folding any duplicate)."""
-        if key in self._idle:
-            pool.shutdown(wait=True, cancel_futures=True)
-            return
-        self._idle[key] = pool
-
-    def discard(self, pool: ProcessPoolExecutor) -> None:
-        """Drop a pool we no longer trust. Never a blocking shutdown: a
-        wedged worker would hang it forever, and cancel_futures strands
-        nothing we keep — unfinished points are resubmitted elsewhere."""
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown_all(self) -> None:
-        """Shut every idle pool down and join it. An idle pool has no
-        work left, so the join is quick, and afterwards none of its
-        threads is alive: the process may fork branches again."""
-        for pool in self._idle.values():
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._idle.clear()
-
-
-_POOLS = _PoolManager()
-atexit.register(_POOLS.shutdown_all)
+def _chunk_child(spec: _SweepSpec, tasks: _Chunk) -> List[Tuple[int, PointOutcome]]:
+    """A chunk worker's body. Freezing first moves every object inherited
+    from the caller out of the collector's reach, so the chunk's final
+    collection does not write to (and copy) the pages they live on."""
+    gc.freeze()
+    return _worker_run_chunk(spec, tasks)
 
 
 def shutdown_worker_pools() -> None:
-    """Tear down and join every warm worker pool (tests, embedders)."""
-    _POOLS.shutdown_all()
-
-
-# ----------------------------------------------------------------------
-# executor
-# ----------------------------------------------------------------------
-
-
-def _chunk_tasks(tasks: Sequence[Tuple[int, int]], size: int) -> List[_Chunk]:
-    """Contiguous chunks in task order — deterministic for a given
-    (missing tasks, size), so retries re-chunk reproducibly."""
-    return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-
-
-def _salvage_chunks(
-    submitted: Sequence[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]],
-    results: Dict[int, PointOutcome],
-) -> None:
-    """Harvest every chunk that finished cleanly before the pool broke,
-    without blocking on the ones that did not. Completed points are
-    kept; only the genuinely missing ones are resubmitted."""
-    for _chunk, future in submitted:
-        if not future.done():
-            continue
-        try:
-            outcomes = future.result(timeout=0)
-        except BaseException:
-            # Broken-pool / cancelled / crashed futures are retried by
-            # the caller; only clean outcomes are worth keeping.
-            continue
-        for index, outcome in outcomes:
-            results.setdefault(index, outcome)
+    """Kept so existing imports resolve; does nothing. Chunk workers are
+    forked per sweep and reaped before :func:`execute_sweep` returns,
+    so there is no pool to shut down."""
 
 
 def execute_sweep(
@@ -477,26 +397,23 @@ def execute_sweep(
     check_invariants: bool = False,
     trace_dir: Optional[str] = None,
     point_timeout: Optional[float] = None,
-    max_retries: int = 2,
     audit_timers: bool = False,
-    chunk_size: Optional[int] = None,
 ) -> List[PointOutcome]:
     """Run one episode per pulse count, optionally across processes.
 
     ``jobs`` follows the CLI convention (``1`` sequential in-process,
-    ``0`` one worker per available CPU, ``N`` workers otherwise). Each
+    ``0`` one worker per available CPU, ``N`` workers otherwise). With
+    more than one worker the counts are cut into ``ceil(len / jobs)``-
+    point contiguous chunks and each chunk runs in a forked child. Each
     process runs its counts as one trunk and forked branches (see the
     module docstring), so a sweep builds and warms one scenario per
     chunk, not per point. Counts may come in any order and repeat; a
     non-integral or negative count is a ``ConfigurationError`` before
     anything runs. Outcomes are returned in ``pulse_counts`` order and
     are digest-identical to replaying each point on a fresh scenario,
-    whatever ``jobs`` or ``chunk_size`` resolve to.
-
-    ``chunk_size`` groups points into contiguous per-task chunks
-    (``None`` gives each worker one chunk — see
-    :func:`resolve_chunk_size`); it is the seam the chunk-geometry
-    determinism test drives, not a tuning knob.
+    whatever ``jobs`` resolves to. A process that cannot fork safely
+    (no ``os.fork``, or another thread alive) replays every point in
+    the caller, whatever ``jobs`` is.
 
     ``trace_dir`` enables causal tracing: each point writes its canonical
     JSONL trace to ``<trace_dir>/point_<index>_p<pulses>.jsonl`` (the
@@ -505,33 +422,27 @@ def execute_sweep(
     ran that point, so the files — like the outcomes — are byte-identical
     between sequential and parallel execution.
 
-    The parallel path is hardened against *pool-level* failures — a
-    worker process dying (OOM killer, segfault) breaks the whole
-    executor, and a wedged worker would block forever:
+    ``point_timeout`` (a finite number of seconds > 0, or ``None`` for
+    no bound) bounds each chunk child at ``point_timeout * len(chunk)``
+    seconds: past it, SIGALRM kills the chunk and the branch it has in
+    flight. Sequential sweeps ignore it.
 
-    * ``point_timeout`` bounds the wall-clock wait for each point once
-      the executor starts waiting on it (``None`` = wait forever); a
-      chunk's budget is ``point_timeout * len(chunk)``;
-    * when the pool breaks or a chunk times out, every already-completed
-      outcome is salvaged, the pool is discarded (a wedged worker makes
-      it unreusable), and only the missing points are resubmitted to a
-      fresh pool, up to ``max_retries`` extra attempts.
-
-    Deterministic failures — an episode raising ``SimulationError``,
-    an invariant or timer-audit violation, in a trunk or a branch — are
-    *not* retried: rerunning the same seed reproduces them, so they
-    propagate immediately. A branch that dies without answering raises
-    ``SimulationError`` naming its pulse count. Because every point is
-    a pure function of ``(config, pulses)``, salvage-and-retry cannot
-    change results, only recover them.
+    Nothing is retried: every point is a pure function of ``(config,
+    pulses)``, so a rerun would fail the same way. An episode error —
+    ``SimulationError``, an invariant or timer-audit violation, in a
+    trunk or a branch — re-raises in the caller with its type and
+    message. A chunk or branch that dies without answering (killed,
+    timed out) raises ``SimulationError`` naming its pulse counts and
+    the signal or exit status. When one chunk fails, every other chunk
+    is killed and reaped before the error propagates.
     """
     counts = _pulse_counts(pulse_counts)
     worker_count = resolve_jobs(jobs)
-    if max_retries < 0:
-        raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
-    if point_timeout is not None and point_timeout <= 0:
+    if point_timeout is not None and not (
+        math.isfinite(point_timeout) and point_timeout > 0
+    ):
         raise ConfigurationError(
-            f"point_timeout must be > 0 seconds, got {point_timeout}"
+            f"point_timeout must be a finite number of seconds > 0, got {point_timeout}"
         )
     if not counts:
         return []
@@ -546,86 +457,36 @@ def execute_sweep(
         audit_timers=audit_timers,
     )
     tasks = list(enumerate(counts))
-    if worker_count == 1 or len(counts) == 1:
+    if worker_count == 1 or len(tasks) == 1 or not _can_fork():
         return [outcome for _, outcome in _worker_run_chunk(spec, tuple(tasks))]
 
-    size = resolve_chunk_size(chunk_size, len(tasks), worker_count)
-    results: Dict[int, PointOutcome] = {}
-    failures: List[str] = []
-    for attempt in range(max_retries + 1):
-        missing = [task for task in tasks if task[0] not in results]
-        if not missing:
-            break
-        key, pool = _POOLS.acquire(worker_count)
-        submitted: List[Tuple[_Chunk, "Future[List[Tuple[int, PointOutcome]]]"]] = []
-        broke = False
-        try:
-            try:
-                for piece in _chunk_tasks(missing, size):
-                    submitted.append(
-                        (piece, pool.submit(_worker_run_chunk, spec, piece))
-                    )
-            except BrokenExecutor as exc:
-                failures.append(
-                    f"attempt {attempt + 1}: pool broke during submission "
-                    f"({type(exc).__name__})"
-                )
-                broke = True
-            # Collect in submission order so output ordering never depends
-            # on completion order.
-            for piece, future in submitted:
-                if broke:
-                    break
-                budget = (
-                    point_timeout * len(piece) if point_timeout is not None else None
-                )
-                pulses_in_piece = [pulses for _index, pulses in piece]
-                try:
-                    for index, outcome in future.result(timeout=budget):
-                        results[index] = outcome
-                except BrokenExecutor as exc:
-                    failures.append(
-                        f"attempt {attempt + 1}: pool broke at chunk "
-                        f"n={pulses_in_piece} ({type(exc).__name__})"
-                    )
-                    broke = True
-                    break
-                except FutureTimeoutError:
-                    failures.append(
-                        f"attempt {attempt + 1}: chunk n={pulses_in_piece} "
-                        f"exceeded {budget}s"
-                    )
-                    broke = True
-                    break
-        except BaseException:
-            # Deterministic episode errors propagate immediately; the
-            # pool may be healthy but its outstanding chunks are moot,
-            # so drop it rather than hand it to the next sweep mid-drain.
-            _POOLS.discard(pool)
-            raise
-        if broke:
-            _salvage_chunks(submitted, results)
-            _POOLS.discard(pool)
-        else:
-            _POOLS.release(key, pool)
-
-    still_missing = sorted(
-        pulses for index, pulses in tasks if index not in results
-    )
-    if still_missing:
-        raise SimulationError(
-            f"sweep lost {len(still_missing)} point(s) "
-            f"(pulses={still_missing}) after {max_retries + 1} attempt(s): "
-            + "; ".join(failures[-3:])
-        )
-    return [results[index] for index, _ in tasks]
+    size = math.ceil(len(tasks) / worker_count)
+    chunks = [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
+    running: List[Tuple[_Chunk, int, int]] = []
+    try:
+        for chunk in chunks:
+            budget = None if point_timeout is None else point_timeout * len(chunk)
+            work = functools.partial(_chunk_child, spec, chunk)
+            running.append((chunk, *_fork(work, budget)))
+        results: List[Tuple[int, PointOutcome]] = []
+        # Joined in submission order, so the output never depends on
+        # which chunk finishes first.
+        while running:
+            chunk, pid, read_fd = running.pop(0)
+            label = f"sweep chunk n={[pulses for _, pulses in chunk]}"
+            results.extend(_join(pid, read_fd, label))
+    finally:
+        for _chunk, pid, read_fd in running:  # left over only by a failure
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return [outcome for _, outcome in results]
 
 
 __all__ = [
     "PointOutcome",
     "available_cpus",
     "execute_sweep",
-    "resolve_chunk_size",
     "resolve_jobs",
     "shutdown_worker_pools",
 ]

@@ -3,7 +3,8 @@
 Every fault is a frozen dataclass with times *relative to episode start*
 (the injector rebases onto the engine clock at install time). The plan
 as a whole is hashable — it participates in the warm-state cache key —
-and picklable, so sweeps can ship it to spawn-context workers.
+and picklable, so a scenario that carries it can be snapshotted
+(:class:`~repro.workload.scenarios.WarmStateSnapshot`).
 
 Determinism contract: a plan contains no randomness of its own. The one
 stochastic element, :class:`FlapStorm`, names the RNG stream its draws

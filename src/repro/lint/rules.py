@@ -184,7 +184,7 @@ class ReentrantRunRule(Rule):
 # DET010 — process fan-out outside the sweep executor
 # ----------------------------------------------------------------------
 
-#: Modules allowed to spawn worker processes: the deterministic sweep
+#: Modules allowed to start processes: the deterministic sweep
 #: executor, and nothing else.
 EXECUTOR_MODULES: Tuple[str, ...] = ("repro.experiments.parallel",)
 #: Top-level packages whose import anywhere outside the executor module
@@ -202,11 +202,13 @@ class AdHocParallelismRule(Rule):
     id = "DET010"
     title = "process fan-out outside the sweep executor"
     rationale = (
-        "Worker pools built outside repro.experiments.parallel bypass "
-        "the spawn-safe, seed-derived, order-preserving executor that "
-        "guarantees parallel sweeps stay digest-identical to sequential "
-        "ones; forked workers inherit RNG streams and module caches, and "
-        "ad-hoc result collection depends on completion order."
+        "Processes started outside repro.experiments.parallel bypass "
+        "the executor that keeps parallel sweeps digest-identical to "
+        "sequential ones: it forks only from a single-threaded process, "
+        "at points where the child's state is exactly a fresh point's, "
+        "and joins results in submission order. An ad-hoc fork inherits "
+        "RNG streams and module caches mid-use, and ad-hoc result "
+        "collection depends on completion order."
     )
 
     def check(self, context: FileContext) -> Iterator[Finding]:

@@ -11,7 +11,6 @@ import pytest
 from repro.core.params import CISCO_DEFAULTS
 from repro.experiments.base import ExperimentResult, RunOptions, SeriesCache, Sweep
 from repro.experiments.claims import CLAIMS_BY_ID, claims_for
-from repro.experiments.parallel import shutdown_worker_pools
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.net.link import LinkConfig
 from repro.net.network import Network
@@ -19,16 +18,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.topology.mesh import mesh_topology
 from repro.workload.scenarios import ScenarioConfig
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _join_worker_pools_after_each_module():
-    """Join the worker pools a module leaves warm. Their threads would
-    make every later sequential sweep replay its points instead of
-    forking branches, so which path a test took would depend on the
-    order the modules ran in."""
-    yield
-    shutdown_worker_pools()
 
 
 @pytest.fixture

@@ -59,6 +59,9 @@ BAD_INVOCATIONS = [
     "topo gen --nodes 100 --caida-out x",
     "topo bench --topology-file /nonexistent.json",
     "faults run examples/faults_demo.json --nodes 9",
+    "faults run examples/faults_demo.json --nodes 25 --jobs 2 --point-timeout nan",
+    "faults run examples/faults_demo.json --nodes 25 --jobs 2 --point-timeout inf",
+    "faults run examples/faults_demo.json --nodes 25 --jobs 2 --point-timeout 0",
 ]
 
 

@@ -1,8 +1,8 @@
 """The runtime needs nothing outside the standard library.
 
 networkx is a test-only oracle. A fresh interpreter that imports the
-package, the CLI and the scenario layer, and unpickles the configs a
-spawn worker receives, must never load it — nor the claims table,
+package, the CLI and the scenario layer, and unpickles the paper's two
+main scenario configs, must never load it — nor the claims table,
 which only the tests and the golden-renderings benchmark read.
 """
 

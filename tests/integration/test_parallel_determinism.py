@@ -2,15 +2,17 @@
 
 The executor's contract (see ``repro.experiments.parallel``) is that
 ``jobs`` never changes results: every point derives its randomness from
-its own config seed, workers are spawn-context (no inherited state), and
-outcomes are collected in submission order. These tests hold it to that
-on the paper's two main topologies, across two seeds, comparing the
-byte-level metrics digests. The CI matrix runs them on Python 3.9 and
-3.12, so the guarantee is checked on both interpreter generations.
+its own config seed, each forked chunk worker builds its trunk from the
+bare config, and outcomes are collected in submission order. These
+tests hold it to that on the paper's two main topologies, across two
+seeds, comparing the byte-level metrics digests. The CI matrix runs
+them on Python 3.9 and 3.12, so the guarantee is checked on both
+interpreter generations.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -25,12 +27,10 @@ from repro.experiments.base import (
 from repro.experiments.parallel import (
     available_cpus,
     execute_sweep,
-    resolve_chunk_size,
     resolve_jobs,
-    shutdown_worker_pools,
 )
 
-#: Four points so ``jobs=4`` actually exercises four spawn workers.
+#: Four points so ``jobs=4`` actually exercises four forked workers.
 PULSES = (0, 1, 3, 5)
 
 #: Two seeds: the standard one and an arbitrary 64-bit one.
@@ -56,20 +56,19 @@ def test_run_sweep_records_digests():
     assert [point.pulses for point in series.points] == [0, 1]
 
 
-@pytest.mark.parametrize("chunk_size", [1, 3])
-def test_transport_and_chunking_are_digest_identical(chunk_size):
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_transport_and_chunking_are_digest_identical(jobs):
     """The chunk geometry may not move a byte: every worker warms its
-    points from the shipped config, and collection order is submission
-    order regardless of chunking."""
+    points from the config it was forked with, and collection order is
+    submission order regardless of chunking (2, 3 or 4 chunks of 2, 2
+    or 1 points)."""
     config = mesh100_config(seed=DEFAULT_SEED)
     sequential = execute_sweep(config, PULSES, jobs=1)
-    parallel = execute_sweep(config, PULSES, jobs=2, chunk_size=chunk_size)
+    parallel = execute_sweep(config, PULSES, jobs=jobs)
     assert sequential == parallel
 
 
 def test_resolve_jobs_semantics():
-    import os
-
     assert resolve_jobs(None) == 1
     assert resolve_jobs(1) == 1
     assert resolve_jobs(3) == 3
@@ -77,30 +76,19 @@ def test_resolve_jobs_semantics():
     # mask, not the host's core count, so container CPU limits hold.
     assert resolve_jobs(0) == available_cpus()
     assert 1 <= available_cpus() <= (os.cpu_count() or 1)
-    with pytest.raises(ConfigurationError):
-        resolve_jobs(-1)
+    # Only a non-negative int is a worker count: not a bool, a float,
+    # or a numeric string.
+    for bad in (-1, 2.5, 2.0, True, False, "2", float("nan")):
+        with pytest.raises(ConfigurationError, match="jobs must be an integer"):
+            resolve_jobs(bad)
 
 
-def test_resolve_chunk_size_semantics():
-    # Explicit sizes pass through; zero/negative are rejected loudly.
-    assert resolve_chunk_size(3, 10, 2) == 3
-    with pytest.raises(ConfigurationError):
-        resolve_chunk_size(0, 10, 2)
-    # Auto mode: one contiguous chunk per worker (a chunk shares one
-    # trunk among its points), never below one point per chunk.
-    assert resolve_chunk_size(None, 5, 1) == 5
-    assert resolve_chunk_size(None, 4, 2) == 2
-    assert resolve_chunk_size(None, 100, 4) == 25
-    assert resolve_chunk_size(None, 11, 2) == 6
-    assert resolve_chunk_size(None, 1, 8) == 1
-
-
-def test_shutdown_worker_pools_joins_idle_pools(fast_config):
-    """Sweep branches are forked only from a single-threaded process, so
-    tearing the warm pools down must leave no pool thread behind."""
-    shutdown_worker_pools()
-    assert threading.active_count() == 1
-    execute_sweep(fast_config, (0, 1), jobs=2)
-    assert threading.active_count() > 1  # the parked pool's threads
-    shutdown_worker_pools()
-    assert threading.active_count() == 1
+def test_a_parallel_sweep_leaves_no_thread_and_no_child(fast_config):
+    """Chunk workers are forked per sweep and reaped before it returns:
+    afterwards the process is as single-threaded as before, so later
+    sequential sweeps still fork their branches."""
+    threads = threading.active_count()
+    execute_sweep(fast_config, (0, 1, 2), jobs=2)
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

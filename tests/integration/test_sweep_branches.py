@@ -27,7 +27,7 @@ import repro.experiments.parallel as parallel_mod
 from repro.errors import SimulationError
 from repro.experiments.ablations import mixed_vendor_config, wrate_config
 from repro.experiments.base import internet208_config, mesh100_config
-from repro.experiments.parallel import _SweepSpec, execute_sweep, shutdown_worker_pools
+from repro.experiments.parallel import _SweepSpec, execute_sweep
 from repro.faults import FaultPlan
 from repro.sim.timers import TimerAudit, TimerAuditViolation
 from repro.topology.mesh import mesh_topology
@@ -65,9 +65,8 @@ CONFIGS = {
 
 @pytest.fixture(autouse=True)
 def _single_threaded():
-    # A warm pool's threads would make the executor fall back to
-    # replay, and these tests would compare the reference with itself.
-    shutdown_worker_pools()
+    # Another thread would make the executor fall back to replay, and
+    # these tests would compare the reference with itself.
     assert parallel_mod._can_fork()
 
 
@@ -174,6 +173,23 @@ def test_a_second_thread_makes_the_sweep_replay_instead_of_fork(
         waiter.join()
     assert forked == []
     assert replayed == branched
+
+
+def test_a_second_thread_makes_a_parallel_sweep_replay_in_the_caller(
+    fast_config, forked
+):
+    sequential = execute_sweep(fast_config, (2, 0, 1, 3))
+    forked.clear()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        replayed = execute_sweep(fast_config, (2, 0, 1, 3), jobs=2)
+    finally:
+        release.set()
+        waiter.join()
+    assert forked == []
+    assert replayed == sequential
 
 
 def test_audit_violation_in_a_branch_reraises_in_the_parent(

@@ -1,99 +1,65 @@
-"""Unit tests for the sweep executor's pool-failure hardening.
+"""Unit tests for how the sweep executor fails.
 
-Real worker death (OOM kill, segfault) and wedged workers are
-nondeterministic to provoke, so these tests substitute fake pools for
-``ProcessPoolExecutor`` in the module namespace: the fakes run chunks
-inline (same process, handed the same bare-config spec a spawn worker
-would unpickle) while simulating the pool-level failures the executor
-must survive — a broken pool with salvageable completed futures, a
-chunk that never finishes, and a deterministic episode error that must
-*not* be retried. The persistent
-pool manager keys warm pools on the executor class, so each fake class
-gets its own pools and never aliases the real spawn pools.
+With ``jobs > 1`` every chunk of counts runs in a child forked from the
+caller. These tests break real forked chunks at ``jobs=2``: an episode
+error raised inside a chunk, a chunk killed outright, and a chunk that
+runs past its ``point_timeout`` budget. Each must surface in the caller
+as one structured error, and leave no child process and no extra
+thread behind. Argument validation is checked here too: nothing may
+run before a bad count, ``jobs`` or ``point_timeout`` is rejected.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
-from typing import List
+import math
+import os
+import signal
+import threading
+import time
 
 import pytest
 
+import repro.analysis.invariants as invariants
 import repro.experiments.parallel as parallel_mod
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.parallel import (
-    PointOutcome,
-    _salvage_chunks,
-    execute_sweep,
-    shutdown_worker_pools,
-)
+from repro.experiments.parallel import execute_sweep
+from repro.sim.timers import TimerAudit, TimerAuditViolation
+
+#: Two chunks of two at ``jobs=2``: ``[0, 1]`` and ``[2, 3]``, each a
+#: trunk with one branch.
+COUNTS = (0, 1, 2, 3)
 
 
-class _InlinePool:
-    """Runs submitted chunks synchronously in-process; takes the
-    constructor arguments the real pool manager passes."""
+@pytest.fixture
+def clean_exit():
+    """The test fails rather than hangs if it is not done within a
+    minute, and its sweeps leave the thread count as they found it and
+    no child process, reaped or not, behind."""
 
-    instances: List["_InlinePool"] = []
+    def expire(signum, frame):
+        raise TimeoutError("the sweep did not return within 60 s")
 
-    def __init__(self, max_workers, mp_context=None):
-        self.submitted = 0
-        type(self).instances.append(self)
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # noqa: BLE001 - mirrored into the future
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class _BreaksAfterFirstPool(_InlinePool):
-    """First instance completes its first submission then breaks every
-    later future; subsequent instances behave normally. Models a worker
-    dying mid-sweep with completed chunks left to salvage."""
-
-    def submit(self, fn, *args):
-        if type(self).instances[0] is self and self.submitted >= 1:
-            self.submitted += 1
-            future: Future = Future()
-            future.set_exception(BrokenProcessPool("worker died"))
-            return future
-        return super().submit(fn, *args)
+    threads = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-class _NeverFinishesPool(_InlinePool):
-    """Every future stays pending forever: a wedged worker."""
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return Future()
+def _in_child(parent: int) -> bool:
+    return os.getpid() != parent
 
 
-@pytest.fixture(autouse=True)
-def _reset_fakes():
-    # Warm pools persist across execute_sweep calls by design; drain the
-    # manager so no test inherits (or leaks) a parked fake pool.
-    shutdown_worker_pools()
-    _InlinePool.instances = []
-    _BreaksAfterFirstPool.instances = []
-    _NeverFinishesPool.instances = []
-    yield
-    shutdown_worker_pools()
-
-
-def test_execute_sweep_validates_retry_and_timeout_arguments(fast_config):
-    with pytest.raises(ConfigurationError, match="max_retries"):
-        execute_sweep(fast_config, (0, 1), max_retries=-1)
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_point_timeout_must_be_finite_and_positive(fast_config, timeout):
     with pytest.raises(ConfigurationError, match="point_timeout"):
-        execute_sweep(fast_config, (0, 1), point_timeout=0.0)
-    with pytest.raises(ConfigurationError, match="chunk_size"):
-        execute_sweep(fast_config, (0, 1), jobs=2, chunk_size=0)
+        execute_sweep(fast_config, (0, 1), jobs=2, point_timeout=timeout)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -103,14 +69,13 @@ def test_execute_sweep_validates_retry_and_timeout_arguments(fast_config):
 def test_pulse_counts_are_validated_before_any_work(
     fast_config, monkeypatch, counts, jobs
 ):
-    def no_work(spec, tasks):
+    def no_work(*args):
         raise AssertionError("a point ran before the counts were checked")
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(parallel_mod, "_worker_run_chunk", no_work)
+    monkeypatch.setattr(parallel_mod, "_fork", no_work)
     with pytest.raises(ConfigurationError, match="non-negative integers"):
         execute_sweep(fast_config, counts, jobs=jobs)
-    assert _InlinePool.instances == []
 
 
 def test_integral_float_counts_are_counts(fast_config):
@@ -119,102 +84,145 @@ def test_integral_float_counts_are_counts(fast_config):
     assert all(isinstance(o.pulses, int) for o in outcomes)
 
 
-def test_broken_pool_salvages_completed_points_and_retries(
-    fast_config, monkeypatch
+def test_chunked_submission_batches_points(
+    fast_config, monkeypatch, tmp_path, clean_exit
 ):
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BreaksAfterFirstPool)
-    outcomes = execute_sweep(
-        fast_config, (0, 1, 2), jobs=2, max_retries=2, chunk_size=1
+    """``jobs=2`` cuts four counts into two contiguous chunks, and each
+    forked worker builds one trunk for its two points."""
+    log = tmp_path / "trunks.log"
+    log.write_text("")
+    warmed = parallel_mod.warmed_scenario
+
+    def counting(config, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return warmed(config, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "warmed_scenario", counting)
+    outcomes = execute_sweep(fast_config, COUNTS, jobs=2)
+    assert [o.pulses for o in outcomes] == list(COUNTS)
+    trunk_pids = log.read_text(encoding="utf-8").splitlines()
+    assert len(trunk_pids) == len(set(trunk_pids)) == 2
+    assert str(os.getpid()) not in trunk_pids
+
+
+def test_audit_violation_in_a_chunk_reraises_with_its_type_and_message(
+    fast_config, monkeypatch, clean_exit
+):
+    parent = os.getpid()
+    verify = TimerAudit.verify
+    violation = TimerAuditViolation("leak", "mrai:r1", 12.5, "planted")
+
+    def planted(self):
+        return [violation] if _in_child(parent) else verify(self)
+
+    monkeypatch.setattr(TimerAudit, "verify", planted)
+    with pytest.raises(SimulationError) as raised:
+        execute_sweep(fast_config, COUNTS, jobs=2, audit_timers=True)
+    assert type(raised.value) is SimulationError
+    assert str(raised.value) == (
+        "timer audit found 1 violation(s): leak @ 12.5s timer mrai:r1"
     )
-    assert [o.pulses for o in outcomes] == [0, 1, 2]
-    # Attempt 1 completed one chunk before breaking and was discarded;
-    # attempt 2 ran the two missing chunks on a fresh pool.
-    pools = _BreaksAfterFirstPool.instances
-    assert len(pools) == 2
-    assert pools[1].submitted == 2
 
 
-def test_broken_pool_results_match_sequential(fast_config, monkeypatch):
-    sequential = execute_sweep(fast_config, (0, 1, 2), jobs=1)
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _BreaksAfterFirstPool)
-    recovered = execute_sweep(fast_config, (0, 1, 2), jobs=2, chunk_size=1)
-    assert [o.digest for o in recovered] == [o.digest for o in sequential]
+def test_invariant_break_in_a_chunk_reraises_with_its_type_and_message(
+    fast_config, monkeypatch, clean_exit
+):
+    parent = os.getpid()
+    oracle = invariants.check_converged_invariants
+
+    def broken(scenario):
+        report = oracle(scenario)
+        if _in_child(parent):
+            report.violations.append(
+                invariants.InvariantViolation("r1", "stable-state", "planted")
+            )
+        return report
+
+    monkeypatch.setattr(invariants, "check_converged_invariants", broken)
+    with pytest.raises(SimulationError) as raised:
+        execute_sweep(fast_config, COUNTS, jobs=2, check_invariants=True)
+    assert type(raised.value) is SimulationError
+    assert str(raised.value) == (
+        "1 protocol invariant violation(s): r1: stable-state — planted"
+    )
 
 
-def test_healthy_pool_is_reused_across_sweeps(fast_config, monkeypatch):
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
-    first = execute_sweep(fast_config, (0, 1, 2), jobs=2)
-    second = execute_sweep(fast_config, (0, 1, 2), jobs=2)
-    assert [o.digest for o in first] == [o.digest for o in second]
-    # The sweep released its healthy pool to the warm set and the second
-    # sweep acquired the same instance instead of spawning another.
-    assert len(_InlinePool.instances) == 1
-
-
-def test_chunked_submission_batches_points(fast_config, monkeypatch):
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
-    outcomes = execute_sweep(fast_config, (0, 1, 2, 3), jobs=2, chunk_size=2)
-    assert [o.pulses for o in outcomes] == [0, 1, 2, 3]
-    assert _InlinePool.instances[0].submitted == 2
-
-
-def test_exhausted_retries_raise_with_missing_points(fast_config, monkeypatch):
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _NeverFinishesPool)
-    with pytest.raises(SimulationError, match=r"sweep lost 3 point\(s\)"):
-        execute_sweep(
-            fast_config,
-            (0, 1, 2),
-            jobs=2,
-            point_timeout=0.05,
-            max_retries=1,
-        )
-    # One fresh pool per attempt: a timed-out pool is never reused.
-    assert len(_NeverFinishesPool.instances) == 2
-
-
-def test_deterministic_episode_errors_are_not_retried(fast_config, monkeypatch):
-    calls = []
+def test_deterministic_episode_errors_are_not_retried(
+    fast_config, monkeypatch, tmp_path, clean_exit
+):
+    """A failing chunk fails the sweep at once: rerunning the same seed
+    would reproduce the error, so no chunk runs twice."""
+    log = tmp_path / "chunks.log"
+    log.write_text("")
 
     def boom(spec, tasks):
-        calls.append(tasks)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{[pulses for _, pulses in tasks]}\n")
         raise SimulationError("invariant violated")
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(parallel_mod, "_worker_run_chunk", boom)
-    with pytest.raises(SimulationError, match="invariant violated"):
-        execute_sweep(fast_config, (0, 1), jobs=2, max_retries=5)
-    # The error propagated from the first chunk of the first attempt:
-    # rerunning the same seed would reproduce it, so no retry happened.
-    assert len(_InlinePool.instances) == 1
+    with pytest.raises(SimulationError, match="^invariant violated$"):
+        execute_sweep(fast_config, COUNTS, jobs=2)
+    runs = log.read_text(encoding="utf-8").splitlines()
+    assert runs.count("[0, 1]") == 1
+    assert runs.count("[2, 3]") <= 1
 
 
-def _outcome(pulses: int, digest: str) -> PointOutcome:
-    return PointOutcome(
-        pulses=pulses,
-        convergence_time=float(pulses),
-        message_count=pulses,
-        suppressions=0,
-        peak_damped_links=0,
-        secondary_charges=0,
-        warmup_convergence=0.5,
-        digest=digest,
+def test_a_killed_chunk_names_its_counts_and_the_others_are_reaped(
+    fast_config, monkeypatch, clean_exit
+):
+    run_chunk = parallel_mod._worker_run_chunk
+
+    def killed_first(spec, tasks):
+        if tasks[0] == (0, 0):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_chunk(spec, tasks)
+
+    monkeypatch.setattr(parallel_mod, "_worker_run_chunk", killed_first)
+    with pytest.raises(SimulationError) as raised:
+        execute_sweep(fast_config, COUNTS, jobs=2)
+    assert str(raised.value) == (
+        "sweep chunk n=[0, 1] exited without a result (killed by SIGKILL)"
     )
 
 
-def test_salvage_harvests_only_clean_chunks():
-    good: Future = Future()
-    good.set_result([(0, _outcome(1, "d")), (1, _outcome(2, "f"))])
-    pending: Future = Future()
-    broken: Future = Future()
-    broken.set_exception(BrokenProcessPool("dead"))
-    already = _outcome(0, "e")
-    results = {3: already}
-    _salvage_chunks(
-        [
-            (((0, 1), (1, 2)), good),
-            (((2, 3),), pending),
-            (((4, 5),), broken),
-        ],
-        results,
+def test_point_timeout_kills_the_chunk_and_its_branch_by_sigalrm(
+    fast_config, monkeypatch, clean_exit
+):
+    """The branch of ``n = 0`` never finishes. The chunk's budget must
+    end it despite the test process's own SIGALRM handler: the child
+    restores the default action, and the branch inherits the chunk's
+    deadline, so its end of the chunk's pipe closes with the chunk."""
+    finish = parallel_mod._finish_point
+
+    def wedged(spec, scenario, episode, tracer, indices):
+        if episode.schedule.pulse_count == 0:
+            time.sleep(60)
+        return finish(spec, scenario, episode, tracer, indices)
+
+    def handler(signum, frame):
+        raise AssertionError("the caller's SIGALRM handler ran")
+
+    monkeypatch.setattr(parallel_mod, "_finish_point", wedged)
+    previous = signal.signal(signal.SIGALRM, handler)
+    try:
+        start = time.monotonic()
+        with pytest.raises(SimulationError) as raised:
+            execute_sweep(fast_config, COUNTS, jobs=2, point_timeout=1.0)
+        elapsed = time.monotonic() - start
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert str(raised.value) == (
+        "sweep chunk n=[0, 1] exited without a result (killed by SIGALRM)"
     )
-    assert results == {0: _outcome(1, "d"), 1: _outcome(2, "f"), 3: already}
+    assert elapsed < 30
+
+
+@pytest.mark.parametrize("timeout", [600.0, 1e12])
+def test_a_generous_point_timeout_changes_nothing(fast_config, clean_exit, timeout):
+    """A budget past what a timer can hold (~292 years) is armed at
+    that cap rather than failing the chunk."""
+    sequential = execute_sweep(fast_config, COUNTS, jobs=1)
+    bounded = execute_sweep(fast_config, COUNTS, jobs=2, point_timeout=timeout)
+    assert bounded == sequential
