@@ -434,16 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "enable the incremental cache in DIR (e.g. .lint_cache); "
-            "unchanged files are served from the cache, findings are "
-            "digest-identical to an uncached run"
-        ),
-    )
-    lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     return parser
@@ -562,9 +552,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_pulses(pulses: int) -> None:
+    """A sweep over ``0..pulses`` needs ``pulses >= 0``; a negative count
+    would otherwise print an empty table."""
+    if pulses < 0:
+        raise ConfigurationError(f"--pulses must be >= 0, got {pulses}")
+
+
 def _cmd_intended(args: argparse.Namespace) -> int:
     from repro.core.intended import IntendedBehaviorModel
 
+    _require_pulses(args.pulses)
     params = VENDOR_PRESETS[args.vendor]
     model = IntendedBehaviorModel(params, flap_interval=args.interval, tup=args.tup)
     rows = []
@@ -596,7 +594,11 @@ def _cmd_intended(args: argparse.Namespace) -> int:
 def _adhoc_topology(args: argparse.Namespace):
     """The ``--topology``/``--nodes`` choice as a topology."""
     if args.topology == "mesh":
-        side = max(2, round(args.nodes ** 0.5))
+        if args.nodes < 4:
+            raise ConfigurationError(
+                f"mesh needs --nodes >= 4 (a 2x2 torus), got {args.nodes}"
+            )
+        side = round(args.nodes ** 0.5)
         return mesh_topology(side, side)
     return internet_topology(args.nodes, seed=7)
 
@@ -813,12 +815,10 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     if args.faults_command == "template":
         plan = _template_plan(_adhoc_topology(args))
-        document = plan.dumps()
         if args.out is None:
-            print(document, end="")
+            print(plan.dumps(), end="")
         else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document)
+            plan.save(args.out)
             print(f"wrote example plan to {args.out}")
         return 0
 
@@ -872,6 +872,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     # faults run
     from repro.experiments.parallel import execute_sweep
 
+    _require_pulses(args.pulses)
     config = _with_fault_options(
         _adhoc_config(args), args.plan, args.graceful_restart
     )
@@ -1054,18 +1055,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         ignore=tuple(args.ignore),
         passes=(args.lint_pass,),
     )
-    report = lint_paths(args.paths, config, cache_dir=args.cache_dir)
-    if report.cache_stats is not None:
-        stats = report.cache_stats
-        print(
-            "lint cache: {}/{} local hits, {}/{} perf hits".format(
-                stats["local_hits"],
-                stats["local_hits"] + stats["local_misses"],
-                stats["perf_hits"],
-                stats["perf_hits"] + stats["perf_misses"],
-            ),
-            file=sys.stderr,
-        )
+    report = lint_paths(args.paths, config)
     if args.output_format == "json":
         print(render_json(report))
     else:

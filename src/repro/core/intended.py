@@ -18,6 +18,7 @@ and 15.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -60,8 +61,10 @@ def pulse_events(pulses: int, flap_interval: float) -> List[FlapEvent]:
     """
     if pulses < 0:
         raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
-    if flap_interval <= 0:
-        raise ConfigurationError(f"flap_interval must be > 0, got {flap_interval}")
+    if not (math.isfinite(flap_interval) and flap_interval > 0):
+        raise ConfigurationError(
+            f"flap_interval must be finite and > 0, got {flap_interval}"
+        )
     events: List[FlapEvent] = []
     for i in range(pulses):
         start = i * 2.0 * flap_interval
@@ -96,10 +99,12 @@ class IntendedBehaviorModel:
         flap_interval: float = 60.0,
         tup: float = 30.0,
     ) -> None:
-        if flap_interval <= 0:
-            raise ConfigurationError(f"flap_interval must be > 0, got {flap_interval}")
-        if tup < 0:
-            raise ConfigurationError(f"tup must be >= 0, got {tup}")
+        if not (math.isfinite(flap_interval) and flap_interval > 0):
+            raise ConfigurationError(
+                f"flap_interval must be finite and > 0, got {flap_interval}"
+            )
+        if not (math.isfinite(tup) and tup >= 0):
+            raise ConfigurationError(f"tup must be finite and >= 0, got {tup}")
         self.params = params
         self.flap_interval = flap_interval
         self.tup = tup

@@ -30,10 +30,9 @@ hazards those checks cannot reach before a simulation ever runs:
 
 All passes share one rule framework and one per-file analysis product
 (:mod:`repro.lint.framework`: each file is parsed and indexed once), a
-driver (:mod:`repro.lint.runner`) with construct-scoped
-``# lint: disable=...`` suppressions, and an incremental content-digest
-cache (:mod:`repro.lint.cache`); text/JSON reporters live in
-:mod:`repro.lint.reporters`. Every finding blocks.
+driver (:mod:`repro.lint.runner`, one run path with no cache) with
+construct-scoped ``# lint: disable=...`` suppressions; text/JSON
+reporters live in :mod:`repro.lint.reporters`. Every finding blocks.
 
 Run it as ``rfd-repro lint src/``; the tier-1 suite gates the whole tree
 through :func:`lint_paths`. The complementary *runtime* checks — the
@@ -43,7 +42,6 @@ and the opt-in timer audit — live in :mod:`repro.sim.engine`,
 ``docs/STATIC_ANALYSIS.md`` for the full catalogue.
 """
 
-from repro.lint.cache import LintCache
 from repro.lint.callgraph import FileSummary, ProjectGraph, summarize
 from repro.lint.config import LintConfig, make_config, pass_for_rule
 from repro.lint.effects import EffectAnalysis, FunctionEffects, infer_effects
@@ -61,7 +59,6 @@ __all__ = [
     "FileSummary",
     "Finding",
     "FunctionEffects",
-    "LintCache",
     "LintConfig",
     "LintReport",
     "PerfAnalysis",

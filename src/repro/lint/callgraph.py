@@ -1,13 +1,12 @@
-"""Cross-file call graph for the perf pass's hot set and the incremental
-cache's transitive invalidation.
+"""Cross-file call graph for the perf pass's hot set.
 
 The intra-file effect inference in :mod:`repro.lint.effects` stops at
 file boundaries; the perf pass needs to know whether a function is reachable
 from a *phase root* or an *engine callback registration* anywhere in
 the project. :func:`summarize` distils one file's context into a
-JSON-round-trippable :class:`FileSummary` (functions, call tokens,
-callback registrations); :class:`ProjectGraph` stitches the summaries
-together, resolving edges through
+:class:`FileSummary` (functions, call tokens, callback registrations);
+:class:`ProjectGraph` stitches the summaries together, resolving edges
+through
 
 - ``self.x()`` calls to methods of the enclosing class,
 - bare-name calls to module-level functions, then through the file's
@@ -22,10 +21,6 @@ Resolution is deliberately sound-ish rather than complete — an
 unresolvable callee is simply absent from the graph, which errs toward
 *smaller* hot sets (a PERF hazard goes unreported rather than a cold
 function being reported).
-
-Because summaries round-trip through JSON, the incremental cache stores
-them per file keyed by source digest: a warm run rebuilds the whole
-project graph without re-parsing a single unchanged file.
 """
 
 from __future__ import annotations
@@ -82,28 +77,6 @@ class FunctionInfo:
     #: dotted name), ``attr`` (``receiver.method``).
     callees: Tuple[Tuple[str, str], ...]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "owner_class": self.owner_class,
-            "callees": [list(token) for token in self.callees],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "FunctionInfo":
-        callees = tuple(
-            (str(kind), str(payload))
-            for kind, payload in data.get("callees", [])  # type: ignore[union-attr]
-        )
-        owner = data.get("owner_class")
-        return FunctionInfo(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            owner_class=str(owner) if owner is not None else None,
-            callees=callees,
-        )
-
 
 @dataclass(frozen=True)
 class FileSummary:
@@ -115,30 +88,6 @@ class FileSummary:
     #: ``(registering_function_qualname, kind, payload)`` for every
     #: callable handed to a scheduling sink; kinds as in FunctionInfo.
     callback_targets: Tuple[Tuple[str, str, str], ...]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": [info.as_dict() for info in self.functions],
-            "callback_targets": [list(entry) for entry in self.callback_targets],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "FileSummary":
-        module = data.get("module")
-        return FileSummary(
-            path=str(data["path"]),
-            module=str(module) if module is not None else None,
-            functions=tuple(
-                FunctionInfo.from_dict(entry)
-                for entry in data.get("functions", [])  # type: ignore[union-attr]
-            ),
-            callback_targets=tuple(
-                (str(a), str(b), str(c))
-                for a, b, c in data.get("callback_targets", [])  # type: ignore[union-attr]
-            ),
-        )
 
 
 def _receiver_token(node: ast.expr) -> Optional[str]:
@@ -283,7 +232,6 @@ class ProjectGraph:
             summaries, key=lambda s: s.path
         )
         self._functions: Dict[str, FunctionInfo] = {}
-        self._path_of: Dict[str, str] = {}
         self._module_level: Dict[str, Dict[str, str]] = {}
         self._by_class: Dict[Tuple[str, str], Dict[str, str]] = {}
         self._class_index: Dict[str, List[Tuple[str, str]]] = {}
@@ -292,7 +240,6 @@ class ProjectGraph:
             for info in summary.functions:
                 full = f"{ns}.{info.qualname}"
                 self._functions[full] = info
-                self._path_of[full] = summary.path
                 if "." not in info.qualname:
                     self._module_level.setdefault(ns, {})[info.qualname] = full
                 if info.owner_class is not None:
@@ -379,9 +326,6 @@ class ProjectGraph:
     def callback_roots(self) -> FrozenSet[str]:
         """Functions registered (anywhere) as engine/timer callbacks."""
         return self._callback_roots
-
-    def path_of(self, full_name: str) -> Optional[str]:
-        return self._path_of.get(full_name)
 
     def closure(self, roots: Iterable[str]) -> FrozenSet[str]:
         """Transitive callee closure of ``roots`` over resolved edges."""

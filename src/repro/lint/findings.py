@@ -10,7 +10,7 @@ active finding blocks: a report is clean only when it has none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class LintReport:
     files_checked: int = 0
     #: ``(path, error message)`` for files that could not be parsed.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
-    #: Incremental-cache hit/miss counters, populated when the run used a
-    #: cache directory (``local_hits``/``local_misses``/``perf_hits``/
-    #: ``perf_misses``); None for uncached runs.
-    cache_stats: Optional[Dict[str, int]] = None
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,4 @@
-"""The lint driver: file discovery, parsing, suppression handling and
-the incremental cache.
+"""The lint driver: file discovery, parsing and suppression handling.
 
 :func:`lint_paths` is the entry point the CLI and the tier-1 hygiene gate
 share; it runs whichever passes (det / sem / tim / perf) the config
@@ -8,14 +7,11 @@ enables. Every file goes through one sequence — parse once into a
 findings by suppression — and :func:`lint_source` is that sequence over
 one string. The det/sem/tim passes are *local* (pure functions of one
 file). The perf pass is *cross-file*: after the local rules have run,
-the per-file call-graph summaries are stitched into a
-:class:`~repro.lint.callgraph.ProjectGraph`, the hot set is computed
-from it, and the PERF rules run on the contexts the local phase already
-built, each dropped as soon as it is done. With ``cache_dir`` set, both
-phases consult a content-digest cache (:mod:`repro.lint.cache`); the
-findings of a warm run are digest-identical to a cold run by
-construction, because cached entries are keyed on exactly the inputs the
-analysis reads, and a file whose entries all hit is never parsed.
+the call-graph summaries of the held contexts are stitched into a
+:class:`~repro.lint.callgraph.ProjectGraph`, and the PERF rules run on
+those same contexts, each dropped as soon as it is done. There is one
+run path: no file is read or parsed twice, and nothing is cached
+between runs.
 
 Suppression comments are construct-scoped and have one spelling::
 
@@ -39,17 +35,9 @@ import tokenize
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.cache import (
-    LintCache,
-    config_digest,
-    hot_slice_digest,
-    rules_signature,
-    source_digest,
-)
-from repro.lint.callgraph import FileSummary, ProjectGraph, summarize
+from repro.lint.callgraph import ProjectGraph, summarize
 from repro.lint.config import LintConfig, pass_for_rule
 from repro.lint.findings import Finding, LintReport
-from repro.lint.perf import hot_functions
 from repro.lint.rules import FileContext, Rule, all_rule_ids, iter_rules
 
 #: The one directive prefix; the ids (or ``all``) follow, comma-separated.
@@ -214,31 +202,24 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 class _FileState:
     """What :func:`lint_paths` knows about one file between its phases."""
 
-    source: str = ""
-    #: Content digest; empty for an unreadable file (never cached).
-    sha: str = ""
     parse_error: Optional[str] = None
     findings: List[Finding] = field(default_factory=list)
     #: Findings a suppression directive covers.
     silenced: List[Finding] = field(default_factory=list)
-    summary: Optional[FileSummary] = None
-    #: Held from the local phase to the perf phase when both ran fresh,
-    #: so the file is parsed once.
+    #: Held from the local phase to the perf phase, so the file is
+    #: parsed once.
     context: Optional[FileContext] = None
 
 
 def lint_paths(
-    paths: Sequence[str],
-    config: Optional[LintConfig] = None,
-    *,
-    cache_dir: Optional[str] = None,
+    paths: Sequence[str], config: Optional[LintConfig] = None
 ) -> LintReport:
     """Lint every Python file under ``paths`` and merge the reports.
 
-    ``cache_dir`` enables the incremental cache (typically
-    ``.lint_cache``), a pure accelerator: the merged report is
-    digest-identical to an uncached run. A file is parsed at most once
-    per run, and not at all when every cache entry it needs hits.
+    Each file is read and parsed exactly once. Phase A runs the local
+    passes and keeps the file's context; phase B stitches the contexts'
+    call-graph summaries into one project graph and runs the PERF rules
+    on the held contexts.
     """
     config = config if config is not None else LintConfig()
     config.validate(all_rule_ids())
@@ -247,15 +228,7 @@ def lint_paths(
     local_rules = [rule for rule in rules if pass_for_rule(rule.id) != "perf"]
     perf_rules = [rule for rule in rules if pass_for_rule(rule.id) == "perf"]
 
-    cache: Optional[LintCache] = None
-    if cache_dir is not None:
-        cache = LintCache(
-            cache_dir,
-            rules_signature(tuple(sorted(all_rule_ids()))),
-            config_digest(config),
-        )
-
-    # Phase A — local passes + call-graph summaries.
+    # Phase A — local passes.
     states: Dict[str, _FileState] = {}
     for path in files:
         if path in states:
@@ -263,71 +236,31 @@ def lint_paths(
         state = states[path] = _FileState()
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                state.source = handle.read()
+                source = handle.read()
         except OSError as exc:
             state.parse_error = f"unreadable: {exc}"
             continue
-        state.sha = source_digest(state.source)
-        cached = cache.local_result(path, state.sha) if cache is not None else None
-        if cached is not None:
-            state.findings, state.silenced, state.parse_error, summary = cached
-            if summary is not None:
-                state.summary = FileSummary.from_dict(summary)
-            continue
-        parsed = _parse(state.source, path, config)
+        parsed = _parse(source, path, config)
         if isinstance(parsed, str):
             state.parse_error = parsed
-        else:
-            state.findings, state.silenced = _check(parsed, local_rules)
-            if perf_rules:
-                state.summary = summarize(parsed)
-                state.context = parsed
-        if cache is not None:
-            cache.store_local(
-                path,
-                state.sha,
-                state.findings,
-                state.silenced,
-                state.parse_error,
-                state.summary.as_dict() if state.summary is not None else None,
-            )
+            continue
+        state.findings, state.silenced = _check(parsed, local_rules)
+        if perf_rules:
+            state.context = parsed
 
     # Phase B — the cross-file perf pass over the project graph.
     if perf_rules:
         project = ProjectGraph(
-            state.summary for state in states.values() if state.summary is not None
+            summarize(state.context)
+            for state in states.values()
+            if state.context is not None
         )
-        hot = hot_functions(project)
-        for path, state in states.items():
-            if state.parse_error is not None:
+        for state in states.values():
+            context, state.context = state.context, None
+            if context is None:
                 continue
-            slice_digest = hot_slice_digest(
-                [name for name in hot if project.path_of(name) == path]
-            )
-            cached_perf = (
-                cache.perf_result(path, state.sha, slice_digest)
-                if cache is not None
-                else None
-            )
-            if cached_perf is not None:
-                found, suppressed = cached_perf
-            else:
-                context, state.context = state.context, None
-                if context is None:
-                    # The local phase was a cache hit: this is the
-                    # file's one parse of the run.
-                    parsed = _parse(state.source, path, config)
-                    if isinstance(parsed, str):
-                        # Cached by an interpreter that could parse it.
-                        state.parse_error = parsed
-                        continue
-                    context = parsed
-                context.project = project
-                found, suppressed = _check(context, perf_rules)
-                if cache is not None:
-                    cache.store_perf(
-                        path, state.sha, slice_digest, found, suppressed
-                    )
+            context.project = project
+            found, suppressed = _check(context, perf_rules)
             state.findings = sorted(state.findings + found, key=_finding_order)
             state.silenced = sorted(
                 state.silenced + suppressed, key=_finding_order
@@ -342,13 +275,4 @@ def lint_paths(
             continue
         report.findings.extend(state.findings)
         report.suppressed.extend(state.silenced)
-
-    if cache is not None:
-        cache.save(keep_paths=files)
-        report.cache_stats = {
-            "local_hits": cache.local_hits,
-            "local_misses": cache.local_misses,
-            "perf_hits": cache.perf_hits,
-            "perf_misses": cache.perf_misses,
-        }
     return report

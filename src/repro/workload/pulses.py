@@ -12,6 +12,7 @@ ablations): build with explicit event times via :meth:`from_events`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -52,8 +53,10 @@ class PulseSchedule:
         ``flap_interval`` seconds between consecutive events."""
         if pulses < 0:
             raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
-        if flap_interval <= 0:
-            raise ConfigurationError(f"flap_interval must be > 0, got {flap_interval}")
+        if not (math.isfinite(flap_interval) and flap_interval > 0):
+            raise ConfigurationError(
+                f"flap_interval must be finite and > 0, got {flap_interval}"
+            )
         events: List[Tuple[float, str]] = []
         for i in range(pulses):
             start = i * 2.0 * flap_interval

@@ -194,7 +194,7 @@ def test_every_phase_root_names_a_function_in_src():
         name
         for names in PHASE_ROOTS.values()
         for name in names
-        if project.path_of(name) is None
+        if name not in project.closure([name])
     ]
     assert not missing, f"PHASE_ROOTS names no function in src/: {missing}"
 

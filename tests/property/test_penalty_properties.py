@@ -110,14 +110,34 @@ def test_reuse_delay_bounded_by_hold_down_after_cap(params, penalty):
 @given(events=event_trains)
 @settings(max_examples=60)
 def test_history_values_are_monotone_with_trajectory(events):
-    """Every recorded history point equals the value at that instant."""
-    state = PenaltyState(CISCO_DEFAULTS)
-    now = 0.0
+    """Every recorded history point equals the value at that instant.
+
+    The trajectory is recomputed here from RFC 2439 directly —
+    ``p <- min(p * 2^(-dt/half_life) + increment,
+    reuse * 2^(max_hold_down/half_life))`` — without ``params.decay`` or
+    ``penalty_ceiling``, and the history must hold exactly the charges
+    with a positive increment.
+    """
+    params = CISCO_DEFAULTS
+    increments = {
+        UpdateKind.WITHDRAWAL: params.withdrawal_penalty,
+        UpdateKind.REANNOUNCEMENT: params.reannouncement_penalty,
+        UpdateKind.ATTRIBUTE_CHANGE: params.attribute_change_penalty,
+    }
+    ceiling = params.reuse_threshold * 2.0 ** (params.max_hold_down / params.half_life)
+    state = PenaltyState(params)
+    now = last = penalty = 0.0
+    expected = []
     for delta, kind in events:
         now += delta
         state.charge(now, kind)
-    for time, recorded in state.history:
-        # Reconstruct from scratch via sample_curve at exactly that time.
-        assert recorded >= 0.0
-        assert recorded <= CISCO_DEFAULTS.penalty_ceiling + 1e-9
-        del time
+        penalty = min(
+            penalty * 2.0 ** (-(now - last) / params.half_life) + increments[kind],
+            ceiling,
+        )
+        last = now
+        if increments[kind] > 0:
+            expected.append((now, penalty))
+    assert [time for time, _ in state.history] == [time for time, _ in expected]
+    for (_, recorded), (_, value) in zip(state.history, expected):
+        assert math.isclose(recorded, value, rel_tol=1e-9)
