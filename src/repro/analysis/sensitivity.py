@@ -12,8 +12,8 @@ paid once suppression triggers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import DampingParams
@@ -73,7 +73,7 @@ def sweep_parameter(
         raise ConfigurationError(f"unknown damping parameter {parameter!r}")
     points = []
     for value in values:
-        params = base.with_overrides(**{parameter: value})
+        params = replace(base, **{parameter: value})
         points.append(
             evaluate_params(f"{parameter}={value:g}", params, flap_interval)
         )
@@ -98,7 +98,7 @@ def tolerance_frontier(
         raise ConfigurationError(f"target_onset must be >= 1, got {target_onset}")
 
     def onset_for(cutoff: float) -> Optional[int]:
-        params = base.with_overrides(cutoff_threshold=cutoff)
+        params = replace(base, cutoff_threshold=cutoff)
         model = IntendedBehaviorModel(params, flap_interval=flap_interval, tup=0.0)
         return model.critical_pulse_count(max_pulses=max(64, target_onset * 2))
 
@@ -115,7 +115,3 @@ def tolerance_frontier(
         else:
             hi = mid
     return hi
-
-
-#: Convenience alias for tests/CLI: evaluate a family of configurations.
-SensitivityEvaluator = Callable[[str, DampingParams], SensitivityPoint]

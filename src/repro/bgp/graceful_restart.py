@@ -24,6 +24,7 @@ experiment :mod:`repro.experiments.gr_faults` runs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -48,9 +49,9 @@ class GracefulRestartConfig:
     restart_time: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.restart_time <= 0:
+        if not (math.isfinite(self.restart_time) and self.restart_time > 0):
             raise ConfigurationError(
-                f"restart_time must be > 0, got {self.restart_time}"
+                f"restart_time must be finite and > 0, got {self.restart_time}"
             )
 
 

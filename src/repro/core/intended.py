@@ -5,7 +5,9 @@ The intended view treats the network as a single damping router (the
 the damping parameters, it predicts:
 
 - the penalty at the ISP after each flap event,
-  ``p(k) = p(k-1) · e^{-λ w(k)} + f(k)``,
+  ``p(k) = p(k-1) · e^{-λ w(k)} + f(k)``, charged on a
+  :class:`~repro.core.penalty.PenaltyState` (the simulator's one copy of
+  the recurrence),
 - whether and at which pulse suppression triggers,
 - the reuse delay after the final announcement,
   ``r = (1/λ) · ln(p / P_reuse)``,
@@ -23,15 +25,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.params import DampingParams, UpdateKind
+from repro.core.penalty import PenaltyState
 from repro.errors import ConfigurationError
 
-
-@dataclass(frozen=True)
-class FlapEvent:
-    """One event of the origin's flap pattern as seen by the ISP."""
-
-    time: float
-    kind: UpdateKind
+#: How the ISP classifies each event of the origin's flap train.
+FLAP_KINDS = {"down": UpdateKind.WITHDRAWAL, "up": UpdateKind.REANNOUNCEMENT}
 
 
 @dataclass(frozen=True)
@@ -50,29 +48,33 @@ class IntendedPrediction:
     convergence_time: float
 
 
-def pulse_events(pulses: int, flap_interval: float) -> List[FlapEvent]:
-    """The event sequence for ``pulses`` withdrawal+announcement pairs.
-
-    A *pulse* is a withdrawal followed ``flap_interval`` seconds later by
-    a re-announcement; consecutive events are ``flap_interval`` apart, so
-    consecutive withdrawals are ``2 · flap_interval`` apart (the paper's
-    "flapping interval 60 seconds" methodology). The final event is always
-    an announcement.
-    """
-    if pulses < 0:
-        raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
+def _require_flap_interval(flap_interval: float) -> None:
     if not (math.isfinite(flap_interval) and flap_interval > 0):
         raise ConfigurationError(
             f"flap_interval must be finite and > 0, got {flap_interval}"
         )
-    events: List[FlapEvent] = []
+
+
+def regular_pulse_train(
+    pulses: int, flap_interval: float
+) -> Tuple[Tuple[float, str], ...]:
+    """The paper's standard flap train as ``(offset, status)`` pairs.
+
+    A *pulse* is a withdrawal (``"down"``) followed ``flap_interval``
+    seconds later by a re-announcement (``"up"``); consecutive events are
+    ``flap_interval`` apart, so consecutive withdrawals are
+    ``2 · flap_interval`` apart (the paper's "flapping interval 60
+    seconds" methodology). The final event is always an announcement.
+    """
+    if pulses < 0:
+        raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
+    _require_flap_interval(flap_interval)
+    events: List[Tuple[float, str]] = []
     for i in range(pulses):
         start = i * 2.0 * flap_interval
-        events.append(FlapEvent(time=start, kind=UpdateKind.WITHDRAWAL))
-        events.append(
-            FlapEvent(time=start + flap_interval, kind=UpdateKind.REANNOUNCEMENT)
-        )
-    return events
+        events.append((start, "down"))
+        events.append((start + flap_interval, "up"))
+    return tuple(events)
 
 
 class IntendedBehaviorModel:
@@ -99,10 +101,7 @@ class IntendedBehaviorModel:
         flap_interval: float = 60.0,
         tup: float = 30.0,
     ) -> None:
-        if not (math.isfinite(flap_interval) and flap_interval > 0):
-            raise ConfigurationError(
-                f"flap_interval must be finite and > 0, got {flap_interval}"
-            )
+        _require_flap_interval(flap_interval)
         if not (math.isfinite(tup) and tup >= 0):
             raise ConfigurationError(f"tup must be finite and >= 0, got {tup}")
         self.params = params
@@ -114,39 +113,29 @@ class IntendedBehaviorModel:
     # ------------------------------------------------------------------
 
     def penalty_trajectory(
-        self, events: Iterable[FlapEvent]
+        self, events: Iterable[Tuple[float, str]]
     ) -> List[Tuple[float, float, bool]]:
-        """Penalty after each event as ``(time, penalty, suppressed)``.
+        """Penalty after each ``(time, status)`` event as
+        ``(time, penalty, suppressed)``.
 
-        Implements ``p(k) = p(k-1) e^{-λ w(k)} + f(k)`` with the hold-down
-        ceiling, and tracks the ISP's suppression flag: once the penalty
-        exceeds the cut-off the entry stays suppressed until the penalty
-        decays below the reuse threshold.
+        Charges a :class:`PenaltyState` — the simulator's own recurrence
+        ``p(k) = p(k-1) e^{-λ w(k)} + f(k)`` with the hold-down ceiling —
+        and tracks the ISP's suppression flag: once the penalty exceeds
+        the cut-off the entry stays suppressed until the penalty decays
+        below the reuse threshold.
         """
         params = self.params
+        state = PenaltyState(params)
         trajectory: List[Tuple[float, float, bool]] = []
-        penalty = 0.0
-        stamp = 0.0
         suppressed = False
-        for event in events:
-            decayed = params.decay(penalty, event.time - stamp)
-            if suppressed and decayed < params.reuse_threshold:
+        for time, status in events:
+            if suppressed and state.value_at(time) < params.reuse_threshold:
                 suppressed = False
-            penalty = min(
-                decayed + params.penalty_increment(event.kind), params.penalty_ceiling
-            )
-            stamp = event.time
+            penalty = state.charge(time, FLAP_KINDS[status])
             if not suppressed and penalty > params.cutoff_threshold:
                 suppressed = True
-            trajectory.append((event.time, penalty, suppressed))
+            trajectory.append((time, penalty, suppressed))
         return trajectory
-
-    def penalty_after_pulses(self, pulses: int) -> float:
-        """Penalty at the ISP immediately after the final announcement."""
-        events = pulse_events(pulses, self.flap_interval)
-        if not events:
-            return 0.0
-        return self.penalty_trajectory(events)[-1][1]
 
     # ------------------------------------------------------------------
     # predictions
@@ -154,8 +143,10 @@ class IntendedBehaviorModel:
 
     def predict(self, pulses: int) -> IntendedPrediction:
         """Intended convergence behaviour for ``pulses`` pulses."""
-        events = pulse_events(pulses, self.flap_interval)
-        if not events:
+        trajectory = self.penalty_trajectory(
+            regular_pulse_train(pulses, self.flap_interval)
+        )
+        if not trajectory:
             return IntendedPrediction(
                 pulses=0,
                 penalty_at_final=0.0,
@@ -164,16 +155,13 @@ class IntendedBehaviorModel:
                 reuse_delay=0.0,
                 convergence_time=0.0,
             )
-        trajectory = self.penalty_trajectory(events)
-        final_time, final_penalty, suppressed = trajectory[-1]
-        suppression_pulse: Optional[int] = None
-        for index, (_, _, flag) in enumerate(trajectory):
-            if flag:
-                suppression_pulse = index // 2 + 1
-                break
+        _, final_penalty, suppressed = trajectory[-1]
+        suppression_pulse = next(
+            (index // 2 + 1 for index, (_, _, flag) in enumerate(trajectory) if flag),
+            None,
+        )
         reuse_delay = self.params.reuse_delay(final_penalty) if suppressed else 0.0
         convergence = reuse_delay + self.tup if suppressed else self.tup
-        del final_time
         return IntendedPrediction(
             pulses=pulses,
             penalty_at_final=final_penalty,
@@ -182,10 +170,6 @@ class IntendedBehaviorModel:
             reuse_delay=reuse_delay,
             convergence_time=convergence,
         )
-
-    def sweep(self, pulse_counts: Iterable[int]) -> List[IntendedPrediction]:
-        """Predictions for a series of pulse counts (a figure's x-axis)."""
-        return [self.predict(n) for n in pulse_counts]
 
     def critical_pulse_count(self, max_pulses: int = 64) -> Optional[int]:
         """Smallest pulse count that triggers suppression at the ISP

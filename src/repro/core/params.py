@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Dict
 
@@ -72,6 +72,10 @@ class DampingParams:
     max_hold_down: float = 60.0 * 60.0
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{spec.name} must be finite, got {value}")
         if self.half_life <= 0:
             raise ConfigurationError(f"half_life must be > 0, got {self.half_life}")
         if self.max_hold_down <= 0:
@@ -160,10 +164,6 @@ class DampingParams:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-
-    def with_overrides(self, **changes: float) -> "DampingParams":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
 
     def describe(self) -> Dict[str, float]:
         """Flat dict of all parameters, for reports (Table 1)."""

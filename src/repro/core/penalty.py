@@ -14,8 +14,10 @@ objects; :attr:`history` materialises the tuple view on demand for the
 figure plots and tests that read it.
 
 This class is deliberately ignorant of suppression decisions — it only
-does the arithmetic. :class:`repro.core.damping.DampingManager` layers the
-suppress/reuse state machine on top.
+does the arithmetic, and it is the only place the decay + increment +
+ceiling recurrence is written: :class:`repro.core.damping.DampingManager`
+layers the suppress/reuse state machine on top, and the Section 3 model
+(:mod:`repro.core.intended`) charges one too.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.intended import IntendedBehaviorModel, pulse_events
+from repro.core.intended import FLAP_KINDS, IntendedBehaviorModel, regular_pulse_train
 from repro.core.params import CISCO_DEFAULTS, DampingParams
 from repro.core.penalty import PenaltyState
 from repro.experiments.base import ExperimentResult
@@ -34,9 +34,9 @@ def fig3_experiment(
 ) -> ExperimentResult:
     """Drive a :class:`PenaltyState` with a flap train and sample it."""
     state = PenaltyState(params)
-    events = pulse_events(pulses, flap_interval)
-    for event in events:
-        state.charge(event.time, event.kind)
+    events = regular_pulse_train(pulses, flap_interval)
+    for time, status in events:
+        state.charge(time, FLAP_KINDS[status])
     samples = state.sample_curve(0.0, FIG3_END, FIG3_SAMPLE_STEP)
 
     model = IntendedBehaviorModel(params, flap_interval=flap_interval, tup=0.0)

@@ -12,10 +12,10 @@ ablations): build with explicit event times via :meth:`from_events`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
+from repro.core.intended import regular_pulse_train
 from repro.errors import ConfigurationError
 
 
@@ -50,19 +50,9 @@ class PulseSchedule:
     @classmethod
     def regular(cls, pulses: int, flap_interval: float = 60.0) -> "PulseSchedule":
         """The paper's standard schedule: ``pulses`` down/up pairs with
-        ``flap_interval`` seconds between consecutive events."""
-        if pulses < 0:
-            raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
-        if not (math.isfinite(flap_interval) and flap_interval > 0):
-            raise ConfigurationError(
-                f"flap_interval must be finite and > 0, got {flap_interval}"
-            )
-        events: List[Tuple[float, str]] = []
-        for i in range(pulses):
-            start = i * 2.0 * flap_interval
-            events.append((start, "down"))
-            events.append((start + flap_interval, "up"))
-        return cls(tuple(events))
+        ``flap_interval`` seconds between consecutive events (see
+        :func:`repro.core.intended.regular_pulse_train`)."""
+        return cls(regular_pulse_train(pulses, flap_interval))
 
     @classmethod
     def from_events(cls, events: Sequence[Tuple[float, str]]) -> "PulseSchedule":

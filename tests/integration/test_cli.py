@@ -75,6 +75,10 @@ BAD_INVOCATIONS = [
     "intended --pulses -3",
     "faults run examples/faults_demo.json --nodes 25 --pulses -2",
     "lint --cache-dir x src",  # the flag is gone: an argparse usage error
+    "simulate --nodes 25 --pulses 1 --faults examples/faults_demo.json --graceful-restart nan",
+    "simulate --nodes 25 --pulses 1 --faults examples/faults_demo.json --graceful-restart inf",
+    "faults run examples/faults_demo.json --nodes 25 --graceful-restart nan",
+    "simulate --graceful-restart nan",
 ]
 
 

@@ -4,10 +4,14 @@ networkx is a test-only oracle. A fresh interpreter that imports the
 package, the CLI and the scenario layer, and unpickles the paper's two
 main scenario configs, must never load it — nor the claims table,
 which only the tests and the golden-renderings benchmark read.
+
+The other way round, the independent references under
+``tests/reference/`` never import ``repro``.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import pickle
@@ -40,3 +44,26 @@ def test_runtime_imports_and_unpickling_leave_networkx_out():
         check=True,
     )
     assert completed.stdout.decode().strip() == "[]"
+
+
+def test_references_import_nothing_from_repro():
+    """A reference that shared arithmetic with the code it checks would
+    only ever agree with it."""
+    references = pathlib.Path(__file__).resolve().parents[1] / "reference"
+    files = sorted(references.rglob("*.py"))
+    assert files
+    offenders = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] == "repro"
+            ]
+    assert not offenders, offenders

@@ -322,7 +322,6 @@ KEPT_WITHOUT_A_CALLER = {
     "has_pending": "MRAI property tests observe the limiter's dirty set",
     "has_seen": "RCN property tests observe the root-cause history",
     "peer_history_size": "RCN property tests observe the root-cause history",
-    "penalty_after_pulses": "closed-form oracle the simulator is checked against",
     "tie_count": "the schedule-race detector's result (detect_schedule_ties)",
     "ties_by_tag_pair": "the schedule-race detector's result",
     "events_sampled": "allocation-audit tests check the probe saw every event",

@@ -7,16 +7,20 @@ converged state — the strongest guard against protocol-logic bugs.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import functools
+import math
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.damping import DampingManager
-from repro.core.params import CISCO_DEFAULTS, UpdateKind
+from repro.core.damping import DampingManager, charging_only_reuse_time
+from repro.core.params import CISCO_DEFAULTS, JUNIPER_DEFAULTS, DampingParams, UpdateKind
 from repro.sim.engine import Engine
 from repro.topology.internet import internet_topology
 from repro.topology.mesh import mesh_topology
 from repro.workload.scenarios import Scenario, ScenarioConfig
 from repro.workload.pulses import PulseSchedule
+from tests.reference.rfc2439 import DampedRoute, from_damping_params
 
 
 def _check_converged_invariants(scenario: Scenario) -> None:
@@ -92,45 +96,71 @@ def test_rcn_mode_preserves_protocol_invariants(seed, pulses):
 
 update_steps = st.lists(
     st.tuples(
-        st.floats(min_value=0.01, max_value=400.0),  # gap before the update
+        # gap before the update; the short ones reach suppression
+        st.floats(min_value=0.01, max_value=60.0) | st.floats(min_value=0.01, max_value=400.0),
         st.sampled_from(
             [UpdateKind.WITHDRAWAL, UpdateKind.REANNOUNCEMENT, UpdateKind.ATTRIBUTE_CHANGE]
         ),
         st.booleans(),  # charge?
     ),
-    min_size=1,
+    min_size=8,
     max_size=50,
 )
 
 
-@given(steps=update_steps)
-@settings(max_examples=60, deadline=None)
-def test_damping_manager_state_machine_invariants(steps):
+damping_params = st.sampled_from([CISCO_DEFAULTS, JUNIPER_DEFAULTS]) | st.builds(
+    DampingParams,
+    reannouncement_penalty=st.sampled_from([0.0, 500.0, 1000.0]),
+    cutoff_threshold=st.floats(min_value=1000.0, max_value=4000.0),
+    half_life=st.floats(min_value=60.0, max_value=1800.0),
+    max_hold_down=st.floats(min_value=60.0, max_value=3600.0),
+)
+
+
+@given(params=damping_params, steps=update_steps)
+@settings(max_examples=100, deadline=None)
+def test_damping_manager_state_machine_invariants(params, steps):
+    """A DampingManager on a bare Engine follows the RFC 2439 reference
+    update by update — penalty, suppression, reuse-timer expiry — and
+    ends with the reference's suppressions, recharges, reuse firings and
+    charging-only reuse estimates (F7's baseline)."""
     engine = Engine()
-    noisy_flags = []
-    manager = DampingManager(
-        engine, CISCO_DEFAULTS, "r", lambda p, d: noisy_flags.append((p, d)) or False
-    )
+    manager = DampingManager(engine, params, "r", lambda peer, prefix: False)
+    route = DampedRoute(from_damping_params(params))
+    seen = []
+
+    def deliver(kind, charge):
+        tie = route.suppressed and abs(engine.now - route.reuse_at) < 1e-6
+        outcome = manager.record_update("peer", "p0", kind, charge=charge)
+        increment = route.config.increment(kind.value) if charge else 0.0
+        expected = route.update(engine.now, increment)
+        tie = tie or math.isclose(expected, params.cutoff_threshold, rel_tol=1e-9)
+        seen.append((
+            tie,
+            (outcome.penalty, outcome.suppressed, manager.reuse_timer_expiry("peer", "p0")),
+            (expected, route.suppressed, route.reuse_at),
+        ))
+
+    now = 0.0
     for gap, kind, charge in steps:
-        engine.schedule(gap, lambda: None)
-        engine.run()
-        manager.record_update("peer", "p0", kind, charge=charge)
-        now = engine.now
-        penalty = manager.penalty_value("peer", "p0", now)
-        suppressed = manager.is_suppressed("peer", "p0")
-        pending = manager.reuse_timer_expiry("peer", "p0")
-        # Invariant: suppressed <=> a reuse timer is pending.
-        assert suppressed == (pending is not None)
-        # Invariant: penalty within bounds.
-        assert 0.0 <= penalty <= CISCO_DEFAULTS.penalty_ceiling + 1e-9
-        # Invariant: while suppressed, the pending expiry is exactly when
-        # the penalty will hit the reuse threshold.
-        if pending is not None:
-            expected = now + CISCO_DEFAULTS.reuse_delay(penalty)
-            assert abs(pending - expected) < 1e-6
-    # Drain all timers: nothing may stay suppressed, and each completed
-    # suppression produced exactly one reuse event.
+        now += gap
+        engine.schedule_at(now, functools.partial(deliver, kind, charge))
     engine.run()
+    route.reuse_timer(math.inf)
+    assume(not any(tie for tie, _, _ in seen))
+    for _, (penalty, suppressed, expiry), (ref_penalty, ref_suppressed, reuse_at) in seen:
+        assert math.isclose(penalty, ref_penalty, rel_tol=1e-9, abs_tol=1e-9)
+        assert suppressed == ref_suppressed == (expiry is not None)
+        if suppressed:
+            assert math.isclose(expiry, reuse_at, rel_tol=1e-9)
     assert manager.suppressed_entries() == []
-    completed = [r for r in manager.suppressions if r.ended is not None]
-    assert len(completed) == len(manager.reuse_events)
+    assert len(manager.suppressions) == len(route.suppressions)
+    for record, (started, penalty, first_reuse) in zip(manager.suppressions, route.suppressions):
+        assert record.started == started
+        assert math.isclose(record.penalty_at_start, penalty, rel_tol=1e-9)
+        assert math.isclose(charging_only_reuse_time(record, params), first_reuse, rel_tol=1e-9)
+    assert [t for record in manager.suppressions for t in record.recharges] == route.recharges
+    reuses = [event.time for event in manager.reuse_events]
+    assert len(reuses) == len(route.reuses)
+    for fired, expected_time in zip(reuses, route.reuses):
+        assert math.isclose(fired, expected_time, rel_tol=1e-9)

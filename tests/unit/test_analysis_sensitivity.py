@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.distance import convergence_by_distance
@@ -27,7 +29,7 @@ class TestEvaluateParams:
         assert point.suppression_onset == 2
 
     def test_never_suppressing_config(self):
-        tolerant = CISCO_DEFAULTS.with_overrides(cutoff_threshold=1_000_000.0)
+        tolerant = replace(CISCO_DEFAULTS, cutoff_threshold=1_000_000.0)
         point = evaluate_params("huge-cutoff", tolerant)
         assert point.suppression_onset is None
         assert point.delay_at_onset == 0.0
@@ -70,12 +72,12 @@ class TestSweepParameter:
 class TestToleranceFrontier:
     def test_frontier_achieves_target(self):
         cutoff = tolerance_frontier(CISCO_DEFAULTS, target_onset=5)
-        params = CISCO_DEFAULTS.with_overrides(cutoff_threshold=cutoff)
+        params = replace(CISCO_DEFAULTS, cutoff_threshold=cutoff)
         model = IntendedBehaviorModel(params, flap_interval=60.0, tup=0.0)
         onset = model.critical_pulse_count()
         assert onset is None or onset >= 5
         # And it is tight: slightly below the frontier suppresses earlier.
-        tighter = CISCO_DEFAULTS.with_overrides(cutoff_threshold=cutoff - 50.0)
+        tighter = replace(CISCO_DEFAULTS, cutoff_threshold=cutoff - 50.0)
         tighter_model = IntendedBehaviorModel(tighter, flap_interval=60.0, tup=0.0)
         assert tighter_model.critical_pulse_count() < 5
 

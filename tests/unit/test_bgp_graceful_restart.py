@@ -21,8 +21,9 @@ def _helper(engine: Engine) -> Tuple[GracefulRestartHelper, List[Tuple[str, List
 
 
 def test_config_requires_positive_restart_time():
-    with pytest.raises(ConfigurationError):
-        GracefulRestartConfig(restart_time=0.0)
+    for restart_time in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError, match="restart_time must be finite and > 0"):
+            GracefulRestartConfig(restart_time=restart_time)
 
 
 def test_peer_crashed_enters_helper_mode(engine):

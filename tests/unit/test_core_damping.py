@@ -7,6 +7,7 @@ import pytest
 from repro.core.damping import DampingManager
 from repro.core.params import CISCO_DEFAULTS, UpdateKind
 from repro.sim.engine import Engine
+from tests.reference.rfc2439 import DampedRoute, from_damping_params
 
 
 class ReuseProbe:
@@ -63,11 +64,19 @@ def test_crossing_cutoff_suppresses(engine, manager):
     assert manager.suppressed_entries() == [("p", "d")]
 
 
+def reference_suppression():
+    """The reference route after the same three withdrawals at t=0."""
+    route = DampedRoute(from_damping_params(CISCO_DEFAULTS))
+    for _ in range(3):
+        route.update(0.0, route.config.increment("withdrawal"))
+    return route
+
+
 def test_suppression_sets_reuse_timer_at_decay_horizon(engine, manager):
     outcome = charge_to_suppression(engine, manager)
-    expiry = manager.reuse_timer_expiry("p", "d")
-    expected = engine.now + CISCO_DEFAULTS.reuse_delay(outcome.penalty)
-    assert expiry == pytest.approx(expected)
+    route = reference_suppression()
+    assert outcome.penalty == pytest.approx(route.figure_of_merit)
+    assert manager.reuse_timer_expiry("p", "d") == pytest.approx(route.reuse_at)
 
 
 def test_reuse_timer_fires_and_unsuppresses(engine, manager, probe):
@@ -130,10 +139,10 @@ def test_suppression_record_lifecycle(engine, manager):
     assert record.started == engine.now
     assert record.ended is None
     engine.run()
-    assert record.ended is not None
-    assert record.duration == pytest.approx(
-        CISCO_DEFAULTS.reuse_delay(record.penalty_at_start), rel=1e-6
-    )
+    (started, penalty, reuse_at), = reference_suppression().suppressions
+    assert (record.started, record.penalty_at_start) == pytest.approx((started, penalty))
+    assert record.ended == pytest.approx(reuse_at)
+    assert record.duration == pytest.approx(reuse_at - started)
 
 
 def test_max_hold_down_bounds_suppression(engine, manager):

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.core.intended import (
-    FlapEvent,
-    IntendedBehaviorModel,
-    pulse_events,
-)
-from repro.core.params import CISCO_DEFAULTS, JUNIPER_DEFAULTS, UpdateKind
+from repro.core.intended import IntendedBehaviorModel, regular_pulse_train
+from repro.core.params import CISCO_DEFAULTS, JUNIPER_DEFAULTS
 from repro.errors import ConfigurationError
+from tests.reference.rfc2439 import from_damping_params, section3_prediction
 
 
 @pytest.fixture
@@ -21,24 +16,22 @@ def model():
 
 
 def test_pulse_events_structure():
-    events = pulse_events(2, 60.0)
-    assert [(e.time, e.kind) for e in events] == [
-        (0.0, UpdateKind.WITHDRAWAL),
-        (60.0, UpdateKind.REANNOUNCEMENT),
-        (120.0, UpdateKind.WITHDRAWAL),
-        (180.0, UpdateKind.REANNOUNCEMENT),
-    ]
+    assert regular_pulse_train(2, 60.0) == (
+        (0.0, "down"),
+        (60.0, "up"),
+        (120.0, "down"),
+        (180.0, "up"),
+    )
 
 
 def test_pulse_events_zero():
-    assert pulse_events(0, 60.0) == []
+    assert regular_pulse_train(0, 60.0) == ()
 
 
 def test_pulse_events_validation():
-    with pytest.raises(ConfigurationError):
-        pulse_events(-1, 60.0)
-    with pytest.raises(ConfigurationError):
-        pulse_events(1, 0.0)
+    for pulses, interval in [(-1, 60.0), (1, 0.0), (1, float("nan")), (1, float("inf"))]:
+        with pytest.raises(ConfigurationError):
+            regular_pulse_train(pulses, interval)
 
 
 def test_no_suppression_for_one_or_two_pulses(model):
@@ -60,23 +53,21 @@ def test_suppression_from_third_pulse(model):
 
 
 def test_penalty_after_pulses_matches_recurrence(model):
-    params = CISCO_DEFAULTS
-    lam = params.decay_constant
     # Withdrawals at 0, 120, 240; final announcement at 300 adds 0 (Cisco).
-    expected = (
-        1000.0 * math.exp(-lam * 300.0)
-        + 1000.0 * math.exp(-lam * 180.0)
-        + 1000.0 * math.exp(-lam * 60.0)
-    )
-    assert model.penalty_after_pulses(3) == pytest.approx(expected)
+    reference = from_damping_params(CISCO_DEFAULTS)
+    expected = sum(reference.decayed(1000.0, age) for age in (300.0, 180.0, 60.0))
+    assert model.predict(3).penalty_at_final == pytest.approx(expected)
 
 
 def test_reuse_delay_formula(model):
     prediction = model.predict(5)
-    lam = CISCO_DEFAULTS.decay_constant
-    expected = math.log(prediction.penalty_at_final / 750.0) / lam
-    assert prediction.reuse_delay == pytest.approx(expected)
-    assert prediction.convergence_time == pytest.approx(expected + model.tup)
+    penalty, pulse, reuse, convergence = section3_prediction(
+        from_damping_params(CISCO_DEFAULTS), 5, 60.0, model.tup
+    )
+    assert prediction.penalty_at_final == pytest.approx(penalty)
+    assert prediction.suppression_pulse == pulse == 3
+    assert prediction.reuse_delay == pytest.approx(reuse)
+    assert prediction.convergence_time == pytest.approx(convergence)
 
 
 def test_convergence_monotone_in_pulses_once_suppressed(model):
@@ -124,8 +115,7 @@ def test_longer_interval_delays_suppression():
 
 
 def test_trajectory_tracks_suppression_flag(model):
-    events = pulse_events(4, 60.0)
-    trajectory = model.penalty_trajectory(events)
+    trajectory = model.penalty_trajectory(regular_pulse_train(4, 60.0))
     flags = [s for _, _, s in trajectory]
     # Not suppressed for the first two pulses (4 events), suppressed after.
     assert flags[:4] == [False, False, False, False]
@@ -136,19 +126,14 @@ def test_trajectory_reuse_resets_flag(model):
     """A long quiet gap lets the penalty decay below reuse; a later flap
     starts unsuppressed."""
     events = [
-        FlapEvent(0.0, UpdateKind.WITHDRAWAL),
-        FlapEvent(120.0, UpdateKind.WITHDRAWAL),
-        FlapEvent(240.0, UpdateKind.WITHDRAWAL),  # suppressed here
-        FlapEvent(240.0 + 6 * 3600.0, UpdateKind.WITHDRAWAL),  # long gap
+        (0.0, "down"),
+        (120.0, "down"),
+        (240.0, "down"),  # suppressed here
+        (240.0 + 6 * 3600.0, "down"),  # long gap
     ]
     trajectory = model.penalty_trajectory(events)
     assert trajectory[2][2] is True
     assert trajectory[3][2] is False
-
-
-def test_sweep(model):
-    predictions = model.sweep(range(0, 5))
-    assert [p.pulses for p in predictions] == [0, 1, 2, 3, 4]
 
 
 def test_model_validation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.core.params import (
     UpdateKind,
 )
 from repro.errors import ConfigurationError
+from tests.reference.rfc2439 import from_damping_params
+
+CISCO_REFERENCE = from_damping_params(CISCO_DEFAULTS)
 
 
 def test_cisco_defaults_match_table1():
@@ -82,9 +86,10 @@ def test_penalty_increments():
 
 def test_time_to_reach_inverts_decay():
     elapsed = CISCO_DEFAULTS.time_to_reach(3000.0, 750.0)
-    assert CISCO_DEFAULTS.decay(3000.0, elapsed) == pytest.approx(750.0)
+    assert CISCO_REFERENCE.decayed(3000.0, elapsed) == pytest.approx(750.0)
     # 3000 -> 750 is two half-lives
-    assert elapsed == pytest.approx(2 * CISCO_DEFAULTS.half_life)
+    assert elapsed == pytest.approx(CISCO_REFERENCE.seconds_to_reuse(3000.0))
+    assert elapsed == pytest.approx(2 * 15 * 60)
 
 
 def test_time_to_reach_already_below():
@@ -93,10 +98,10 @@ def test_time_to_reach_already_below():
 
 
 def test_reuse_delay_from_paper_formula():
-    # r = (1/lambda) ln(p / P_reuse)
+    # r = (1/lambda) ln(p / P_reuse), which the reference writes as
+    # half_life · log2(p / P_reuse)
     p = 2867.0
-    expected = math.log(p / 750.0) / CISCO_DEFAULTS.decay_constant
-    assert CISCO_DEFAULTS.reuse_delay(p) == pytest.approx(expected)
+    assert CISCO_DEFAULTS.reuse_delay(p) == pytest.approx(CISCO_REFERENCE.seconds_to_reuse(p))
 
 
 def test_invalid_half_life():
@@ -121,12 +126,19 @@ def test_invalid_max_hold_down():
         DampingParams(max_hold_down=0.0)
 
 
-def test_with_overrides_creates_validated_copy():
-    custom = CISCO_DEFAULTS.with_overrides(cutoff_threshold=2500.0)
+def test_replace_creates_validated_copy():
+    custom = replace(CISCO_DEFAULTS, cutoff_threshold=2500.0)
     assert custom.cutoff_threshold == 2500.0
     assert custom.withdrawal_penalty == CISCO_DEFAULTS.withdrawal_penalty
     with pytest.raises(ConfigurationError):
-        CISCO_DEFAULTS.with_overrides(cutoff_threshold=100.0)
+        replace(CISCO_DEFAULTS, cutoff_threshold=100.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", [spec.name for spec in fields(DampingParams)])
+def test_non_finite_field_rejected_by_name(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        DampingParams(**{field: value})
 
 
 def test_describe_round_trip():
@@ -147,10 +159,10 @@ def test_derived_values_are_the_documented_expressions_bit_for_bit():
     assert params.penalty_ceiling == 750.0 * math.pow(2.0, 2700.0 / 600.0)
 
 
-def test_with_overrides_gets_its_own_derived_values():
+def test_replace_gets_its_own_derived_values():
     base = DampingParams()
     base_lambda, base_ceiling = base.decay_constant, base.penalty_ceiling
-    faster = base.with_overrides(half_life=300.0)
+    faster = replace(base, half_life=300.0)
     assert faster.decay_constant == math.log(2.0) / 300.0
     assert faster.penalty_ceiling == 750.0 * math.pow(2.0, 3600.0 / 300.0)
     assert (base.decay_constant, base.penalty_ceiling) == (base_lambda, base_ceiling)

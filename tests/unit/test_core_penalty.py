@@ -7,6 +7,9 @@ import pytest
 from repro.core.params import CISCO_DEFAULTS, UpdateKind
 from repro.core.penalty import PenaltyState
 from repro.errors import SimulationError
+from tests.reference.rfc2439 import DampedRoute, from_damping_params
+
+CISCO_REFERENCE = from_damping_params(CISCO_DEFAULTS)
 
 
 @pytest.fixture
@@ -31,17 +34,16 @@ def test_charge_sequence_decays_between_events(state):
 
 def test_paper_penalty_recurrence(state):
     """p(k) = p(k-1) e^{-lambda w} + f(k): three withdrawals 120s apart."""
-    params = CISCO_DEFAULTS
     state.charge(0.0, UpdateKind.WITHDRAWAL)
     state.charge(120.0, UpdateKind.WITHDRAWAL)
     value = state.charge(240.0, UpdateKind.WITHDRAWAL)
     expected = (
-        1000.0 * params.decay(1.0, 240.0)
-        + 1000.0 * params.decay(1.0, 120.0)
+        CISCO_REFERENCE.decayed(1000.0, 240.0)
+        + CISCO_REFERENCE.decayed(1000.0, 120.0)
         + 1000.0
     )
     assert value == pytest.approx(expected)
-    assert value > params.cutoff_threshold  # 3rd flap triggers suppression
+    assert value > CISCO_DEFAULTS.cutoff_threshold  # 3rd flap triggers suppression
 
 
 def test_two_withdrawals_stay_under_cutoff(state):
@@ -54,7 +56,7 @@ def test_two_withdrawals_stay_under_cutoff(state):
 def test_reannouncement_adds_nothing_with_cisco(state):
     state.charge(0.0, UpdateKind.WITHDRAWAL)
     value = state.charge(60.0, UpdateKind.REANNOUNCEMENT)
-    assert value == pytest.approx(CISCO_DEFAULTS.decay(1000.0, 60.0))
+    assert value == pytest.approx(CISCO_REFERENCE.decayed(1000.0, 60.0))
 
 
 def test_duplicate_adds_nothing(state):
@@ -110,12 +112,16 @@ def test_reuse_delay_decreases_over_time(state):
 
 
 def test_history_records_charge_values(state):
-    state.charge(0.0, UpdateKind.WITHDRAWAL)
-    state.charge(60.0, UpdateKind.ATTRIBUTE_CHANGE)
-    assert [t for t, _ in state.history] == [0.0, 60.0]
-    assert state.history[1][1] == pytest.approx(
-        CISCO_DEFAULTS.decay(1000.0, 60.0) + 500.0
-    )
+    route = DampedRoute(CISCO_REFERENCE)
+    for when, kind in [
+        (0.0, UpdateKind.WITHDRAWAL),
+        (30.0, UpdateKind.REANNOUNCEMENT),
+        (60.0, UpdateKind.ATTRIBUTE_CHANGE),
+    ]:
+        state.charge(when, kind)
+        route.update(when, CISCO_REFERENCE.increment(kind.value))
+    assert [t for t, _ in state.history] == [t for t, _ in route.charges] == [0.0, 60.0]
+    assert state.history[1][1] == pytest.approx(route.charges[1][1])
 
 
 def test_zero_increment_not_recorded_in_history(state):
@@ -127,7 +133,7 @@ def test_sample_curve_matches_analytic_decay(state):
     state.add(0.0, 1000.0)
     samples = dict(state.sample_curve(0.0, 900.0, 450.0))
     assert samples[0.0] == pytest.approx(1000.0)
-    assert samples[450.0] == pytest.approx(CISCO_DEFAULTS.decay(1000.0, 450.0))
+    assert samples[450.0] == pytest.approx(CISCO_REFERENCE.decayed(1000.0, 450.0))
     assert samples[900.0] == pytest.approx(500.0)
 
 

@@ -9,6 +9,7 @@ from repro.core.params import CISCO_DEFAULTS
 from repro.core.damping import SuppressionRecord, charging_only_reuse_time
 from repro.experiments.fig7 import _count_upward_crossings
 from repro.experiments.fig8_9 import calculation_series
+from tests.reference.rfc2439 import from_damping_params
 
 
 class TestCountUpwardCrossings:
@@ -41,7 +42,7 @@ class TestFirstReuseEstimate:
         record = SuppressionRecord(
             peer="p", prefix="d", started=100.0, penalty_at_start=3000.0
         )
-        expected = 100.0 + CISCO_DEFAULTS.reuse_delay(3000.0)
+        expected = 100.0 + from_damping_params(CISCO_DEFAULTS).seconds_to_reuse(3000.0)
         assert charging_only_reuse_time(record, CISCO_DEFAULTS) == pytest.approx(expected)
 
 
