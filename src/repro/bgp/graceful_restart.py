@@ -24,11 +24,10 @@ experiment :mod:`repro.experiments.gr_faults` runs.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
 
@@ -49,10 +48,7 @@ class GracefulRestartConfig:
     restart_time: float = 120.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.restart_time) and self.restart_time > 0):
-            raise ConfigurationError(
-                f"restart_time must be finite and > 0, got {self.restart_time}"
-            )
+        check_number("GracefulRestartConfig.restart_time", self.restart_time, gt=0)
 
 
 class _PeerRestartState:

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 
-from repro.errors import ConfigurationError, TimerError
+from repro.errors import TimerError, check_number
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import Timer, TimerState
@@ -44,13 +44,9 @@ class MraiConfig:
     apply_to_withdrawals: bool = False
 
     def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ConfigurationError(f"MRAI base must be >= 0, got {self.base}")
-        if not (0.0 < self.jitter_low <= self.jitter_high):
-            raise ConfigurationError(
-                f"need 0 < jitter_low <= jitter_high, got "
-                f"[{self.jitter_low}, {self.jitter_high}]"
-            )
+        check_number("MraiConfig.base", self.base, ge=0)
+        check_number("MraiConfig.jitter_low", self.jitter_low, gt=0)
+        check_number("MraiConfig.jitter_high", self.jitter_high, ge=self.jitter_low)
 
     @property
     def enabled(self) -> bool:

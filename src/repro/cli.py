@@ -30,7 +30,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.core.params import VENDOR_PRESETS
-from repro.errors import ConfigurationError, ReproError, SimulationError
+from repro.errors import ConfigurationError, ReproError, SimulationError, reject_non_finite_token
 from repro.experiments.registry import describe, list_experiments, run_experiment
 from repro.metrics.report import render_table
 from repro.topology.internet import internet_topology
@@ -450,7 +450,7 @@ def _read_json(path: str) -> Dict[str, Any]:
     an object is bad input, not a crash."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=reject_non_finite_token)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(document, dict):

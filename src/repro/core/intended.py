@@ -20,13 +20,12 @@ and 15.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.params import DampingParams, UpdateKind
 from repro.core.penalty import PenaltyState
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 
 #: How the ISP classifies each event of the origin's flap train.
 FLAP_KINDS = {"down": UpdateKind.WITHDRAWAL, "up": UpdateKind.REANNOUNCEMENT}
@@ -48,13 +47,6 @@ class IntendedPrediction:
     convergence_time: float
 
 
-def _require_flap_interval(flap_interval: float) -> None:
-    if not (math.isfinite(flap_interval) and flap_interval > 0):
-        raise ConfigurationError(
-            f"flap_interval must be finite and > 0, got {flap_interval}"
-        )
-
-
 def regular_pulse_train(
     pulses: int, flap_interval: float
 ) -> Tuple[Tuple[float, str], ...]:
@@ -66,9 +58,8 @@ def regular_pulse_train(
     ``2 · flap_interval`` apart (the paper's "flapping interval 60
     seconds" methodology). The final event is always an announcement.
     """
-    if pulses < 0:
-        raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
-    _require_flap_interval(flap_interval)
+    check_number("pulses", pulses, ge=0)
+    check_number("flap_interval", flap_interval, gt=0)
     events: List[Tuple[float, str]] = []
     for i in range(pulses):
         start = i * 2.0 * flap_interval
@@ -101,9 +92,8 @@ class IntendedBehaviorModel:
         flap_interval: float = 60.0,
         tup: float = 30.0,
     ) -> None:
-        _require_flap_interval(flap_interval)
-        if not (math.isfinite(tup) and tup >= 0):
-            raise ConfigurationError(f"tup must be finite and >= 0, got {tup}")
+        check_number("IntendedBehaviorModel.flap_interval", flap_interval, gt=0)
+        check_number("IntendedBehaviorModel.tup", tup, ge=0)
         self.params = params
         self.flap_interval = flap_interval
         self.tup = tup

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 
 class UpdateKind(enum.Enum):
@@ -72,33 +72,19 @@ class DampingParams:
     max_hold_down: float = 60.0 * 60.0
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{spec.name} must be finite, got {value}")
-        if self.half_life <= 0:
-            raise ConfigurationError(f"half_life must be > 0, got {self.half_life}")
-        if self.max_hold_down <= 0:
-            raise ConfigurationError(
-                f"max_hold_down must be > 0, got {self.max_hold_down}"
-            )
-        if self.reuse_threshold <= 0:
-            raise ConfigurationError(
-                f"reuse_threshold must be > 0, got {self.reuse_threshold}"
-            )
-        if self.cutoff_threshold <= self.reuse_threshold:
-            raise ConfigurationError(
-                "cutoff_threshold must exceed reuse_threshold "
-                f"({self.cutoff_threshold} <= {self.reuse_threshold})"
-            )
         for name in (
             "withdrawal_penalty",
             "reannouncement_penalty",
             "attribute_change_penalty",
         ):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+            check_number(f"DampingParams.{name}", getattr(self, name), ge=0)
+        for name in ("reuse_threshold", "half_life", "max_hold_down"):
+            check_number(f"DampingParams.{name}", getattr(self, name), gt=0)
+        check_number(
+            "DampingParams.cutoff_threshold",
+            self.cutoff_threshold,
+            gt=self.reuse_threshold,
+        )
 
     # ------------------------------------------------------------------
     # derived quantities

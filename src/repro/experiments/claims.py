@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.core.states import DampingPhase, phase_durations
+from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig8_9 import critical_pulse_count
 from repro.experiments.parallel import PointOutcome
@@ -42,6 +43,12 @@ class Band:
     high: float = math.inf
     low_closed: bool = False
     high_closed: bool = False
+
+    def __post_init__(self) -> None:
+        # ±inf is a band's open end, so only nan is refused.
+        for name in ("low", "high"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigurationError(f"Band.{name} must not be nan")
 
     def __contains__(self, value: float) -> bool:
         above = value >= self.low if self.low_closed else value > self.low

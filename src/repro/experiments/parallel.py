@@ -64,7 +64,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, check_number
 from repro.metrics.digest import run_digest
 from repro.trace.sinks import JsonlSink
 from repro.trace.tracer import Tracer
@@ -438,12 +438,9 @@ def execute_sweep(
     """
     counts = _pulse_counts(pulse_counts)
     worker_count = resolve_jobs(jobs)
-    if point_timeout is not None and not (
-        math.isfinite(point_timeout) and point_timeout > 0
-    ):
-        raise ConfigurationError(
-            f"point_timeout must be a finite number of seconds > 0, got {point_timeout}"
-        )
+    check_number("flap_interval", flap_interval, gt=0)
+    if point_timeout is not None:
+        check_number("point_timeout", point_timeout, gt=0)
     if not counts:
         return []
     if trace_dir is not None:

@@ -20,17 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
-
-
-def _check_time(value: float, what: str) -> None:
-    if not isinstance(value, (int, float)) or value < 0:
-        raise ConfigurationError(f"{what} must be a time >= 0, got {value!r}")
-
-
-def _check_rate(value: float, what: str) -> None:
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{what} must be in [0, 1], got {value!r}")
+from repro.errors import ConfigurationError, check_number, reject_non_finite_token
 
 
 def _check_name(value: object, what: str) -> None:
@@ -51,14 +41,9 @@ class LinkFault:
     def __post_init__(self) -> None:
         _check_name(self.a, "LinkFault.a")
         _check_name(self.b, "LinkFault.b")
-        _check_time(self.down_at, "LinkFault.down_at")
+        check_number("LinkFault.down_at", self.down_at, ge=0)
         if self.up_at is not None:
-            _check_time(self.up_at, "LinkFault.up_at")
-            if self.up_at <= self.down_at:
-                raise ConfigurationError(
-                    f"LinkFault.up_at ({self.up_at}) must be after "
-                    f"down_at ({self.down_at})"
-                )
+            check_number("LinkFault.up_at", self.up_at, gt=self.down_at)
 
 
 @dataclass(frozen=True)
@@ -74,13 +59,9 @@ class RouterCrash:
 
     def __post_init__(self) -> None:
         _check_name(self.router, "RouterCrash.router")
-        _check_time(self.at, "RouterCrash.at")
-        if self.down_for is not None and (
-            not isinstance(self.down_for, (int, float)) or self.down_for <= 0
-        ):
-            raise ConfigurationError(
-                f"RouterCrash.down_for must be > 0, got {self.down_for!r}"
-            )
+        check_number("RouterCrash.at", self.at, ge=0)
+        if self.down_for is not None:
+            check_number("RouterCrash.down_for", self.down_for, gt=0)
 
 
 @dataclass(frozen=True)
@@ -95,7 +76,7 @@ class SessionReset:
     def __post_init__(self) -> None:
         _check_name(self.a, "SessionReset.a")
         _check_name(self.b, "SessionReset.b")
-        _check_time(self.at, "SessionReset.at")
+        check_number("SessionReset.at", self.at, ge=0)
 
 
 @dataclass(frozen=True)
@@ -117,16 +98,12 @@ class LinkImpairment:
     def __post_init__(self) -> None:
         _check_name(self.a, "LinkImpairment.a")
         _check_name(self.b, "LinkImpairment.b")
-        _check_time(self.start, "LinkImpairment.start")
-        if self.duration is not None and (
-            not isinstance(self.duration, (int, float)) or self.duration <= 0
-        ):
-            raise ConfigurationError(
-                f"LinkImpairment.duration must be > 0, got {self.duration!r}"
-            )
-        _check_rate(self.loss, "LinkImpairment.loss")
-        _check_rate(self.duplicate, "LinkImpairment.duplicate")
-        _check_time(self.extra_jitter, "LinkImpairment.extra_jitter")
+        check_number("LinkImpairment.start", self.start, ge=0)
+        if self.duration is not None:
+            check_number("LinkImpairment.duration", self.duration, gt=0)
+        check_number("LinkImpairment.loss", self.loss, ge=0, le=1)
+        check_number("LinkImpairment.duplicate", self.duplicate, ge=0, le=1)
+        check_number("LinkImpairment.extra_jitter", self.extra_jitter, ge=0)
         if self.loss == 0.0 and self.duplicate == 0.0 and self.extra_jitter == 0.0:
             raise ConfigurationError(
                 "LinkImpairment must impair something: set loss, duplicate, "
@@ -166,22 +143,14 @@ class FlapStorm:
         if not links:
             raise ConfigurationError("FlapStorm.links must not be empty")
         object.__setattr__(self, "links", links)
-        _check_time(self.start, "FlapStorm.start")
+        check_number("FlapStorm.start", self.start, ge=0)
         if not isinstance(self.flaps, int) or self.flaps < 1:
             raise ConfigurationError(
                 f"FlapStorm.flaps must be an int >= 1, got {self.flaps!r}"
             )
-        _check_time(self.min_interval, "FlapStorm.min_interval")
-        _check_time(self.max_interval, "FlapStorm.max_interval")
-        if self.max_interval < self.min_interval:
-            raise ConfigurationError(
-                f"FlapStorm.max_interval ({self.max_interval}) must be >= "
-                f"min_interval ({self.min_interval})"
-            )
-        if not isinstance(self.down_time, (int, float)) or self.down_time <= 0:
-            raise ConfigurationError(
-                f"FlapStorm.down_time must be > 0, got {self.down_time!r}"
-            )
+        check_number("FlapStorm.min_interval", self.min_interval, ge=0)
+        check_number("FlapStorm.max_interval", self.max_interval, ge=self.min_interval)
+        check_number("FlapStorm.down_time", self.down_time, gt=0)
 
     @property
     def stream_name(self) -> str:
@@ -339,8 +308,8 @@ class FaultPlan:
     @classmethod
     def loads(cls, text: str) -> "FaultPlan":
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(text, parse_constant=reject_non_finite_token)
+        except ValueError as exc:
             raise ConfigurationError(f"fault plan is not valid JSON: {exc}") from None
         return cls.from_json_dict(payload)
 

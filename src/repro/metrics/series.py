@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 from typing import List, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import check_number
 
 
 def bin_counts(
@@ -24,8 +24,7 @@ def bin_counts(
     Returns ``(bin_start, count)`` for every bin, including empty ones,
     so the series plots with a continuous x-axis.
     """
-    if bin_width <= 0:
-        raise ConfigurationError(f"bin_width must be > 0, got {bin_width}")
+    check_number("bin_width", bin_width, gt=0)
     if end is None:
         end = max(times) + bin_width if times else start + bin_width
     if end <= start:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, check_number
 from repro.net.message import Message
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -47,10 +47,8 @@ class LinkConfig:
     jitter: float = 0.04
 
     def __post_init__(self) -> None:
-        if self.base_delay < 0:
-            raise ConfigurationError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
+        check_number("LinkConfig.base_delay", self.base_delay, ge=0)
+        check_number("LinkConfig.jitter", self.jitter, ge=0)
 
 
 class Link:
@@ -125,12 +123,9 @@ class Link:
         stream, so enabling an impairment never perturbs the base jitter
         sequence of other links (or of this link's un-impaired sends).
         """
-        if not (0.0 <= loss <= 1.0):
-            raise ConfigurationError(f"loss must be in [0, 1], got {loss}")
-        if not (0.0 <= duplicate <= 1.0):
-            raise ConfigurationError(f"duplicate must be in [0, 1], got {duplicate}")
-        if extra_jitter < 0.0:
-            raise ConfigurationError(f"extra_jitter must be >= 0, got {extra_jitter}")
+        check_number("Link.set_impairment.loss", loss, ge=0, le=1)
+        check_number("Link.set_impairment.duplicate", duplicate, ge=0, le=1)
+        check_number("Link.set_impairment.extra_jitter", extra_jitter, ge=0)
         self.loss_rate = loss
         self.duplicate_rate = duplicate
         self.extra_jitter = extra_jitter

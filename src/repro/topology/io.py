@@ -14,7 +14,7 @@ import pathlib
 from typing import Dict, List, Union
 
 from repro.bgp.policy import Relationship
-from repro.errors import TopologyError
+from repro.errors import TopologyError, reject_non_finite_token
 from repro.topology.model import Topology, build_adjacency
 from repro.topology.relationships import RelationshipMap
 
@@ -91,7 +91,7 @@ def load_topology(path: PathLike) -> Topology:
     """Read a topology previously written by :func:`save_topology`."""
     text = pathlib.Path(path).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"not a topology file: {path}") from exc
+        document = json.loads(text, parse_constant=reject_non_finite_token)
+    except ValueError as exc:
+        raise TopologyError(f"not a topology file: {path}: {exc}") from exc
     return topology_from_dict(document)

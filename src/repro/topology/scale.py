@@ -28,7 +28,7 @@ import random
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.bgp.policy import Relationship
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError, check_number
 from repro.sim.rng import RngRegistry
 from repro.topology.model import Topology, bfs_depths, build_adjacency
 from repro.topology.relationships import RelationshipMap, assign_relationships
@@ -89,8 +89,10 @@ def powerlaw_topology(
             f"core must be in [max(2, attachment), nodes]; "
             f"got core={core} attachment={attachment} nodes={nodes}"
         )
-    if exponent < 0:
-        raise TopologyError(f"exponent must be >= 0, got {exponent}")
+    try:
+        check_number("exponent", exponent, ge=0)
+    except ConfigurationError as exc:
+        raise TopologyError(str(exc)) from None
 
     rng = RngRegistry(seed).stream(POWERLAW_STREAM)
     names = [scale_node_name(i, nodes) for i in range(nodes)]

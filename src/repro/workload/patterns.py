@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 from repro.sim.rng import RngRegistry
 from repro.workload.pulses import PulseSchedule
 
@@ -41,12 +41,10 @@ def poisson_pattern(
     the expected stable period between outages. ``min_gap`` floors every
     holding time so events never coincide.
     """
-    if pulses < 0:
-        raise ConfigurationError(f"pulses must be >= 0, got {pulses}")
-    if mean_down_time <= 0 or mean_up_time <= 0:
-        raise ConfigurationError("mean holding times must be > 0")
-    if min_gap <= 0:
-        raise ConfigurationError(f"min_gap must be > 0, got {min_gap}")
+    check_number("pulses", pulses, ge=0)
+    check_number("mean_down_time", mean_down_time, gt=0)
+    check_number("mean_up_time", mean_up_time, gt=0)
+    check_number("min_gap", min_gap, gt=0)
     events: List[Tuple[float, str]] = []
     clock = 0.0
     for i in range(pulses):
@@ -66,10 +64,7 @@ def jittered_pattern(
 ) -> PulseSchedule:
     """The paper's regular pulses with each event perturbed by up to
     ``±jitter_fraction × flap_interval`` (order preserved)."""
-    if not (0.0 <= jitter_fraction < 0.5):
-        raise ConfigurationError(
-            f"jitter_fraction must be in [0, 0.5), got {jitter_fraction}"
-        )
+    check_number("jitter_fraction", jitter_fraction, ge=0, lt=0.5)
     base = PulseSchedule.regular(pulses, flap_interval)
     spread = jitter_fraction * flap_interval
     events: List[Tuple[float, str]] = []
@@ -93,10 +88,10 @@ def burst_pattern(
     inter_burst_gap: float,
 ) -> PulseSchedule:
     """``bursts`` groups of rapid pulses separated by long quiet gaps."""
-    if bursts < 0 or pulses_per_burst <= 0:
-        raise ConfigurationError("bursts must be >= 0 and pulses_per_burst > 0")
-    if intra_burst_interval <= 0 or inter_burst_gap <= 0:
-        raise ConfigurationError("intervals must be > 0")
+    check_number("bursts", bursts, ge=0)
+    check_number("pulses_per_burst", pulses_per_burst, gt=0)
+    check_number("intra_burst_interval", intra_burst_interval, gt=0)
+    check_number("inter_burst_gap", inter_burst_gap, gt=0)
     events: List[Tuple[float, str]] = []
     clock = 0.0
     for burst in range(bursts):

@@ -13,10 +13,10 @@ ablations): build with explicit event times via :meth:`from_events`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.intended import regular_pulse_train
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_number
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,12 @@ class PulseSchedule:
     events: Tuple[Tuple[float, str], ...]
 
     def __post_init__(self) -> None:
-        previous = -1.0
+        previous: Optional[float] = None
         for offset, status in self.events:
             if status not in ("down", "up"):
                 raise ConfigurationError(f"bad flap status {status!r}")
-            if offset < 0:
-                raise ConfigurationError(f"negative flap offset {offset}")
-            if offset <= previous:
-                raise ConfigurationError("flap events must be strictly increasing in time")
-            previous = offset
+            # Offsets start at 0 and strictly increase.
+            previous = check_number("PulseSchedule.events offset", offset, ge=0, gt=previous)
         if self.events and self.events[-1][1] != "up":
             raise ConfigurationError(
                 "a pulse schedule must end with an announcement ('up') — "

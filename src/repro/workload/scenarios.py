@@ -53,7 +53,7 @@ from repro.bgp.policy import (
 from repro.bgp.router import BgpRouter, RouterConfig
 from repro.core.intended import IntendedBehaviorModel
 from repro.core.params import DampingParams
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, check_number
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
@@ -126,10 +126,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.rcn and self.selective:
             raise ConfigurationError("rcn and selective filters are mutually exclusive")
-        if not (0.0 <= self.damping_fraction <= 1.0):
-            raise ConfigurationError(
-                f"damping_fraction must be in [0, 1], got {self.damping_fraction}"
-            )
+        check_number("ScenarioConfig.damping_fraction", self.damping_fraction, ge=0, le=1)
         if self.use_no_valley and self.topology.relationships is None:
             raise ConfigurationError(
                 "no-valley policy requires a topology with relationships"

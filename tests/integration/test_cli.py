@@ -79,6 +79,8 @@ BAD_INVOCATIONS = [
     "simulate --nodes 25 --pulses 1 --faults examples/faults_demo.json --graceful-restart inf",
     "faults run examples/faults_demo.json --nodes 25 --graceful-restart nan",
     "simulate --graceful-restart nan",
+    "topo gen --nodes 50 --exponent nan",
+    "topo gen --nodes 50 --exponent inf",
 ]
 
 
@@ -108,6 +110,28 @@ def test_bad_input_exits_2_with_one_line_and_no_traceback(
         assert lines[-1].startswith("rfd-repro: error: ")
     else:
         assert len(lines) == 1 and lines[0].startswith(f"rfd-repro {argv[0]}: ")
+
+
+def test_plan_with_nan_time_exits_2_at_load(capsys, in_repo_root, tmp_path):
+    """``NaN`` is refused by the plan loader, before any warm-up runs."""
+    with open("examples/faults_demo.json", encoding="utf-8") as handle:
+        text = handle.read()
+    plan = tmp_path / "nan.json"
+    plan.write_text(text.replace('"at": 150.0', '"at": NaN', 1))
+    assert main(["faults", "run", str(plan), "--nodes", "25", "--pulses", "1"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "NaN is not a finite number" in lines[0]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_read_json_rejects_non_finite_tokens(tmp_path, token):
+    from repro.cli import _read_json
+    from repro.errors import ConfigurationError
+
+    path = tmp_path / "digests.json"
+    path.write_text('{"T1": {"x": %s}}' % token)
+    with pytest.raises(ConfigurationError, match=f"{token} is not a finite number"):
+        _read_json(str(path))
 
 
 @pytest.mark.parametrize(

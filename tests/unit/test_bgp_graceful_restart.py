@@ -22,7 +22,7 @@ def _helper(engine: Engine) -> Tuple[GracefulRestartHelper, List[Tuple[str, List
 
 def test_config_requires_positive_restart_time():
     for restart_time in (0.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ConfigurationError, match="restart_time must be finite and > 0"):
+        with pytest.raises(ConfigurationError, match="GracefulRestartConfig.restart_time must be a finite number > 0"):
             GracefulRestartConfig(restart_time=restart_time)
 
 

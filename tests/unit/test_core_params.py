@@ -137,7 +137,7 @@ def test_replace_creates_validated_copy():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", [spec.name for spec in fields(DampingParams)])
 def test_non_finite_field_rejected_by_name(field, value):
-    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+    with pytest.raises(ConfigurationError, match=rf"^DampingParams\.{field} must be a finite number"):
         DampingParams(**{field: value})
 
 

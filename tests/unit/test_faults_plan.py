@@ -182,6 +182,12 @@ def test_loads_rejects_malformed_entries():
         FaultPlan.loads("{nope")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_loads_rejects_non_finite_tokens(token):
+    with pytest.raises(ConfigurationError, match=f"{token} is not a finite number"):
+        FaultPlan.loads('{"crashes": [{"router": "r1", "at": %s}]}' % token)
+
+
 def test_load_save_round_trip(tmp_path):
     plan = _full_plan()
     path = tmp_path / "plan.json"

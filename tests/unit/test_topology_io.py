@@ -92,6 +92,14 @@ def test_non_json_file_rejected(tmp_path):
         load_topology(path)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_token_rejected(tmp_path, token):
+    path = tmp_path / "nan.json"
+    path.write_text('{"format_version": %s, "nodes": [], "edges": []}' % token)
+    with pytest.raises(TopologyError, match=f"{token} is not a finite number"):
+        load_topology(path)
+
+
 def test_relationship_cycle_rejected_on_load():
     document = {
         "format_version": 1,
