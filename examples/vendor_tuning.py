@@ -42,11 +42,11 @@ def main() -> None:
     rows = []
     for name, params in profiles:
         model = IntendedBehaviorModel(params, flap_interval=60.0, tup=30.0)
-        critical = model.critical_pulse_count()
+        onset = model.suppression_onset()
         rows.append(
             [
                 name,
-                critical if critical is not None else "never",
+                onset if onset is not None else "never",
                 round(model.predict(5).convergence_time, 1),
                 round(model.predict(10).convergence_time, 1),
                 round(params.penalty_ceiling, 0),

@@ -43,7 +43,7 @@ def evaluate_params(
 ) -> SensitivityPoint:
     """Evaluate one configuration with the intended model."""
     model = IntendedBehaviorModel(params, flap_interval=flap_interval, tup=0.0)
-    onset = model.critical_pulse_count(max_pulses=max_onset_search)
+    onset = model.suppression_onset(max_pulses=max_onset_search)
     delay_at_onset = model.predict(onset).reuse_delay if onset is not None else 0.0
     delay_sustained = model.predict(sustained_pulses).reuse_delay
     return SensitivityPoint(
@@ -100,7 +100,7 @@ def tolerance_frontier(
     def onset_for(cutoff: float) -> Optional[int]:
         params = replace(base, cutoff_threshold=cutoff)
         model = IntendedBehaviorModel(params, flap_interval=flap_interval, tup=0.0)
-        return model.critical_pulse_count(max_pulses=max(64, target_onset * 2))
+        return model.suppression_onset(max_pulses=max(64, target_onset * 2))
 
     if onset_for(high) is not None and onset_for(high) < target_onset:
         raise ConfigurationError(

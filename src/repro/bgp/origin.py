@@ -24,6 +24,8 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
+ORIGIN_NAME = "originAS"
+
 
 class OriginRouter(BgpRouter):
     """The unstable customer AS of the paper's Figure 1."""

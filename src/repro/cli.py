@@ -594,11 +594,13 @@ def _cmd_intended(args: argparse.Namespace) -> int:
 def _adhoc_topology(args: argparse.Namespace):
     """The ``--topology``/``--nodes`` choice as a topology."""
     if args.topology == "mesh":
-        if args.nodes < 4:
+        side = int(max(args.nodes, 0) ** 0.5)
+        if args.nodes < 4 or side * side != args.nodes:
+            nearest = sorted({max(side, 2) ** 2, max(side + 1, 2) ** 2})
             raise ConfigurationError(
-                f"mesh needs --nodes >= 4 (a 2x2 torus), got {args.nodes}"
+                f"mesh needs --nodes to be a square >= 4 (a side x side torus), "
+                f"got {args.nodes}; nearest: {' or '.join(map(str, nearest))}"
             )
-        side = round(args.nodes ** 0.5)
         return mesh_topology(side, side)
     return internet_topology(args.nodes, seed=7)
 
@@ -696,6 +698,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace import JsonlSink, MemorySink, Tracer, canonical_line
     from repro.trace.records import KNOWN_KINDS
 
+    if args.show < 0:
+        raise ConfigurationError(f"--show must be >= 0, got {args.show}")
     kinds: Optional[List[str]] = None
     if args.kinds is not None:
         kinds = [kind.strip() for kind in args.kinds.split(",") if kind.strip()]

@@ -161,9 +161,9 @@ class IntendedBehaviorModel:
             convergence_time=convergence,
         )
 
-    def critical_pulse_count(self, max_pulses: int = 64) -> Optional[int]:
-        """Smallest pulse count that triggers suppression at the ISP
-        (``n = 3`` with Cisco defaults and 60 s intervals)."""
+    def suppression_onset(self, max_pulses: int = 64) -> Optional[int]:
+        """Smallest pulse count that suppresses at the ISP (``n = 3`` with
+        Cisco defaults and 60 s intervals); not the measured ``Nh``."""
         for n in range(1, max_pulses + 1):
             if self.predict(n).suppressed:
                 return n

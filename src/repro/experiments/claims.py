@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.core.states import DampingPhase, phase_durations
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig8_9 import critical_pulse_count
+from repro.experiments.fig8_9 import critical_pulse_count, muffled_from
 from repro.experiments.parallel import PointOutcome
 
 
@@ -151,6 +151,16 @@ def _worst_calc_gap(result: ExperimentResult, key: str, low: int) -> float:
         abs(_point(result, key, n).convergence_time / _calc(result, n) - 1.0)
         for n in _grid(result, low)
     )
+
+
+def _muffled_delay_spread(result: ExperimentResult, key: str) -> float:
+    """Spread of T - ``isp_reuse`` (the propagation) over ``key``'s muffled points."""
+    delays = [
+        point.convergence_time - point.isp_reuse
+        for point in result.data["sweeps"][key].points
+        if point.muffled
+    ]
+    return max(delays) - min(delays) if delays else math.nan
 
 
 def _rows(result: ExperimentResult) -> List[Dict[str, object]]:
@@ -282,6 +292,7 @@ def _onset(result: ExperimentResult, configuration: str) -> float:
 
 _MESH = "full_damping_mesh"
 _NO_DAMPING = "no_damping_mesh"
+_INTERNET = "full_damping_internet"
 _RCN = "damping_rcn"
 _HARD = "hard reset"
 _GR = "graceful restart"
@@ -351,7 +362,7 @@ CLAIMS: Tuple[Claim, ...] = (
         "F8-n1-internet-above-intended",
         "Fig. 8: the Internet-derived curve shows the same excess (Internet / calc, n = 1)",
         "F8",
-        lambda r: _point(r, "full_damping_internet", 1).convergence_time / max(_calc(r, 1), 1.0),
+        lambda r: _point(r, _INTERNET, 1).convergence_time / max(_calc(r, 1), 1.0),
         above(5.0),
         pulses=(1,),
     ),
@@ -372,11 +383,27 @@ CLAIMS: Tuple[Claim, ...] = (
     ),
     Claim(
         "F8-nh",
-        "Fig. 8: the measured critical point is Nh = 5",
+        "Sec. 1 / Fig. 8: from Nh = 5 on, the ISP's is the only noisy reuse (mesh Nh)",
         "F8",
         lambda r: critical_pulse_count(r.data["sweeps"]) or math.nan,
         exactly(5),
         pulses=(3, 5),
+    ),
+    Claim(
+        "F8-muffled-propagation",
+        "Sec. 1: past Nh, T = RTh + propagation (mesh spread of T - ISP reuse, s)",
+        "F8", lambda r: _muffled_delay_spread(r, _MESH), at_most(0.2), pulses=(5, 8),
+    ),
+    Claim(
+        "F8-internet-nh",
+        "Sec. 1 / Fig. 8: the Internet-derived topology is muffled from Nh = 5 on too",
+        "F8", lambda r: muffled_from(r.data["sweeps"][_INTERNET]) or math.nan, exactly(5),
+        pulses=(3, 5),
+    ),
+    Claim(
+        "F8-internet-muffled-propagation",
+        "Sec. 1: past Nh, T = RTh + propagation (Internet spread of T - ISP reuse, s)",
+        "F8", lambda r: _muffled_delay_spread(r, _INTERNET), at_most(0.2), pulses=(5, 8),
     ),
     Claim(
         "F9-n1-amplified",

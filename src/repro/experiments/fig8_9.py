@@ -1,5 +1,7 @@
 """Figures 8 and 9 — the three simulated series behind the paper's
-headline figures, run directly, and the measured critical point ``Nh``.
+headline figures, run directly, and the measured critical point ``Nh``:
+from ``Nh`` pulses on, the ISP suppresses the flapping route and every
+other router's reuse timer expires silently (``PointOutcome.muffled``).
 
 The figures themselves (and Figures 13/14, which add the RCN series) are
 table entries in :mod:`repro.experiments.registry`; the repo benchmark
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.experiments.base import (
+from repro.experiments.base import (  # noqa: F401  (calculation_series: bench/ imports it here)
     DEFAULT_SEED,
     RunOptions,
     SweepSeries,
@@ -31,25 +33,12 @@ def run_fig8_9_sweeps(
     return run_series(FIG8_SERIES, counts, RunOptions(jobs=jobs), seed=seed)
 
 
+def muffled_from(series: SweepSeries) -> Optional[int]:
+    """The smallest ``n >= 1`` from which every point of ``series`` is muffled."""
+    last_noisy = max((p.pulses for p in series.points if not p.muffled), default=0)
+    return min((p.pulses for p in series.points if p.pulses > last_noisy), default=None)
+
+
 def critical_pulse_count(sweeps: Dict[str, SweepSeries]) -> Optional[int]:
-    """The measured ``Nh``: smallest n from which the full-damping mesh
-    convergence stays within 15% (relative) of the calculation."""
-    mesh = sweeps["full_damping_mesh"]
-    counts = [p.pulses for p in mesh.points]
-    tup = sweeps["no_damping_mesh"].mean_warmup
-    calc = dict(calculation_series(counts, tup))
-    for start_index, n_start in enumerate(counts):
-        if n_start == 0:
-            continue
-        ok = True
-        for n in counts[start_index:]:
-            expected = calc[n]
-            measured = mesh.point(n).convergence_time
-            if expected <= 0:
-                continue
-            if abs(measured - expected) / expected > 0.15:
-                ok = False
-                break
-        if ok:
-            return n_start
-    return None
+    """The measured ``Nh``: :func:`muffled_from` the full-damping mesh."""
+    return muffled_from(sweeps["full_damping_mesh"])

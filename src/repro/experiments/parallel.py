@@ -96,11 +96,18 @@ class PointOutcome:
     peak_damped_links: int
     secondary_charges: int
     warmup_convergence: float
+    isp_reuse: Optional[float]
+    last_other_noisy_reuse: Optional[float]
     digest: str
     #: SHA-256 of the point's canonical JSONL trace when tracing was
     #: requested (``trace_dir``); ``None`` otherwise. Identical whatever
     #: ``jobs`` is — the parallel determinism guarantee covers traces too.
     trace_digest: Optional[str] = None
+
+    @property
+    def muffled(self) -> bool:
+        """After the final announcement only the ISP's reuse is noisy."""
+        return self.isp_reuse is not None and self.last_other_noisy_reuse is None
 
 
 def available_cpus() -> int:
@@ -187,6 +194,8 @@ def _outcome(
         peak_damped_links=summary.peak_damped_links,
         secondary_charges=summary.secondary_charges,
         warmup_convergence=result.warmup_convergence,
+        isp_reuse=summary.isp_reuse,
+        last_other_noisy_reuse=summary.last_other_noisy_reuse,
         digest=run_digest(result.collector),
         trace_digest=trace_digest,
     )
@@ -375,14 +384,6 @@ def _worker_run_chunk(
     return [(index, outcomes[index]) for index, _ in tasks]
 
 
-def _chunk_child(spec: _SweepSpec, tasks: _Chunk) -> List[Tuple[int, PointOutcome]]:
-    """A chunk worker's body. Freezing first moves every object inherited
-    from the caller out of the collector's reach, so the chunk's final
-    collection does not write to (and copy) the pages they live on."""
-    gc.freeze()
-    return _worker_run_chunk(spec, tasks)
-
-
 def shutdown_worker_pools() -> None:
     """Kept so existing imports resolve; does nothing. Chunk workers are
     forked per sweep and reaped before :func:`execute_sweep` returns,
@@ -463,7 +464,7 @@ def execute_sweep(
     try:
         for chunk in chunks:
             budget = None if point_timeout is None else point_timeout * len(chunk)
-            work = functools.partial(_chunk_child, spec, chunk)
+            work = functools.partial(_worker_run_chunk, spec, chunk)
             running.append((chunk, *_fork(work, budget)))
         results: List[Tuple[int, PointOutcome]] = []
         # Joined in submission order, so the output never depends on

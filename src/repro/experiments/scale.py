@@ -9,8 +9,8 @@ every push (``benchmarks/compare_mem.py`` against the committed
 ``mem_baseline.json``); the 5k/10k tiers back the acceptance check that
 a 10k-node episode finishes under the watchdog in < 2 GB.
 
-Scale episodes default to delivery coalescing
-(``ScenarioConfig.coalesce_delivery``) and arm the engine watchdog, so
+Scale episodes damp with Cisco defaults, default to delivery coalescing
+(``ScenarioConfig.coalesce_delivery``) and always arm the watchdog, so
 a wedged flap storm fails fast with a diagnosis instead of spinning.
 Results carry the run's metrics digest: the episode is exactly as
 deterministic as the small-graph figures, which is what lets CI pin a
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.params import CISCO_DEFAULTS, DampingParams
+from repro.core.params import CISCO_DEFAULTS
 from repro.metrics.digest import run_digest
 from repro.topology.model import Topology
 from repro.topology.scale import powerlaw_topology
@@ -107,9 +107,7 @@ def run_scale_episode(
     interval: float = 120.0,
     seed: int = 0,
     topology_seed: int = 3,
-    damping: Optional[DampingParams] = CISCO_DEFAULTS,
     coalesce_delivery: bool = True,
-    watchdog: bool = True,
 ) -> ScaleEpisodeResult:
     """Run one flap episode on a large graph and measure it.
 
@@ -125,13 +123,12 @@ def run_scale_episode(
         topology = powerlaw_topology(nodes, seed=topology_seed)
     config = ScenarioConfig(
         topology=topology,
-        damping=damping,
+        damping=CISCO_DEFAULTS,
         seed=seed,
         coalesce_delivery=coalesce_delivery,
     )
     scenario = Scenario(config)
-    if watchdog:
-        scenario.engine.enable_watchdog()
+    scenario.engine.enable_watchdog()
     built = time.perf_counter()
 
     scenario.warm_up()

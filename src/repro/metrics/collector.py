@@ -206,12 +206,6 @@ class MetricsCollector:
         events.sort(key=lambda e: e.time)
         return events
 
-    def noisy_reuse_count(self) -> int:
-        return sum(1 for e in self.reuse_events() if e.noisy)
-
-    def silent_reuse_count(self) -> int:
-        return sum(1 for e in self.reuse_events() if not e.noisy)
-
     def secondary_charge_count(self) -> int:
         """Total reuse-timer postponements observed while suppressed —
         the footprint of secondary charging."""

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.bgp.graceful_restart import GracefulRestartConfig
 from repro.bgp.mrai import MraiConfig
-from repro.bgp.origin import OriginRouter
+from repro.bgp.origin import ORIGIN_NAME, OriginRouter
 from repro.bgp.policy import (
     NoValleyPolicy,
     Relationship,
@@ -70,7 +70,6 @@ from repro.workload.pulses import PulseSchedule
 if TYPE_CHECKING:
     from repro.trace.tracer import Tracer
 
-ORIGIN_NAME = "originAS"
 DEFAULT_PREFIX = "p0"
 #: Simulated seconds the warm-up and the measured episode may take to
 #: drain; an episode still busy past its horizon is a SimulationError.

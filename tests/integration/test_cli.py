@@ -71,6 +71,8 @@ BAD_INVOCATIONS = [
     "topo bench --nodes 60 --pulses 1 --interval nan",
     "simulate --nodes -4 --pulses 1",
     "simulate --nodes 0",
+    "simulate --nodes 10",  # not a square: no silent 3x3 mesh
+    "trace --nodes 9 --pulses 1 --show -1",
     "faults template --nodes -4",
     "intended --pulses -3",
     "faults run examples/faults_demo.json --nodes 25 --pulses -2",

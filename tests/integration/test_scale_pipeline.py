@@ -39,8 +39,8 @@ def test_coalesced_delivery_is_digest_identical():
 
 
 def test_scale_episode_is_deterministic_and_measured():
-    first = run_scale_episode(nodes=80, watchdog=True)
-    second = run_scale_episode(nodes=80, watchdog=True)
+    first = run_scale_episode(nodes=80)
+    second = run_scale_episode(nodes=80)
     assert first.digest == second.digest
     assert first.events == second.events
     assert first.events > 0

@@ -114,7 +114,7 @@ def test_trace_dag_counts_equal_the_damping_records(build, pulses, interval):
 
     assert report.postponements_total == result.summary.secondary_charges
     assert report.reuse_total == len(collector.reuse_events())
-    assert report.reuse_noisy == collector.noisy_reuse_count()
+    assert report.reuse_noisy == result.summary.noisy_reuses
     assert report.reuse_muffled == report.reuse_muffled_childless
     assert sum(row.postponements for row in report.after_shocks) == (
         report.postponements_by_class["reuse"]

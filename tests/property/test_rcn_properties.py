@@ -70,7 +70,7 @@ def test_intended_prediction_invariants(pulses, interval):
 @given(interval=st.floats(min_value=10.0, max_value=200.0))
 def test_convergence_nondecreasing_past_suppression(interval):
     model = IntendedBehaviorModel(CISCO_DEFAULTS, flap_interval=interval, tup=30.0)
-    critical = model.critical_pulse_count(max_pulses=20)
+    critical = model.suppression_onset(max_pulses=20)
     if critical is None:
         return
     previous = 0.0

@@ -74,12 +74,12 @@ class TestToleranceFrontier:
         cutoff = tolerance_frontier(CISCO_DEFAULTS, target_onset=5)
         params = replace(CISCO_DEFAULTS, cutoff_threshold=cutoff)
         model = IntendedBehaviorModel(params, flap_interval=60.0, tup=0.0)
-        onset = model.critical_pulse_count()
+        onset = model.suppression_onset()
         assert onset is None or onset >= 5
         # And it is tight: slightly below the frontier suppresses earlier.
         tighter = replace(CISCO_DEFAULTS, cutoff_threshold=cutoff - 50.0)
         tighter_model = IntendedBehaviorModel(tighter, flap_interval=60.0, tup=0.0)
-        assert tighter_model.critical_pulse_count() < 5
+        assert tighter_model.suppression_onset() < 5
 
     def test_target_one_is_trivial(self):
         cutoff = tolerance_frontier(CISCO_DEFAULTS, target_onset=1, low=800.0)

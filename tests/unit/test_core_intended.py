@@ -89,8 +89,8 @@ def test_zero_pulses(model):
     assert not prediction.suppressed
 
 
-def test_critical_pulse_count_cisco(model):
-    assert model.critical_pulse_count() == 3
+def test_suppression_onset_cisco(model):
+    assert model.suppression_onset() == 3
 
 
 def test_juniper_model_differs():
@@ -107,11 +107,11 @@ def test_longer_interval_delays_suppression():
     # than three pulses (the penalty partially decays between flaps).
     medium = IntendedBehaviorModel(CISCO_DEFAULTS, flap_interval=420.0, tup=30.0)
     assert not medium.predict(3).suppressed
-    assert medium.critical_pulse_count() > 3
+    assert medium.suppression_onset() > 3
     # With 20-minute gaps the geometric sum never reaches the cutoff:
     # suppression is never triggered at all.
     slow = IntendedBehaviorModel(CISCO_DEFAULTS, flap_interval=600.0, tup=30.0)
-    assert slow.critical_pulse_count() is None
+    assert slow.suppression_onset() is None
 
 
 def test_trajectory_tracks_suppression_flag(model):

@@ -3,12 +3,15 @@ by a tiny real simulation (two routers plus a flapping origin)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bgp.mrai import MraiConfig
-from repro.bgp.origin import OriginRouter
+from repro.bgp.origin import ORIGIN_NAME, OriginRouter
 from repro.bgp.router import BgpRouter, RouterConfig
-from repro.core.params import CISCO_DEFAULTS
+from repro.core.damping import DampingManager
+from repro.core.params import CISCO_DEFAULTS, UpdateKind
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.convergence import summarize_convergence
 from repro.net.link import LinkConfig
@@ -113,7 +116,8 @@ def test_reuse_events_and_counts(simulation):
     engine.run()
     events = collector.reuse_events()
     assert events
-    assert collector.noisy_reuse_count() + collector.silent_reuse_count() == len(events)
+    summary = summarize_convergence(collector, pulses=3, final_announcement_time=None)
+    assert summary.noisy_reuses + summary.silent_reuses == len(events)
 
 
 def test_update_series_binning(simulation):
@@ -152,3 +156,36 @@ def test_summarize_without_final_announcement(simulation):
     summary = summarize_convergence(collector, pulses=0, final_announcement_time=None)
     assert summary.convergence_time == 0.0
     assert summary.message_count == 0
+
+
+def test_summary_reads_the_isp_reuse_and_the_last_other_noisy_reuse():
+    """Of the noisy reuses after the final announcement, the one on the
+    origin's peer is the ISP's and the latest on any other peer is the
+    last other; earlier and silent reuses count for neither."""
+    engine = Engine()
+    manager = DampingManager(
+        engine, CISCO_DEFAULTS, "isp", lambda peer, prefix: peer != "quiet"
+    )
+    collector = MetricsCollector()
+    isp = SimpleNamespace(name="isp", damping=manager)
+    collector.attach(Network(engine, RngRegistry(0)), [isp])
+
+    def flap_thrice(peer):
+        for _ in range(3):  # ~3000 > the 2000 cut-off: suppressed
+            manager.record_update(peer, "p0", UpdateKind.WITHDRAWAL)
+
+    # Each suppression is reused ~1800 s after its charges.
+    peers = ("early", ORIGIN_NAME, "loud", "quiet")
+    for start, peer in zip((0.0, 500.0, 1000.0, 1500.0), peers):
+        engine.schedule_at(start, lambda peer=peer: flap_thrice(peer))
+    engine.run()
+    reused = {event.peer: event.time for event in manager.reuse_events}
+    final = 2000.0
+    assert reused["early"] < final < reused[ORIGIN_NAME] < reused["loud"] < reused["quiet"]
+
+    summary = summarize_convergence(collector, pulses=3, final_announcement_time=final)
+    assert summary.isp_reuse == reused[ORIGIN_NAME] - final
+    assert summary.last_other_noisy_reuse == reused["loud"] - final
+    assert (summary.noisy_reuses, summary.silent_reuses) == (3, 1)
+    unclocked = summarize_convergence(collector, pulses=0, final_announcement_time=None)
+    assert unclocked.isp_reuse is None and unclocked.last_other_noisy_reuse is None
