@@ -379,10 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="generator seed when --topology-file is not given (default 3)",
     )
     tbench.add_argument(
-        "--no-coalesce", action="store_true",
-        help="schedule one engine event per message (the small-graph default)",
-    )
-    tbench.add_argument(
         "--json", default=None, metavar="FILE",
         help="write the measurements as JSON ('-' for stdout)",
     )
@@ -1006,7 +1002,6 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
         interval=args.interval,
         seed=args.seed,
         topology_seed=args.topology_seed,
-        coalesce_delivery=not args.no_coalesce,
     )
     payload = result.as_dict()
     rows = [[key, payload[key]] for key in payload]

@@ -9,9 +9,10 @@ every push (``benchmarks/compare_mem.py`` against the committed
 ``mem_baseline.json``); the 5k/10k tiers back the acceptance check that
 a 10k-node episode finishes under the watchdog in < 2 GB.
 
-Scale episodes damp with Cisco defaults, default to delivery coalescing
-(``ScenarioConfig.coalesce_delivery``) and always arm the watchdog, so
-a wedged flap storm fails fast with a diagnosis instead of spinning.
+Scale episodes damp with Cisco defaults, always coalesce delivery
+(``ScenarioConfig.coalesce_delivery``: one FIFO queue per link direction
+behind one engine event) and always arm the watchdog, so a wedged flap
+storm fails fast with a diagnosis instead of spinning.
 Results carry the run's metrics digest: the episode is exactly as
 deterministic as the small-graph figures, which is what lets CI pin a
 generated-fixture digest. See docs/SCALING.md.
@@ -23,7 +24,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.core.params import CISCO_DEFAULTS
 from repro.metrics.digest import run_digest
@@ -49,12 +50,15 @@ def peak_rss_bytes() -> int:
 class ScaleEpisodeResult:
     """Measurements from one large-graph flap episode."""
 
+    #: Always True (scale episodes always coalesce); kept because the
+    #: benchmark, ``compare_mem.py`` and the ``/coalesce1`` digest key read it.
+    coalesce_delivery: ClassVar[bool] = True
+
     topology_name: str
     nodes: int
     edges: int
     pulses: int
     seed: int
-    coalesce_delivery: bool
     #: Wall-clock seconds per stage (host time, not simulated time).
     build_seconds: float
     warmup_seconds: float
@@ -70,7 +74,7 @@ class ScaleEpisodeResult:
     convergence_time: float
     suppressions: int
     #: Canonical metrics digest of the episode (deterministic per
-    #: topology + seed + schedule, coalescing included).
+    #: topology + seed + schedule).
     digest: str
 
     @property
@@ -107,7 +111,6 @@ def run_scale_episode(
     interval: float = 120.0,
     seed: int = 0,
     topology_seed: int = 3,
-    coalesce_delivery: bool = True,
 ) -> ScaleEpisodeResult:
     """Run one flap episode on a large graph and measure it.
 
@@ -125,7 +128,7 @@ def run_scale_episode(
         topology=topology,
         damping=CISCO_DEFAULTS,
         seed=seed,
-        coalesce_delivery=coalesce_delivery,
+        coalesce_delivery=True,
     )
     scenario = Scenario(config)
     scenario.engine.enable_watchdog()
@@ -146,7 +149,6 @@ def run_scale_episode(
         edges=topology.edge_count,
         pulses=pulses,
         seed=seed,
-        coalesce_delivery=coalesce_delivery,
         build_seconds=built - start,
         warmup_seconds=warmed - built,
         episode_seconds=episode_seconds,

@@ -243,20 +243,17 @@ class _DeliveryBatch:
     """One direction's pending deliveries behind a single engine event.
 
     The per-direction FIFO floor in :meth:`Link._schedule_delivery` makes
-    delivery times monotone non-decreasing within a direction, so the
-    deque is always sorted by construction. The batch keeps at most one
-    engine event armed — for the head's delivery time — and drains every
-    message whose time has arrived when it fires, then re-arms for the
-    new head. A flap storm that previously scheduled one heap entry per
-    (message, direction) now costs one heap entry per direction per
-    distinct wake-up time: O(edges) per storm instant instead of
-    O(edges·updates).
+    each delivery time the running max of ``sent_at + delay`` in this
+    direction, so the deque is sorted by construction. The batch keeps at
+    most one engine event armed, for the head's delivery time; when it
+    fires it drains every message whose time has arrived, then re-arms
+    for the new head. Messages that reach one direction's head at the
+    same instant share one event.
 
-    Message delivery *times* are identical to per-message scheduling;
-    only the engine-sequence interleaving of same-instant deliveries can
-    differ, which is why coalescing is opt-in per scenario rather than
-    a global default (committed figure digests encode the historical
-    interleaving).
+    Delivery *times* are those of per-message scheduling. Event order is
+    not: a queued message's event is sequenced when its queue arms, which
+    can be after the message was sent, so its order against any other
+    same-instant event (a delivery from another link, a timer) can differ.
     """
 
     __slots__ = ("_link", "_engine", "dst", "pending", "armed_for")

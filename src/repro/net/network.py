@@ -46,10 +46,8 @@ class Network:
         #: When True, links batch pending deliveries per direction behind
         #: a single engine event instead of scheduling one event per
         #: message (see :class:`repro.net.link._DeliveryBatch`). Message
-        #: delivery *times* are identical either way; only the execution
-        #: order of same-instant deliveries may differ, so large-graph
-        #: scenarios opt in while the paper's figures keep the historical
-        #: event order (and their committed digests).
+        #: delivery *times* are identical either way; the order of a
+        #: delivery against other same-instant events can differ.
         self.coalesce_delivery = coalesce_delivery
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}

@@ -116,10 +116,10 @@ class ScenarioConfig:
     #: experiments turn it on to measure crash-induced charging).
     charge_on_session_reset: bool = False
     #: Batch pending link deliveries behind one engine event per link
-    #: direction (see docs/SCALING.md). Delivery times are unchanged but
-    #: same-instant execution order can differ, so this is opt-in for
-    #: large-graph scenarios; the paper's figures keep it off to
-    #: preserve their committed digests.
+    #: direction (see docs/SCALING.md §2). Delivery times are unchanged
+    #: but same-instant event order can differ. Scale episodes turn it
+    #: on; the paper's figures keep it off, which the benchmark's
+    #: one-message-per-delivery-event pin on the mesh workloads encodes.
     coalesce_delivery: bool = False
 
     def __post_init__(self) -> None:

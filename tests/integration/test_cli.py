@@ -58,6 +58,7 @@ BAD_INVOCATIONS = [
     "lint --update-baseline src",  # the flag is gone: an argparse usage error
     "topo gen --nodes 100 --caida-out x",
     "topo bench --topology-file /nonexistent.json",
+    "topo bench --nodes 60 --no-coalesce",  # the flag is gone: an argparse usage error
     "faults run examples/faults_demo.json --nodes 9",
     "faults run examples/faults_demo.json --nodes 25 --jobs 2 --point-timeout nan",
     "faults run examples/faults_demo.json --nodes 25 --jobs 2 --point-timeout inf",
@@ -108,6 +109,7 @@ def test_bad_input_exits_2_with_one_line_and_no_traceback(
         "simulate --jobs -1",
         "lint --update-baseline src",
         "lint --cache-dir x src",
+        "topo bench --nodes 60 --no-coalesce",
     ):
         assert lines[-1].startswith("rfd-repro: error: ")
     else:

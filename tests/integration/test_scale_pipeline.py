@@ -1,6 +1,7 @@
 """Integration tests for the internet-scale pipeline: generate → save →
-ingest → episode, delivery coalescing's digest identity, and the
-``rfd-repro topo`` subcommands end to end.
+ingest → episode, delivery coalescing's digest identity (scale episodes
+always coalesce; ``ScenarioConfig.coalesce_delivery`` is the one switch),
+and the ``rfd-repro topo`` subcommands end to end.
 
 Graph sizes here are deliberately small (tens to low hundreds of
 nodes): tier-1 exercises the machinery, the benchmarks exercise the
@@ -128,15 +129,3 @@ def test_topo_bench_digest_verification(tmp_path, capsys):
     assert code == 1
     assert "digest" in capsys.readouterr().err.lower()
 
-
-def test_topo_bench_no_coalesce_matches_coalesced_digest(tmp_path, capsys):
-    digests = tmp_path / "digests.json"
-    args = ["topo", "bench", "--nodes", "60", "--pulses", "1"]
-    assert main(args + ["--write-digests", str(digests)]) == 0
-    capsys.readouterr()
-    recorded = json.loads(digests.read_text(encoding="utf-8"))
-    assert main(args + ["--no-coalesce", "--write-digests", str(digests)]) == 0
-    capsys.readouterr()
-    both = json.loads(digests.read_text(encoding="utf-8"))
-    assert len(both) == 2  # coalesce0 and coalesce1 keys
-    assert len(set(both.values())) == 1  # ...with identical digests

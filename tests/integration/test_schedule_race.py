@@ -4,12 +4,14 @@ Two guarantees are under test. First, detection is *passive*: a fig10
 episode with the detector enabled must produce bit-identical headline
 results to the undetected run, because recording ties never reorders
 events. Second, every tie the standard workload does produce must fall
-in the known-benign allowlist — same-instant deliveries to one router
-from different neighbours, which the mesh's symmetric link delays make
-routine and which per-link FIFO plus ``(time, seq)`` ordering resolves
-deterministically. Any new tag pair showing up here (e.g. a reuse timer
-colliding with a delivery) is exactly the ordering-dependence the
-detector exists to surface, and fails the suite until triaged.
+in the known-benign allowlist. Those ties come from the per-direction
+FIFO floor: a message due before its predecessor on the *same* link is
+delivered at the predecessor's instant, in its own engine event, and
+``(time, seq)`` runs the two in send order. Jittered links make a
+same-instant delivery from a *different* link a measure-zero event. Any
+new tag pair showing up here (e.g. a reuse timer colliding with a
+delivery) is exactly the ordering-dependence the detector exists to
+surface, and fails the suite until triaged.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import FlapRunResult, Scenario
 
 #: Tie tag pairs that are understood and safe on the standard workload.
-#: ("deliver", "deliver"): two neighbours' updates reaching the same
-#: router at the same instant — resolved by scheduling order, which the
-#: per-link FIFO floor makes deterministic.
+#: ("deliver", "deliver"): two updates on one link that the FIFO floor
+#: put on the same instant, run in send order.
 BENIGN_TIE_TAGS = frozenset({("deliver", "deliver")})
 
 

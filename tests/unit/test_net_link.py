@@ -95,17 +95,76 @@ def test_base_delay_draws_what_uniform_would_bit_for_bit():
 
 def test_fifo_ordering_per_direction():
     """A message must never overtake an earlier one in the same direction,
-    even when jitter draws would reorder them."""
+    even when jitter draws would reorder them: on both delivery paths each
+    delivery time is the running max of ``sent_at + delay``. The queue
+    delivers messages that share an instant in one engine event."""
+    config = LinkConfig(base_delay=0.01, jitter=0.5)
+    for coalesce in (False, True):
+        engine = Engine()
+        network = Network(engine, RngRegistry(3), coalesce_delivery=coalesce)
+        a = network.add_node(Recorder("a"))
+        b = network.add_node(Recorder("b"))
+        network.add_link("a", "b", config)
+        twin = RngRegistry(3).stream("link:a-b")
+        for i in range(30):
+            a.send("b", i)
+        engine.run()
+        assert [m.payload for m in b.received] == list(range(30))
+        floor = 0.0
+        for message in b.received:
+            due = message.sent_at + config.base_delay + twin.uniform(0.0, config.jitter)
+            floor = max(floor, due)
+            assert message.delivered_at == floor
+        if coalesce:
+            assert engine.events_executed < len(b.received)
+        else:
+            assert engine.events_executed == len(b.received)
+
+
+def _same_instant_order(coalesce, script):
+    """Run ``script(engine, a, b, log)`` on zero-jitter links a→c and b→c
+    and return the order in which events logged at ``c``."""
     engine = Engine()
-    network = Network(engine, RngRegistry(3))
+    network = Network(engine, RngRegistry(1), coalesce_delivery=coalesce)
+    log = []
+
+    class Logger(Recorder):
+        def handle_message(self, message):
+            log.append(message.payload)
+
     a = network.add_node(Recorder("a"))
     b = network.add_node(Recorder("b"))
-    network.add_link("a", "b", LinkConfig(base_delay=0.01, jitter=0.5))
-    for i in range(30):
-        a.send("b", i)
+    network.add_node(Logger("c"))
+    network.add_link("a", "c", LinkConfig(base_delay=1.0, jitter=0.0))
+    network.add_link("b", "c", LinkConfig(base_delay=1.0, jitter=0.0))
+    script(engine, a, b, log)
     engine.run()
-    payloads = [m.payload for m in b.received]
-    assert payloads == sorted(payloads)
+    return log
+
+
+def test_queued_delivery_is_sequenced_when_its_queue_arms():
+    """Per-message delivery sequences each event at send time; the queue
+    sequences it when the direction's queue arms, which can be later. So
+    a same-instant delivery from another link, or a timer armed between
+    the send and the re-arm, can run first on the queued path."""
+
+    def two_links(engine, a, b, log):
+        a.send("c", "a1")
+        b.send("c", "b1")
+        a.send("c", "a2")
+
+    assert _same_instant_order(False, two_links) == ["a1", "b1", "a2"]
+    assert _same_instant_order(True, two_links) == ["a1", "a2", "b1"]
+
+    def timer_between(engine, a, b, log):
+        a.send("c", "m1")  # due 1.0
+        engine.schedule_at(0.5, lambda: a.send("c", "m2"))  # due 1.5
+        engine.schedule_at(
+            0.75, lambda: engine.schedule_at(1.5, lambda: log.append("timer"), actor="c")
+        )
+
+    assert _same_instant_order(False, timer_between) == ["m1", "m2", "timer"]
+    assert _same_instant_order(True, timer_between) == ["m1", "timer", "m2"]
 
 
 def test_bidirectional_delivery(net):
