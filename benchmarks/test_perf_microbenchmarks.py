@@ -59,7 +59,7 @@ def _export_perf_json():
     import os
 
     # Merge with entries exported by other benchmark modules (e.g. the
-    # lint-engine benchmarks) instead of clobbering them.
+    # scale benchmarks in test_perf_scale.py) instead of clobbering them.
     merged = {}
     if PERF_JSON.exists():
         try:

@@ -55,9 +55,8 @@ def rank_candidates(
     local_pref: LocalPrefFunction,
 ) -> List[Tuple[str, Route]]:
     """All candidates ordered best-first (useful for tests and debugging)."""
-    # Decorate-sort-undecorate instead of a key lambda: no per-call
-    # closure allocation, and the enumerate index breaks preference ties
-    # without ever comparing Route objects.
+    # The enumerate index breaks preference ties without ever comparing
+    # Route objects.
     decorated = sorted(
         (preference_key(peer, route, local_pref), index, peer, route)
         for index, (peer, route) in enumerate(candidates)

@@ -160,8 +160,7 @@ class GracefulRestartHelper:
     def cancel_all_timers(self) -> int:
         """Disarm every pending restart timer and forget helper state;
         returns how many timers were pending (quiesce hook — without it
-        a discarded helper's timers would fire into dead state, the
-        runtime shape of timerlint TIM001)."""
+        a discarded helper's timers would fire into dead state)."""
         cancelled = 0
         for state in self._peers.values():
             if state.timer.is_pending:

@@ -115,7 +115,7 @@ class MraiLimiter:
                 self._engine,
                 functools.partial(self._expired, peer),
                 # One allocation per peer lifetime, not per sent update.
-                name=f"mrai:{self.owner}->{peer}",  # lint: disable=PERF004
+                name=f"mrai:{self.owner}->{peer}",
                 actor=self.owner,
                 tag="mrai",
             )
@@ -163,7 +163,7 @@ class MraiLimiter:
         Deferred prefixes stay recorded, so a later :meth:`note_sent`
         re-arms normally. This is the quiesce hook for limiter
         replacement — an armed timer surviving its limiter would flush
-        dirty state nobody owns (timerlint TIM001's runtime shape).
+        dirty state nobody owns.
         """
         cancelled = 0
         for state in self._peers.values():

@@ -33,7 +33,7 @@ class RibInEntry:
 
     A plain slotted class rather than a dataclass: one entry lives per
     (peer, prefix) for the whole run, so the per-instance ``__dict__``
-    would dominate the table's footprint (perflint PERF006).
+    would dominate the table's footprint.
     """
 
     __slots__ = ("route", "root_cause", "ever_announced")

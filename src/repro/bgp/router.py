@@ -541,8 +541,8 @@ class BgpRouter(Node):
         super().crash()
         self.stats.crashes += 1
         # Quiesce every timer this router owns before discarding the
-        # state behind it (armed timers surviving their owner are the
-        # runtime shape of timerlint TIM001).
+        # state behind it: an armed timer surviving its owner would fire
+        # into dead state.
         for peer in self._links:
             self.mrai.reset_peer(peer)
         if self.damping is not None:
@@ -646,9 +646,9 @@ class BgpRouter(Node):
         """
         if self.config.damping is not None and self.damping is not None:
             # Quiesce the old manager first: its armed reuse timers would
-            # otherwise keep firing into the discarded instance (TIM001's
-            # runtime shape; scenarios call this post-drain, but the reset
-            # must be safe mid-flight too).
+            # otherwise keep firing into the discarded instance (scenarios
+            # call this post-drain, but the reset must be safe mid-flight
+            # too).
             self.damping.cancel_all_timers()
             released = {prefix for _, prefix in self.damping.suppressed_entries()}
             self.damping = DampingManager(

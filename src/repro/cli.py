@@ -10,14 +10,13 @@ an ad-hoc simulation runner::
     rfd-repro run F8 --smoke --verify-digests benchmarks/results/f8_smoke_digests.json
     rfd-repro simulate --topology mesh --nodes 100 --pulses 3 --damping cisco
     rfd-repro trace --topology mesh --nodes 100 --pulses 3 --out run.jsonl
-    rfd-repro lint src/              # static analysis (det/sem/tim/perf passes)
 
 Commands raise on failure; :func:`main` alone turns an exception into an
 exit code. 0 is success; 1 means the run broke its own rules
 (``SimulationError``: stall, lost sweep points, timer-audit or invariant
-violation) or a command's own check failed (digest mismatch, lint
-findings); 2 is bad input (any other ``ReproError`` or ``OSError``, and
-argparse usage errors). See docs/ROBUSTNESS.md.
+violation) or a command's own check failed (a digest mismatch); 2 is
+bad input (any other ``ReproError`` or ``OSError``, and argparse usage
+errors). See docs/ROBUSTNESS.md.
 """
 
 from __future__ import annotations
@@ -168,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "attach the runtime allocation probe (tracemalloc net bytes "
-            "per sub-phase) and print the per-phase allocation "
-            "report — the dynamic counterpart of the perf lint pass"
+            "per sub-phase) and print the net bytes, per-event peak "
+            "and event count of each protocol sub-phase"
         ),
     )
     sim.add_argument(
@@ -389,48 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tbench.add_argument(
         "--verify-digests", default=None, metavar="FILE",
         help="fail unless this episode's metrics digest matches FILE",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the det/sem/tim/perf static-analysis passes",
-        description=(
-            "Check Python sources against the determinism (DET), "
-            "protocol-semantics (SEM), timer-lifecycle (TIM) and hot-path "
-            "performance (PERF) rule catalogues — see "
-            "docs/STATIC_ANALYSIS.md. PERF rules check only functions in "
-            "the call-graph hot set. Every finding blocks. Exit-code "
-            "contract (stable): 0 clean, 1 findings or parse errors "
-            "remain, 2 on usage errors."
-        ),
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files or directories (default: src)"
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="output_format"
-    )
-    lint.add_argument(
-        "--select", action="append", default=[], metavar="RULE",
-        help="run only these rule ids (repeatable)",
-    )
-    lint.add_argument(
-        "--ignore", action="append", default=[], metavar="RULE",
-        help="skip these rule ids (repeatable)",
-    )
-    lint.add_argument(
-        "--pass",
-        choices=["det", "sem", "tim", "perf", "all"],
-        default="all",
-        dest="lint_pass",
-        help=(
-            "which analysis pass to run: det (determinism), sem (protocol "
-            "semantics), tim (timer lifecycle), perf (hot-path "
-            "performance), or all (default)"
-        ),
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     return parser
 
@@ -1037,31 +994,6 @@ def _cmd_topo_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        lint_paths,
-        make_config,
-        render_json,
-        render_rule_list,
-        render_text,
-    )
-
-    if args.list_rules:
-        print(render_rule_list())
-        return 0
-    config = make_config(
-        select=tuple(args.select),
-        ignore=tuple(args.ignore),
-        passes=(args.lint_pass,),
-    )
-    report = lint_paths(args.paths, config)
-    if args.output_format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
-    return 0 if report.ok else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     commands = {
@@ -1072,7 +1004,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "faults": _cmd_faults,
         "topo": _cmd_topo,
-        "lint": _cmd_lint,
     }
     try:
         return commands[args.command](args)

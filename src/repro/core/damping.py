@@ -79,7 +79,7 @@ class UpdateOutcome:
     """What :meth:`DampingManager.record_update` did with one update.
 
     Allocated once per processed update — slotted so the hot path does
-    not grow a ``__dict__`` per outcome (perflint PERF006).
+    not grow a ``__dict__`` per outcome.
     """
 
     __slots__ = (
@@ -236,8 +236,7 @@ class DampingManager:
         Quiesces the manager before it is discarded or replaced (e.g.
         :meth:`~repro.bgp.router.BgpRouter.reset_damping` between warm-up
         and the measured episode). Without this, a replaced manager's
-        armed timers keep firing into state nobody reads — the runtime
-        shape of timerlint's TIM001 leak.
+        armed timers keep firing into state nobody reads.
         """
         cancelled = 0
         for entry in self._entries.values():
@@ -345,7 +344,7 @@ class DampingManager:
                 self._engine,
                 functools.partial(self._reuse_fired, peer, prefix),
                 # One allocation per (peer, prefix) lifetime, not per event.
-                name=f"reuse:{self.owner}:{peer}:{prefix}",  # lint: disable=PERF004
+                name=f"reuse:{self.owner}:{peer}:{prefix}",
                 actor=self.owner,
                 tag="reuse",
             )
@@ -364,7 +363,7 @@ class DampingManager:
         # SuppressionRecord carries defaulted fields and a list factory, so
         # it cannot take __slots__ on this Python; suppressions are rare
         # relative to charges, so the dict cost is accepted.
-        record = SuppressionRecord(  # lint: disable=PERF006
+        record = SuppressionRecord(
             peer=peer, prefix=prefix, started=now, penalty_at_start=penalty
         )
         entry.current_record = record

@@ -112,7 +112,7 @@ class DampingParams:
         """Penalty added for one update of the given kind.
 
         Called once per charged update — the branch ladder avoids
-        rebuilding a lookup dict on every call (perflint PERF002).
+        rebuilding a lookup dict on every call.
         """
         if kind is UpdateKind.WITHDRAWAL:
             return self.withdrawal_penalty

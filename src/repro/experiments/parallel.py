@@ -13,8 +13,9 @@ as the largest point. With ``jobs > 1`` the counts are cut into one
 contiguous **chunk** per worker, and each chunk runs the same trunk and
 branches in a child forked from the caller. ``os.fork`` is the only way
 this module starts a process, and this module is the one place such
-fan-out is allowed (detlint rule DET010 flags ``multiprocessing``,
-``concurrent.futures`` and ``os.fork`` anywhere else). It provides a
+fan-out is allowed (``tests/unit/test_source_rules.py`` fails on
+``multiprocessing``, ``concurrent.futures`` or ``os.fork`` anywhere
+else). It provides a
 hard guarantee: results are **digest-identical** to replaying every
 point on a fresh scenario, whatever ``jobs`` is.
 

@@ -1,16 +1,14 @@
-"""Runtime allocation oracle for the perflint pass.
+"""Per-sub-phase allocation accounting for engine events.
 
-:class:`AllocationProbe` is the dynamic counterpart of the static
-PERF001..PERF010 rules, the same pairing the timer audit provides for
-timerlint: attach it to an engine (``simulate --audit-alloc``) and every
-executed event is bracketed with tracemalloc samples, accumulating *net
-traced bytes* and allocation-size peaks per sub-phase (the labels
-perflint's ``PHASE_ROOTS`` are grouped by, picked from the event's tag
-through :data:`TAG_PHASE_MAP`). A hot path that keeps
-allocating per event — closures, outcome objects without ``__slots__``,
-per-call dict displays — shows up as a per-event byte rate the
-integration oracle (``tests/integration/test_perflint_oracle.py``)
-cross-checks against seeded rule violations.
+Attach an :class:`AllocationProbe` to an engine (``simulate
+--audit-alloc``) and every executed event is bracketed with tracemalloc
+samples, accumulating *net traced bytes* and allocation-size peaks per
+protocol sub-phase, picked from the event's tag through
+:data:`TAG_PHASE_MAP`. A hot path that keeps allocating per event —
+closures, outcome objects without ``__slots__``, per-call dict displays
+— shows up as a per-event byte rate;
+``tests/integration/test_perflint_oracle.py`` holds the probe to
+hazard/fix pairs of exactly those shapes.
 
 tracemalloc measures *live* traced memory, so churn that is immediately
 garbage-collected nets out to ~zero; the oracle therefore compares

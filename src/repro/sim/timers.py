@@ -5,12 +5,11 @@ start, possibly reschedule to a later (or earlier) instant while pending,
 fire exactly once per arming, and report their state. :class:`Timer`
 wraps the engine's lazy-cancellation events with that life cycle.
 
-:class:`TimerAudit` is the opt-in runtime oracle behind ``timerlint``
-(:mod:`repro.lint.timers`): when attached via
-:meth:`~repro.sim.engine.Engine.enable_timer_audit`, every timer reports
-its arm/cancel/fire transitions, and :meth:`TimerAudit.verify` at
-simulation end asserts the lifecycle invariants the static pass checks
-syntactically — no armed handle was abandoned, no handle was re-armed
+:class:`TimerAudit` is the opt-in runtime check of that life cycle:
+when attached via :meth:`~repro.sim.engine.Engine.enable_timer_audit`,
+every timer reports its arm/cancel/fire transitions, and
+:meth:`TimerAudit.verify` at simulation end asserts the lifecycle
+invariants — no armed handle was abandoned, no handle was re-armed
 while already pending, and every fire matched an arming. When no audit
 is attached the timers pay one attribute read per transition.
 """
@@ -204,7 +203,7 @@ class TimerAudit:
     time is *not* a leak (the simulation was merely stopped early); it
     is listed by :meth:`pending_timers` instead. A leak means the armed
     handle can never fire: its event was cancelled or dropped behind
-    the timer's back, which is the runtime shape of timerlint's TIM001.
+    the timer's back.
     """
 
     def __init__(self, engine: Engine) -> None:

@@ -100,7 +100,7 @@ def stall_diagnostics(
         inventory = tuple(audit.pending_timers())
     # StallDiagnostics has a defaulted field, so it cannot take __slots__
     # on this Python; it is built once per stall report, never per event.
-    return StallDiagnostics(  # lint: disable=PERF006
+    return StallDiagnostics(
         now=engine.now,
         events_executed=engine.events_executed,
         events_at_instant=events_at_instant,

@@ -36,7 +36,7 @@ from repro.topology.relationships import RelationshipMap, assign_relationships
 PathLike = Union[str, pathlib.Path]
 
 #: Stream name for the generator — one draw sequence per master seed,
-#: isolated from every other named stream per the detlint DET002 rules.
+#: isolated from every other named stream.
 POWERLAW_STREAM = "topology:powerlaw"
 
 #: Give up rejection sampling after this many tries and accept the last

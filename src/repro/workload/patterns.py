@@ -138,8 +138,8 @@ def pattern_by_name(
     When ``rng`` is omitted the pattern draws from a fresh, *named*
     ``RngRegistry`` stream (``workload:pattern`` under master seed 0):
     reproducible per call, but independent of every other
-    default-seeded call site. The previous ``random.Random(0)``
-    fallback aliased this stream with ``pick_isp``'s (detlint DET002).
+    default-seeded call site (a ``random.Random(0)`` fallback would
+    share one stream with every other such site).
     """
     chooser = rng if rng is not None else RngRegistry(0).stream("workload:pattern")
     if name == "regular":

@@ -99,7 +99,8 @@ class ScenarioConfig:
     damping_overrides: Optional[Mapping[str, DampingParams]] = None
     prefix: str = DEFAULT_PREFIX
     #: Opt-in runtime schedule-race detector: record same-instant event
-    #: ties touching the same router (see ``docs/STATIC_ANALYSIS.md``).
+    #: ties touching the same router (``docs/STATIC_ANALYSIS.md``,
+    #: "The schedule-race detector").
     #: Detection is passive — results are bit-identical either way.
     detect_schedule_ties: bool = False
     #: Optional fault schedule injected into the measured episode

@@ -78,6 +78,7 @@ BAD_INVOCATIONS = [
     "intended --pulses -3",
     "faults run examples/faults_demo.json --nodes 25 --pulses -2",
     "lint --cache-dir x src",  # the flag is gone: an argparse usage error
+    "lint src",  # the subcommand is gone
     "simulate --nodes 25 --pulses 1 --faults examples/faults_demo.json --graceful-restart nan",
     "simulate --nodes 25 --pulses 1 --faults examples/faults_demo.json --graceful-restart inf",
     "faults run examples/faults_demo.json --nodes 25 --graceful-restart nan",
@@ -109,6 +110,7 @@ def test_bad_input_exits_2_with_one_line_and_no_traceback(
         "simulate --jobs -1",
         "lint --update-baseline src",
         "lint --cache-dir x src",
+        "lint src",
         "topo bench --nodes 60 --no-coalesce",
     ):
         assert lines[-1].startswith("rfd-repro: error: ")
@@ -248,188 +250,8 @@ def test_run_with_csv_export(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# lint subcommand
+# timer audit, invariant checking
 # ----------------------------------------------------------------------
-
-
-def test_lint_clean_tree_exits_zero(capsys):
-    import pathlib
-
-    import repro
-
-    src_dir = pathlib.Path(repro.__file__).resolve().parents[1]
-    assert main(["lint", str(src_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "0 finding(s)" in out
-
-
-def test_lint_seeded_violation_exits_nonzero(capsys, tmp_path):
-    """Acceptance: a DET002/DET010 fixture fails with rule id and file:line."""
-    fixture = tmp_path / "violations.py"
-    fixture.write_text(
-        "import multiprocessing\n"
-        "import random\n"
-        "\n"
-        "def draw():\n"
-        "    return random.Random(0).random()\n",
-        encoding="utf-8",
-    )
-    assert main(["lint", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "DET002" in out and "DET010" in out
-    assert f"{fixture}:5:" in out  # file:line of the literal-seeded stream
-
-
-def test_lint_suppression_comment_restores_exit_zero(capsys, tmp_path):
-    fixture = tmp_path / "suppressed.py"
-    fixture.write_text(
-        "import random\n"
-        "r = random.random()  # lint: disable=DET002\n",
-        encoding="utf-8",
-    )
-    assert main(["lint", str(fixture)]) == 0
-    out = capsys.readouterr().out
-    assert "1 suppressed" in out
-
-
-def test_lint_json_format(capsys, tmp_path):
-    import json
-
-    fixture = tmp_path / "bad.py"
-    fixture.write_text("import random\nr = random.random()\n", encoding="utf-8")
-    assert main(["lint", "--format", "json", str(fixture)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts_by_rule"] == {"DET002": 1}
-
-
-def test_lint_select_and_ignore(capsys, tmp_path):
-    fixture = tmp_path / "bad.py"
-    fixture.write_text("import random\nr = random.random()\n", encoding="utf-8")
-    assert main(["lint", "--ignore", "DET002", str(fixture)]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--select", "DET010", str(fixture)]) == 0
-
-
-def test_lint_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "DET002" in out and "DET010" in out
-
-
-def test_lint_unknown_rule_id_is_usage_error(capsys):
-    assert main(["lint", "--select", "DET999", "src"]) == 2
-    assert "DET999" in capsys.readouterr().err
-
-
-def test_lint_missing_path_is_usage_error(capsys):
-    assert main(["lint", "/nonexistent/path/xyz"]) == 2
-
-
-def test_lint_exit_contract(capsys, tmp_path):
-    """0 clean, 1 on any finding or parse error — every finding blocks."""
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n", encoding="utf-8")
-    assert main(["lint", str(clean)]) == 0
-    timers = tmp_path / "timers.py"
-    timers.write_text(TIMER_FIXTURE, encoding="utf-8")
-    assert main(["lint", str(timers)]) == 1
-    broken = tmp_path / "broken.py"
-    broken.write_text("def oops(:\n", encoding="utf-8")
-    assert main(["lint", str(broken)]) == 1
-    capsys.readouterr()
-
-
-# ----------------------------------------------------------------------
-# lint pass selection, invariant checking
-# ----------------------------------------------------------------------
-
-
-MIXED_FIXTURE = (
-    "import heapq\n"
-    "import random\n"
-    "\n"
-    "def draw():\n"
-    "    return random.random()\n"
-    "\n"
-    "def arm(queue, item):\n"
-    "    heapq.heappush(queue, item)\n"
-)
-
-
-def test_lint_pass_selection(capsys, tmp_path):
-    fixture = tmp_path / "mixed.py"
-    fixture.write_text(MIXED_FIXTURE, encoding="utf-8")
-
-    assert main(["lint", "--pass", "det", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "DET002" in out and "SEM002" not in out
-
-    assert main(["lint", "--pass", "sem", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "SEM002" in out and "DET002" not in out
-
-    assert main(["lint", "--pass", "all", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "DET002" in out and "SEM002" in out
-
-
-def test_lint_list_rules_includes_sem_catalogue(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "SEM001" in out and "SEM007" in out
-
-
-# ----------------------------------------------------------------------
-# timerlint pass, timer audit
-# ----------------------------------------------------------------------
-
-
-TIMER_FIXTURE = (
-    "from repro.sim.timers import Timer\n"
-    "\n"
-    "DELAY = 5.0\n"
-    "\n"
-    "def leak(engine, cb):\n"
-    '    t = Timer(engine, cb, name="x", actor="r", tag="reuse")\n'
-    "    t.start(DELAY)\n"
-)
-
-
-def test_lint_pass_tim_selection(capsys, tmp_path):
-    fixture = tmp_path / "timers.py"
-    fixture.write_text(MIXED_FIXTURE + "\n" + TIMER_FIXTURE, encoding="utf-8")
-
-    assert main(["lint", "--pass", "tim", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "TIM001" in out and "DET002" not in out and "SEM002" not in out
-
-    assert main(["lint", "--pass", "all", str(fixture)]) == 1
-    out = capsys.readouterr().out
-    assert "TIM001" in out and "DET002" in out and "SEM002" in out
-
-
-def test_lint_list_rules_includes_tim_catalogue(capsys):
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "TIM001" in out and "TIM006" in out
-
-
-def test_lint_fail_on_bad_value_is_usage_error(capsys):
-    # ``--jobs`` belongs to the sweep executor; lint has one run path.
-    # Every finding blocks and there is no baseline, so the severity and
-    # baseline options are unknown flags.
-    for argv in (
-        ["--fail-on", "bogus"],
-        ["--fail-on", "warning"],
-        ["--show-info"],
-        ["--baseline", "lint-baseline.json"],
-        ["--update-baseline"],
-        ["--jobs", "2"],
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lint", *argv, "src"])
-        assert excinfo.value.code == 2
-    capsys.readouterr()
 
 
 def test_simulate_audit_timers(capsys):

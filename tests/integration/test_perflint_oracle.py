@@ -1,176 +1,25 @@
-"""Seeded-violation cross-check: perflint vs. the runtime allocation oracle.
+"""The runtime allocation probe prices hot-path allocation hazards.
 
-The same bracketing the timerlint oracle provides for the timer
-lifecycle contract, applied to hot-path allocation: for every PERF rule
-a small fixture seeds exactly the hazard the rule describes and the
-static pass must flag it (and nothing else). On the dynamic side the
-hazard is *executed* as an engine callback under
+Each hazard of the retired PERF rule catalogue (keyed by its old rule
+id) is *executed* as an engine callback under
 :class:`repro.sim.allocprobe.AllocationProbe` (the ``simulate
---audit-alloc`` probe) next to a fixed variant applying the rule's
-recommended remedy; the probe must attribute strictly more retained
-bytes per event to the hazard. tracemalloc measures live memory, so
-every fixture pair retains its per-event artifacts — the hazard's cost
-is the extra garbage it retains, the fix's saving is sharing or
-slotting the same artifact.
-
-Static analysis sees hazards a run never reaches; the probe sees costs
-the AST cannot prove (object sizes, interning). Together they pin the
-catalogue to physical reality.
+--audit-alloc`` probe) next to a fixed variant applying the remedy; the
+probe must attribute strictly more retained bytes per event to the
+hazard. tracemalloc measures live memory, so every pair retains its
+per-event artifacts — the hazard's cost is the extra garbage it retains,
+the fix's saving is sharing or slotting the same artifact.
 """
 
 from __future__ import annotations
 
-import ast
-import dataclasses
-import textwrap
-
 import pytest
 
 from repro.core.params import CISCO_DEFAULTS
-from repro.lint import FileContext, ProjectGraph, lint_source, make_config, summarize
 from repro.sim.allocprobe import AllocationProbe
 from repro.sim.engine import Engine
 from repro.topology.mesh import mesh_topology
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import Scenario, ScenarioConfig
-
-# ----------------------------------------------------------------------
-# static side: one seeded violation per PERF rule
-# ----------------------------------------------------------------------
-
-SEEDED_VIOLATIONS = {
-    "PERF001": (
-        """
-        def outer(items):
-            return sorted(items, key=lambda item: item.penalty)
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF002": (
-        """
-        def classify(items):
-            out = []
-            for item in items:
-                out.append({"peer": item})
-            return out
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF003": (
-        """
-        class Sweep:
-            def total(self, items):
-                total = 0.0
-                for item in items:
-                    if item > self.params.cutoff:
-                        total += self.params.cutoff
-                return total
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF004": (
-        """
-        def fmt(peer):
-            return f"peer {peer}"
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF005": (
-        """
-        DEFAULTS = {"suppress": 2000.0}
-
-        def snapshot():
-            return DEFAULTS.copy()
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF006": (
-        """
-        class Outcome:
-            def __init__(self, value):
-                self.value = value
-
-        def record(value):
-            return Outcome(value)
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF007": (
-        """
-        def push(out, item):
-            out += [item]
-            return out
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF008": (
-        """
-        def probe(table, key):
-            return key in table.keys()
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF009": (
-        """
-        def trace(log, peer):
-            log.debug(f"peer {peer}")  # lint: disable=PERF004
-        """,
-        "repro.sample.fixture",
-    ),
-    "PERF010": (
-        """
-        def is_edge(value):
-            return value in (float("inf"), float("-inf"))
-        """,
-        "repro.sample.fixture",
-    ),
-}
-
-
-def _perf_report(source: str, module: str):
-    """Lint ``source`` with every function in it hot (registered as an
-    engine callback), the way the hazard runs on the dynamic side."""
-    source = textwrap.dedent(source)
-    context = FileContext(
-        path="seeded.py", tree=ast.parse(source), config=make_config(), module=module
-    )
-    summary = summarize(context)
-    callbacks = tuple(
-        ("<module>", "qual", f"{module}.{info.qualname}")
-        for info in summary.functions
-    )
-    project = ProjectGraph([dataclasses.replace(summary, callback_targets=callbacks)])
-    config = make_config(passes=("perf",))
-    return lint_source(
-        source, path="seeded.py", config=config, module=module, project=project
-    )
-
-
-@pytest.mark.parametrize("rule_id", sorted(SEEDED_VIOLATIONS))
-def test_seeded_violation_is_flagged_statically(rule_id):
-    source, module = SEEDED_VIOLATIONS[rule_id]
-    report = _perf_report(source, module)
-    assert not report.parse_errors
-    assert rule_id in {f.rule_id for f in report.findings}, (
-        f"perflint did not flag the seeded {rule_id} violation"
-    )
-
-
-def test_seeded_fixtures_are_clean_without_the_seeded_rule():
-    """Each fixture seeds *its* hazard, not an unrelated PERF soup."""
-    for rule_id, (source, module) in SEEDED_VIOLATIONS.items():
-        report = _perf_report(source, module)
-        other_perf = {
-            f.rule_id
-            for f in report.findings
-            if f.rule_id.startswith("PERF") and f.rule_id != rule_id
-        }
-        assert not other_perf, f"{rule_id} fixture also fires {other_perf}"
-
-
-# ----------------------------------------------------------------------
-# dynamic side: the allocation probe prices the same hazards
-# ----------------------------------------------------------------------
 
 _EVENTS = 300
 _TAG = "reuse"  # maps to the penalty_decay sub-phase
@@ -268,8 +117,8 @@ def _make_lazy_logging(sink):
 
 #: rule id -> (hazard factory, fixed factory). Each factory takes the
 #: retention sink and returns a zero-arg engine callback; the hazard
-#: retains the per-event garbage the static rule warns about, the fixed
-#: variant retains the remedy's shared/slotted artifact.
+#: retains its per-event garbage, the fixed variant retains the remedy's
+#: shared/slotted artifact.
 DYNAMIC_PAIRS = {
     "PERF001": (
         lambda sink: lambda: sink.append(lambda item: item),
@@ -322,7 +171,12 @@ DYNAMIC_PAIRS = {
 
 
 def test_dynamic_pairs_cover_the_whole_catalogue():
-    assert sorted(DYNAMIC_PAIRS) == sorted(SEEDED_VIOLATIONS)
+    """One pair per PERF rule docs/STATIC_ANALYSIS.md records, retired or not."""
+    from tests.unit.test_source_rules import documented_rules
+
+    assert sorted(DYNAMIC_PAIRS) == sorted(
+        rule for rule in documented_rules() if rule.startswith("PERF")
+    )
 
 
 @pytest.mark.parametrize("rule_id", sorted(DYNAMIC_PAIRS))
@@ -383,8 +237,8 @@ def test_probe_is_passive_for_simulation_results():
 
 
 def test_scenario_run_samples_protocol_subphases():
-    """A damped episode under the probe reports the protocol sub-phases
-    whose roots seed the hot set."""
+    """A damped episode under the probe reports its protocol
+    sub-phases."""
     config = ScenarioConfig(
         topology=mesh_topology(3, 3), damping=CISCO_DEFAULTS, seed=7
     )

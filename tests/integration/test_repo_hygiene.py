@@ -9,7 +9,6 @@ resolve.
 from __future__ import annotations
 
 import ast
-import functools
 import io
 import pathlib
 import tokenize
@@ -96,109 +95,6 @@ def test_documentation_files_exist(required):
     assert path.exists() and path.stat().st_size > 1000
 
 
-@functools.lru_cache(maxsize=None)
-def _full_tree_lint():
-    from repro.lint import lint_paths, make_config
-
-    return lint_paths([str(REPO_ROOT / "src")], make_config(passes=("all",)))
-
-
-def test_detlint_full_tree_is_clean():
-    """Tier-1 static-analysis gate: the whole source tree passes all
-    four lint passes with no findings.
-
-    This is the machine-checked form of the conventions the engine's and
-    the RFD layers' docstrings promise — see docs/STATIC_ANALYSIS.md.
-    A finding means the global RNG, hand-rolled timer bookkeeping, a
-    leaked timer handle, a hot-path allocation, or one of the other
-    DET/SEM/TIM/PERF hazards crept into src/; fix it or justify a
-    construct-scoped ``# lint: disable=...`` suppression.
-    """
-    from repro.lint import render_text
-
-    report = _full_tree_lint()
-    assert report.files_checked > 50
-    assert report.ok, "\n" + render_text(report)
-
-
-def test_every_suppression_directive_names_a_rule_and_silences_a_finding():
-    """Each ``disable=`` comment under ``src/`` is spelt ``# lint:
-    disable=ID[,ID|all]``, names registered rules only, and silences at
-    least one finding of the full-tree lint: a directive left behind by
-    a retired rule or a fixed hazard fails here."""
-    from repro.lint import RULE_IDS
-
-    silenced = {}
-    for finding in _full_tree_lint().suppressed:
-        for line in range(finding.line, finding.end_line + 1):
-            silenced.setdefault((finding.path, line), set()).add(finding.rule_id)
-    problems = []
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type != tokenize.COMMENT or "disable=" not in token.string:
-                continue
-            where = f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
-            text = token.string.lstrip("#").strip()
-            prefix, _, listed = text.partition("disable=")
-            named = {part.strip() for part in listed.split(",") if part.strip()}
-            hits = silenced.get((str(path), token.start[0]), set())
-            if prefix != "lint: ":
-                problems.append(f"{where}: not spelt '# lint: disable=...'")
-            elif not named <= set(RULE_IDS) | {"all"}:
-                problems.append(f"{where}: unknown rule id(s) {sorted(named)}")
-            elif not (hits if "all" in named else hits & named):
-                problems.append(f"{where}: silences no finding")
-    assert not problems, problems
-
-
-def test_path_scoped_rules_survive_a_checkout_directory_named_repro():
-    """The gate above lints an absolute path; a clone into ``repro/``
-    must not rename every module and move the path-scoped rules' scope:
-    DET010 exempts the sweep executor and nothing else."""
-    from repro.lint import lint_source, make_config
-    from repro.lint.runner import module_name_for
-
-    source = "import multiprocessing\n"
-    for root in ("src/", "/home/u/repro/src/"):
-        for module, expected in (
-            ("repro.experiments.parallel", []),
-            ("repro.sim.x", ["DET010"]),
-        ):
-            path = root + module.replace(".", "/") + ".py"
-            assert module_name_for(path) == module
-            report = lint_source(source, path, make_config(passes=("det",)))
-            assert [f.rule_id for f in report.findings] == expected
-    assert module_name_for("repro/sim/__init__.py") == "repro.sim"
-
-
-def test_every_phase_root_names_a_function_in_src():
-    """A renamed root otherwise drops out of the hot set without a word
-    and the PERF rules stop checking it."""
-    from repro.lint import FileContext, LintConfig, ProjectGraph, summarize
-    from repro.lint.perf import PHASE_ROOTS
-    from repro.lint.runner import module_name_for
-
-    project = ProjectGraph(
-        summarize(
-            FileContext(
-                path=str(path),
-                tree=ast.parse(path.read_text(encoding="utf-8")),
-                config=LintConfig(),
-                module=module_name_for(str(path)),
-            )
-        )
-        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
-    )
-    missing = [
-        name
-        for names in PHASE_ROOTS.values()
-        for name in names
-        if name not in project.closure([name])
-    ]
-    assert not missing, f"PHASE_ROOTS names no function in src/: {missing}"
-
-
 def test_engine_fires_events_in_one_place():
     """One dispatch loop: exactly one function of ``repro.sim.engine``
     calls an event's ``callback`` and exactly one pops the heap."""
@@ -223,13 +119,52 @@ def test_engine_fires_events_in_one_place():
     assert popping == ["_drain"]
 
 
-def test_detlint_rule_catalogue_is_documented():
-    """Every rule id appears in docs/STATIC_ANALYSIS.md with its rationale."""
-    from repro.lint import RULE_IDS
+def test_every_suppression_directive_names_a_rule_and_silences_a_finding():
+    """No rule runner is left to read a ``disable=`` suppression comment,
+    so none can name a rule or silence a finding: a directive in ``src/``,
+    ``tests/`` or ``benchmarks/`` is dead text that claims a check."""
+    directives = []
+    for tree in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type == tokenize.COMMENT and "disable=" in token.string:
+                    directives.append(f"{path.relative_to(REPO_ROOT)}:{token.start[0]}")
+    assert not directives, directives
 
-    doc = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text(encoding="utf-8")
-    for rule_id in RULE_IDS:
-        assert rule_id in doc, f"{rule_id} missing from docs/STATIC_ANALYSIS.md"
+
+def test_path_scoped_rules_survive_a_checkout_directory_named_repro(tmp_path):
+    """The source rules name a module from the package directory down, so
+    a clone into ``repro/`` keeps DET010's scope: it exempts the sweep
+    executor and nothing else."""
+    from tests.unit.test_source_rules import EXECUTOR, modules, process_spawns
+
+    package = tmp_path / "repro" / "src" / "repro"
+    for module in (EXECUTOR, "repro.sim.x"):
+        path = tmp_path / "repro" / "src" / (module.replace(".", "/") + ".py")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("import multiprocessing\n", encoding="utf-8")
+    found = {module: process_spawns(module, tree) for module, tree in modules(package)}
+    assert found == {
+        EXECUTOR: [],
+        "repro.sim.x": ["repro.sim.x:1: multiprocessing"],
+    }
+    assert EXECUTOR in {module for module, _ in modules()}
+
+
+def test_detlint_rule_catalogue_is_documented():
+    """Every source-rule test has its row in docs/STATIC_ANALYSIS.md's
+    table of source rules, and every row names a test that exists."""
+    import tests.unit.test_source_rules as source_rules
+    from tests.unit.test_source_rules import documented_rules
+
+    tests = {name for name in vars(source_rules) if name.startswith("test_")}
+    documented = {
+        cells[0].strip("`")
+        for section, cells in documented_rules().values()
+        if section == "The source rules"
+    }
+    assert documented == tests
 
 
 def test_every_bench_shim_site_resolves(monkeypatch):
@@ -330,7 +265,7 @@ KEPT_WITHOUT_A_CALLER = {
     "dump_state": "router state dump; ROADMAP item 3 decides its fate",
     "last_seq": "RCN tests observe the generator's sequence counter",
     "reuse_timer_expiry": "damping tests observe when a reuse timer fires",
-    "lint_source": "the linter on one source string, how every rule fixture test runs it",
+    "rank_candidates": "the reference ranking `select_best` is property-tested against",
     "parse_jsonl": "reads a JSONL trace file back (docs/OBSERVABILITY.md)",
     "step_series_at": "reads a step series at one instant; series property tests",
     "tolerance_frontier": "inverts the model for a tolerated pulse count (docs/TUTORIAL.md)",
@@ -355,7 +290,7 @@ def test_no_function_is_kept_only_for_its_own_test():
     """Every function under ``src/repro`` is named in ``src/``,
     ``bench/``, ``benchmarks/`` or ``examples/``, or listed above. Name-level: a string
     counts whole (``getattr`` metrics), or by its last dotted component
-    when it names a ``repro.`` callable (``PHASE_ROOTS``), so ``"os.fork"``
+    when it names a ``repro.`` callable, so ``"os.fork"``
     keeps no ``fork`` alive; being re-exported (``__all__``, a package
     ``__init__`` import) is no use."""
     used, defined = set(), set()

@@ -1,97 +1,25 @@
-"""Seeded-violation cross-check: timerlint vs. the runtime timer audit.
+"""The runtime timer audit catches every timer-lifecycle hazard.
 
-For every TIM rule, a small fixture seeds exactly the hazard the rule
-describes and the static pass must flag it. Where the hazard is
-dynamically reachable, the runtime side must trip too: the opt-in
-:class:`repro.sim.timers.TimerAudit` observes every arm/cancel/fire and
+The opt-in :class:`repro.sim.timers.TimerAudit` observes every
+arm/cancel/fire of every :class:`~repro.sim.timers.Timer` and
 :meth:`~repro.sim.timers.TimerAudit.verify` reports leaks, double-arms
-and unmatched fires. Static and dynamic detection bracketing the same
-lifecycle contract is the point — the interpreter cannot see through
-``getattr`` tricks, the audit cannot see hazards a run never reaches.
+and unmatched fires. Each hazard is executed here in its runtime shape —
+an abandoned armed handle, a guard-bypassed second arm, a hand-called
+``_fire`` — and the audit must report it; a clean damped episode and a
+mid-flight damping reset must pass it, and auditing must not change a
+run's results.
 """
 
 from __future__ import annotations
 
-import textwrap
-
 import pytest
 
 from repro.core.params import CISCO_DEFAULTS
-from repro.lint import lint_source
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
 from repro.topology.mesh import mesh_topology
 from repro.workload.pulses import PulseSchedule
 from repro.workload.scenarios import Scenario, ScenarioConfig
-
-# ----------------------------------------------------------------------
-# static side: one seeded violation per TIM rule
-# ----------------------------------------------------------------------
-
-_PRELUDE = "from repro.sim.timers import Timer\n\nDELAY = 5.0\n"
-
-
-def _seed(source: str) -> str:
-    return _PRELUDE + textwrap.dedent(source)
-
-SEEDED_VIOLATIONS = {
-    "TIM001": (
-        _seed("""
-        def leak(engine, cb):
-            t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-            t.start(DELAY)
-        """),
-        "repro.sim.fixture",
-    ),
-    "TIM002": (
-        _seed("""
-        def double(engine, cb):
-            t = Timer(engine, cb, name="x", actor="r", tag="reuse")
-            t.start(DELAY)
-            t.start(DELAY)
-            return t
-        """),
-        "repro.sim.fixture",
-    ),
-    "TIM006": (
-        """
-        def flush_now(timer):
-            timer._fire()
-        """,
-        "repro.sim.fixture",
-    ),
-}
-
-
-@pytest.mark.parametrize("rule_id", sorted(SEEDED_VIOLATIONS))
-def test_seeded_violation_is_flagged_statically(rule_id):
-    source, module = SEEDED_VIOLATIONS[rule_id]
-    report = lint_source(
-        textwrap.dedent(source), path="seeded.py", module=module
-    )
-    assert not report.parse_errors
-    assert rule_id in {f.rule_id for f in report.findings}, (
-        f"timerlint did not flag the seeded {rule_id} violation"
-    )
-
-
-def test_seeded_fixtures_are_clean_without_the_seeded_rule():
-    """Each fixture seeds *its* violation, not an unrelated TIM soup."""
-    for rule_id, (source, module) in SEEDED_VIOLATIONS.items():
-        report = lint_source(
-            textwrap.dedent(source), path="seeded.py", module=module
-        )
-        other_tim = {
-            f.rule_id
-            for f in report.findings
-            if f.rule_id.startswith("TIM") and f.rule_id != rule_id
-        }
-        assert not other_tim, f"{rule_id} fixture also fires {other_tim}"
-
-
-# ----------------------------------------------------------------------
-# dynamic side: the runtime timer audit trips on the same hazards
-# ----------------------------------------------------------------------
 
 
 def audited_engine():
@@ -100,9 +28,8 @@ def audited_engine():
 
 
 def test_static_leak_fixture_fails_the_audit():
-    """TIM001's fixture, executed: the armed handle is abandoned (the
-    runtime shape is its event dying behind the timer's back) and the
-    audit reports exactly one leak."""
+    """An abandoned armed handle (its event dies behind the timer's
+    back): the audit reports exactly one leak."""
     engine, audit = audited_engine()
     timer = Timer(engine, lambda: None, name="x", actor="r", tag="reuse")
     timer.start(5.0)
@@ -114,9 +41,8 @@ def test_static_leak_fixture_fails_the_audit():
 
 
 def test_static_double_arm_fixture_fails_the_audit():
-    """TIM002's fixture, executed: Timer.start() raises on the guarded
-    path, and forcing past the guard (the hazard the static rule warns
-    about) is a double-arm to the audit."""
+    """Timer.start() raises on a pending handle, and forcing past the
+    guard is a double-arm to the audit."""
     from repro.errors import TimerError
 
     engine, audit = audited_engine()
@@ -130,9 +56,9 @@ def test_static_double_arm_fixture_fails_the_audit():
 
 
 def test_static_manual_fire_fixture_fails_the_audit():
-    """TIM006's fixture, executed: a hand-called ``_fire`` runs the
-    callback outside the event boundary and strands the scheduled event,
-    which the audit reports as an unmatched fire."""
+    """A hand-called ``_fire`` runs the callback outside the event
+    boundary and strands the scheduled event, which the audit reports as
+    an unmatched fire."""
     engine, audit = audited_engine()
     fired = []
     timer = Timer(engine, lambda: fired.append(engine.now), name="x",

@@ -6,8 +6,8 @@ not finite therefore turns into a run that goes wrong without a word:
 no reuse timer fires, every holding time becomes the floor, a generated
 graph comes out star-shaped. ``repro.errors.check_number`` is the one
 construction-time check; this module enumerates every dataclass in
-``repro`` (outside ``lint``) with a float-annotated field and holds each
-input class to it, field by field. A new dataclass with a float field
+``repro`` with a float-annotated field and holds each input class to
+it, field by field. A new dataclass with a float field
 fails :func:`test_every_float_dataclass_is_classified` until it is given
 valid arguments below or a reason it is not an input.
 
@@ -105,7 +105,7 @@ _PLAIN_FLOAT = {"float", "Optional[float]"}
 def _float_dataclasses():
     found = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.startswith("repro.lint") or info.name == "repro.__main__":
+        if info.name == "repro.__main__":
             continue
         module = importlib.import_module(info.name)
         for obj in vars(module).values():
@@ -241,7 +241,6 @@ def test_the_helper_is_the_one_finiteness_check():
     callers = {
         str(path.relative_to(root)): token
         for path in root.rglob("*.py")
-        if path.parts[len(root.parts)] != "lint"
         for token in ("isfinite", "isnan")
         if f"math.{token}(" in path.read_text(encoding="utf-8")
     }

@@ -1,26 +1,35 @@
-"""Unit tests for the semlint protocol-semantics rule catalogue.
+"""The retired protocol-semantics (SEM) rules, run against the check that
+retired them.
 
-Every SEM rule gets a firing fixture, a suppression check, and a
-compliant fixture that must stay silent. Module scoping (decision /
-timer / damping modules) is exercised through the ``module``
-argument, exactly as the runner derives it from file paths.
+The static SEM rules are gone (docs/STATIC_ANALYSIS.md, "Retired rules").
+Their hazards are seeded into a small damped mesh here, and the
+converged-state invariant oracle
+(:func:`repro.analysis.invariants.check_converged_invariants`) must
+find the drained network off its stable state; the same run without the
+hazard must pass it.
 """
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.lint import lint_source
-
-
-def findings_for(source: str, module: str = "repro.bgp.fixture") -> list:
-    report = lint_source(textwrap.dedent(source), path="fixture.py", module=module)
-    assert not report.parse_errors
-    return report.findings
+import repro.bgp.router
+from repro.analysis.invariants import check_converged_invariants
+from repro.bgp.decision import select_best
+from repro.core.params import CISCO_DEFAULTS
+from repro.topology.mesh import mesh_topology
+from repro.workload.pulses import PulseSchedule
+from repro.workload.scenarios import Scenario, ScenarioConfig
 
 
-def sem_findings(source: str, rule_id: str, module: str = "repro.bgp.fixture") -> list:
-    return [f for f in findings_for(source, module=module) if f.rule_id == rule_id]
+def warmed_mesh() -> Scenario:
+    scenario = Scenario(
+        ScenarioConfig(topology=mesh_topology(3, 3), damping=CISCO_DEFAULTS, seed=11)
+    )
+    scenario.warm_up()
+    return scenario
+
+
+def invariants_broken(scenario: Scenario) -> set:
+    return {v.invariant for v in check_converged_invariants(scenario).violations}
 
 
 # ----------------------------------------------------------------------
@@ -28,219 +37,33 @@ def sem_findings(source: str, rule_id: str, module: str = "repro.bgp.fixture") -
 # ----------------------------------------------------------------------
 
 
+def run_with_decision(monkeypatch, reads_clock: bool) -> Scenario:
+    """One pulse under a decision that breaks equal-preference ties by the
+    highest peer name — after the warm-up only if ``reads_clock``."""
+    scenario = warmed_mesh()
+    engine, warmed_at = scenario.engine, scenario.engine.now
+
+    def decide(candidates, local_pref):
+        best = select_best(candidates, local_pref)
+        if best is None or (reads_clock and engine.now <= warmed_at):
+            return best
+        rank = (local_pref(*best), len(best[1].as_path))
+        tied = [c for c in candidates if (local_pref(*c), len(c[1].as_path)) == rank]
+        return max(tied, key=lambda c: c[0]) if reads_clock else best
+
+    monkeypatch.setattr(repro.bgp.router, "select_best", decide)
+    scenario.run(PulseSchedule.regular(1, 60.0))
+    return scenario
+
+
 class TestSEM001:
-    def test_fires_on_clock_read_in_decision_module(self):
-        findings = sem_findings(
-            """
-            def select_best(candidates, engine):
-                stamp = engine.now
-                return max(candidates), stamp
-            """,
-            "SEM001",
-            module="repro.bgp.decision",
-        )
-        assert len(findings) == 1
-        assert "reads-clock" in findings[0].message
-        assert "select_best" in findings[0].message
+    def test_fires_on_clock_read_in_decision_module(self, monkeypatch):
+        assert invariants_broken(run_with_decision(monkeypatch, reads_clock=True)) == {
+            "stable-state"
+        }
 
-    def test_fires_on_transitive_effect(self):
-        # The effect hides one call away: select_best itself looks clean.
-        findings = sem_findings(
-            """
-            class Decider:
-                def _bookkeep(self, route):
-                    self.loc_rib.set_route("p0", route)
-
-                def select_best(self, candidates):
-                    best = max(candidates)
-                    self._bookkeep(best)
-                    return best
-            """,
-            "SEM001",
-            module="repro.bgp.decision",
-        )
-        assert len(findings) == 2  # both the leaf and the caller
-
-    def test_fires_on_effectful_closure(self):
-        findings = sem_findings(
-            """
-            def rank_candidates(candidates, engine):
-                def tiebreak():
-                    engine.schedule(0.0, lambda: None)
-                return sorted(candidates), tiebreak
-            """,
-            "SEM001",
-            module="repro.bgp.decision",
-        )
-        assert findings
-
-    def test_respects_disable_on_def_line(self):
-        assert not sem_findings(
-            """
-            def select_best(candidates, engine):  # lint: disable=SEM001
-                return max(candidates), engine.now
-            """,
-            "SEM001",
-            module="repro.bgp.decision",
-        )
-
-    def test_quiet_on_pure_decision_code(self):
-        assert not sem_findings(
-            """
-            def preference_key(route, local_pref):
-                return (-local_pref.get(route.peer, 100), len(route.as_path))
-
-            def select_best(candidates, local_pref):
-                usable = [c for c in candidates if not c.suppressed]
-                if not usable:
-                    return None
-                return min(usable, key=lambda c: preference_key(c, local_pref))
-            """,
-            "SEM001",
-            module="repro.bgp.decision",
-        )
-
-    def test_quiet_outside_decision_modules(self):
-        assert not sem_findings(
-            """
-            def select_best(candidates, engine):
-                return max(candidates), engine.now
-            """,
-            "SEM001",
-            module="repro.bgp.router",
-        )
-
-
-# ----------------------------------------------------------------------
-# SEM002 — timer scheduling through Engine/Timer APIs
-# ----------------------------------------------------------------------
-
-
-class TestSEM002:
-    def test_fires_on_heapq_outside_sim(self):
-        findings = sem_findings(
-            """
-            import heapq
-
-            def arm(queue, when, cb):
-                heapq.heappush(queue, (when, cb))
-            """,
-            "SEM002",
-            module="repro.core.fixture",
-        )
-        assert len(findings) == 1
-        assert "heapq.heappush" in findings[0].message
-
-    def test_fires_on_expiry_write_and_scheduled_event(self):
-        source = """
-            from repro.sim.engine import ScheduledEvent
-
-            def rearm(entry, now, delay):
-                entry.expiry = now + delay
-                return ScheduledEvent(now + delay, 0, lambda: None)
-            """
-        assert len(sem_findings(source, "SEM002", module="repro.core.fixture")) == 2
-
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            def rearm(entry, now, delay):
-                entry.expiry = now + delay  # lint: disable=SEM002
-            """,
-            "SEM002",
-            module="repro.core.fixture",
-        )
-
-    def test_quiet_inside_timer_substrate(self):
-        assert not sem_findings(
-            """
-            import heapq
-
-            def push(queue, event):
-                heapq.heappush(queue, event)
-
-            def advance(self, event):
-                self._now = event.time
-            """,
-            "SEM002",
-            module="repro.sim.engine",
-        )
-
-    def test_quiet_on_engine_api_use(self):
-        assert not sem_findings(
-            """
-            def arm(engine, timer, delay, cb):
-                engine.schedule(delay, cb)
-                timer.reschedule(delay)
-            """,
-            "SEM002",
-            module="repro.core.fixture",
-        )
-
-
-# ----------------------------------------------------------------------
-# SEM005 — Loc-RIB mutations notify metrics
-# ----------------------------------------------------------------------
-
-
-class TestSEM005:
-    def test_fires_on_silent_set_route(self):
-        findings = sem_findings(
-            """
-            class Router:
-                def install(self, prefix, route):
-                    self.loc_rib.set_route(prefix, route)
-            """,
-            "SEM005",
-        )
-        assert len(findings) == 1
-
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            class Router:
-                def install(self, prefix, route):
-                    self.loc_rib.set_route(prefix, route)  # lint: disable=SEM005
-            """,
-            "SEM005",
-        )
-
-    def test_quiet_when_stats_touched(self):
-        assert not sem_findings(
-            """
-            class Router:
-                def install(self, prefix, route, now):
-                    self.loc_rib.set_route(prefix, route)
-                    self.stats.best_path_changes += 1
-                    self.last_best_change = now
-            """,
-            "SEM005",
-        )
-
-    def test_quiet_on_other_receivers(self):
-        assert not sem_findings(
-            """
-            class Router:
-                def stash(self, prefix, route):
-                    self.adj_rib_in.set_route(prefix, route)
-            """,
-            "SEM005",
-        )
-
-    def test_nested_handler_checked_independently(self):
-        # The outer function touches stats, but the nested callback that
-        # mutates the Loc-RIB does not — the callback must still fire.
-        assert sem_findings(
-            """
-            class Router:
-                def plan(self, prefix, route):
-                    self.stats.plans += 1
-                    def apply_later():
-                        self.loc_rib.set_route(prefix, route)
-                    return apply_later
-            """,
-            "SEM005",
-        )
+    def test_quiet_on_pure_decision_code(self, monkeypatch):
+        assert not invariants_broken(run_with_decision(monkeypatch, reads_clock=False))
 
 
 # ----------------------------------------------------------------------
@@ -248,44 +71,49 @@ class TestSEM005:
 # ----------------------------------------------------------------------
 
 
+def run_with_callback(callback=None) -> Scenario:
+    """Three pulses; ``callback(scenario)`` fires once the train is over
+    and the damped routes are still suppressed."""
+    scenario = warmed_mesh()
+    episode = scenario.start_episode(PulseSchedule.regular(3, 60.0))
+    if callback is not None:
+        scenario.engine.schedule_at(episode.start + 360.0, lambda: callback(scenario))
+    scenario.finish_episode(episode)
+    return scenario
+
+
+def damping_managers(scenario: Scenario) -> list:
+    return [r.damping for _, r in sorted(scenario.routers.items()) if r.damping is not None]
+
+
 class TestSEM007:
     def test_fires_on_foreign_suppressed_write(self):
-        findings = sem_findings(
-            """
-            def force_release(entry):
-                entry.suppressed = False
-            """,
-            "SEM007",
-            module="repro.bgp.router",
-        )
-        assert len(findings) == 1
+        released = []
 
-    def test_respects_disable_comment(self):
-        assert not sem_findings(
-            """
-            def force_release(entry):
-                entry.suppressed = False  # lint: disable=SEM007
-            """,
-            "SEM007",
-            module="repro.bgp.router",
-        )
+        def force_release(scenario):
+            for manager in damping_managers(scenario):
+                for key, entry in manager._entries.items():
+                    if entry.suppressed:
+                        entry.suppressed = False
+                        released.append(key)
+
+        assert invariants_broken(run_with_callback(force_release)) == {"stable-state"}
+        assert released
 
     def test_quiet_inside_damping_manager(self):
-        assert not sem_findings(
-            """
-            def _reuse_fired(self, entry):
-                entry.suppressed = False
-            """,
-            "SEM007",
-            module="repro.core.damping",
-        )
+        scenario = run_with_callback()
+        reuses = [e for manager in damping_managers(scenario) for e in manager.reuse_events]
+        assert reuses  # the manager suppressed routes and released them itself
+        assert not invariants_broken(scenario)
 
     def test_quiet_on_reads(self):
-        assert not sem_findings(
-            """
-            def count_suppressed(entries):
-                return sum(1 for e in entries if e.suppressed)
-            """,
-            "SEM007",
-            module="repro.bgp.router",
-        )
+        seen = []
+
+        def count_suppressed(scenario):
+            seen.extend(k for m in damping_managers(scenario) for k in m.suppressed_entries())
+
+        untouched = run_with_callback()
+        read = run_with_callback(count_suppressed)
+        assert seen
+        assert not invariants_broken(read)
+        assert read.collector.message_count == untouched.collector.message_count
