@@ -21,7 +21,6 @@ from repro.core.damping import ReuseEvent
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.metrics.series import bin_counts, to_step_series
-from repro.sim.events import ScheduleTie
 
 
 class UpdateRecord(NamedTuple):
@@ -57,10 +56,6 @@ class MetricsCollector:
         #: Time-ordered ``(time, delta, router, peer)`` suppression changes
         #: (+1 on suppress, -1 on reuse).
         self.suppression_changes: List[Tuple[float, int, str, str]] = []
-        #: Same-instant same-router event ties of the episode: the
-        #: scenario's opt-in :class:`~repro.sim.events.TieDetector` list
-        #: (empty unless ``ScenarioConfig.detect_schedule_ties`` is set).
-        self.schedule_ties: List[ScheduleTie] = []
         self._routers: List[BgpRouter] = []
         self._network: Optional[Network] = None
         self._attached = False
@@ -214,23 +209,6 @@ class MetricsCollector:
             for router in self._routers
             if router.damping is not None
         )
-
-    # ------------------------------------------------------------------
-    # schedule-race observations (tie detector, opt-in)
-    # ------------------------------------------------------------------
-
-    @property
-    def tie_count(self) -> int:
-        """Number of same-instant same-router ties observed."""
-        return len(self.schedule_ties)
-
-    def ties_by_tag_pair(self) -> Dict[Tuple[str, str], int]:
-        """Tie counts keyed by the (anchor, tied) event-tag pair — the
-        granularity at which benign-tie allowlists are expressed."""
-        counts: Dict[Tuple[str, str], int] = {}
-        for tie in self.schedule_ties:
-            counts[tie.tags] = counts.get(tie.tags, 0) + 1
-        return dict(sorted(counts.items()))
 
     def suppression_records(self) -> Dict[str, list]:
         """Per-router suppression episodes (for detailed analysis)."""

@@ -5,12 +5,15 @@ or relative times; the engine pops events in ``(time, sequence)`` order
 and invokes them. Because ties are broken by the monotonically
 increasing sequence number, two events scheduled for the same instant fire
 in the order they were scheduled, which makes whole simulations
-deterministic for a fixed seed.
+deterministic for a fixed seed. That order is a convention, not part of
+the model: the test suite re-keys the heap at the ``heapq.heappush`` seam
+to run same-instant events in a random order and holds results to it
+(``docs/STATIC_ANALYSIS.md``, "Tie order").
 
 Heap entries are plain ``(time, seq, event)`` tuples so the heap compares
 at C speed and never looks at the :class:`ScheduledEvent`, which is a
 ``__slots__`` handle carrying the callback, the cancellation mark and the
-schedule-race labels. Cancellation is lazy: a cancelled entry stays in
+observer labels. Cancellation is lazy: a cancelled entry stays in
 the heap until it reaches the top and is discarded there. Nothing compacts
 the heap in between: the benchmark workloads cancel 0–8 % of what they
 schedule and their queues peak at 0.4k–8k entries.
@@ -19,8 +22,7 @@ There is **one dispatch loop** (:meth:`Engine._drain`; :meth:`Engine.step`,
 :meth:`Engine.run`, :meth:`Engine.run_until_idle` and
 :meth:`Engine.run_before` only differ in what they do once it returns)
 and **one observer list** (:meth:`Engine.add_observer`), to which the
-schedule-race :class:`~repro.sim.events.TieDetector`, the no-progress
-:class:`~repro.sim.watchdog.Watchdog` and the causal
+no-progress :class:`~repro.sim.watchdog.Watchdog` and the causal
 :class:`~repro.trace.tracer.Tracer` subscribe. Observers are passive:
 they never reorder, delay or drop events.
 

@@ -45,11 +45,11 @@ class Timer:
     name:
         Optional label used in error messages and ``repr``.
     actor:
-        Optional router name forwarded to the engine's schedule-race
-        detector: ties between this timer and any other event touching
-        the same actor at the same instant are recorded.
+        Optional router name forwarded to the scheduled event; the
+        watchdog's stall diagnostics name it.
     tag:
-        Kind label for the detector (``"mrai"``, ``"reuse"``, ...).
+        Kind label forwarded the same way (``"mrai"``, ``"reuse"``, ...);
+        the phase probe and the diagnostics read it.
     """
 
     def __init__(

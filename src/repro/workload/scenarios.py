@@ -60,7 +60,6 @@ from repro.metrics.convergence import ConvergenceSummary, summarize_convergence
 from repro.net.link import LinkConfig
 from repro.net.network import Network
 from repro.sim.engine import Engine, PhaseProbe, ScheduledEvent
-from repro.sim.events import TieDetector
 from repro.sim.rng import RngRegistry
 from repro.topology.internet import pick_isp
 from repro.topology.model import Topology
@@ -98,11 +97,6 @@ class ScenarioConfig:
     #: parameter settings"). Routers not listed use ``damping``.
     damping_overrides: Optional[Mapping[str, DampingParams]] = None
     prefix: str = DEFAULT_PREFIX
-    #: Opt-in runtime schedule-race detector: record same-instant event
-    #: ties touching the same router (``docs/STATIC_ANALYSIS.md``,
-    #: "The schedule-race detector").
-    #: Detection is passive — results are bit-identical either way.
-    detect_schedule_ties: bool = False
     #: Optional fault schedule injected into the measured episode
     #: (crashes, link failures, lossy links — see ``docs/ROBUSTNESS.md``).
     #: A non-empty plan also arms the engine watchdog.
@@ -255,10 +249,6 @@ class Scenario:
         self.config = config
         self.rng = RngRegistry(config.seed)
         self.engine = Engine()
-        #: The opt-in schedule-race detector (``detect_schedule_ties``).
-        self.tie_detector: Optional[TieDetector] = (
-            TieDetector(self.engine) if config.detect_schedule_ties else None
-        )
         self.network = Network(
             self.engine, self.rng, coalesce_delivery=config.coalesce_delivery
         )
@@ -390,9 +380,6 @@ class Scenario:
         self.warmup_convergence = last_delivery[0] - start
         for router in self.routers.values():
             router.reset_damping()
-        if self.tie_detector is not None:
-            # Warm-up ties are not part of the measured episode.
-            self.tie_detector.clear()
         return self.warmup_convergence
 
     def run(
@@ -422,8 +409,6 @@ class Scenario:
 
         collector = self.collector = MetricsCollector()
         collector.attach(self.network, list(self.routers.values()))
-        if self.tie_detector is not None:
-            collector.schedule_ties = self.tie_detector.ties
 
         if tracer is not None:
             tracer.attach(
@@ -779,7 +764,6 @@ def _config_cache_key(config: ScenarioConfig) -> Hashable:
         config.damping_fraction,
         overrides,
         config.prefix,
-        config.detect_schedule_ties,
         config.faults,
         config.graceful_restart,
         config.charge_on_session_reset,

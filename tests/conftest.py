@@ -8,6 +8,7 @@ from typing import Dict, Tuple
 
 import pytest
 
+import repro.sim.engine as engine_module
 from repro.core.params import CISCO_DEFAULTS
 from repro.experiments.base import ExperimentResult, RunOptions, SeriesCache, Sweep
 from repro.experiments.claims import CLAIMS_BY_ID, claims_for
@@ -18,6 +19,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.topology.mesh import mesh_topology
 from repro.workload.scenarios import ScenarioConfig
+from tests.tie_shuffle import TieShuffle
 
 
 @pytest.fixture
@@ -33,6 +35,21 @@ def rng() -> RngRegistry:
 @pytest.fixture
 def network(engine: Engine, rng: RngRegistry) -> Network:
     return Network(engine, rng)
+
+
+@pytest.fixture
+def tie_shuffle(monkeypatch):
+    """``tie_shuffle(seed)``: every engine the test builds from then on
+    runs same-instant events in an order drawn from ``seed`` (same-link
+    deliveries keep send order); returns the :class:`TieShuffle`, whose
+    ``reordered`` counts the events it moved. Undone after the test."""
+
+    def install(seed: int) -> TieShuffle:
+        shuffle = TieShuffle(seed)
+        monkeypatch.setattr(engine_module, "heapq", shuffle)
+        return shuffle
+
+    return install
 
 
 @pytest.fixture

@@ -257,8 +257,6 @@ KEPT_WITHOUT_A_CALLER = {
     "has_pending": "MRAI property tests observe the limiter's dirty set",
     "has_seen": "RCN property tests observe the root-cause history",
     "peer_history_size": "RCN property tests observe the root-cause history",
-    "tie_count": "the schedule-race detector's result (detect_schedule_ties)",
-    "ties_by_tag_pair": "the schedule-race detector's result",
     "events_sampled": "allocation-audit tests check the probe saw every event",
     "providers_of": "relationship-assignment tests read the provider hierarchy",
     "is_announcement": "how protocol tests read an UpdateMessage",

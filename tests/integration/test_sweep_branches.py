@@ -6,7 +6,7 @@ the branches to the reference, ``_run_point``, which builds, warms and
 runs a fresh scenario for each point: every ``PointOutcome`` field and
 every trace file byte must agree, over the configurations whose
 episodes differ most (filters, policies, rate limiting, partial and
-mixed deployments, a fault plan, the schedule-race detector), with the
+mixed deployments, a fault plan, zero-jitter links), with the
 converged-state oracle, the timer audit and tracing all on, and with
 unsorted, repeated counts. They also pin what happens when a branch
 fails or dies.
@@ -29,6 +29,7 @@ from repro.experiments.ablations import mixed_vendor_config, wrate_config
 from repro.experiments.base import internet208_config, mesh100_config
 from repro.experiments.parallel import _SweepSpec, execute_sweep
 from repro.faults import FaultPlan
+from repro.net.link import LinkConfig
 from repro.sim.timers import TimerAudit, TimerAuditViolation
 from repro.topology.mesh import mesh_topology
 from repro.workload.scenarios import ScenarioConfig
@@ -57,8 +58,9 @@ CONFIGS = {
     "mixed-vendor": mixed_vendor_config,
     "half-deployment": lambda: mesh100_config(damping_fraction=0.5),
     "chaos": _chaos_config,
+    # Zero-jitter links: the workload with the most same-instant ties.
     "schedule-ties": lambda: dataclasses.replace(
-        mesh100_config(), detect_schedule_ties=True
+        mesh100_config(), link=LinkConfig(jitter=0.0)
     ),
 }
 

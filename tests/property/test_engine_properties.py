@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.events import TieDetector
 from repro.sim.timers import Timer
 
 delays = st.lists(
@@ -96,7 +95,7 @@ _SPECS = st.lists(
     min_size=1,
     max_size=25,
 )
-_ATTACHMENTS = st.sets(st.sampled_from(["ties", "watchdog", "recorder", "probe"]))
+_ATTACHMENTS = st.sets(st.sampled_from(["watchdog", "recorder", "probe"]))
 
 
 def _play(mode, specs, pre_cancel, attach, horizon):
@@ -104,7 +103,6 @@ def _play(mode, specs, pre_cancel, attach, horizon):
     everything the properties below compare."""
     engine = Engine()
     log, fired, dead, handles, late = [], [], set(), [], []
-    detector = TieDetector(engine) if "ties" in attach else None
     watchdog = engine.enable_watchdog() if "watchdog" in attach else None
     if "recorder" in attach:
         engine.add_observer(lambda event: log.append(("seen", event.time, event.seq)))
@@ -157,7 +155,7 @@ def _play(mode, specs, pre_cancel, attach, horizon):
             assert engine.pending_count == len(handles) - len(fired) - len(dead)
     assert engine.pending_count == 0
     assert engine.events_executed == len(fired)
-    return fired, log, late, detector, watchdog
+    return fired, log, late, watchdog
 
 
 @given(
@@ -172,7 +170,7 @@ def test_every_driver_and_every_observer_sees_the_same_dispatch(
 ):
     bare = _play("idle", specs, pre_cancel, frozenset(), horizon)[0]
     for mode in ("run", "idle", "step"):
-        fired, log, late, detector, watchdog = _play(
+        fired, log, late, watchdog = _play(
             mode, specs, pre_cancel, attach, horizon
         )
         # Observers are passive and the three drivers share one loop.
@@ -194,18 +192,6 @@ def test_every_driver_and_every_observer_sees_the_same_dispatch(
         # An observer added from inside a callback sees the next event on.
         for position, seen in late:
             assert seen == [seq for _, seq, _, _ in fired[position:]]
-        if detector is not None:
-            anchors, ties = {}, []
-            for time, seq, actor, _ in fired:
-                if actor is None:
-                    continue
-                if (time, actor) in anchors:
-                    ties.append((time, actor, anchors[(time, actor)], seq))
-                else:
-                    anchors[(time, actor)] = seq
-            assert [
-                (t.time, t.actor, t.first_seq, t.second_seq) for t in detector.ties
-            ] == ties
         if watchdog is not None and fired:
             assert watchdog.events_at_instant == sum(
                 1 for entry in fired if entry[0] == fired[-1][0]

@@ -91,7 +91,6 @@ NOT_AN_INPUT = {
     "ScaleEpisodeResult": "result record: wall times and counts of one scale episode",
     "DropRecord": "result record: when a message was dropped",
     "ConvergenceSummary": "result record: convergence time of a finished episode",
-    "ScheduleTie": "result record: the instant of a schedule race",
     "TimerAuditViolation": "result record: the instant of a timer-audit violation",
     "StallDiagnostics": "result record: the clock when the watchdog fired",
     "TraceRecord": "result record: one causal trace record's time stamp",

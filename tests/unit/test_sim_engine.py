@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import SimulationError, SimulationStalled
 from repro.sim.engine import Engine, call_soon
-from repro.sim.events import TieDetector
 
 
 def test_clock_starts_at_zero():
@@ -282,125 +281,107 @@ def test_engine_with_live_and_cancelled_entries_survives_pickle():
 
 
 # ----------------------------------------------------------------------
-# schedule-race (tie) detection
+# tie order: the test-only shuffler (tests/tie_shuffle.py)
 # ----------------------------------------------------------------------
 
 
-def test_tie_detection_off_by_default():
+def _same_instant_order():
     engine = Engine()
-    assert engine.observers == ()
-    engine.schedule_at(1.0, lambda: None, actor="r1", tag="deliver")
-    engine.schedule_at(1.0, lambda: None, actor="r1", tag="deliver")
-    assert engine.run() == 2
+    order = []
+    for actor in ("r1", "r2", "r3"):
+        engine.schedule_at(1.0, lambda actor=actor: order.append(actor), actor=actor)
+    engine.schedule_at(0.5, lambda: order.append("early"))
+    engine.run()
+    return order
 
 
-def test_same_instant_same_actor_records_tie():
+def test_shuffle_runs_same_instant_events_of_different_actors_in_every_order(
+    tie_shuffle,
+):
+    assert _same_instant_order() == ["early", "r1", "r2", "r3"]
+    orders = set()
+    for seed in range(40):
+        tie_shuffle(seed)
+        orders.add(tuple(_same_instant_order()))
+    # Time still comes first; only the order within the instant moves.
+    assert {order[0] for order in orders} == {"early"}
+    assert len(orders) == 6
+
+
+def test_shuffle_counts_events_fired_after_a_later_scheduled_tie(tie_shuffle):
+    shuffle = tie_shuffle(3)
     engine = Engine()
-    detector = TieDetector(engine)
-    engine.schedule_at(5.0, lambda: None, actor="r1", tag="deliver")
-    engine.schedule_at(5.0, lambda: None, actor="r1", tag="mrai")
+    fired = []
+    events = [
+        engine.schedule_at(2.0, lambda i=i: fired.append(i)) for i in range(6)
+    ]
+    events[5].cancel()  # a cancelled entry is no event
     engine.run()
-    assert len(detector.ties) == 1
-    tie = detector.ties[0]
-    assert tie.time == 5.0
-    assert tie.actor == "r1"
-    assert tie.first_seq < tie.second_seq
-    assert tie.tags == ("deliver", "mrai")
+    assert sorted(fired) == [0, 1, 2, 3, 4]
+    inversions = sum(1 for k, i in enumerate(fired) if i < max(fired[: k + 1]))
+    assert fired != sorted(fired)
+    assert shuffle.reordered == inversions > 0
 
 
-def test_same_instant_different_actors_is_not_a_tie():
-    engine = Engine()
-    detector = TieDetector(engine)
-    engine.schedule_at(5.0, lambda: None, actor="r1")
-    engine.schedule_at(5.0, lambda: None, actor="r2")
-    engine.run()
-    assert detector.ties == []
+@pytest.mark.parametrize("coalesce", [False, True], ids=["per-message", "queued"])
+def test_shuffled_same_link_deliveries_keep_send_order(coalesce, tie_shuffle):
+    """Zero-jitter links a→c and b→c put every message on one instant:
+    across shuffle seeds the two links interleave in both orders, but
+    each link delivers in the order it was sent."""
+    from repro.net.link import LinkConfig
+    from repro.net.network import Network
+    from repro.net.node import Node
+    from repro.sim.rng import RngRegistry
 
+    class Logger(Node):
+        def handle_message(self, message):
+            log.append(message.payload)
 
-def test_same_actor_different_instants_is_not_a_tie():
-    engine = Engine()
-    detector = TieDetector(engine)
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.schedule_at(2.0, lambda: None, actor="r1")
-    engine.run()
-    assert detector.ties == []
-
-
-def test_unlabelled_events_never_tie():
-    engine = Engine()
-    detector = TieDetector(engine)
-    engine.schedule_at(1.0, lambda: None)
-    engine.schedule_at(1.0, lambda: None)
-    engine.run()
-    assert detector.ties == []
-
-
-def test_three_way_tie_records_one_tie_per_follower():
-    engine = Engine()
-    detector = TieDetector(engine)
-    for tag in ("a", "b", "c"):
-        engine.schedule_at(1.0, lambda: None, actor="r1", tag=tag)
-    engine.run()
-    assert len(detector.ties) == 2
-    assert [t.tags for t in detector.ties] == [("a", "b"), ("a", "c")]
-
-
-def test_tie_observer_and_clear():
-    engine = Engine()
-    detector = TieDetector(engine)
-    assert engine.observers == (detector.observe,)
-    seen = detector.ties
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.run(until=1.0)
-    assert len(seen) == 1
-    detector.clear()
-    assert seen == [] and detector.ties is seen
-    # The anchor of the cleared instant is forgotten too.
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.run()
-    assert detector.ties == []
-
-
-def test_enable_tie_detection_mid_run():
-    engine = Engine()
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.schedule_at(1.0, lambda: None, actor="r1")
-    engine.run()
-    detector = TieDetector(engine)
-    assert detector.ties == []
-    engine.schedule_at(engine.now + 1.0, lambda: None, actor="r1")
-    engine.schedule_at(engine.now + 1.0, lambda: None, actor="r1")
-    engine.run()
-    assert len(detector.ties) == 1
-
-
-def test_detection_is_passive_identical_execution_order():
-    def trace_run(detect: bool):
-        order = []
+    interleavings = set()
+    for seed in range(12):
+        tie_shuffle(seed)
         engine = Engine()
-        if detect:
-            TieDetector(engine)
-        for i in range(5):
-            engine.schedule_at(1.0, lambda i=i: order.append(i), actor="r1")
+        network = Network(engine, RngRegistry(1), coalesce_delivery=coalesce)
+        log = []
+        for name in ("a", "b", "c"):
+            network.add_node(Logger(name))
+        network.add_link("a", "c", LinkConfig(base_delay=1.0, jitter=0.0))
+        network.add_link("b", "c", LinkConfig(base_delay=1.0, jitter=0.0))
+        for i in range(3):
+            network.send("a", "c", f"a{i}")
+            network.send("b", "c", f"b{i}")
         engine.run()
-        return order
+        assert [m for m in log if m[0] == "a"] == ["a0", "a1", "a2"]
+        assert [m for m in log if m[0] == "b"] == ["b0", "b1", "b2"]
+        interleavings.add(log[0][0])
+    assert interleavings == {"a", "b"}
 
-    assert trace_run(False) == trace_run(True) == [0, 1, 2, 3, 4]
+
+def test_schedule_at_keeps_its_time_checks_under_the_shuffle(tie_shuffle):
+    tie_shuffle(0)
+    engine = Engine()
+    engine.schedule(5.0, lambda: None)
+    engine.run()
+    with pytest.raises(SimulationError):
+        engine.schedule_at(4.0, lambda: None)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SimulationError):
+            engine.schedule_at(bad, lambda: None)
+    assert engine.pending_count == 0
 
 
 def test_timer_forwards_actor_and_tag():
     from repro.sim.timers import Timer
 
     engine = Engine()
-    detector = TieDetector(engine)
+    seen = []
+    engine.add_observer(lambda event: seen.append((event.actor, event.tag)))
     t1 = Timer(engine, lambda: None, name="a", actor="r1", tag="mrai")
     t2 = Timer(engine, lambda: None, name="b", actor="r1", tag="reuse")
     t1.start(3.0)
     t2.start(3.0)
     engine.run()
-    assert len(detector.ties) == 1
-    assert detector.ties[0].tags == ("mrai", "reuse")
+    assert sorted(seen) == [("r1", "mrai"), ("r1", "reuse")]
 
 
 # ----------------------------------------------------------------------
